@@ -8,23 +8,33 @@ auxiliary function eta:
 
 where mu1 = 1/2 - a/b^2 + sqrt((1/2 - a/b^2)^2 + 2 lam/b^2) and eta solves a
 second-order equation with eta(0) = 1 and a convergent power series at 0.
-The normalizing integral is assembled from three panels: the series panel
-over [0, u0] (done termwise, which absorbs the integrable s^(mu1-1) endpoint
-singularity when mu1 < 1), Gauss-Legendre quadrature over the integrator
-steps on [u0, U], and a power-law tail correction beyond U calibrated from
-eta(U) ~ C * U^(-d2).
+That solution is Kummer's function M(d2, 2 d1, -u/m), so the normalizing
+integral is its Mellin transform (DLMF 13.10.10):
+
+    1/P1 = m^mu1 Gamma(mu1) Gamma(d2 - mu1) Gamma(2 d1) / (Gamma(d2) Gamma(2 d1 - mu1)),
+
+finite exactly when d2 - mu1 = 2a/b^2 - 1 > 0.  It is evaluated in logs,
+and so is every value of the density P1 s^(mu1 - 1) eta(s), so no power of
+s overflows however large mu1 is.
+
+The partial integral needs eta only out to the largest abscissa asked for.
+The series covers [0, u0], integrated termwise, which absorbs the integrable
+s^(mu1 - 1) endpoint singularity when mu1 < 1.  One integration of eta's
+equation covers [u0, U], with 10-point Gauss-Legendre quadrature over each
+integrator step.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSolutionError, SolverError
 from .model import ModelParams, Regime, RegimeInfo
-from .solution import SolutionGrid, TailFit
+from .solution import SolutionGrid, TailFit, make_grid
 
 __all__ = [
     "CapitalStockExpansion",
@@ -39,6 +49,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_ORDER = 20
 DEFAULT_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# intervals per dense-output call in quad; bounds the peak memory of a large evaluation
+_EVAL_BLOCK = 512
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -109,18 +122,6 @@ def _eta_series_eval(coeffs: np.ndarray, u: np.ndarray):
     return eta, deta
 
 
-def _series_panel(coeffs: np.ndarray, mu1: float, v) -> np.ndarray:
-    """int_0^v s^(mu1-1) eta(s) ds from the series, v <= u0.
-
-    Termwise integration gives sum_k c_k v^(mu1+k)/(mu1+k) with c_0 = 1 and
-    c_k = P_{k+1}; the endpoint singularity is exact in each term.
-    """
-    vq = np.atleast_1d(np.asarray(v, dtype=float))
-    ks = np.arange(0, len(coeffs) + 1, dtype=float)
-    ck = np.concatenate(([1.0], coeffs))
-    return np.sum(ck[None, :] * vq[:, None] ** (mu1 + ks[None, :]) / (mu1 + ks[None, :]), axis=1)
-
-
 def solve_eta(
     params: ModelParams,
     u_max: float,
@@ -149,28 +150,6 @@ def solve_eta(
     return traj
 
 
-def _steps_quadrature(traj, mu1: float) -> np.ndarray:
-    """Per-step Gauss-Legendre integrals of s^(mu1-1) eta(s), cumulative."""
-    lo = traj.us[:-1]
-    hi = traj.us[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = traj(nodes.ravel())[:, 0].reshape(nodes.shape)
-    f = nodes ** (mu1 - 1.0) * vals
-    per_step = half * (f @ _GL_WEIGHTS)
-    return np.concatenate(([0.0], np.cumsum(per_step)))
-
-
-def _partial_step(traj, mu1: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    half = 0.5 * (hi - lo)
-    s = 0.5 * (hi + lo) + half * _GL_NODES
-    f = s ** (mu1 - 1.0) * traj(s)[:, 0]
-    return float(half * (f @ _GL_WEIGHTS))
-
-
 def phi_capital_stock(
     params: ModelParams,
     u_grid=None,
@@ -179,13 +158,17 @@ def phi_capital_stock(
     atol: float = 1e-12,
     order: int = DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
-    points: int = 201,
 ) -> SolutionGrid:
-    """Solve the capital-stock regime and sample it on a grid.
+    """Solve the capital-stock regime and sample it on ``u_grid``.
 
-    The integration horizon starts at max(200*m, u_max) and doubles until the
-    normalization changes by less than 1e-4 relative.  Requires 2a/b^2 > 1;
-    otherwise the normalizing integral diverges and ruin is certain.
+    P1 is exact (see the module docstring), and eta is integrated once, out
+    to U = max(200 m, u_max), which is the end of the solution's ``span``.
+    ``u_max`` defaults to 50 m and ``u_grid`` to 201 uniform points on
+    [0, u_max].  ``atol`` bounds the error of phi, not of eta: eta gets the
+    absolute tolerance that keeps phi within it, which leaves its relative
+    error under ``rtol`` wherever the density matters.  Requires
+    2a/b^2 > 1; otherwise the normalizing integral diverges and ruin is
+    certain.
     """
     if params.c != 0.0 or params.b == 0.0:
         raise ValueError(f"capital-stock regime requires c = 0 and b > 0, got {params}")
@@ -195,61 +178,69 @@ def phi_capital_stock(
             f"tail integral diverges: 2a/b^2 = {r:g} <= 1 (shares not robust)"
         )
     mu1, d1, d2 = exponents(params)
+    m = params.m
     coeffs = eta_series(params, order)
 
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
         u_max = max(u_max or 0.0, float(u_grid.max()))
     if u_max is None:
-        u_max = 50.0 * params.m
+        u_max = 50.0 * m
+    if u_grid is None:
+        u_grid = make_grid(u_max, 201)
 
-    U = max(200.0 * params.m, u_max)
-    Z_prev = None
-    stability = np.inf
-    for doubling in range(9):
-        traj = solve_eta(params, U, rtol=rtol, atol=atol, order=order, tol=tol)
-        u0 = traj.u_start
-        s0 = float(_series_panel(coeffs, mu1, u0)[0])
-        cum = _steps_quadrature(traj, mu1)
-        eta_U = float(traj.states[-1, 0])
-        tail = eta_U * U**mu1 / (r - 1.0)
-        Z = s0 + cum[-1] + tail
-        if Z_prev is not None:
-            stability = abs(Z - Z_prev) / abs(Z)
-            if stability <= 1e-4:
-                break
-        Z_prev = Z
-        U *= 2.0
-    else:
-        raise SolverError(f"normalization did not stabilize (last U={U:g})")
-    if Z <= 0.0:
-        raise SolverError(f"nonpositive normalizing integral Z={Z:g}")
-    P1 = 1.0 / Z
-
-    # two-point tail calibration check, folded into the diagnostics
-    eta_half = float(traj(U / 2.0)[0])
-    c_U = eta_U * U**d2
-    c_half = eta_half * (U / 2.0) ** d2
-    calib_drift = abs(c_U - c_half) / abs(c_U)
-    logger.info(
-        "capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g tail-calib drift=%.2e",
-        mu1, u0, U, P1, calib_drift,
+    # log(Z / m^mu1), Z = 1/P1, with d2 - mu1 = r - 1
+    log_zm = (
+        math.lgamma(mu1) + math.lgamma(r - 1.0) + math.lgamma(2.0 * d1)
+        - math.lgamma(d2) - math.lgamma(2.0 * d1 - mu1)
     )
-
-    expansion = CapitalStockExpansion(
-        mu1=mu1, d1=d1, d2=d2, eta_coeffs=coeffs, u0=u0, P1=P1
+    # eta ~ Gamma(2 d1)/Gamma(2 d1 - d2) (u/m)^(-d2) gives 1 - phi ~ K u^(1-r)
+    log_K = (
+        (r - 1.0) * math.log(m) + math.lgamma(2.0 * d1) - math.lgamma(2.0 * d1 - d2)
+        - log_zm - math.log(r - 1.0)
     )
+    log_Z = log_zm + mu1 * math.log(m)
+    with np.errstate(over="ignore", under="ignore"):
+        Z, P1, K = (float(v) for v in np.exp([log_Z, -log_Z, log_K]))
 
-    def eta_pair(uq: np.ndarray):
-        eta = np.empty_like(uq)
-        deta = np.empty_like(uq)
-        inner = uq <= u0
-        if np.any(inner):
-            eta[inner], deta[inner] = _eta_series_eval(coeffs, uq[inner])
-        if np.any(~inner):
-            st = traj(uq[~inner])
-            eta[~inner], deta[~inner] = st[:, 0], st[:, 1]
-        return eta, deta
+    U = max(200.0 * m, u_max)
+    # phi moves by at most P1 * delta * int_0^U s^(mu1-1) ds = delta P1 U^mu1 / mu1
+    # when eta is off by delta; eta's absolute tolerance keeps that within atol
+    log_weight = mu1 * math.log(U / m) - log_zm - math.log(mu1)
+    eta_atol = max(atol * math.exp(-max(log_weight, 0.0)), _TINY)
+    traj = solve_eta(params, U, rtol=rtol, atol=eta_atol, order=order, tol=tol)
+    u0 = traj.u_start
+    logger.info("capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g", mu1, u0, U, P1)
+
+    # termwise series panel: sum_k c_k u^(mu1+k)/(mu1+k), c_0 = 1, c_k = P_{k+1}
+    panel = np.concatenate(([1.0], coeffs)) / (mu1 + np.arange(len(coeffs) + 1))
+
+    def phi_inner(u: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            lead = np.exp(mu1 * np.log(u / m) - log_zm)
+        return lead * np.polyval(panel[::-1], u)
+
+    def density(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """P1 s^(mu1-1) eta at s > 0."""
+        return np.exp((mu1 - 1.0) * np.log(s / m) - log_zm) * eta / m
+
+    def quad(lo: np.ndarray, hi: np.ndarray):
+        """Integrals of the density over [lo_i, hi_i], each inside one step,
+        and (eta, eta') at hi: one dense-output call per block of intervals."""
+        part = np.empty_like(hi)
+        states = np.empty((hi.size, 2))
+        for start in range(0, hi.size, _EVAL_BLOCK):
+            blk = slice(start, start + _EVAL_BLOCK)
+            half = 0.5 * (hi[blk] - lo[blk])
+            nodes = (0.5 * (hi[blk] + lo[blk]))[:, None] + half[:, None] * _GL_NODES
+            st = traj(np.concatenate((nodes.ravel(), hi[blk])))
+            eta_nodes = st[: nodes.size, 0].reshape(nodes.shape)
+            part[blk] = half * (density(nodes, eta_nodes) @ _GL_WEIGHTS)
+            states[blk] = st[nodes.size:]
+        return part, states
+
+    per_step, _ = quad(traj.us[:-1], traj.us[1:])
+    base = phi_inner(np.array([u0]))[0] + np.concatenate(([0.0], np.cumsum(per_step)))
 
     def lim_dphi0() -> float:
         if mu1 > 1.0:
@@ -271,33 +262,34 @@ def phi_capital_stock(
 
     def eval3(uq: np.ndarray):
         phi = np.empty_like(uq)
+        eta = np.empty_like(uq)
+        deta = np.empty_like(uq)
         inner = uq <= u0
-        phi[inner] = P1 * _series_panel(coeffs, mu1, uq[inner])
-        outer_idx = np.flatnonzero(~inner)
-        if outer_idx.size:
-            uo = uq[outer_idx]
-            step = np.clip(np.searchsorted(traj.us, uo, side="right") - 1, 0, len(traj.us) - 2)
-            base = s0 + cum[step]
-            part = np.array(
-                [_partial_step(traj, mu1, traj.us[s], x) for s, x in zip(step, uo)]
-            )
-            phi[outer_idx] = P1 * (base + part)
-        eta, deta = eta_pair(uq)
+        if inner.any():
+            phi[inner] = phi_inner(uq[inner])
+            eta[inner], deta[inner] = _eta_series_eval(coeffs, uq[inner])
+        outer = ~inner
+        if outer.any():
+            x = uq[outer]
+            step = np.clip(np.searchsorted(traj.us, x, side="right") - 1, 0, len(traj.us) - 2)
+            part, states = quad(traj.us[step], x)
+            phi[outer] = base[step] + part
+            eta[outer], deta[outer] = states[:, 0], states[:, 1]
         pos = uq > 0.0
         dphi = np.empty_like(uq)
         ddphi = np.empty_like(uq)
-        dphi[pos] = P1 * uq[pos] ** (mu1 - 1.0) * eta[pos]
-        ddphi[pos] = P1 * uq[pos] ** (mu1 - 2.0) * ((mu1 - 1.0) * eta[pos] + uq[pos] * deta[pos])
+        up = uq[pos]
+        dphi[pos] = density(up, eta[pos])
+        ddphi[pos] = density(up, (mu1 - 1.0) * eta[pos] + up * deta[pos]) / up
         if np.any(~pos):
             dphi[~pos] = lim_dphi0()
             ddphi[~pos] = lim_ddphi0()
         return phi, dphi, ddphi
 
-    if u_grid is None:
-        u_grid = np.linspace(0.0, u_max, points)
     phi, dphi, ddphi = eval3(u_grid)
 
-    tail_fit = TailFit(A=Z, K=P1 * c_U / (r - 1.0), exponent=1.0 - r, U=U, stability=stability)
+    # Z is exact, so the limit does not move with U: stability is 0
+    tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U, stability=0.0)
     diagnostics = {
         "P1": P1,
         "mu1": mu1,
@@ -308,8 +300,9 @@ def phi_capital_stock(
         "U": U,
         "rtol": rtol,
         "atol": atol,
-        "tail_calibration_drift": calib_drift,
-        "expansion": expansion,
+        "expansion": CapitalStockExpansion(
+            mu1=mu1, d1=d1, d2=d2, eta_coeffs=coeffs, u0=u0, P1=P1
+        ),
     }
     return SolutionGrid(
         u=u_grid,

@@ -9,18 +9,31 @@ import numpy as np
 
 from .model import RegimeInfo
 
-__all__ = ["TailFit", "SolutionGrid"]
+__all__ = ["TailFit", "SolutionGrid", "make_grid"]
+
+
+def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
+    """Output grid from 0 to u_max, uniform or logarithmic."""
+    if points < 2 or u_max <= 0.0:
+        raise ValueError("need points >= 2 and u_max > 0")
+    if spacing == "uniform":
+        return np.linspace(0.0, u_max, points)
+    if spacing == "log":
+        return np.concatenate(([0.0], np.geomspace(u_max * 1e-3, u_max, points - 1)))
+    raise ValueError(f"unknown spacing {spacing!r}")
 
 
 @dataclass(frozen=True)
 class TailFit:
     """Large-u behaviour 1 - phi(u) ~ K * u**exponent.
 
-    ``A`` is the finite limit of the unnormalized solution (the reciprocal of
+    ``A`` is the finite limit of the unnormalized solution: the reciprocal of
     phi(0) in the main regime, the full normalizing integral in the
-    capital-stock regime), ``U`` the abscissa the estimate was read off at,
-    and ``stability`` the relative change of ``A`` over the last doubling
-    of ``U``.
+    capital-stock regime.  ``U`` is the end of the integration.  In the main
+    regime ``A`` is read off at ``U`` and ``stability`` is its relative
+    change over the last doubling of ``U``.  In the capital-stock regime
+    ``A`` and ``K`` are closed forms (a Mellin transform and the asymptotics
+    of Kummer's function), so ``stability`` is 0.
     """
 
     A: float

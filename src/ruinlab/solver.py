@@ -35,7 +35,7 @@ from .model import (
 )
 from .odes import integrate, main_ode_field
 from .series import eval_series, series_coeffs_main
-from .solution import SolutionGrid, TailFit
+from .solution import SolutionGrid, TailFit, make_grid
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
 
@@ -54,17 +54,6 @@ def phi_second_derivative_at_zero(params: ModelParams, C0: float) -> float:
     if params.c == 0.0:
         raise ValueError("phi''(0) formula requires c > 0")
     return (params.lam - params.a - params.c / params.m) * params.lam * C0 / params.c**2
-
-
-def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
-    """Output grid from 0 to u_max, uniform or logarithmic."""
-    if points < 2 or u_max <= 0.0:
-        raise ValueError("need points >= 2 and u_max > 0")
-    if spacing == "uniform":
-        return np.linspace(0.0, u_max, points)
-    if spacing == "log":
-        return np.concatenate(([0.0], np.geomspace(u_max * 1e-3, u_max, points - 1)))
-    raise ValueError(f"unknown spacing {spacing!r}")
 
 
 def solve_main(
@@ -262,7 +251,7 @@ def solve(
         u_max = max(u_max or 0.0, float(u_grid.max()))
     if u_max is None:
         u_max = 50.0 * params.m
-    if u_grid is None and info.regime is not Regime.MAIN and info.regime is not Regime.CAPITAL_STOCK:
+    if u_grid is None:
         u_grid = make_grid(u_max, points, spacing)
 
     if info.regime is Regime.MAIN:
@@ -273,8 +262,6 @@ def solve(
             atol=atol,
             series_order=series_order,
             series_tol=series_tol,
-            points=points,
-            spacing=spacing,
             u_grid=u_grid,
         )
     if info.regime is Regime.CLASSICAL_CL:
@@ -282,15 +269,9 @@ def solve(
     if info.regime is Regime.RISK_FREE:
         return _closedform_grid(riskfree_exact(params), params, u_grid, info)
     if info.regime is Regime.CAPITAL_STOCK:
-        grid = capitalstock.phi_capital_stock(
-            params,
-            u_grid=u_grid,
-            u_max=u_max,
-            rtol=rtol,
-            atol=atol,
-            points=points,
+        return capitalstock.phi_capital_stock(
+            params, u_grid=u_grid, u_max=u_max, rtol=rtol, atol=atol
         )
-        return grid
     # NO_SOLUTION
     if info.reason == REASON_NOT_ROBUST:
         return _zero_grid(params, u_grid, info)

@@ -199,7 +199,9 @@ def mc_survival(
     Defaults: T = 400 and dt = 0.01, both divided by the rate scale
     min(lam, 1/m).  The finite horizon biases the estimate up relative to
     the infinite-horizon probability; double T until the change is within
-    one standard error before comparing against solver output.
+    one standard error before comparing against solver output.  A given dt
+    must be finite and positive even when b = 0, where the exact scheme does
+    not use it and the estimate records dt = 0.
 
     Claims are placed at their exact arrival instants: a step containing an
     arrival is split there, with the claim applied between the substeps.
@@ -217,12 +219,11 @@ def mc_survival(
         T = 400.0 / scale
     if T <= 0.0:
         raise ValueError("T must be > 0")
+    if dt is None:
+        dt = 0.01 / scale
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     exact = params.b == 0.0
-    if not exact:
-        if dt is None:
-            dt = 0.01 / scale
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
 

@@ -34,15 +34,18 @@ def mellin_normalization(params):
     eta is a confluent hypergeometric function M(d2, 2*d1, -u/m), whose
     Mellin transform (DLMF 13.10.10) is Gamma(mu1) Gamma(d2 - mu1)
     Gamma(2 d1) / (Gamma(d2) Gamma(2 d1 - mu1)); it converges exactly when
-    2a/b^2 > 1.  Used as an independent oracle for the quadrature pipeline.
+    2a/b^2 > 1.  Summed in logs, since each Gamma overflows above 171.
+    The solver uses the same closed form; ``TestMellinNormalization``
+    checks it against high-precision quadrature.
     """
     mu1, d1, d2 = exponents(params)
-    return (
-        params.m**mu1
-        * math.gamma(mu1)
-        * math.gamma(d2 - mu1)
-        * math.gamma(2.0 * d1)
-        / (math.gamma(d2) * math.gamma(2.0 * d1 - mu1))
+    return math.exp(
+        mu1 * math.log(params.m)
+        + math.lgamma(mu1)
+        + math.lgamma(d2 - mu1)
+        + math.lgamma(2.0 * d1)
+        - math.lgamma(d2)
+        - math.lgamma(2.0 * d1 - mu1)
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,39 @@ from conftest import mellin_normalization
 
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)   # a < lam
 FIG5_II = ModelParams(a=0.1, b=0.1, c=0.0, lam=0.09, m=1.0)   # a > lam
+
+# Capital-stock points of a seeded parameter sweep on which the earlier
+# U-doubling normalization raised, overflowed or missed P1; keyed by mu1.
+SWEEP = {
+    "mu1=0.32": ModelParams(
+        a=2.3520835641654236, b=2.0065691630926192, c=0.0,
+        lam=0.3134989249170023, m=0.09558983210439607,
+    ),
+    "mu1=1.4": ModelParams(
+        a=0.006959572763324303, b=0.0916030528873356, c=0.0,
+        lam=0.01241583347606694, m=4.137586012974898,
+    ),
+    "mu1=65": ModelParams(
+        a=2.8462191286852023e-05, b=0.002942484640736445, c=0.0,
+        lam=0.019600613415923816, m=0.041613259193297225,
+    ),
+    "mu1=14": ModelParams(
+        a=0.0015121230781400398, b=0.01810893493347378, c=0.0,
+        lam=0.05046170766564078, m=1.6223656165022429,
+    ),
+    "mu1=132": ModelParams(
+        a=8.002232555787499e-06, b=0.0018542479109288723, c=0.0,
+        lam=0.03093795779595703, m=0.01573007669118948,
+    ),
+    "mu1=6.3": ModelParams(
+        a=0.003829291246315087, b=0.05724569078647061, c=0.0,
+        lam=0.07929564668832814, m=9.789444901429754,
+    ),
+    "mu1=29": ModelParams(
+        a=0.001829364664309833, b=0.033090673817231984, c=0.0,
+        lam=0.4945043353662528, m=0.6151929377502456,
+    ),
+}
 
 
 class TestExponents:
@@ -161,7 +195,7 @@ class TestPhiCapitalStock:
         assert np.all(grid.ddphi[inner] <= 1e-10)
 
     def test_single_inflection_when_lam_dominates(self):
-        grid = phi_capital_stock(FIG5_I, u_max=50.0, points=2001)
+        grid = phi_capital_stock(FIG5_I, u_grid=np.linspace(0.0, 50.0, 2001))
         signs = np.sign(grid.ddphi[1:])
         changes = np.sum(signs[:-1] * signs[1:] < 0.0)
         assert changes == 1
@@ -180,3 +214,49 @@ class TestPhiCapitalStock:
     def test_rejects_premiums(self):
         with pytest.raises(ValueError):
             phi_capital_stock(ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0))
+
+    def test_scalar_and_array_evaluate_agree(self):
+        grid = phi_capital_stock(FIG5_I, u_max=50.0)
+        us = np.concatenate(([0.0, 0.3], np.linspace(0.5, 200.0, 41)))
+        arrays = grid.evaluate(us)
+        for i, u in enumerate(us):
+            for got, ref in zip(grid.evaluate(float(u)), arrays):
+                assert got == pytest.approx(ref[i], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [FIG5_I, FIG5_II, SWEEP["mu1=6.3"], SWEEP["mu1=14"]],
+        ids=["fig5-I", "fig5-II", "mu1=6.3", "mu1=14"],
+    )
+    def test_phi_matches_high_precision_quadrature(self, params):
+        # phi(u) = int_0^u s^(mu1-1) M(d2, 2 d1, -s/m) ds / Z at 30 digits,
+        # with Z from mpmath's own Gamma
+        mpmath = pytest.importorskip("mpmath")
+        mu1, d1, d2 = exponents(params)
+        grid = phi_capital_stock(params)
+        with mpmath.workdps(30):
+            mu, a, b, m = (mpmath.mpf(v) for v in (mu1, d2, 2.0 * d1, params.m))
+            z = (
+                m**mu * mpmath.gamma(mu) * mpmath.gamma(a - mu) * mpmath.gamma(b)
+                / (mpmath.gamma(a) * mpmath.gamma(b - mu))
+            )
+            for x in (0.5, 5.0, 50.0):
+                ref = mpmath.quad(
+                    lambda s: s ** (mu - 1) * mpmath.hyp1f1(a, b, -s / m),
+                    [0, min(x, 1.0) * m, x * m],
+                ) / z
+                phi = grid.evaluate(x * params.m)[0]
+                assert phi == pytest.approx(float(ref), rel=1e-9), f"u/m = {x}"
+
+
+class TestSweepRegressions:
+    @pytest.mark.parametrize("params", list(SWEEP.values()), ids=list(SWEEP))
+    def test_solves_cleanly(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = phi_capital_stock(params)
+        assert np.all(np.diff(grid.phi) >= 0.0)
+        assert np.all((grid.phi >= 0.0) & (grid.phi <= 1.0 + 1e-10))
+        assert grid.diagnostics["P1"] == pytest.approx(
+            1.0 / mellin_normalization(params), rel=1e-12
+        )

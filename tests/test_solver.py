@@ -158,6 +158,10 @@ class TestMakeGrid:
         assert g[0] == 0.0 and g[-1] == pytest.approx(10.0)
         assert np.all(np.diff(g) > 0.0)
 
+    def test_capital_stock_honours_spacing(self):
+        grid = solve(PARAMS["fig5-I"], u_max=50.0, spacing="log")
+        np.testing.assert_array_equal(grid.u, make_grid(50.0, 201, "log"))
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             make_grid(10.0, 1)

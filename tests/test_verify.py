@@ -125,8 +125,9 @@ class TestMcSurvival:
         assert est.p_hat in (0.0, 1.0) and est.stderr == 0.0
 
     def test_exact_mode_records_no_dt(self):
-        est = mc_survival(self.CLASSICAL, 5.0, 100, T=10.0, seed=5)
-        assert est.dt == 0.0
+        for dt in (None, 0.01):
+            est = mc_survival(self.CLASSICAL, 5.0, 100, T=10.0, dt=dt, seed=5)
+            assert est.dt == 0.0
 
     def test_default_horizon_uses_rate_scale(self):
         est = mc_survival(self.CLASSICAL, 5.0, 10, seed=5)
@@ -141,6 +142,11 @@ class TestMcSurvival:
             mc_survival(self.CLASSICAL, 5.0, 10, T=-1.0)
         with pytest.raises(ValueError):
             mc_survival(PARAMS["fig1-II"], 5.0, 10, T=10.0, dt=100.0)
+
+    @pytest.mark.parametrize("dt", [-3.0, 0.0, math.nan, math.inf])
+    def test_exact_mode_rejects_invalid_dt(self, dt):
+        with pytest.raises(ValueError):
+            mc_survival(self.CLASSICAL, 5.0, 10, T=10.0, dt=dt)
 
 
 class TestClassicalSurvivalToHorizon:
