@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NoSolutionError, SolverError
 from .model import ModelParams, Regime, RegimeInfo
-from .solution import SolutionGrid, TailFit, make_grid
+from .solution import SolutionGrid, TailFit, resolve_grid
 
 __all__ = [
     "CapitalStockExpansion",
@@ -181,13 +181,7 @@ def phi_capital_stock(
     m = params.m
     coeffs = eta_series(params, order)
 
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        u_max = max(u_max or 0.0, float(u_grid.max()))
-    if u_max is None:
-        u_max = 50.0 * m
-    if u_grid is None:
-        u_grid = make_grid(u_max, 201)
+    u_grid, u_max = resolve_grid(m, u_grid, u_max)
 
     # log(Z / m^mu1), Z = 1/P1, with d2 - mu1 = r - 1
     log_zm = (
@@ -292,6 +286,7 @@ def phi_capital_stock(
     tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U, stability=0.0)
     diagnostics = {
         "P1": P1,
+        "log_P1": -log_Z,  # finite where P1 underflows to 0 (log Z > 709)
         "mu1": mu1,
         "d1": d1,
         "d2": d2,

@@ -6,6 +6,12 @@ access to the computed solution (the Volterra residual check integrates
 against it), so the integrator keeps the standard quartic interpolant of the
 Dormand-Prince pair for every accepted step.
 
+The states have one to three components, where a numpy call costs more than
+its arithmetic, so a step runs on Python floats with scalar tableau constants
+and fills flat ``array('d')`` buffers, turned into arrays once at the end.
+A field's ``rhs(u, y)`` therefore takes the state as a sequence of floats and
+returns a tuple of floats, one per component.
+
 Also defined here are the three vector fields used by the package: the
 third-order equation satisfied by the survival probability in the main
 regime, the second-order equation for the capital-stock auxiliary function,
@@ -16,8 +22,9 @@ Volterra convolution.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,41 +32,27 @@ from .errors import IntegrationError
 from .model import ModelParams
 
 __all__ = [
-    "OdeSystem",
-    "Trajectory",
-    "integrate",
-    "main_ode_field",
-    "companion_volterra_field",
-    "eta_ode_field",
+    "OdeSystem", "Trajectory", "integrate",
+    "main_ode_field", "companion_volterra_field", "eta_ode_field",
 ]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2); the seventh stage is evaluated at the fifth-order solution.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # fifth-order minus embedded fourth-order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
 # dense-output weights of the quartic interpolant
-_D = np.array(
-    [
-        -12715105075 / 11282082432,
-        0.0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ]
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 )
 
 _SAFETY = 0.9
@@ -67,14 +60,16 @@ _BETA = 0.04
 _EXPO = 0.2 - _BETA * 0.75
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A first-order system u -> d(state)/du."""
+    """A first-order system u -> d(state)/du: ``rhs(u, y)`` takes the state as
+    a sequence of ``dimension`` floats and returns a tuple of as many."""
 
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, Sequence[float]], tuple[float, ...]]
     name: str = ""
 
 
@@ -136,19 +131,29 @@ class Trajectory:
         return out[0] if scalar else out
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+def _join(head: Trajectory, tail: Trajectory) -> Trajectory:
+    """``head`` extended by ``tail``, which starts at ``head``'s last node."""
+    return Trajectory(
+        us=np.concatenate((head.us, tail.us[1:])),
+        states=np.concatenate((head.states, tail.states[1:])),
+        cont=np.concatenate((head.cont, tail.cont)),
+        name=head.name,
+    )
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(x * x for x in v) / len(v))
 
 
 def _initial_step(rhs, u0, y0, f0, dirn, rtol, atol, span):
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [atol + rtol * abs(y) for y in y0]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = y0 + h0 * dirn * f0
-    f1 = np.asarray(rhs(u0 + h0 * dirn, y1), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    y1 = [y + h0 * dirn * f for y, f in zip(y0, f0)]
+    f1 = rhs(u0 + h0 * dirn, y1)
+    d2 = _rms([(g - f) / s for g, f, s in zip(f1, f0, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -175,9 +180,11 @@ def integrate(
     """
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("rtol and atol must be positive")
-    y = np.asarray(state0, dtype=float).copy()
-    if y.shape != (sys.dimension,):
-        raise ValueError(f"state0 must have shape ({sys.dimension},), got {y.shape}")
+    dim = sys.dimension
+    state = np.asarray(state0, dtype=float)
+    if state.shape != (dim,):
+        raise ValueError(f"state0 must have shape ({dim},), got {state.shape}")
+    y = state.tolist()
     u = float(u_start)
     u_final = float(u_end)
     if u_final == u:
@@ -185,57 +192,71 @@ def integrate(
     dirn = 1.0 if u_final > u else -1.0
     span = abs(u_final - u)
 
-    f = np.asarray(sys.rhs(u, y), dtype=float)
-    h = min(_initial_step(sys.rhs, u, y, f, dirn, rtol, atol, span), max_step)
+    rhs = sys.rhs
+    f = rhs(u, y)
+    if len(f) != dim:
+        raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
+    h = min(_initial_step(rhs, u, y, f, dirn, rtol, atol, span), max_step)
 
-    us = [u]
-    states = [y.copy()]
-    conts = []
-    k = np.empty((7, sys.dimension))
+    # per step: one node, one state, five interpolation coefficients per component
+    us = array("d", (u,))
+    states = array("d", y)
+    cont = array("d")
     facold = 1e-4
     was_rejected = False
 
-    eps = np.finfo(float).eps
     for _ in range(max_steps):
         remaining = abs(u_final - u)
-        if remaining <= 16.0 * eps * max(abs(u), abs(u_final), 1e-30):
+        if remaining <= 16.0 * _EPS * max(abs(u), abs(u_final), 1e-30):
             break
         h = min(h, max_step)
-        if h <= 16.0 * eps * max(abs(u), 1e-30):
+        if h <= 16.0 * _EPS * max(abs(u), 1e-30):
             raise IntegrationError(f"step size underflow at u={u:.6g}", u=u)
         last = h >= remaining
         if last:
             h = remaining
 
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + dirn * h * (k[:i].T @ _A[i])
-            k[i] = sys.rhs(u + _C[i] * dirn * h, yi)
-        y_new = y + dirn * h * (k.T @ _B5)
-        if not np.all(np.isfinite(y_new)):
-            raise IntegrationError(f"non-finite state at u={u + dirn * h:.6g}", u=u)
+        hd = dirn * h
+        k1 = f
+        k2 = rhs(u + _C2 * hd, [v + hd * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = rhs(u + _C3 * hd, [v + hd * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+        k4 = rhs(u + _C4 * hd, [
+            v + hd * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
+        ])
+        k5 = rhs(u + _C5 * hd, [
+            v + hd * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ])
+        k6 = rhs(u + hd, [
+            v + hd * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ])
+        y_new = [
+            v + hd * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+            for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+        ]
+        if not all(map(math.isfinite, y_new)):
+            raise IntegrationError(f"non-finite state at u={u + hd:.6g}", u=u)
+        k7 = rhs(u + hd, y_new)
 
-        err_vec = h * (k.T @ _E)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / scale)
+        err = 0.0
+        coeffs = []  # the step's interpolation coefficients, kept if it is accepted
+        for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            q = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+            q /= atol + rtol * max(abs(v), abs(w))
+            err += q * q
+            dy = w - v
+            b = hd * a - dy
+            dense = hd * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * g + _D7 * k)
+            coeffs += (v, dy, b, dy - hd * k - b, dense)
+        err = math.sqrt(err / dim)
 
         if err <= 1.0:
-            u_new = u_final if last else u + dirn * h
-            dy = y_new - y
-            conts.append(
-                np.stack(
-                    [
-                        y,
-                        dy,
-                        dirn * h * k[0] - dy,
-                        dy - dirn * h * k[6] - (dirn * h * k[0] - dy),
-                        dirn * h * (k.T @ _D),
-                    ]
-                )
-            )
+            u_new = u_final if last else u + hd
+            cont.extend(coeffs)
             us.append(u_new)
-            states.append(y_new.copy())
-            f = k[6].copy()  # FSAL
+            states.extend(y_new)
+            f = k7  # FSAL
             u, y = u_new, y_new
 
             fac11 = err**_EXPO if err > 0.0 else 0.0
@@ -254,7 +275,10 @@ def integrate(
         raise IntegrationError(f"step budget exhausted at u={u:.6g}", u=u)
 
     return Trajectory(
-        us=np.array(us), states=np.array(states), cont=np.array(conts), name=sys.name
+        us=np.frombuffer(us),
+        states=np.frombuffer(states).reshape(-1, dim),
+        cont=np.frombuffer(cont).reshape(-1, dim, 5).transpose(0, 2, 1),
+        name=sys.name,
     )
 
 
@@ -270,13 +294,12 @@ def main_ode_field(params: ModelParams) -> OdeSystem:
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
     b2 = b * b
 
-    def rhs(u: float, y: np.ndarray) -> np.ndarray:
+    def rhs(u: float, y) -> tuple[float, float, float]:
         if u <= 0.0:
             raise ValueError(f"main ODE field is singular at u={u:g}; need u > 0")
         coeff2 = c + (b2 + a) * u + b2 * u * u / (2.0 * m)
         coeff1 = a - lam + c / m + a * u / m
-        dddphi = -(coeff2 * y[2] + coeff1 * y[1]) / (0.5 * b2 * u * u)
-        return np.array([y[1], y[2], dddphi])
+        return y[1], y[2], -(coeff2 * y[2] + coeff1 * y[1]) / (0.5 * b2 * u * u)
 
     return OdeSystem(dimension=3, rhs=rhs, name="main-phi")
 
@@ -291,8 +314,8 @@ def companion_volterra_field(params: ModelParams, phi_interp) -> OdeSystem:
     """
     m = params.m
 
-    def rhs(u: float, y: np.ndarray) -> np.ndarray:
-        return np.array([(float(phi_interp(u)) - y[0]) / m])
+    def rhs(u: float, y) -> tuple[float]:
+        return ((float(phi_interp(u)) - y[0]) / m,)
 
     return OdeSystem(dimension=1, rhs=rhs, name="volterra-companion")
 
@@ -308,10 +331,9 @@ def eta_ode_field(params: ModelParams) -> OdeSystem:
     _, d1, d2 = exponents(params)
     m = params.m
 
-    def rhs(u: float, y: np.ndarray) -> np.ndarray:
+    def rhs(u: float, y) -> tuple[float, float]:
         if u <= 0.0:
             raise ValueError(f"eta field is singular at u={u:g}; need u > 0")
-        ddeta = -((2.0 * d1 + u / m) * u * y[1] + (d2 * u / m) * y[0]) / (u * u)
-        return np.array([y[1], ddeta])
+        return y[1], -((2.0 * d1 + u / m) * u * y[1] + (d2 * u / m) * y[0]) / (u * u)
 
     return OdeSystem(dimension=2, rhs=rhs, name="capital-stock-eta")

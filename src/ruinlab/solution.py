@@ -23,6 +23,19 @@ def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
+def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform"):
+    """(u_grid, u_max) of a solve: a given grid raises u_max to its end,
+    u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``."""
+    if u_grid is not None:
+        u_grid = np.asarray(u_grid, dtype=float)
+        u_max = max(u_max or 0.0, float(u_grid.max()))
+    if u_max is None:
+        u_max = 50.0 * m
+    if u_grid is None:
+        u_grid = make_grid(u_max, points, spacing)
+    return u_grid, u_max
+
+
 @dataclass(frozen=True)
 class TailFit:
     """Large-u behaviour 1 - phi(u) ~ K * u**exponent.

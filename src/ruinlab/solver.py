@@ -4,7 +4,8 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 
 1. expand the solution at the singular point u = 0 with placeholder C0 = 1
    and transfer the initial data to a regular point u0;
-2. integrate the third-order equation out to a large U;
+2. integrate the third-order equation out to a large U; each doubling of U
+   (see 3) extends the trajectory from its last node, integrating no span twice;
 3. read off the finite limit A of the unnormalized solution from the
    power-law tail: A = phi(U) + phi'(U) * U / (2a/b^2 - 1);
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
@@ -33,9 +34,9 @@ from .model import (
     RegimeInfo,
     classify_regime,
 )
-from .odes import integrate, main_ode_field
+from .odes import _join, integrate, main_ode_field
 from .series import eval_series, series_coeffs_main
-from .solution import SolutionGrid, TailFit, make_grid
+from .solution import SolutionGrid, TailFit, make_grid, resolve_grid
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
 
@@ -77,18 +78,16 @@ def solve_main(
     u0 = exp.u0
     state0 = np.array(eval_series(exp, 1.0, u0))
 
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        u_max = max(u_max or 0.0, float(u_grid.max()))
-    if u_max is None:
-        u_max = 50.0 * params.m
-
+    u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
     field = main_ode_field(params)
     U = max(200.0 * params.m, u_max)
+    traj = integrate(field, u0, state0, U, rtol=rtol, atol=atol)
     A_prev = None
     stability = np.inf
     for _ in range(9):
-        traj = integrate(field, u0, state0, U, rtol=rtol, atol=atol)
+        if traj.u_end < U:
+            tail = integrate(field, traj.u_end, traj.states[-1], U, rtol=rtol, atol=atol)
+            traj = _join(traj, tail)
         phi_U, dphi_U, _ = traj.states[-1]
         A = phi_U + dphi_U * U / (r - 1.0)
         if A_prev is not None:
@@ -126,8 +125,6 @@ def solve_main(
             ddphi[~inner] = C0 * st[:, 2]
         return phi, dphi, ddphi
 
-    if u_grid is None:
-        u_grid = make_grid(u_max, points, spacing)
     phi, dphi, ddphi = eval3(u_grid)
 
     diagnostics = {
@@ -246,13 +243,7 @@ def solve(
     ruin is certain under non-robust shares.
     """
     info = classify_regime(params)
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        u_max = max(u_max or 0.0, float(u_grid.max()))
-    if u_max is None:
-        u_max = 50.0 * params.m
-    if u_grid is None:
-        u_grid = make_grid(u_max, points, spacing)
+    u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
 
     if info.regime is Regime.MAIN:
         return solve_main(

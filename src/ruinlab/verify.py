@@ -199,9 +199,9 @@ def mc_survival(
     Defaults: T = 400 and dt = 0.01, both divided by the rate scale
     min(lam, 1/m).  The finite horizon biases the estimate up relative to
     the infinite-horizon probability; double T until the change is within
-    one standard error before comparing against solver output.  A given dt
-    must be finite and positive even when b = 0, where the exact scheme does
-    not use it and the estimate records dt = 0.
+    one standard error before comparing against solver output.  A given T
+    must be finite and positive, and so must a given dt, even when b = 0,
+    where the exact scheme does not use it and the estimate records dt = 0.
 
     Claims are placed at their exact arrival instants: a step containing an
     arrival is split there, with the claim applied between the substeps.
@@ -217,8 +217,8 @@ def mc_survival(
     scale = _rate_scale(params)
     if T is None:
         T = 400.0 / scale
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     if dt is None:
         dt = 0.01 / scale
     if not 0.0 < dt < math.inf:

@@ -38,8 +38,13 @@ def mellin_normalization(params):
     The solver uses the same closed form; ``TestMellinNormalization``
     checks it against high-precision quadrature.
     """
+    return math.exp(log_mellin_normalization(params))
+
+
+def log_mellin_normalization(params):
+    """log of ``mellin_normalization``, finite where the value overflows."""
     mu1, d1, d2 = exponents(params)
-    return math.exp(
+    return (
         mu1 * math.log(params.m)
         + math.lgamma(mu1)
         + math.lgamma(d2 - mu1)

@@ -13,7 +13,7 @@ from ruinlab import (
     phi_capital_stock,
     solve_eta,
 )
-from conftest import mellin_normalization
+from conftest import log_mellin_normalization, mellin_normalization
 
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)   # a < lam
 FIG5_II = ModelParams(a=0.1, b=0.1, c=0.0, lam=0.09, m=1.0)   # a > lam
@@ -214,6 +214,17 @@ class TestPhiCapitalStock:
     def test_rejects_premiums(self):
         with pytest.raises(ValueError):
             phi_capital_stock(ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0))
+
+    def test_log_p1_reported_when_p1_underflows(self):
+        # mu1 = 200, 2a/b^2 = 30, m = 100: log Z is about 1990, so P1 is 0.0
+        p = ModelParams(a=0.15, b=0.1, c=0.0, lam=229.0, m=100.0)
+        assert exponents(p)[0] == pytest.approx(200.0, rel=1e-12)
+        grid = phi_capital_stock(p)
+        log_p1 = grid.diagnostics["log_P1"]
+        assert math.isfinite(log_p1)
+        assert log_p1 == pytest.approx(-log_mellin_normalization(p), rel=1e-12)
+        assert np.all(np.diff(grid.phi) >= 0.0)
+        assert np.all((grid.phi >= 0.0) & (grid.phi <= 1.0))
 
     def test_scalar_and_array_evaluate_agree(self):
         grid = phi_capital_stock(FIG5_I, u_max=50.0)

@@ -12,8 +12,9 @@ from ruinlab import (
     integrate,
     main_ode_field,
 )
+from ruinlab.odes import _join
 
-DECAY = OdeSystem(dimension=1, rhs=lambda u, y: -y, name="decay")
+DECAY = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0],), name="decay")
 
 
 class TestIntegrate:
@@ -66,7 +67,7 @@ class TestIntegrate:
         assert traj(0.5)[0] == pytest.approx(math.exp(0.5), rel=1e-8)
 
     def test_blowup_reports_abscissa(self):
-        system = OdeSystem(dimension=1, rhs=lambda u, y: y * y, name="blowup")
+        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] * y[0],), name="blowup")
         with pytest.raises(IntegrationError) as exc:
             integrate(system, 0.0, [1.0], 2.0, rtol=1e-8, atol=1e-10)
         assert exc.value.u is not None
@@ -80,26 +81,45 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(DECAY, 0.0, [1.0, 2.0], 1.0)
 
+    def test_wrong_rhs_dimension_rejected(self):
+        # a zip over the components would silently drop the extra one
+        system = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0], 0.0), name="wide")
+        with pytest.raises(ValueError, match="components"):
+            integrate(system, 0.0, [1.0], 1.0)
+
+    def test_resumed_trajectory_matches_single_shot(self):
+        whole = integrate(DECAY, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
+        head = integrate(DECAY, 0.0, [1.0], 0.5, rtol=1e-10, atol=1e-12)
+        tail = integrate(DECAY, head.u_end, head.states[-1], 1.0, rtol=1e-10, atol=1e-12)
+        joined = _join(head, tail)
+        assert joined.u_start == 0.0 and joined.u_end == 1.0
+        us = np.linspace(0.0, 1.0, 77)
+        assert np.max(np.abs(joined(us)[:, 0] - whole(us)[:, 0])) < 1e-9
+        node = len(head.us) - 1
+        assert joined.us[node] == 0.5
+        assert joined.states[node, 0] == head.states[-1, 0]
+        assert joined(0.5)[0] == head.states[-1, 0]
+
 
 class TestMainOdeField:
     PARAMS = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 
     def test_constant_state_is_stationary(self):
         field = main_ode_field(self.PARAMS)
-        deriv = field.rhs(1.0, np.array([0.7, 0.0, 0.0]))
+        deriv = np.asarray(field.rhs(1.0, np.array([0.7, 0.0, 0.0])))
         assert np.all(deriv == 0.0)
 
     def test_hand_evaluated_third_derivative(self):
         field = main_ode_field(self.PARAMS)
-        deriv = field.rhs(1.0, np.array([0.0, 0.0, 1.0]))
+        deriv = np.asarray(field.rhs(1.0, np.array([0.0, 0.0, 1.0])))
         # -(c + (b^2 + a) + b^2/(2m)) / (b^2/2) = -0.135/0.005
         assert deriv[2] == pytest.approx(-27.0, rel=1e-12)
 
     def test_field_linearity(self):
         field = main_ode_field(self.PARAMS)
         y = np.array([0.3, -0.2, 0.9])
-        d1 = field.rhs(2.5, y)
-        d2 = field.rhs(2.5, 2.0 * y)
+        d1 = np.asarray(field.rhs(2.5, y))
+        d2 = np.asarray(field.rhs(2.5, 2.0 * y))
         assert d2 == pytest.approx(2.0 * d1, rel=1e-14)
 
     def test_singular_origin_rejected(self):
@@ -140,18 +160,20 @@ class TestEtaOdeField:
 
     def test_hand_evaluated_second_derivative(self):
         field = eta_ode_field(self.PARAMS)
-        deriv = field.rhs(1.0, np.array([1.0, 0.0]))
+        deriv = np.asarray(field.rhs(1.0, np.array([1.0, 0.0])))
         # with d2 = 6, m = 1: eta'' = -d2 * eta = -6
         assert deriv[1] == pytest.approx(-6.0, rel=1e-12)
 
     def test_trivial_solution(self):
         field = eta_ode_field(self.PARAMS)
-        assert np.all(field.rhs(2.0, np.zeros(2)) == 0.0)
+        assert np.all(np.asarray(field.rhs(2.0, np.zeros(2))) == 0.0)
 
     def test_linearity(self):
         field = eta_ode_field(self.PARAMS)
         y = np.array([0.4, -0.1])
-        assert field.rhs(1.5, 2.0 * y) == pytest.approx(2.0 * field.rhs(1.5, y), rel=1e-14)
+        assert np.asarray(field.rhs(1.5, 2.0 * y)) == pytest.approx(
+            2.0 * np.asarray(field.rhs(1.5, y)), rel=1e-14
+        )
 
     def test_singular_origin_rejected(self):
         field = eta_ode_field(self.PARAMS)

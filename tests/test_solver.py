@@ -15,6 +15,7 @@ from ruinlab import (
     series_coeffs_main,
     solve,
     solve_main,
+    solver,
 )
 from conftest import PARAMS
 
@@ -75,6 +76,23 @@ class TestSolveMain:
             gaps[u] = abs(p.c * dphi - p.lam * phi)
             assert gaps[u] <= 2.0 * grid.C0 * u + 1e-12
         assert gaps[1e-6] < gaps[1e-4]
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
+    def test_ladder_extends_without_reintegrating(self, monkeypatch, name):
+        calls = []
+
+        def recording(field, u_start, state0, u_end, **kw):
+            traj = real(field, u_start, state0, u_end, **kw)
+            calls.append((u_start, traj.u_end))
+            return traj
+
+        real = solver.integrate
+        monkeypatch.setattr(solver, "integrate", recording)
+        grid = solve(PARAMS[name])
+        assert len(calls) >= 2
+        for (_, prev_end), (start, _) in zip(calls, calls[1:]):
+            assert start == prev_end
+        assert calls[-1][1] == grid.diagnostics["U"]
 
     def test_wrong_regime_rejected(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,13 @@ class TestMcSurvival:
         with pytest.raises(ValueError):
             mc_survival(self.CLASSICAL, 5.0, 10, T=10.0, dt=dt)
 
+    @pytest.mark.parametrize("name", ["fig1-I", "fig1-II"])
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_invalid_horizon(self, name, T):
+        # both the event-driven (b = 0) and the Euler (b > 0) path
+        with pytest.raises(ValueError, match="T must be finite"):
+            mc_survival(PARAMS[name], 5.0, 10, T=T, seed=5)
+
 
 class TestClassicalSurvivalToHorizon:
     """The finite-horizon reference that criterion 10a compares MC with."""
