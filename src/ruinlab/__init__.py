@@ -17,13 +17,7 @@ Independent oracles (a Volterra-companion residual check and a Monte Carlo
 path simulator) validate every solution route.
 """
 
-from .capitalstock import (
-    CapitalStockExpansion,
-    eta_series,
-    exponents,
-    phi_capital_stock,
-    solve_eta,
-)
+from .capitalstock import eta_series, exponents, phi_capital_stock, solve_eta
 from .closedform import (
     ClosedFormSolution,
     classical_exact,
@@ -53,13 +47,12 @@ from .presets import PRESETS, Scenario
 from .series import SeriesExpansion, choose_u0, eval_series, series_coeffs_main
 from .solution import SolutionGrid, TailFit
 from .solver import make_grid, phi_second_derivative_at_zero, solve, solve_main
-from .specfun import complete_gamma, lower_incomplete_gamma, upper_incomplete_gamma
+from .specfun import complete_gamma, upper_incomplete_gamma
 from .verify import McEstimate, ResidualReport, TailEstimate, ide_residual, mc_survival, tail_exponent
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapitalStockExpansion",
     "ClosedFormSolution",
     "IntegrationError",
     "McEstimate",
@@ -91,7 +84,6 @@ __all__ = [
     "exponents",
     "ide_residual",
     "integrate",
-    "lower_incomplete_gamma",
     "lundberg_coefficient",
     "main_ode_field",
     "make_grid",

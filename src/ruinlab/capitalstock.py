@@ -28,46 +28,22 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSolutionError, SolverError
 from .model import ModelParams, Regime, RegimeInfo
+from .series import ORDER, choose_u0, poly3
 from .solution import SolutionGrid, TailFit, resolve_grid
 
-__all__ = [
-    "CapitalStockExpansion",
-    "exponents",
-    "eta_series",
-    "solve_eta",
-    "phi_capital_stock",
-]
+__all__ = ["exponents", "eta_series", "solve_eta", "phi_capital_stock"]
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ORDER = 20
-DEFAULT_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # intervals per dense-output call in quad; bounds the peak memory of a large evaluation
 _EVAL_BLOCK = 512
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class CapitalStockExpansion:
-    """Exponents and eta-series data for one parameter set.
-
-    ``eta_coeffs[i]`` is P_{i+2}, the coefficient of u^(i+1) in eta's series;
-    ``P1`` is the normalization constant (reciprocal of the full integral).
-    """
-
-    mu1: float
-    d1: float
-    d2: float
-    eta_coeffs: np.ndarray
-    u0: float
-    P1: float
 
 
 def exponents(params: ModelParams) -> tuple[float, float, float]:
@@ -85,7 +61,7 @@ def exponents(params: ModelParams) -> tuple[float, float, float]:
     return float(mu1), float(mu1 + q), float(mu1 + 2.0 * q - 1.0)
 
 
-def eta_series(params: ModelParams, order: int = DEFAULT_ORDER) -> np.ndarray:
+def eta_series(params: ModelParams, order: int = ORDER) -> np.ndarray:
     """Coefficients P_2..P_order of eta's convergent series at u = 0."""
     _, d1, d2 = exponents(params)
     m = params.m
@@ -96,30 +72,9 @@ def eta_series(params: ModelParams, order: int = DEFAULT_ORDER) -> np.ndarray:
     return P[2:]
 
 
-def _eta_u0(coeffs: np.ndarray, params: ModelParams, tol: float) -> float:
-    """Largest candidate abscissa where the series tail is below ``tol``."""
-    N = len(coeffs) + 1
-    ks = np.arange(1, N)  # P_{k+1} multiplies u^k
-    candidates = params.m * np.logspace(-2.0, np.log10(0.6), 33)
-    best = candidates[0]
-    for u in candidates:
-        terms = np.abs(coeffs) * u**ks
-        if terms[-1] <= tol and np.all(np.diff(terms[-max(2, N // 3):]) <= 0.0):
-            best = float(u)
-    return best
-
-
-def _eta_series_eval(coeffs: np.ndarray, u: np.ndarray):
-    """(eta, eta') of the truncated series; valid for |u| below the chosen u0."""
-    ks = np.arange(1, len(coeffs) + 1, dtype=float)
-    up = np.atleast_1d(u)[:, None] ** ks[None, :]
-    eta = 1.0 + np.sum(coeffs[None, :] * up, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ud = np.where(np.atleast_1d(u) > 0, np.atleast_1d(u), 1.0)[:, None]
-        deta = np.sum(coeffs[None, :] * ks[None, :] * up / ud, axis=1)
-    at0 = np.atleast_1d(u) == 0.0
-    deta[at0] = coeffs[0]
-    return eta, deta
+def _eta_poly(params: ModelParams) -> np.ndarray:
+    """Ascending coefficients 1, P_2, .., P_ORDER of eta's truncated series."""
+    return np.concatenate(([1.0], eta_series(params)))
 
 
 def solve_eta(
@@ -127,8 +82,6 @@ def solve_eta(
     u_max: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
 ):
     """Integrate eta from its series transfer point out to ``u_max``.
 
@@ -138,9 +91,10 @@ def solve_eta(
     """
     from .odes import eta_ode_field, integrate
 
-    coeffs = eta_series(params, order)
-    u0 = _eta_u0(coeffs, params, tol)
-    eta0, deta0 = _eta_series_eval(coeffs, np.array([u0]))
+    poly = _eta_poly(params)
+    m = params.m
+    u0 = choose_u0(poly, m * np.logspace(-2.0, np.log10(0.6), 33), 1e-2 * m)
+    eta0, deta0, _ = poly3(poly, np.array([u0]))
     traj = integrate(
         eta_ode_field(params), u0, [eta0[0], deta0[0]], u_max, rtol=rtol, atol=atol
     )
@@ -156,8 +110,6 @@ def phi_capital_stock(
     u_max: float | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
 ) -> SolutionGrid:
     """Solve the capital-stock regime and sample it on ``u_grid``.
 
@@ -179,7 +131,7 @@ def phi_capital_stock(
         )
     mu1, d1, d2 = exponents(params)
     m = params.m
-    coeffs = eta_series(params, order)
+    poly = _eta_poly(params)
 
     u_grid, u_max = resolve_grid(m, u_grid, u_max)
 
@@ -202,12 +154,12 @@ def phi_capital_stock(
     # when eta is off by delta; eta's absolute tolerance keeps that within atol
     log_weight = mu1 * math.log(U / m) - log_zm - math.log(mu1)
     eta_atol = max(atol * math.exp(-max(log_weight, 0.0)), _TINY)
-    traj = solve_eta(params, U, rtol=rtol, atol=eta_atol, order=order, tol=tol)
+    traj = solve_eta(params, U, rtol=rtol, atol=eta_atol)
     u0 = traj.u_start
     logger.info("capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g", mu1, u0, U, P1)
 
     # termwise series panel: sum_k c_k u^(mu1+k)/(mu1+k), c_0 = 1, c_k = P_{k+1}
-    panel = np.concatenate(([1.0], coeffs)) / (mu1 + np.arange(len(coeffs) + 1))
+    panel = poly / (mu1 + np.arange(len(poly)))
 
     def phi_inner(u: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -251,7 +203,7 @@ def phi_capital_stock(
         if mu1 > 1.0:
             return np.inf
         if mu1 == 1.0:
-            return P1 * coeffs[0]
+            return P1 * poly[1]
         return -np.inf
 
     def eval3(uq: np.ndarray):
@@ -261,7 +213,7 @@ def phi_capital_stock(
         inner = uq <= u0
         if inner.any():
             phi[inner] = phi_inner(uq[inner])
-            eta[inner], deta[inner] = _eta_series_eval(coeffs, uq[inner])
+            eta[inner], deta[inner], _ = poly3(poly, uq[inner])
         outer = ~inner
         if outer.any():
             x = uq[outer]
@@ -291,13 +243,9 @@ def phi_capital_stock(
         "d1": d1,
         "d2": d2,
         "u0": u0,
-        "order": order,
         "U": U,
         "rtol": rtol,
         "atol": atol,
-        "expansion": CapitalStockExpansion(
-            mu1=mu1, d1=d1, d2=d2, eta_coeffs=coeffs, u0=u0, P1=P1
-        ),
     }
     return SolutionGrid(
         u=u_grid,

@@ -117,6 +117,7 @@ def _solution_lines(grid) -> list[str]:
     lines.append(f"# regime = {grid.regime.regime.value}")
     if grid.regime.regime is Regime.CAPITAL_STOCK:
         lines.append(f"# P1 = {_fmt(grid.diagnostics['P1'])}")
+        lines.append(f"# log_P1 = {_fmt(grid.diagnostics['log_P1'])}")
     lines.append(f"# C0 = {_fmt(grid.C0)}")
     if grid.tail is not None:
         lines.append(f"# K = {_fmt(grid.tail.K)}")

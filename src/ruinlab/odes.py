@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ class OdeSystem:
 class Trajectory:
     """Accepted steps of one integration plus per-step dense output.
 
-    ``us`` are the strictly monotone step endpoints, ``states`` the accepted
+    ``us`` are the strictly increasing step endpoints, ``states`` the accepted
     state vectors, and ``cont[i]`` the five interpolation vectors of step i.
     Off-node queries evaluate the quartic interpolant, which matches the step
     endpoints exactly and carries the accuracy of the local error control.
@@ -87,10 +87,6 @@ class Trajectory:
     states: np.ndarray
     cont: np.ndarray
     name: str = ""
-    _dirn: float = field(init=False, repr=False, default=1.0)
-
-    def __post_init__(self):
-        self._dirn = 1.0 if self.us[-1] >= self.us[0] else -1.0
 
     @property
     def u_start(self) -> float:
@@ -100,26 +96,15 @@ class Trajectory:
     def u_end(self) -> float:
         return float(self.us[-1])
 
-    def _locate(self, u: np.ndarray) -> np.ndarray:
-        us = self.us if self._dirn > 0 else self.us[::-1]
-        idx = np.searchsorted(us, u, side="right") - 1
-        idx = np.clip(idx, 0, len(self.us) - 2)
-        if self._dirn < 0:
-            idx = len(self.us) - 2 - idx
-        return idx
-
     def __call__(self, u):
         """Evaluate the dense interpolant at scalar or array ``u``."""
         scalar = np.isscalar(u) or np.asarray(u).ndim == 0
         uq = np.atleast_1d(np.asarray(u, dtype=float))
-        lo = min(self.u_start, self.u_end)
-        hi = max(self.u_start, self.u_end)
+        lo, hi = self.u_start, self.u_end
         slack = 1e-9 * max(hi - lo, abs(hi), 1.0)
         if np.any(uq < lo - slack) or np.any(uq > hi + slack):
-            raise ValueError(
-                f"query outside trajectory span [{self.u_start:g}, {self.u_end:g}]"
-            )
-        idx = self._locate(uq)
+            raise ValueError(f"query outside trajectory span [{lo:g}, {hi:g}]")
+        idx = np.clip(np.searchsorted(self.us, uq, side="right") - 1, 0, len(self.us) - 2)
         h = self.us[idx + 1] - self.us[idx]
         theta = np.clip((uq - self.us[idx]) / h, 0.0, 1.0)[:, None]
         r1, r2, r3, r4, r5 = (self.cont[idx, j, :] for j in range(5))
@@ -145,14 +130,14 @@ def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-def _initial_step(rhs, u0, y0, f0, dirn, rtol, atol, span):
+def _initial_step(rhs, u0, y0, f0, rtol, atol, span):
     scale = [atol + rtol * abs(y) for y in y0]
     d0 = _rms([y / s for y, s in zip(y0, scale)])
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = [y + h0 * dirn * f for y, f in zip(y0, f0)]
-    f1 = rhs(u0 + h0 * dirn, y1)
+    y1 = [y + h0 * f for y, f in zip(y0, f0)]
+    f1 = rhs(u0 + h0, y1)
     d2 = _rms([(g - f) / s for g, f, s in zip(f1, f0, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -171,7 +156,7 @@ def integrate(
     max_step: float = math.inf,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
-    """Integrate ``sys`` from ``u_start`` to ``u_end`` adaptively.
+    """Integrate ``sys`` forward from ``u_start`` to ``u_end > u_start`` adaptively.
 
     Embedded 5(4) pair with PI step control; a step is accepted when the
     RMS of the local error against ``atol + rtol * |state|`` is at most one.
@@ -187,16 +172,15 @@ def integrate(
     y = state.tolist()
     u = float(u_start)
     u_final = float(u_end)
-    if u_final == u:
-        raise ValueError("empty integration span")
-    dirn = 1.0 if u_final > u else -1.0
-    span = abs(u_final - u)
+    if not u_final > u:
+        raise ValueError(f"integration span must be increasing, got [{u:g}, {u_final:g}]")
+    span = u_final - u
 
     rhs = sys.rhs
     f = rhs(u, y)
     if len(f) != dim:
         raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
-    h = min(_initial_step(rhs, u, y, f, dirn, rtol, atol, span), max_step)
+    h = min(_initial_step(rhs, u, y, f, rtol, atol, span), max_step)
 
     # per step: one node, one state, five interpolation coefficients per component
     us = array("d", (u,))
@@ -206,7 +190,7 @@ def integrate(
     was_rejected = False
 
     for _ in range(max_steps):
-        remaining = abs(u_final - u)
+        remaining = u_final - u
         if remaining <= 16.0 * _EPS * max(abs(u), abs(u_final), 1e-30):
             break
         h = min(h, max_step)
@@ -216,28 +200,27 @@ def integrate(
         if last:
             h = remaining
 
-        hd = dirn * h
         k1 = f
-        k2 = rhs(u + _C2 * hd, [v + hd * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = rhs(u + _C3 * hd, [v + hd * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-        k4 = rhs(u + _C4 * hd, [
-            v + hd * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
+        k2 = rhs(u + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = rhs(u + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+        k4 = rhs(u + _C4 * h, [
+            v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
         ])
-        k5 = rhs(u + _C5 * hd, [
-            v + hd * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+        k5 = rhs(u + _C5 * h, [
+            v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for v, a, b, c, d in zip(y, k1, k2, k3, k4)
         ])
-        k6 = rhs(u + hd, [
-            v + hd * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+        k6 = rhs(u + h, [
+            v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ])
         y_new = [
-            v + hd * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+            v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
         ]
         if not all(map(math.isfinite, y_new)):
-            raise IntegrationError(f"non-finite state at u={u + hd:.6g}", u=u)
-        k7 = rhs(u + hd, y_new)
+            raise IntegrationError(f"non-finite state at u={u + h:.6g}", u=u)
+        k7 = rhs(u + h, y_new)
 
         err = 0.0
         coeffs = []  # the step's interpolation coefficients, kept if it is accepted
@@ -246,13 +229,13 @@ def integrate(
             q /= atol + rtol * max(abs(v), abs(w))
             err += q * q
             dy = w - v
-            b = hd * a - dy
-            dense = hd * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * g + _D7 * k)
-            coeffs += (v, dy, b, dy - hd * k - b, dense)
+            b = h * a - dy
+            dense = h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * g + _D7 * k)
+            coeffs += (v, dy, b, dy - h * k - b, dense)
         err = math.sqrt(err / dim)
 
         if err <= 1.0:
-            u_new = u_final if last else u + hd
+            u_new = u_final if last else u + h
             cont.extend(coeffs)
             us.append(u_new)
             states.extend(y_new)

@@ -1,18 +1,28 @@
-"""Power-series expansion of the survival probability at u = 0 (main regime).
+"""Power series at the singular point u = 0, and their transfer to u0 > 0.
 
-The limit initial conditions at the singular point u = 0 cannot be handed to
-a numerical integrator directly.  Instead the solution is represented for
-small u by
+Both singular problems start from a truncated power series at u = 0,
+because their limit initial conditions cannot be handed to a numerical
+integrator directly.  In the main regime the survival probability is
 
     phi(u) = C0 * [1 + (lam/c) * (u + sum_{k>=2} D_k u^k / k)],
 
 whose coefficients D_k follow from a two-term recurrence and do not depend
-on C0.  Evaluating the truncated series (and its termwise derivatives) at a
-transfer abscissa u0 > 0 yields regular initial data.
+on C0.  In the capital-stock regime the auxiliary function is
 
-The series is treated as asymptotic, not convergent: u0 is accepted only
-where the last retained term is below tolerance *and* the terms still
-decrease in magnitude.
+    eta(u) = 1 + sum_{k>=1} P_{k+1} u^k,
+
+the Taylor series of Kummer's function (``capitalstock.eta_series``).
+Either series is held as the ascending coefficients ``poly`` of one
+polynomial, and the two share this module's machinery:
+
+* ``choose_u0`` picks the transfer abscissa u0 from a candidate grid.  The
+  series is treated as asymptotic, not convergent: u0 is accepted only
+  where the last retained term is below tolerance *and* the terms still
+  decrease in magnitude;
+* ``poly3`` evaluates the polynomial and its first two derivatives, which
+  gives regular initial data at u0 and the solution on [0, u0].
+
+Both expansions keep ``ORDER`` terms and hold their last term to ``TOL``.
 """
 
 from __future__ import annotations
@@ -25,32 +35,28 @@ import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["SeriesExpansion", "series_coeffs_main", "choose_u0", "eval_series"]
+__all__ = ["SeriesExpansion", "series_coeffs_main", "choose_u0", "poly3", "eval_series"]
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ORDER = 20
-DEFAULT_TOL = 1e-12
+ORDER = 20
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SeriesExpansion:
-    """Truncated expansion at u = 0: coefficients D_2..D_N plus transfer point.
+    """Truncated main-regime expansion at u = 0, and its transfer point.
 
-    ``coeffs[i]`` holds D_{i+2}; ``order`` is N; ``u0`` is the abscissa to
-    which initial conditions are transferred.
+    ``coeffs[i]`` holds D_{i+2}; ``order`` is N; ``poly`` holds the ascending
+    coefficients of phi/C0; ``u0`` is the abscissa to which initial
+    conditions are transferred.
     """
 
     coeffs: np.ndarray
+    poly: np.ndarray
     order: int
     u0: float
     params: ModelParams
-
-    def dk(self, k: int) -> float:
-        """Return D_k, 2 <= k <= order."""
-        if not 2 <= k <= self.order:
-            raise IndexError(f"k must lie in [2, {self.order}], got {k}")
-        return float(self.coeffs[k - 2])
 
 
 def _recurrence(params: ModelParams, order: int) -> np.ndarray:
@@ -69,8 +75,8 @@ def _recurrence(params: ModelParams, order: int) -> np.ndarray:
 
 def series_coeffs_main(
     params: ModelParams,
-    order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
+    order: int = ORDER,
+    tol: float = TOL,
 ) -> SeriesExpansion:
     """Build the expansion for the main regime (requires c > 0, order >= 2)."""
     if params.c == 0.0:
@@ -78,40 +84,50 @@ def series_coeffs_main(
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     coeffs = _recurrence(params, order)
-    u0 = choose_u0(coeffs, params, tol)
+    lam_c = params.lam / params.c
+    poly = np.concatenate(([1.0, lam_c], lam_c * coeffs / np.arange(2, order + 1)))
+    m = params.m
+    u0 = choose_u0(poly, m * np.logspace(-3.0, -1.0, 41), min(1e-3, m / 100.0), tol)
     logger.info("series order %d, transfer point u0=%.6g", order, u0)
-    return SeriesExpansion(coeffs=coeffs, order=order, u0=u0, params=params)
+    return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
 
-def choose_u0(coeffs: np.ndarray, params: ModelParams, tol: float) -> float:
-    """Pick the largest trustworthy transfer abscissa from a candidate grid.
+def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -> float:
+    """Pick the largest trustworthy transfer abscissa from ``candidates``.
 
-    A candidate u qualifies when the last retained term bound
-    |D_N u^N / N| * (lam/c) is at most ``tol`` and the term magnitudes
-    |D_k u^k / k| are nonincreasing over the final third of the series.
-    Falls back to min(1e-3, m/100) with a warning when nothing qualifies.
+    ``poly`` holds the ascending coefficients a_0..a_N of the series.  A
+    candidate u qualifies when the last term |a_N u^N| is at most ``tol``
+    and the term magnitudes |a_k u^k| are nonincreasing over the final
+    third of the series.  Returns ``fallback``, with a warning, when no
+    candidate qualifies.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    N = len(coeffs) + 1
-    ks = np.arange(2, N + 1)
-    candidates = params.m * np.logspace(-3.0, -1.0, 41)
-    guard_len = max(2, (N - 1) // 3)
+    poly = np.asarray(poly, dtype=float)
+    ks = np.arange(len(poly))
+    guard_len = max(2, (len(poly) - 1) // 3)
     best = None
     for u in candidates:
-        terms = np.abs(coeffs) * u**ks / ks
-        if terms[-1] * (params.lam / params.c) > tol:
-            continue
-        tail = terms[-guard_len:]
-        if np.all(np.diff(tail) <= 0.0):
+        terms = np.abs(poly) * u**ks
+        if terms[-1] <= tol and np.all(np.diff(terms[-guard_len:]) <= 0.0):
             best = float(u)
     if best is None:
-        best = min(1e-3, params.m / 100.0)
+        best = float(fallback)
         warnings.warn(
             f"no transfer point satisfied the truncation rule (tol={tol:g}); "
             f"falling back to u0={best:g}",
             stacklevel=2,
         )
     return best
+
+
+def poly3(poly: np.ndarray, u: np.ndarray):
+    """Value, first and second derivative of sum_k poly[k] u^k at array ``u``.
+
+    Horner sums of the polynomial and its derivatives: exact at u = 0, where
+    they return poly[0], poly[1] and 2 poly[2].
+    """
+    p = poly[::-1]
+    dp = np.polyder(p)
+    return np.polyval(p, u), np.polyval(dp, u), np.polyval(np.polyder(dp), u)
 
 
 def eval_series(exp: SeriesExpansion, C0: float, u):
@@ -124,28 +140,8 @@ def eval_series(exp: SeriesExpansion, C0: float, u):
     uq = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(uq < 0.0) or np.any(uq > exp.u0 * (1.0 + 1e-12)):
         raise ValueError(f"series evaluation restricted to [0, u0={exp.u0:g}]")
-    lam_c = exp.params.lam / exp.params.c
-    ks = np.arange(2, exp.order + 1, dtype=float)
-    powers = uq[:, None] ** ks[None, :]  # u^k
-    d = exp.coeffs[None, :]
-    s_phi = uq + np.sum(d * powers / ks[None, :], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_dphi = 1.0 + np.sum(d * powers / np.where(uq[:, None] > 0, uq[:, None], 1.0), axis=1)
-    # u = 0 needs the k = 2 limit handled exactly
-    at0 = uq == 0.0
-    if np.any(at0):
-        s_dphi[at0] = 1.0
-    s_ddphi = np.empty_like(uq)
-    pos = ~at0
-    if np.any(pos):
-        s_ddphi[pos] = np.sum(
-            d * (ks[None, :] - 1.0) * powers[pos] / uq[pos, None] ** 2, axis=1
-        )
-    s_ddphi[at0] = exp.coeffs[0]  # (k-1) D_k u^{k-2} at u=0 leaves D_2
     # C0 stays the outermost factor so scaling C0 rescales the results exactly
-    phi = C0 * (1.0 + lam_c * s_phi)
-    dphi = C0 * (lam_c * s_dphi)
-    ddphi = C0 * (lam_c * s_ddphi)
+    phi, dphi, ddphi = (C0 * v for v in poly3(exp.poly, uq))
     if scalar:
         return float(phi[0]), float(dphi[0]), float(ddphi[0])
     return phi, dphi, ddphi

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,9 +26,16 @@ def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray
 
 def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform"):
     """(u_grid, u_max) of a solve: a given grid raises u_max to its end,
-    u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``."""
+    u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.
+
+    Raises ValueError for a non-finite or nonpositive ``u_max`` and for a
+    ``u_grid`` entry that is non-finite or negative."""
+    if u_max is not None and not 0.0 < u_max < math.inf:
+        raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
+        if not np.all((u_grid >= 0.0) & (u_grid < math.inf)):
+            raise ValueError("u_grid entries must be finite and >= 0")
         u_max = max(u_max or 0.0, float(u_grid.max()))
     if u_max is None:
         u_max = 50.0 * m

@@ -62,8 +62,6 @@ def solve_main(
     u_max: float | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    series_order: int = 20,
-    series_tol: float = 1e-12,
     points: int = 201,
     spacing: str = "uniform",
     u_grid=None,
@@ -74,7 +72,7 @@ def solve_main(
         raise ValueError(f"solve_main expects the main regime, got {info}")
     r = params.robustness()
 
-    exp = series_coeffs_main(params, order=series_order, tol=series_tol)
+    exp = series_coeffs_main(params)
     u0 = exp.u0
     state0 = np.array(eval_series(exp, 1.0, u0))
 
@@ -129,8 +127,6 @@ def solve_main(
 
     diagnostics = {
         "u0": u0,
-        "series_order": series_order,
-        "series_tol": series_tol,
         "U": U,
         "rtol": rtol,
         "atol": atol,
@@ -231,8 +227,6 @@ def solve(
     spacing: str = "uniform",
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    series_order: int = 20,
-    series_tol: float = 1e-12,
     u_grid=None,
 ) -> SolutionGrid:
     """Solve any regime and return a uniformly shaped SolutionGrid.
@@ -246,15 +240,7 @@ def solve(
     u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
 
     if info.regime is Regime.MAIN:
-        return solve_main(
-            params,
-            u_max=u_max,
-            rtol=rtol,
-            atol=atol,
-            series_order=series_order,
-            series_tol=series_tol,
-            u_grid=u_grid,
-        )
+        return solve_main(params, u_max=u_max, rtol=rtol, atol=atol, u_grid=u_grid)
     if info.regime is Regime.CLASSICAL_CL:
         return _closedform_grid(classical_exact(params), params, u_grid, info)
     if info.regime is Regime.RISK_FREE:

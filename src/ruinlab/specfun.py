@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["complete_gamma", "upper_incomplete_gamma", "lower_incomplete_gamma"]
+__all__ = ["complete_gamma", "upper_incomplete_gamma"]
 
 # Lanczos g = 7, n = 9 coefficients.
 _LANCZOS_G = 7.0
@@ -105,8 +105,3 @@ def upper_incomplete_gamma(p: float, z: float) -> float:
     if z < p + 1.0:
         return complete_gamma(p) - _lower_series(p, z)
     return _upper_cf(p, z)
-
-
-def lower_incomplete_gamma(p: float, z: float) -> float:
-    """gamma(p, z) = Gamma(p) - Gamma(p, z)."""
-    return complete_gamma(p) - upper_incomplete_gamma(p, z)

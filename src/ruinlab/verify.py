@@ -212,8 +212,8 @@ def mc_survival(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if u < 0.0:
-        raise ValueError("initial surplus must be >= 0")
+    if not 0.0 <= u < math.inf:
+        raise ValueError(f"initial surplus must be finite and >= 0, got {u!r}")
     scale = _rate_scale(params)
     if T is None:
         T = 400.0 / scale

@@ -117,19 +117,19 @@ class TestEtaSeries:
 
 class TestSolveEta:
     def test_series_limits_at_origin(self):
-        from ruinlab.capitalstock import _eta_series_eval
+        from ruinlab.series import poly3
 
         coeffs = eta_series(FIG5_I, order=20)
-        eta, deta = _eta_series_eval(coeffs, np.array([0.0]))
+        eta, deta, _ = poly3(np.concatenate(([1.0], coeffs)), np.array([0.0]))
         assert eta[0] == 1.0
         assert deta[0] == pytest.approx(-0.6, rel=1e-12)
 
     def test_start_matches_series(self):
-        from ruinlab.capitalstock import _eta_series_eval
+        from ruinlab.series import poly3
 
         traj = solve_eta(FIG5_I, 100.0)
         coeffs = eta_series(FIG5_I, order=20)
-        eta, deta = _eta_series_eval(coeffs, np.array([traj.u_start]))
+        eta, deta, _ = poly3(np.concatenate(([1.0], coeffs)), np.array([traj.u_start]))
         assert traj.states[0, 0] == pytest.approx(eta[0], rel=1e-14)
         assert traj.states[0, 1] == pytest.approx(deta[0], rel=1e-14)
 

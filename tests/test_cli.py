@@ -48,6 +48,22 @@ class TestSolveCommand:
         p1_line = next(ln for ln in out.split("\n") if ln.startswith("# P1 = "))
         assert float(p1_line.split("=")[1]) == pytest.approx(0.0595238, rel=1e-4)
 
+    def test_log_p1_reported_when_p1_underflows(self, capsys):
+        # mu1 = 200, 2a/b^2 = 30, m = 100: P1 underflows to 0, log P1 does not
+        code, out, _ = run(capsys, "solve", "--a", "0.15", "--b", "0.1", "--c", "0",
+                           "--lambda", "229", "--m", "100", "--points", "11")
+        assert code == 0
+        footer = [ln for ln in out.split("\n") if ln.startswith("# ")]
+        p1 = footer.index("# P1 = 0")
+        assert footer[p1 + 1].startswith("# log_P1 = ")
+        assert float(footer[p1 + 1].split("=")[1]) == pytest.approx(-1989.7, abs=0.05)
+
+    @pytest.mark.parametrize("umax", ["nan", "inf", "0"])
+    def test_non_finite_umax_exits_2(self, capsys, umax):
+        code, _, err = run(capsys, "solve", "--preset", "fig1-II", "--umax", umax)
+        assert code == 2
+        assert "u_max must be finite" in err
+
     def test_no_solution_exits_3(self, capsys):
         code, out, err = run(
             capsys, "solve", "--a", "0", "--b", "0", "--c", "0.05",

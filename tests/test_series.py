@@ -3,35 +3,40 @@ import pytest
 
 from ruinlab import (
     ModelParams,
+    eta_series,
     eval_series,
     integrate,
     main_ode_field,
     phi_second_derivative_at_zero,
     series_coeffs_main,
 )
-from ruinlab.series import choose_u0
+from ruinlab.series import choose_u0, poly3
 
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
+FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)
+# the main expansion's candidate grid and fallback, as series_coeffs_main uses them
+MAIN_CANDIDATES = FIG1_II.m * np.logspace(-3.0, -1.0, 41)
+MAIN_FALLBACK = min(1e-3, FIG1_II.m / 100.0)
 
 
 class TestCoefficients:
     def test_d2_values(self):
         exp = series_coeffs_main(FIG1_II, order=8)
-        assert exp.dk(2) == pytest.approx(-0.3, rel=1e-12)
+        assert exp.coeffs[0] == pytest.approx(-0.3, rel=1e-12)
         exp = series_coeffs_main(FIG2_I, order=8)
-        assert exp.dk(2) == pytest.approx(2.5, rel=1e-12)
+        assert exp.coeffs[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_d2_first_term_vanishes(self):
         # a = lam kills the (a - lam)/c term, leaving -1/m
         p = ModelParams(a=0.09, b=0.1, c=1.0, lam=0.09, m=1.0)
         exp = series_coeffs_main(p, order=4)
-        assert exp.dk(2) == pytest.approx(-1.0, rel=1e-14)
+        assert exp.coeffs[0] == pytest.approx(-1.0, rel=1e-14)
 
     def test_d3_hand_value(self):
         # -(D2*(b^2 + 2a - lam + c/m) + a/m) / (2c) with D2 = -0.3
         exp = series_coeffs_main(FIG1_II, order=8)
-        assert exp.dk(3) == pytest.approx(-0.01, rel=1e-10)
+        assert exp.coeffs[1] == pytest.approx(-0.01, rel=1e-10)
 
     def test_requires_positive_c(self):
         p = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)
@@ -49,16 +54,24 @@ class TestChooseU0:
         assert 1e-3 <= exp.u0 <= 1e-1
 
     def test_zero_tail_picks_largest_candidate(self):
-        coeffs = np.zeros(19)
-        coeffs[0] = -0.3  # D_2 only
-        u0 = choose_u0(coeffs, FIG1_II, tol=1e-12)
+        poly = np.zeros(21)
+        poly[:3] = 1.0, 0.9, -0.3 * 0.9 / 2  # 1 + (lam/c)(u + D_2 u^2 / 2) only
+        u0 = choose_u0(poly, MAIN_CANDIDATES, MAIN_FALLBACK, tol=1e-12)
         assert u0 == pytest.approx(0.1, rel=1e-12)
 
     def test_impossible_tolerance_falls_back(self):
-        coeffs = series_coeffs_main(FIG1_II, order=20).coeffs
-        with pytest.warns(UserWarning):
-            u0 = choose_u0(coeffs, FIG1_II, tol=0.0)
-        assert u0 == pytest.approx(min(1e-3, FIG1_II.m / 100.0))
+        poly = series_coeffs_main(FIG1_II, order=20).poly
+        with pytest.warns(UserWarning, match="no transfer point"):
+            u0 = choose_u0(poly, MAIN_CANDIDATES, MAIN_FALLBACK, tol=0.0)
+        assert u0 == MAIN_FALLBACK
+
+    def test_eta_impossible_tolerance_falls_back(self):
+        # the capital-stock expansion takes the same rule, and warns too
+        poly = np.concatenate(([1.0], eta_series(FIG5_I)))
+        candidates = FIG5_I.m * np.logspace(-2.0, np.log10(0.6), 33)
+        with pytest.warns(UserWarning, match="no transfer point"):
+            u0 = choose_u0(poly, candidates, 1e-2 * FIG5_I.m, tol=0.0)
+        assert u0 == 1e-2 * FIG5_I.m
 
 
 class TestEvalSeries:
@@ -71,6 +84,32 @@ class TestEvalSeries:
         assert ddphi == pytest.approx(
             phi_second_derivative_at_zero(FIG1_II, C0), rel=1e-13
         )
+
+    def test_eta_values_at_origin(self):
+        # eta(0) = 1 and eta'(0) = P_2 = -d2 / (2 m d1) = -0.6 for fig5-I
+        poly = np.concatenate(([1.0], eta_series(FIG5_I)))
+        eta, deta, ddeta = poly3(poly, np.array([0.0]))
+        assert eta[0] == 1.0
+        assert deta[0] == pytest.approx(-0.6, rel=1e-12)
+        assert ddeta[0] == 2.0 * poly[2]
+
+    def test_matches_power_sums(self):
+        # the Horner sums against the termwise power sums of the truncated series
+        exp = series_coeffs_main(FIG1_II, order=20)
+        u = np.linspace(0.0, exp.u0, 7)[:, None]
+        ks = np.arange(2, 21)
+        D, lam_c = exp.coeffs, FIG1_II.lam / FIG1_II.c
+        phi = 1.0 + lam_c * (u[:, 0] + np.sum(D * u**ks / ks, axis=1))
+        dphi = lam_c * (1.0 + np.sum(D * u ** (ks - 1), axis=1))
+        ddphi = lam_c * np.sum(D * (ks - 1) * u ** (ks - 2), axis=1)
+        for got, want in zip(eval_series(exp, 1.0, u[:, 0]), (phi, dphi, ddphi)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        P = eta_series(FIG5_I)
+        u = np.linspace(0.0, 0.6, 7)[:, None]
+        ks = np.arange(1, 20)
+        eta, deta, _ = poly3(np.concatenate(([1.0], P)), u[:, 0])
+        np.testing.assert_allclose(eta, 1.0 + np.sum(P * u**ks, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(deta, np.sum(P * ks * u ** (ks - 1), axis=1), rtol=1e-14)
 
     def test_zero_c0_gives_zero(self):
         exp = series_coeffs_main(FIG1_II, order=20)

@@ -185,3 +185,19 @@ class TestMakeGrid:
             make_grid(10.0, 1)
         with pytest.raises(ValueError):
             make_grid(10.0, 5, "cubic")
+
+
+class TestGridValidation:
+    ROUTES = ["fig1-II", "fig5-I", "fig3-II"]  # main, capital stock, risk-free
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("u_max", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_invalid_u_max(self, name, u_max):
+        with pytest.raises(ValueError, match="u_max must be finite"):
+            solve(PARAMS[name], u_max=u_max)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_invalid_grid_entry(self, name, bad):
+        with pytest.raises(ValueError, match="u_grid entries"):
+            solve(PARAMS[name], u_grid=[0.0, bad, 3.0])

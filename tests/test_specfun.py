@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ruinlab import complete_gamma, lower_incomplete_gamma, upper_incomplete_gamma
+from ruinlab import complete_gamma, upper_incomplete_gamma
 
 # frozen from numerical quadrature of the defining integral,
 # int_0.2^inf x^-0.1 exp(-x) dx (scipy.integrate.quad, epsabs=1e-14)
@@ -68,11 +68,6 @@ class TestUpperIncompleteGamma:
         zs = np.linspace(0.0, 20.0, 100)
         vals = [upper_incomplete_gamma(1.7, z) for z in zs]
         assert np.all(np.diff(vals) < 0.0)
-
-    def test_lower_plus_upper(self):
-        for p, z in [(0.7, 0.3), (3.2, 5.0)]:
-            total = lower_incomplete_gamma(p, z) + upper_incomplete_gamma(p, z)
-            assert total == pytest.approx(complete_gamma(p), rel=1e-13)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

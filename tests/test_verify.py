@@ -155,6 +155,12 @@ class TestMcSurvival:
         with pytest.raises(ValueError, match="T must be finite"):
             mc_survival(PARAMS[name], 5.0, 10, T=T, seed=5)
 
+    @pytest.mark.parametrize("name", ["fig1-I", "fig1-II"])
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -1.0])
+    def test_rejects_invalid_surplus(self, name, u):
+        with pytest.raises(ValueError, match="initial surplus must be finite"):
+            mc_survival(PARAMS[name], u, 10, T=10.0, seed=5)
+
 
 class TestClassicalSurvivalToHorizon:
     """The finite-horizon reference that criterion 10a compares MC with."""
