@@ -116,16 +116,6 @@ class Trajectory:
         return out[0] if scalar else out
 
 
-def _join(head: Trajectory, tail: Trajectory) -> Trajectory:
-    """``head`` extended by ``tail``, which starts at ``head``'s last node."""
-    return Trajectory(
-        us=np.concatenate((head.us, tail.us[1:])),
-        states=np.concatenate((head.states, tail.states[1:])),
-        cont=np.concatenate((head.cont, tail.cont)),
-        name=head.name,
-    )
-
-
 def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v) / len(v))
 
@@ -163,8 +153,8 @@ def integrate(
     Raises :class:`IntegrationError` on step-size underflow or non-finite
     state, reporting the abscissa of the failure.
     """
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("rtol and atol must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
     dim = sys.dimension
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):

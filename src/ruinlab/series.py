@@ -1,4 +1,4 @@
-"""Power series at the singular point u = 0, and their transfer to u0 > 0.
+"""Power series at the two singular points, u = 0 and u = infinity.
 
 Both singular problems start from a truncated power series at u = 0,
 because their limit initial conditions cannot be handed to a numerical
@@ -18,11 +18,16 @@ polynomial, and the two share this module's machinery:
 * ``choose_u0`` picks the transfer abscissa u0 from a candidate grid.  The
   series is treated as asymptotic, not convergent: u0 is accepted only
   where the last retained term is below tolerance *and* the terms still
-  decrease in magnitude;
+  decrease in magnitude (``truncates``);
 * ``poly3`` evaluates the polynomial and its first two derivatives, which
   gives regular initial data at u0 and the solution on [0, u0].
 
-Both expansions keep ``ORDER`` terms and hold their last term to ``TOL``.
+At infinity the main-regime slope is a power law times a series in 1/u,
+phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
+Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j, and the
+solver matches the series at a U where it ``truncates`` in 1/U.
+
+All expansions keep ``ORDER`` terms and hold their last term to ``TOL``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,15 @@ import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["SeriesExpansion", "series_coeffs_main", "choose_u0", "poly3", "eval_series"]
+__all__ = [
+    "SeriesExpansion",
+    "series_coeffs_main",
+    "series_coeffs_infinity",
+    "truncates",
+    "choose_u0",
+    "poly3",
+    "eval_series",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -92,23 +105,42 @@ def series_coeffs_main(
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
 
-def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -> float:
-    """Pick the largest trustworthy transfer abscissa from ``candidates``.
+def series_coeffs_infinity(params: ModelParams) -> np.ndarray:
+    """e_0 = 1, e_1..e_ORDER of phi' ~ K u^(-r) sum_j e_j u^(-j) at infinity.
 
-    ``poly`` holds the ascending coefficients a_0..a_N of the series.  A
-    candidate u qualifies when the last term |a_N u^N| is at most ``tol``
-    and the term magnitudes |a_k u^k| are nonincreasing over the final
-    third of the series.  Returns ``fallback``, with a warning, when no
-    candidate qualifies.
+    Substituting the series into the equation for phi' (a = r b^2 / 2) gives
+
+        e_j = (2m / (b^2 j)) * {[(b^2/2)(r+j-2)(j-1) + c/m - lam] e_(j-1)
+                                - c (r+j-2) e_(j-2)}.
+    """
+    b2, c, lam, m = params.b**2, params.c, params.lam, params.m
+    r = params.robustness()
+    e = [0.0, 1.0]  # e_(-1) = 0, e_0 = 1
+    for j in range(1, ORDER + 1):
+        t = (0.5 * b2 * (r + j - 2.0) * (j - 1.0) + c / m - lam) * e[-1] - c * (r + j - 2.0) * e[-2]
+        e.append(2.0 * m / (b2 * j) * t)
+    return np.array(e[1:])
+
+
+def truncates(poly: np.ndarray, x: float, tol: float = TOL) -> bool:
+    """Whether sum_k poly[k] x^k may be cut after its last term at ``x``.
+
+    The last term |a_N x^N| must be at most ``tol`` and the term magnitudes
+    |a_k x^k| nonincreasing over the final third of the series.
     """
     poly = np.asarray(poly, dtype=float)
-    ks = np.arange(len(poly))
+    terms = np.abs(poly) * x ** np.arange(len(poly))
     guard_len = max(2, (len(poly) - 1) // 3)
-    best = None
-    for u in candidates:
-        terms = np.abs(poly) * u**ks
-        if terms[-1] <= tol and np.all(np.diff(terms[-guard_len:]) <= 0.0):
-            best = float(u)
+    return bool(terms[-1] <= tol and np.all(np.diff(terms[-guard_len:]) <= 0.0))
+
+
+def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -> float:
+    """Pick the largest candidate u at which ``poly`` ``truncates``.
+
+    ``poly`` holds the ascending coefficients a_0..a_N of the series.
+    Returns ``fallback``, with a warning, when no candidate qualifies.
+    """
+    best = max((float(u) for u in candidates if truncates(poly, u, tol)), default=None)
     if best is None:
         best = float(fallback)
         warnings.warn(

@@ -51,8 +51,9 @@ class TailFit:
     ``A`` is the finite limit of the unnormalized solution: the reciprocal of
     phi(0) in the main regime, the full normalizing integral in the
     capital-stock regime.  ``U`` is the end of the integration.  In the main
-    regime ``A`` is read off at ``U`` and ``stability`` is its relative
-    change over the last doubling of ``U``.  In the capital-stock regime
+    regime ``A`` and ``K`` come from matching the series at infinity to
+    phi(U) and phi'(U), and ``stability`` is |A(U) - A(U/2)| / A, both
+    matched on the same trajectory.  In the capital-stock regime
     ``A`` and ``K`` are closed forms (a Mellin transform and the asymptotics
     of Kummer's function), so ``stability`` is 0.
     """

@@ -4,10 +4,12 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 
 1. expand the solution at the singular point u = 0 with placeholder C0 = 1
    and transfer the initial data to a regular point u0;
-2. integrate the third-order equation out to a large U; each doubling of U
-   (see 3) extends the trajectory from its last node, integrating no span twice;
-3. read off the finite limit A of the unnormalized solution from the
-   power-law tail: A = phi(U) + phi'(U) * U / (2a/b^2 - 1);
+2. integrate the third-order equation once, from u0 to a U chosen before
+   the integration as the smallest candidate at which the power-law series
+   at infinity, phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
+3. match that series to phi(U) and phi'(U): the finite limit of the
+   unnormalized solution is A = phi(U) + phi'(U) U T(U) / S(U), with
+   S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1);
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
    proportional to C0 (no shooting iteration is needed).
 
@@ -34,8 +36,8 @@ from .model import (
     RegimeInfo,
     classify_regime,
 )
-from .odes import _join, integrate, main_ode_field
-from .series import eval_series, series_coeffs_main
+from .odes import integrate, main_ode_field
+from .series import eval_series, series_coeffs_infinity, series_coeffs_main, truncates
 from .solution import SolutionGrid, TailFit, make_grid, resolve_grid
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
@@ -77,27 +79,26 @@ def solve_main(
     state0 = np.array(eval_series(exp, 1.0, u0))
 
     u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
-    field = main_ode_field(params)
-    U = max(200.0 * params.m, u_max)
-    traj = integrate(field, u0, state0, U, rtol=rtol, atol=atol)
-    A_prev = None
-    stability = np.inf
-    for _ in range(9):
-        if traj.u_end < U:
-            tail = integrate(field, traj.u_end, traj.states[-1], U, rtol=rtol, atol=atol)
-            traj = _join(traj, tail)
-        phi_U, dphi_U, _ = traj.states[-1]
-        A = phi_U + dphi_U * U / (r - 1.0)
-        if A_prev is not None:
-            stability = abs(A - A_prev) / abs(A)
-            if stability <= 1e-4:
-                break
-        A_prev = A
-        U *= 2.0
-    else:
-        raise SolverError(f"limit at infinity did not stabilize (last U={U:g})")
+    e = series_coeffs_infinity(params)
+    j = np.arange(len(e))
+    candidates = 2.0 * max(200.0 * params.m, u_max) * 2.0 ** np.arange(8)
+    # a non-finite coefficient never truncates
+    U = next((float(x) for x in candidates if truncates(e, 1.0 / x)), None)
+    if U is None:
+        raise SolverError(f"series at infinity does not truncate by U={candidates[-1]:g}")
+    traj = integrate(main_ode_field(params), u0, state0, U, rtol=rtol, atol=atol)
+
+    def match(u: float):
+        """(A, phi'(u), S(u)) from the trajectory and the series at u."""
+        phi_u, dphi_u, _ = traj(u)
+        terms = e * (1.0 / u) ** j
+        S = float(terms.sum())
+        return phi_u + dphi_u * u * float(terms @ (1.0 / (r + j - 1.0))) / S, dphi_u, S
+
+    A, dphi_U, S_U = match(U)
     if A <= 0.0:
         raise SolverError(f"nonpositive limit at infinity: A={A:g}")
+    stability = abs(A - match(U / 2.0)[0]) / A
     C0 = 1.0 / A
     logger.info("main solve: u0=%.4g U=%g C0=%.8g stability=%.2e", u0, U, C0, stability)
 
@@ -106,8 +107,8 @@ def solve_main(
     tail_term = dphi_U * U / (r - 1.0)
     tail = None
     if tail_term > _TAIL_RESOLUTION_FACTOR * (atol + rtol * abs(A)):
-        K_hat = dphi_U * U**r / (r - 1.0)
-        tail = TailFit(A=A, K=K_hat / A, exponent=1.0 - r, U=U, stability=stability)
+        K = dphi_U * U**r / ((r - 1.0) * A * S_U)
+        tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U, stability=stability)
 
     def eval3(uq: np.ndarray):
         phi = np.empty_like(uq)

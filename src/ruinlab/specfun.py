@@ -1,10 +1,7 @@
 """Gamma and upper incomplete gamma functions.
 
-Self-contained implementations adequate for the parameter ranges of the
-survival solver (shape parameters up to ~20, arguments up to a few hundred):
-
-* ``complete_gamma`` -- Lanczos approximation (g = 7, 9 terms), better than
-  12 significant digits over the range used here.
+* ``complete_gamma`` -- ``math.gamma`` behind an argument check; finite up
+  to p of about 171.
 * ``upper_incomplete_gamma`` -- lower-series for z < p + 1, continued
   fraction (modified Lentz) for z >= p + 1.  Relative accuracy ~1e-14.
 """
@@ -15,20 +12,6 @@ import math
 
 __all__ = ["complete_gamma", "upper_incomplete_gamma"]
 
-# Lanczos g = 7, n = 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _MAX_ITER = 600
 _EPS = 1e-16
 
@@ -38,15 +21,7 @@ def complete_gamma(p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
         raise ValueError(f"complete_gamma requires p > 0, got {p!r}")
-    if p < 0.5:
-        # reflection keeps the Lanczos sum in its accurate half-plane
-        return math.pi / (math.sin(math.pi * p) * complete_gamma(1.0 - p))
-    z = p - 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
+    return math.gamma(p)
 
 
 def _gamma_prefactor(p: float, z: float) -> float:

@@ -64,6 +64,12 @@ class TestSolveCommand:
         assert code == 2
         assert "u_max must be finite" in err
 
+    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+    def test_non_finite_tolerance_exits_2(self, capsys, flag):
+        code, _, err = run(capsys, "solve", "--preset", "fig5-I", flag, "inf")
+        assert code == 2
+        assert "rtol and atol" in err
+
     def test_no_solution_exits_3(self, capsys):
         code, out, err = run(
             capsys, "solve", "--a", "0", "--b", "0", "--c", "0.05",

@@ -86,6 +86,16 @@ class TestRiskFreeExact:
         phi, _ = sol.evaluate(us)
         assert np.max(np.abs(phi - (1.0 - np.exp(-us)))) < 1e-12
 
+    def test_no_premium_large_shape(self):
+        # without premiums phi(u) = P(lam/a, u/m), here with Gamma(150) ~ 3.8e260;
+        # the slope's (u + c/a)^(p-1) still overflows beyond u ~ 117
+        from scipy.special import gammainc
+
+        p = ModelParams(a=0.001, b=0.0, c=0.0, lam=0.15, m=1.0)
+        us = np.linspace(0.0, 50.0, 101)
+        phi, _ = riskfree_exact(p).evaluate(us)
+        assert np.max(np.abs(phi - gammainc(150.0, us))) < 1e-12
+
     def test_no_premium_slope_classification(self):
         slow = riskfree_exact(ModelParams(a=0.02, b=0.0, c=0.0, lam=0.09, m=1.0))
         assert slow.C0 == 0.0 and slow.dphi_at_zero == 0.0

@@ -12,7 +12,6 @@ from ruinlab import (
     integrate,
     main_ode_field,
 )
-from ruinlab.odes import _join
 
 DECAY = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0],), name="decay")
 
@@ -87,19 +86,6 @@ class TestIntegrate:
         system = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0], 0.0), name="wide")
         with pytest.raises(ValueError, match="components"):
             integrate(system, 0.0, [1.0], 1.0)
-
-    def test_resumed_trajectory_matches_single_shot(self):
-        whole = integrate(DECAY, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
-        head = integrate(DECAY, 0.0, [1.0], 0.5, rtol=1e-10, atol=1e-12)
-        tail = integrate(DECAY, head.u_end, head.states[-1], 1.0, rtol=1e-10, atol=1e-12)
-        joined = _join(head, tail)
-        assert joined.u_start == 0.0 and joined.u_end == 1.0
-        us = np.linspace(0.0, 1.0, 77)
-        assert np.max(np.abs(joined(us)[:, 0] - whole(us)[:, 0])) < 1e-9
-        node = len(head.us) - 1
-        assert joined.us[node] == 0.5
-        assert joined.states[node, 0] == head.states[-1, 0]
-        assert joined(0.5)[0] == head.states[-1, 0]
 
 
 class TestMainOdeField:

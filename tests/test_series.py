@@ -10,7 +10,7 @@ from ruinlab import (
     phi_second_derivative_at_zero,
     series_coeffs_main,
 )
-from ruinlab.series import choose_u0, poly3
+from ruinlab.series import ORDER, choose_u0, poly3, series_coeffs_infinity
 
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
@@ -46,6 +46,19 @@ class TestCoefficients:
     def test_requires_order_at_least_two(self):
         with pytest.raises(ValueError):
             series_coeffs_main(FIG1_II, order=1)
+
+
+class TestSeriesAtInfinity:
+    @pytest.mark.parametrize("p", [FIG1_II, FIG2_I], ids=["fig1-II", "fig2-I"])
+    def test_leading_coefficients(self, p):
+        e = series_coeffs_infinity(p)
+        assert len(e) == ORDER + 1 and e[0] == 1.0
+        # e_1 = 2 (c - lam m) / b^2
+        assert e[1] == pytest.approx(2.0 * (p.c - p.lam * p.m) / p.b**2, rel=1e-14)
+
+    def test_e2_hand_value(self):
+        # (2m/(2 b^2)) * {[(b^2/2) r + c/m - lam] e_1 - c r e_0} with r = 4, e_1 = 2
+        assert series_coeffs_infinity(FIG1_II)[2] == pytest.approx(-34.0, rel=1e-12)
 
 
 class TestChooseU0:

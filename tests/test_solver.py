@@ -17,7 +17,24 @@ from ruinlab import (
     solve_main,
     solver,
 )
+from ruinlab.series import series_coeffs_infinity
 from conftest import PARAMS
+
+# perfbench/reference.json: scipy DOP853 from the series at u = 0, limit from
+# the first-order tail at U = 1e4 m; reference error at most 3.7e-13
+REFERENCE_C0 = {
+    "fig1-II": 0.29439337595327203,
+    "fig2-I": 0.005265543842250953,
+    "fig2-II": 0.1936959175903209,
+}
+# perfbench/sweep.py generate(1), index 0: 2a/b^2 = 1.097
+R_1_1 = ModelParams(
+    a=0.04459508618618516,
+    b=0.28518103103718473,
+    c=0.015337063241107916,
+    lam=0.044108874786030684,
+    m=0.11713471018585699,
+)
 
 
 class TestPhiSecondDerivativeAtZero:
@@ -77,22 +94,46 @@ class TestSolveMain:
             assert gaps[u] <= 2.0 * grid.C0 * u + 1e-12
         assert gaps[1e-6] < gaps[1e-4]
 
-    @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
-    def test_ladder_extends_without_reintegrating(self, monkeypatch, name):
+    def test_one_integration_from_u0_to_U(self, monkeypatch):
         calls = []
 
         def recording(field, u_start, state0, u_end, **kw):
-            traj = real(field, u_start, state0, u_end, **kw)
-            calls.append((u_start, traj.u_end))
-            return traj
+            calls.append((u_start, u_end))
+            return real(field, u_start, state0, u_end, **kw)
 
         real = solver.integrate
         monkeypatch.setattr(solver, "integrate", recording)
-        grid = solve(PARAMS[name])
-        assert len(calls) >= 2
-        for (_, prev_end), (start, _) in zip(calls, calls[1:]):
-            assert start == prev_end
-        assert calls[-1][1] == grid.diagnostics["U"]
+        grid = solve(PARAMS["fig1-II"])
+        assert calls == [(grid.diagnostics["u0"], grid.diagnostics["U"])]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
+    def test_c0_matches_reference(self, solved, name):
+        assert solved(name).C0 == pytest.approx(REFERENCE_C0[name], rel=1e-10)
+
+    def test_near_borderline_robustness_matches_at_smallest_U(self):
+        grid = solve(R_1_1)
+        assert grid.diagnostics["U"] == 400.0 * R_1_1.m
+        assert grid.diagnostics["A_stability"] <= 1e-9
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
+    def test_slope_follows_series_at_infinity(self, solved, name):
+        p = PARAMS[name]
+        r = p.robustness()
+        e = series_coeffs_infinity(p)
+
+        def law(u):
+            return u**-r * np.polyval(e[::-1], 1.0 / u)
+
+        _, dphi, _ = solved(name).evaluate(np.array([25.0, 50.0, 100.0]))
+        assert dphi[0] / dphi[1] == pytest.approx(law(25.0) / law(50.0), rel=1e-7)
+        assert dphi[1] / dphi[2] == pytest.approx(law(50.0) / law(100.0), rel=1e-7)
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, name, key, value):
+        with pytest.raises(ValueError, match="rtol and atol"):
+            solve(PARAMS[name], **{key: value})
 
     def test_wrong_regime_rejected(self):
         with pytest.raises(ValueError):

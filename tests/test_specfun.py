@@ -25,6 +25,9 @@ class TestCompleteGamma:
         for p in np.linspace(0.05, 10.0, 80):
             assert complete_gamma(p) == pytest.approx(math.gamma(p), rel=1e-12)
 
+    def test_large_argument(self):
+        assert complete_gamma(150.0) == pytest.approx(math.exp(math.lgamma(150.0)), rel=1e-13)
+
     def test_rejects_nonpositive(self):
         for p in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
