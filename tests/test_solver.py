@@ -94,7 +94,8 @@ class TestSolveMain:
             assert gaps[u] <= 2.0 * grid.C0 * u + 1e-12
         assert gaps[1e-6] < gaps[1e-4]
 
-    def test_one_integration_from_u0_to_U(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
+    def test_one_integration_from_u0_to_U(self, monkeypatch, name):
         calls = []
 
         def recording(field, u_start, state0, u_end, **kw):
@@ -103,7 +104,7 @@ class TestSolveMain:
 
         real = solver.integrate
         monkeypatch.setattr(solver, "integrate", recording)
-        grid = solve(PARAMS["fig1-II"])
+        grid = solve(PARAMS[name])
         assert calls == [(grid.diagnostics["u0"], grid.diagnostics["U"])]
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
