@@ -13,7 +13,7 @@ parameter regimes:
 * capital-stock regime (no premiums): quadrature of an auxiliary
   second-order problem with a power-weight endpoint singularity.
 
-Independent oracles (a Volterra-companion residual check and a Monte Carlo
+Independent oracles (an equation residual by quadrature and a Monte Carlo
 path simulator) validate every solution route.
 """
 

@@ -116,13 +116,15 @@ def riskfree_exact(params: ModelParams) -> ClosedFormSolution:
     ic0 = float(_ic(params, np.array([0.0]))[0])
     norm = ic0 + q
     c_over_a = c / a
+    log_norm = math.log(norm)
 
     def evaluator(u: np.ndarray):
         phi = 1.0 - _ic(params, u) / norm
-        with np.errstate(divide="ignore"):
+        # in logs: (u + c/a)^(p-1) alone overflows from p ~ 150 at u ~ 117
+        with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.where(
                 (u + c_over_a) > 0.0,
-                (u + c_over_a) ** (p - 1.0) * np.exp(-u / m) / norm,
+                np.exp((p - 1.0) * np.log(u + c_over_a) - u / m - log_norm),
                 math.inf if p < 1.0 else (1.0 / norm if p == 1.0 else 0.0),
             )
         return phi, dphi

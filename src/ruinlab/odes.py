@@ -107,8 +107,14 @@ class Trajectory:
         idx = np.clip(np.searchsorted(self.us, uq, side="right") - 1, 0, len(self.us) - 2)
         h = self.us[idx + 1] - self.us[idx]
         theta = np.clip((uq - self.us[idx]) / h, 0.0, 1.0)[:, None]
-        r1, r2, r3, r4, r5 = (self.cont[idx, j, :] for j in range(5))
-        out = r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+        rest = 1.0 - theta
+        # r1 + theta*(r2 + rest*(r3 + theta*(r4 + rest*r5))) with r_j the
+        # interpolation vectors, in place: one gathered r_j alive at a time
+        out = self.cont[idx, 4, :] * rest
+        for j, w in ((3, theta), (2, rest), (1, theta)):
+            out += self.cont[idx, j, :]
+            out *= w
+        out += self.cont[idx, 0, :]
         # step endpoints must reproduce the accepted states bit for bit
         at_end = uq == self.us[-1]
         if np.any(at_end):

@@ -1,10 +1,12 @@
 """Independent oracles: residual checking, Monte Carlo, tail estimation.
 
-None of these reuse the solver's algebra.  The residual check reconstructs
-the integral term of the survival equation by integrating the companion
-equation y' = (phi - y)/m against the solution's own interpolant; Monte
-Carlo simulates the surplus process directly; the tail estimator fits the
-large-u power law from samples.
+None of these reuse the solver's algebra.  The residual check rebuilds the
+integral term of the survival equation from the solution's values alone:
+Gauss-Kronrod quadrature over pieces of [0, u], joined by the exact
+recursion of the exponential convolution.  Monte Carlo simulates the
+surplus process directly, with claims as events; for b > 0 it steps the
+diffusion with the exact geometric Brownian factor and checks ruin at the
+claim instants.  The tail estimator fits the large-u power law from samples.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import IntegrationError
 from .model import ModelParams, Regime
-from .odes import companion_volterra_field, integrate
+# perfbench/tracer.py patches integrate and companion_volterra_field here
+from .odes import companion_volterra_field, integrate  # noqa: F401
 from .solution import SolutionGrid
 
 __all__ = [
@@ -29,6 +33,34 @@ __all__ = [
 ]
 
 _BLOCK = 16384
+# doubles per array of one Monte Carlo time chunk (steps x live lanes), and
+# expected claims per window of chunks; both keep the arrays small
+_CHUNK = 2**13
+_CLAIMS = 2**9
+# residual quadrature: the 15-point Gauss-Kronrod rule and its embedded
+# 7-point Gauss rule on [-1, 1] (QUADPACK qk15); pieces at most _PIECE * m
+# long; at most _MAX_DEPTH bisections of one piece and _MAX_SPLITS in all;
+# at most _BATCH pieces per evaluate call
+_K15_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_K15_HALF_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_K15_X = np.concatenate((-_K15_HALF[:-1], _K15_HALF[::-1]))
+_K15_W = np.concatenate((_K15_HALF_W[:-1], _K15_HALF_W[::-1]))
+_G7_W = np.zeros(15)
+_G7_W[1::2] = np.polynomial.legendre.leggauss(7)[1]  # at the odd Kronrod nodes
+_PIECE = 0.5
+_MAX_DEPTH = 40
+_MAX_SPLITS = 4096
+_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -64,6 +96,76 @@ class TailEstimate(NamedTuple):
     K: float
 
 
+def _gk_pieces(solution: SolutionGrid, pieces: np.ndarray, extra: np.ndarray, m: float):
+    """Kronrod and Gauss sums of (1/m) int_l^r phi(s) e^(-(r-s)/m) ds for
+    each row (l, r) of ``pieces``, and (phi, phi', phi'') at ``extra``, from
+    one array evaluation."""
+    lo, hi = pieces[:, :1], pieces[:, 1:]
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (hi + lo) + half * _K15_X
+    vals = solution.evaluate(np.concatenate((extra, nodes.ravel())))
+    k = extra.size
+    f = vals[0][k:].reshape(nodes.shape) * np.exp(-(hi - nodes) / m)
+    scale = half[:, 0] / m
+    return scale * (f @ _K15_W), scale * (f @ _G7_W), tuple(v[:k] for v in vals)
+
+
+def _convolution(solution: SolutionGrid, uq: np.ndarray, m: float, rtol: float, atol: float):
+    """y(u) = (1/m) int_0^u phi(s) e^(-(u-s)/m) ds at the sorted points ``uq``,
+    and (phi, phi', phi'') there, by the exact recursion over pieces."""
+    top = float(uq[-1])
+    # graded toward 0, where phi ~ u^p: a piece [l, 2l] keeps the branch
+    # point one piece length away; beyond _PIECE * m, pieces of that length
+    floor = atol * m
+    grade = floor * 2.0 ** np.arange(int(math.ceil(math.log2(_PIECE * m / floor))) + 1)
+    knots = np.sort(np.concatenate(([0.0], uq, grade[grade < top])))
+    knots = knots[np.append(True, knots[1:] > knots[:-1])]  # np.unique imports numpy.ma
+    width = np.diff(knots)
+    split = np.maximum(np.ceil(width / (_PIECE * m)), 1.0).astype(np.intp)
+    first = np.repeat(np.cumsum(split) - split, split)
+    step = np.arange(first.size) - first
+    edges = np.append(np.repeat(knots[:-1], split) + step * np.repeat(width / split, split), top)
+    # rows (l, r, bisections so far); each evaluate call takes one batch
+    queue = np.column_stack((edges[:-1], edges[1:], np.zeros(edges.size - 1)))
+    done_pieces, done_vals = [], []
+    grid_vals = None
+    splits = 0
+    while grid_vals is None or queue.size:
+        batch, queue = queue[:_BATCH], queue[_BATCH:]
+        extra = uq if grid_vals is None else uq[:0]  # the grid rides with the first batch
+        fine, coarse, vals = _gk_pieces(solution, batch[:, :2], extra, m)
+        grid_vals = vals if grid_vals is None else grid_vals
+        ok = np.abs(fine - coarse) <= atol + rtol * np.abs(fine)
+        done_pieces.append(batch[ok, :2])
+        done_vals.append(fine[ok])
+        bad = batch[~ok]
+        if bad.size == 0:
+            continue
+        splits += len(bad)
+        if splits > _MAX_SPLITS or bad[:, 2].max() >= _MAX_DEPTH:
+            u = float(bad[np.argmax(bad[:, 2]), 0])
+            raise IntegrationError(
+                f"residual quadrature misses rtol={rtol:g}, atol={atol:g} at u={u:.6g}", u=u
+            )
+        mid = 0.5 * (bad[:, 0] + bad[:, 1])
+        depth = bad[:, 2] + 1.0
+        queue = np.concatenate((
+            queue,
+            np.column_stack((bad[:, 0], mid, depth)),
+            np.column_stack((mid, bad[:, 1], depth)),
+        ))
+    pieces = np.concatenate(done_pieces)
+    order = np.argsort(pieces[:, 0])
+    right = pieces[order, 1]
+    decay = np.exp(-(right - pieces[order, 0]) / m).tolist()
+    parts = np.concatenate(done_vals)[order].tolist()
+    y = [0.0]
+    for d, v in zip(decay, parts):
+        y.append(d * y[-1] + v)
+    knots = np.concatenate(([0.0], right))
+    return np.array(y)[np.searchsorted(knots, uq)], grid_vals
+
+
 def ide_residual(
     solution: SolutionGrid,
     params: ModelParams,
@@ -73,26 +175,37 @@ def ide_residual(
 ) -> ResidualReport:
     """Residual r(u) = (b^2/2) u^2 phi'' + (a u + c) phi' - lam phi + lam y.
 
-    y is the convolution term, recovered independently by integrating the
-    companion equation against the solution's dense interpolant.  The report
-    scales the sup norm by lam so tolerances are comparable across parameter
-    sets.
+    y(u) = (1/m) int_0^u phi(s) e^(-(u-s)/m) ds is the convolution term.  It
+    is rebuilt from the solution's values alone by the exact recursion
+    y(r) = e^(-(r-l)/m) y(l) + (1/m) int_l^r phi(s) e^(-(r-s)/m) ds over
+    pieces [l, r] from 0 to the last grid point; the recursion starts at 0
+    whatever the grid's first point.  Pieces end at every grid point, are
+    at most m/2 long, and are graded geometrically toward 0 (each [l, 2l],
+    down to atol * m), where phi may behave like u^p.
+
+    Each piece's integral takes the 15-point Gauss-Kronrod value once it
+    agrees with the embedded 7-point Gauss value within
+    ``atol + rtol * |piece|``; a piece that misses is bisected.  So ``rtol``
+    bounds the relative error of every piece, and with it of y, and
+    ``atol`` the absolute error of every piece.  :class:`IntegrationError`
+    is raised when one piece needs more than 40 bisections or all pieces
+    more than 4,096.  The grid and the nodes of up to 512 pieces go through
+    one array ``evaluate`` call, so a grid of a few hundred points costs one
+    call; the one scalar call is at u = 0, where the equation holds as a
+    limit.
+
+    The report scales the sup norm by lam so tolerances are comparable
+    across parameter sets.
     """
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
     uq = np.sort(np.asarray(grid, dtype=float))
     if uq[0] < solution.span[0] or uq[-1] > solution.span[1]:
         raise ValueError(
             f"grid [{uq[0]:g}, {uq[-1]:g}] exceeds solution span {solution.span}"
         )
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
-
-    def phival(x: float) -> float:
-        return solution.evaluate(x)[0]
-
-    field = companion_volterra_field(params, phival)
-    traj = integrate(field, 0.0, [0.0], uq[-1], rtol=rtol, atol=atol)
-    y = traj(uq)[:, 0]
-
-    phi, dphi, ddphi = solution.evaluate(uq)
+    y, (phi, dphi, ddphi) = _convolution(solution, uq, m, rtol, atol)
     with np.errstate(invalid="ignore"):
         r = 0.5 * b * b * uq**2 * ddphi + (a * uq + c) * dphi - lam * phi + lam * y
     # At u = 0 the equation holds as a limit; unbounded derivatives there
@@ -137,48 +250,136 @@ def _mc_block_exact(params, u, T, rng, size):
     return int(alive.sum())
 
 
-def _mc_block_euler(params, u, T, dt, rng, size):
-    """Euler-Maruyama paths with claims applied at their arrival instants.
+def _claim_window(params, h, nxt, t0, W, rng):
+    """Claims of the W steps from t0 as events, folded into their steps.
 
-    Each grid step carries at most one claim (probability lam*h, the exact
-    per-step mean).  Conditional on an arrival, its position inside the step
-    is uniform, so the step is split there: diffusion to the claim, claim,
-    diffusion over the remainder.  Ruin is checked after every substep and
-    claim.
+    ``nxt`` holds each lane's next claim instant and is advanced past the
+    window by exponential inter-arrival times.  The log-factor of a step with
+    claims is drawn here, and the step splits at each claim instant on a
+    Brownian bridge of it.  Returns None without claims, else two tuples,
+    each sorted by step: the step, lane and (alpha, beta) of every claim,
+    such that the surplus just after the claim is alpha * X + beta for the
+    surplus X at the step's start; and the step, lane, factor g and additive
+    term A of every step with claims, over which X -> g X + A exactly
+    composes the premium pieces and the claims.
     """
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
+    t_end = t0 + W * h
+    lanes, times = [], []
+    idx = np.flatnonzero(nxt < t_end)
+    while idx.size:
+        lanes.append(idx)
+        times.append(nxt[idx])
+        nxt[idx] += rng.exponential(1.0 / lam, idx.size)
+        idx = idx[nxt[idx] < t_end]
+    if not lanes:
+        return None
+    lane = np.concatenate(lanes)
+    order = np.argsort(lane, kind="stable")  # by lane, then in time
+    lane = lane[order]
+    t = np.concatenate(times)[order] - t0
+    k = np.minimum((t / h).astype(np.intp), W - 1)
+    off = np.clip(t - k * h, 0.0, h)
+    size = rng.exponential(m, lane.size)
+
+    # one group per (step, lane); rank orders the claims inside a group
+    first = np.ones(lane.size, dtype=bool)
+    first[1:] = (lane[1:] != lane[:-1]) | (k[1:] != k[:-1])
+    gid = np.cumsum(first) - 1
+    rank = np.arange(lane.size) - np.flatnonzero(first)[gid]
+    gk, glane = k[first], lane[first]
+    l_end = (a - 0.5 * b * b) * h + b * math.sqrt(h) * rng.standard_normal(gk.size)
+    s = np.zeros(gk.size)  # time of the group's last bridge point in the step
+    ls = np.zeros(gk.size)  # log-factor from the step's start to s
+    alpha = np.ones(gk.size)
+    beta = np.zeros(gk.size)
+    c_alpha = np.empty(lane.size)
+    c_beta = np.empty(lane.size)
+    for r in range(int(rank.max()) + 1):
+        sel = np.flatnonzero(rank == r)
+        g = gid[sel]
+        seg = off[sel] - s[g]
+        w = seg / np.maximum(h - s[g], 1e-300)
+        # Brownian bridge from (s, ls) to (h, l_end) at the claim instant
+        lnew = ls[g] + w * (l_end[g] - ls[g])
+        lnew += b * np.sqrt(seg * (1.0 - w)) * rng.standard_normal(sel.size)
+        f = np.exp(lnew - ls[g])
+        alpha[g] *= f
+        beta[g] = beta[g] * f + 0.5 * c * seg * (1.0 + f) - size[sel]
+        c_alpha[sel] = alpha[g]
+        c_beta[sel] = beta[g]
+        s[g] = off[sel]
+        ls[g] = lnew
+    f = np.exp(l_end - ls)
+    fold = beta * f + 0.5 * c * (h - s) * (1.0 + f)
+    by_k = np.argsort(k, kind="stable")
+    by_gk = np.argsort(gk, kind="stable")
+    return (
+        (k[by_k], lane[by_k], c_alpha[by_k], c_beta[by_k]),
+        (gk[by_gk], glane[by_gk], np.exp(l_end[by_gk]), fold[by_gk]),
+    )
+
+
+def _mc_block_gbm(params, u, T, dt, rng, size):
+    """Paths for b > 0 in time chunks, with claims as events.
+
+    The step grid is h = T/ceil(T/dt).  Over a step the surplus moves as
+    X -> g X + A, with the exact geometric Brownian factor
+    g = exp((a - b^2/2) h + b sqrt(h) Z) and the premium by trapezoid,
+    A = c h (1 + g)/2.  Claims come window by window from
+    ``_claim_window``, which replaces g and A of the steps holding them.
+    Each chunk of K steps (K * lanes <= _CHUNK) draws its normals at once
+    and sweeps the lanes one multiply-add per step; ruin is then read off at
+    the chunk's claim instants.  Ruined lanes leave at the end of a window,
+    and the block ends early when none is left.
+    """
+    a, b, c, lam = params.a, params.b, params.c, params.lam
     n_steps = int(math.ceil(T / dt))
     h = T / n_steps
-    p_claim = lam * h
-    if p_claim > 0.5:
-        raise ValueError(f"dt too coarse: lam*dt = {p_claim:g} (need << 1)")
-    sqrt_h = math.sqrt(h)
+    drift = (a - 0.5 * b * b) * h
+    vol = b * math.sqrt(h)
     X = np.full(size, float(u))
-    alive = np.ones(size, dtype=bool)
-    for _ in range(n_steps):
-        noise = rng.standard_normal(size)
-        arrival = rng.random(size)
-        X_next = X + (a * X + c) * h + b * X * sqrt_h * noise
-        hit = arrival < p_claim
-        if hit.any():
-            # given arrival < p, arrival/p is uniform: it locates the claim
-            # inside the step; the same step noise, rescaled, drives the
-            # shortened first substep
-            idx = np.flatnonzero(hit)
-            delta = arrival[idx] * (h / p_claim)
-            xh = X[idx]
-            x1 = xh + (a * xh + c) * delta + b * xh * np.sqrt(delta) * noise[idx]
-            x1 -= rng.exponential(m, idx.size)
-            alive[idx[x1 < 0.0]] = False
-            rest = h - delta
-            x1 += (a * x1 + c) * rest + b * x1 * np.sqrt(rest) * rng.standard_normal(idx.size)
-            X_next[idx] = x1
-        X = X_next
-        alive &= X >= 0.0
-        if not alive.any():
-            break
-        X[~alive] = 0.0  # keep dead lanes finite
-    return int(alive.sum())
+    nxt = rng.exponential(1.0 / lam, size)
+    k0 = 0
+    while k0 < n_steps and X.size:
+        n = X.size
+        K = max(1, _CHUNK // n)
+        W = min(n_steps - k0, K * max(1, int(_CLAIMS / (n * lam * h * K))))
+        events = _claim_window(params, h, nxt, k0 * h, W, rng)
+        if events is not None:
+            (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
+        alive = np.ones(n, dtype=bool)
+        for j0 in range(0, W, K):
+            nk = min(K, W - j0)
+            G = rng.standard_normal((nk, n))
+            G *= vol
+            G += drift
+            np.exp(G, out=G)
+            A = G + 1.0
+            A *= 0.5 * c * h
+            if events is not None:
+                lo, hi = np.searchsorted(gk, (j0, j0 + nk))
+                G[gk[lo:hi] - j0, glane[lo:hi]] = g_fold[lo:hi]
+                A[gk[lo:hi] - j0, glane[lo:hi]] = a_fold[lo:hi]
+            # row k of A becomes the surplus at the end of step j0 + k
+            x = X
+            for k in range(nk):
+                np.multiply(G[k], x, out=G[k])
+                A[k] += G[k]
+                x = A[k]
+            if events is not None:
+                lo, hi = np.searchsorted(ck, (j0, j0 + nk))
+                kk, ll = ck[lo:hi] - j0, clane[lo:hi]
+                start = np.where(kk == 0, X[ll], A[kk - 1, ll])
+                # g > 0 and c >= 0: between claims the surplus cannot fall
+                alive[ll[c_alpha[lo:hi] * start + c_beta[lo:hi] < 0.0]] = False
+            X = A[-1].copy()
+            if not alive.any():
+                break
+        X = X[alive]
+        nxt = nxt[alive]
+        k0 += W
+    return X.size
 
 
 def mc_survival(
@@ -192,9 +393,23 @@ def mc_survival(
     """Estimate survival up to horizon T by direct path simulation.
 
     Claims arrive as a Poisson process of rate lam with exponential sizes of
-    mean m.  Between claims the surplus follows dX = (aX + c) dt + bX dw:
-    exactly (exponential integrator) when b = 0, by Euler-Maruyama steps of
-    size <= dt when b > 0, with ruin checked at every step and claim.
+    mean m.  Between claims the surplus follows dX = (aX + c) dt + bX dw.
+
+    * b = 0: event-driven and exact (exponential integrator between claims).
+    * b > 0: on the step grid h = T/ceil(T/dt) <= dt, a step multiplies the
+      surplus by the exact geometric Brownian factor
+      g = exp((a - b^2/2) h + b sqrt(h) Z) and adds the premium c h (1 + g)/2
+      (trapezoid).  Claim instants come from exponential inter-arrival times
+      on each path.  A step holding claims splits at each instant on a
+      Brownian bridge of its log-factor, and two or more claims in one step
+      are composed exactly.  With c = 0 the step is exact in law at any dt;
+      otherwise the premium's trapezoid is the only discretization error.
+      lam * h must not exceed 0.5.
+
+    Ruin is checked at the claim instants and nowhere else, which is exact
+    for c >= 0: from a surplus X_s >= 0 the diffusion gives
+    X_t = G_t (X_s + c int_s^t dr / G_r) >= 0 with G > 0, so only a claim
+    can take the surplus below 0.
 
     Defaults: T = 400 and dt = 0.01, both divided by the rate scale
     min(lam, 1/m).  The finite horizon biases the estimate up relative to
@@ -203,12 +418,12 @@ def mc_survival(
     must be finite and positive, and so must a given dt, even when b = 0,
     where the exact scheme does not use it and the estimate records dt = 0.
 
-    Claims are placed at their exact arrival instants: a step containing an
-    arrival is split there, with the claim applied between the substeps.
-
     Paths are processed in fixed-size blocks, each drawing from a substream
     derived deterministically from (seed, block index), so the estimate is
     reproducible and independent of how blocks are distributed over workers.
+    The b > 0 scheme draws a different stream than the Euler-Maruyama
+    scheme of earlier versions, so its estimate under a given seed differs
+    from theirs.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -224,6 +439,10 @@ def mc_survival(
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     exact = params.b == 0.0
+    if not exact:
+        lam_h = params.lam * T / math.ceil(T / dt)
+        if lam_h > 0.5:
+            raise ValueError(f"dt too coarse: lam*dt = {lam_h:g} (need << 1)")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
 
@@ -238,7 +457,7 @@ def mc_survival(
         if exact:
             survivors += _mc_block_exact(params, u, T, rng, size)
         else:
-            survivors += _mc_block_euler(params, u, T, dt, rng, size)
+            survivors += _mc_block_gbm(params, u, T, dt, rng, size)
         done += size
         block_index += 1
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,14 +88,26 @@ class TestRiskFreeExact:
         assert np.max(np.abs(phi - (1.0 - np.exp(-us)))) < 1e-12
 
     def test_no_premium_large_shape(self):
-        # without premiums phi(u) = P(lam/a, u/m), here with Gamma(150) ~ 3.8e260;
-        # the slope's (u + c/a)^(p-1) still overflows beyond u ~ 117
+        # without premiums phi(u) = P(lam/a, u/m), here with Gamma(150) ~ 3.8e260
         from scipy.special import gammainc
 
         p = ModelParams(a=0.001, b=0.0, c=0.0, lam=0.15, m=1.0)
         us = np.linspace(0.0, 50.0, 101)
         phi, _ = riskfree_exact(p).evaluate(us)
         assert np.max(np.abs(phi - gammainc(150.0, us))) < 1e-12
+
+    def test_no_premium_large_shape_slope(self):
+        # phi' = u^(p-1) e^(-u) / Gamma(p); u^149 alone overflows from u ~ 117
+        from scipy.special import gammaln
+
+        p = ModelParams(a=0.001, b=0.0, c=0.0, lam=0.15, m=1.0)
+        us = np.array([100.0, 118.0, 200.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, dphi = riskfree_exact(p).evaluate(us)
+        exact = np.exp(149.0 * np.log(us) - us - gammaln(150.0))
+        assert np.all(np.isfinite(dphi))
+        assert np.max(np.abs(dphi / exact - 1.0)) <= 1e-12
 
     def test_no_premium_slope_classification(self):
         slow = riskfree_exact(ModelParams(a=0.02, b=0.0, c=0.0, lam=0.09, m=1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ruinlab import (
+    IntegrationError,
     ModelParams,
     Regime,
     RegimeInfo,
@@ -18,6 +19,7 @@ from ruinlab import (
     solve,
     tail_exponent,
 )
+from ruinlab import verify
 from conftest import PARAMS, classical_survival_to_horizon
 
 
@@ -49,6 +51,51 @@ class TestIdeResidual:
         r_loose = ide_residual(loose, p, grid).rel_sup
         r_tight = ide_residual(tight, p, grid).rel_sup
         assert r_tight * 10.0 <= r_loose
+
+    @pytest.mark.parametrize("name", ["fig1-I", "fig1-II", "fig3-II", "fig4-II", "fig5-I"])
+    def test_one_array_evaluation(self, solved, monkeypatch, name):
+        # every quadrature node and grid point in one array call; the only
+        # scalar call is the u = 0 edge
+        calls = []
+        evaluate = SolutionGrid.evaluate
+
+        def counted(self, u):
+            calls.append(np.ndim(u) == 0)
+            return evaluate(self, u)
+
+        monkeypatch.setattr(SolutionGrid, "evaluate", counted)
+        ide_residual(solved(name), PARAMS[name], np.linspace(0.0, 50.0, 201))
+        assert calls.count(False) == 1
+        assert calls.count(True) <= 1
+
+    def test_graded_first_interval(self, solved):
+        # phi ~ u^0.9 at 0: only pieces graded toward 0 resolve [0, 1e-8]
+        rep = ide_residual(solved("fig4-II"), PARAMS["fig4-II"], [0.0, 1e-8, 1e-4, 1.0, 50.0])
+        assert rep.rel_sup <= 1e-12
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig4-II", "fig5-I"])
+    def test_recursion_starts_at_zero(self, solved, name):
+        grid = np.linspace(3.3, 40.0, 57)
+        off = ide_residual(solved(name), PARAMS[name], grid)
+        on = ide_residual(solved(name), PARAMS[name], np.concatenate(([0.0], grid)))
+        assert np.max(np.abs(off.residual - on.residual[1:])) <= 1e-14
+
+    def test_unreachable_tolerance_raises(self, solved):
+        with pytest.raises(IntegrationError, match="residual quadrature"):
+            ide_residual(
+                solved("fig1-II"), PARAMS["fig1-II"], np.linspace(0.0, 5.0, 11),
+                rtol=1e-16, atol=1e-30,
+            )
+
+    def test_kronrod_table(self):
+        # the 15-point rule is exact to degree 22, and its embedded rule is
+        # the 7-point Gauss-Legendre rule
+        x, w, g = verify._K15_X, verify._K15_W, verify._G7_W
+        for k in range(23):
+            assert abs(x**k @ w - (1.0 + (-1.0) ** k) / (k + 1)) <= 1e-15
+        assert np.allclose(x[1::2], np.polynomial.legendre.leggauss(7)[0], rtol=0.0, atol=1e-15)
+        for k in range(14):
+            assert abs(x**k @ g - (1.0 + (-1.0) ** k) / (k + 1)) <= 1e-15
 
 
 class TestGResidualDecay:
@@ -109,6 +156,22 @@ class TestMcSurvival:
         est2 = mc_survival(self.CLASSICAL, 5.0, 20000, T=25600.0, seed=3)
         gap = abs(est1.p_hat - est2.p_hat)
         assert gap <= 3.0 * math.hypot(est1.stderr, est2.stderr)
+
+    def test_gbm_path_deterministic_under_seed(self):
+        p = PARAMS["fig1-II"]
+        a = mc_survival(p, 2.0, 3000, T=50.0, dt=0.05, seed=42)
+        b = mc_survival(p, 2.0, 3000, T=50.0, dt=0.05, seed=42)
+        assert a == b
+
+    @pytest.mark.parametrize("dt", [5.0, 0.25])
+    def test_gbm_step_exact_in_law_without_premiums(self, dt):
+        # with c = 0 the geometric factor, the bridge to each claim instant
+        # and the claims are exact at any dt; at lam*dt = 0.45 about 8% of
+        # steps hold two claims or more, so a dropped claim would show
+        p = PARAMS["fig5-II"]
+        phi = solve(p, u_max=50.0).evaluate(5.0)[0]
+        est = mc_survival(p, 5.0, 20_000, T=400.0, dt=dt, seed=11)
+        assert abs(est.p_hat - phi) <= 3.0 * est.stderr
 
     def test_huge_surplus_survives(self):
         p = PARAMS["fig1-II"]
