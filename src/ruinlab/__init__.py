@@ -47,7 +47,7 @@ from .presets import PRESETS, Scenario
 from .series import SeriesExpansion, choose_u0, eval_series, series_coeffs_main
 from .solution import SolutionGrid, TailFit
 from .solver import make_grid, phi_second_derivative_at_zero, solve, solve_main
-from .specfun import complete_gamma, upper_incomplete_gamma
+from .specfun import complete_gamma, log_upper_incomplete_gamma, upper_incomplete_gamma
 from .verify import McEstimate, ResidualReport, TailEstimate, ide_residual, mc_survival, tail_exponent
 
 __version__ = "0.1.0"
@@ -84,6 +84,7 @@ __all__ = [
     "exponents",
     "ide_residual",
     "integrate",
+    "log_upper_incomplete_gamma",
     "lundberg_coefficient",
     "main_ode_field",
     "make_grid",

@@ -217,7 +217,9 @@ def phi_capital_stock(
         outer = ~inner
         if outer.any():
             x = uq[outer]
-            step = np.clip(np.searchsorted(traj.us, x, side="right") - 1, 0, len(traj.us) - 2)
+            step = np.searchsorted(traj.us, x, side="right") - 1
+            np.maximum(step, 0, out=step)
+            np.minimum(step, len(traj.us) - 2, out=step)
             part, states = quad(traj.us[step], x)
             phi[outer] = base[step] + part
             eta[outer], deta[outer] = states[:, 0], states[:, 1]
@@ -227,7 +229,7 @@ def phi_capital_stock(
         up = uq[pos]
         dphi[pos] = density(up, eta[pos])
         ddphi[pos] = density(up, (mu1 - 1.0) * eta[pos] + up * deta[pos]) / up
-        if np.any(~pos):
+        if not pos.all():
             dphi[~pos] = lim_dphi0()
             ddphi[~pos] = lim_ddphi0()
         return phi, dphi, ddphi

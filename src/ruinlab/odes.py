@@ -102,11 +102,18 @@ class Trajectory:
         uq = np.atleast_1d(np.asarray(u, dtype=float))
         lo, hi = self.u_start, self.u_end
         slack = 1e-9 * max(hi - lo, abs(hi), 1.0)
-        if np.any(uq < lo - slack) or np.any(uq > hi + slack):
+        # written so that NaN fails too
+        if uq.size and not (lo - slack <= uq.min() and uq.max() <= hi + slack):
             raise ValueError(f"query outside trajectory span [{lo:g}, {hi:g}]")
-        idx = np.clip(np.searchsorted(self.us, uq, side="right") - 1, 0, len(self.us) - 2)
+        idx = np.searchsorted(self.us, uq, side="right") - 1
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, len(self.us) - 2, out=idx)
         h = self.us[idx + 1] - self.us[idx]
-        theta = np.clip((uq - self.us[idx]) / h, 0.0, 1.0)[:, None]
+        theta = uq - self.us[idx]
+        theta /= h
+        np.maximum(theta, 0.0, out=theta)
+        np.minimum(theta, 1.0, out=theta)
+        theta = theta[:, None]
         rest = 1.0 - theta
         # r1 + theta*(r2 + rest*(r3 + theta*(r4 + rest*r5))) with r_j the
         # interpolation vectors, in place: one gathered r_j alive at a time
@@ -117,7 +124,7 @@ class Trajectory:
         out += self.cont[idx, 0, :]
         # step endpoints must reproduce the accepted states bit for bit
         at_end = uq == self.us[-1]
-        if np.any(at_end):
+        if at_end.any():
             out[at_end] = self.states[-1]
         return out[0] if scalar else out
 

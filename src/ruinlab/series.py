@@ -170,7 +170,8 @@ def eval_series(exp: SeriesExpansion, C0: float, u):
     """
     scalar = np.isscalar(u) or np.asarray(u).ndim == 0
     uq = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(uq < 0.0) or np.any(uq > exp.u0 * (1.0 + 1e-12)):
+    # written so that NaN fails too
+    if uq.size and not (0.0 <= uq.min() and uq.max() <= exp.u0 * (1.0 + 1e-12)):
         raise ValueError(f"series evaluation restricted to [0, u0={exp.u0:g}]")
     # C0 stays the outermost factor so scaling C0 rescales the results exactly
     phi, dphi, ddphi = (C0 * v for v in poly3(exp.poly, uq))

@@ -91,14 +91,18 @@ class SolutionGrid:
         return (0.0, float(self.diagnostics.get("U", np.inf)))
 
     def evaluate(self, u):
-        """Return (phi, phi', phi'') at scalar or array u within ``span``."""
+        """Return (phi, phi', phi'') at scalar or array u within ``span``.
+
+        Raises ValueError for u outside ``span`` and for an infinite or NaN
+        u, also where ``span`` reaches to infinity."""
         if self._eval3 is None:
             raise ValueError("this solution carries no dense evaluator")
         scalar = np.isscalar(u) or np.asarray(u).ndim == 0
         uq = np.atleast_1d(np.asarray(u, dtype=float))
         lo, hi = self.span
-        if np.any(uq < lo) or np.any(uq > hi):
-            raise ValueError(f"evaluation outside solution span [{lo:g}, {hi:g}]")
+        # written so that NaN fails too
+        if uq.size and not (lo <= uq.min() and uq.max() <= hi and uq.max() < math.inf):
+            raise ValueError(f"evaluation needs finite u in the solution span [{lo:g}, {hi:g}]")
         phi, dphi, ddphi = self._eval3(uq)
         if scalar:
             return float(phi[0]), float(dphi[0]), float(ddphi[0])

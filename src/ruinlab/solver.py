@@ -115,13 +115,14 @@ def solve_main(
         dphi = np.empty_like(uq)
         ddphi = np.empty_like(uq)
         inner = uq <= u0
-        if np.any(inner):
+        if inner.any():
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
-        if np.any(~inner):
-            st = traj(uq[~inner])
-            phi[~inner] = C0 * st[:, 0]
-            dphi[~inner] = C0 * st[:, 1]
-            ddphi[~inner] = C0 * st[:, 2]
+        outer = ~inner
+        if outer.any():
+            st = traj(uq[outer])
+            phi[outer] = C0 * st[:, 0]
+            dphi[outer] = C0 * st[:, 1]
+            ddphi[outer] = C0 * st[:, 2]
         return phi, dphi, ddphi
 
     phi, dphi, ddphi = eval3(u_grid)
@@ -157,15 +158,14 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
         # only reached for c = 0 (risk-free without premiums), where
         # phi' ~ u^(p-1) exp(-u/m) / norm with p = lam/a
         p = lam / a
-        norm = cf.norm_const
         if p > 2.0:
             return 0.0
         if p == 2.0:
-            return 1.0 / norm
+            return math.exp(-cf.log_norm)
         if p > 1.0:
             return math.inf
         if p == 1.0:
-            return -1.0 / (m * norm)
+            return -math.exp(-cf.log_norm) / m
         return -math.inf
 
     def eval3(uq: np.ndarray):
@@ -173,12 +173,18 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
         phi = np.atleast_1d(phi)
         dphi = np.atleast_1d(dphi)
         # (a u + c) phi'' + (a - lam + c/m + a u/m) phi' = 0
-        denom = a * uq + c
-        with np.errstate(invalid="ignore", divide="ignore"):
+        if c > 0.0:
+            ddphi = -(a - lam + c / m + a * uq / m) * dphi / (a * uq + c)
+            return phi, dphi, ddphi
+        # c = 0: phi'' = ((p - 1)/u - 1/m) phi' = f phi' / (u m), in logs,
+        # since f / (u m) and phi' both grow without bound as u -> 0; beyond
+        # double range the value is -inf or inf
+        f = (lam / a - 1.0) * m - uq
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ddphi = np.where(
-                denom > 0.0,
-                -(a - lam + c / m + a * uq / m) * dphi / np.where(denom > 0, denom, 1.0),
-                _ddphi_origin_limit() if c == 0.0 else np.nan,
+                uq > 0.0,
+                np.sign(f) * np.exp(np.log(np.abs(f)) - np.log(uq * m) + np.log(dphi)),
+                _ddphi_origin_limit(),
             )
         return phi, dphi, ddphi
 
@@ -186,9 +192,9 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
     diagnostics = {"C0": cf.C0, "dphi_at_zero": cf.dphi_at_zero, "U": np.inf}
     if info.regime is Regime.CLASSICAL_CL:
         diagnostics["lundberg_coefficient"] = lundberg_coefficient(params)
-    if cf.ic0 is not None:
-        diagnostics["ic0"] = cf.ic0
-        diagnostics["norm_const"] = cf.norm_const
+    if cf.log_norm is not None:
+        diagnostics["log_ic0"] = cf.log_ic0
+        diagnostics["log_norm"] = cf.log_norm
     return SolutionGrid(
         u=u_grid,
         phi=phi,

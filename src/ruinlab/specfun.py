@@ -2,81 +2,165 @@
 
 * ``complete_gamma`` -- ``math.gamma`` behind an argument check; finite up
   to p of about 171.
-* ``upper_incomplete_gamma`` -- lower-series for z < p + 1, continued
-  fraction (modified Lentz) for z >= p + 1.  Relative accuracy ~1e-14.
+* ``log_upper_incomplete_gamma`` -- log Gamma(p, z) over an array z >= 0 in
+  one call.  The ascending series for z < p + 1 (DLMF 8.7.1, in the
+  regularized form log Q = log(1 - P)) and the continued fraction by
+  modified Lentz for z >= p + 1 (DLMF 8.9.2) run in lockstep over the
+  array until every point has converged; a converged continued-fraction
+  point leaves the loop.  The prefactor p log z - z is added in logs and
+  log Gamma(p) comes from ``math.lgamma``, so neither Gamma(p) nor z**p is
+  formed: the result is finite for any p > 0 the loops converge for (p of
+  a few thousand; near z = p the series needs more than ``_MAX_ITER``
+  terms from p of about 4,900).  Against mpmath the error is at most
+  2.2e-15 times max(1, |log Gamma(p, z)|) for p from 0.9 to 2,500, and
+  3.3e-14 at p = 0.05, where 1 - P cancels just below z = p + 1.
+* ``upper_incomplete_gamma`` -- Gamma(p, z) at one point: the same two
+  branches in scalar arithmetic, exponentiated.  Overflows (``OverflowError``)
+  where Gamma(p, z) exceeds double range, from p of about 171.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["complete_gamma", "upper_incomplete_gamma"]
+import numpy as np
+
+__all__ = ["complete_gamma", "log_upper_incomplete_gamma", "upper_incomplete_gamma"]
 
 _MAX_ITER = 600
 _EPS = 1e-16
+_TINY = 1e-300  # stands in for a zero Lentz denominator
+_LOG_HALF = -math.log(2.0)
+
+
+def _check_shape(p: float, name: str) -> float:
+    p = float(p)
+    if not math.isfinite(p) or p <= 0.0:
+        raise ValueError(f"{name} requires p > 0, got {p!r}")
+    return p
 
 
 def complete_gamma(p: float) -> float:
     """Gamma(p) for real p > 0."""
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise ValueError(f"complete_gamma requires p > 0, got {p!r}")
-    return math.gamma(p)
+    return math.gamma(_check_shape(p, "complete_gamma"))
 
 
-def _gamma_prefactor(p: float, z: float) -> float:
-    """z**p * exp(-z) without intermediate overflow."""
-    if z == 0.0:
-        return 0.0
-    return math.exp(p * math.log(z) - z)
+def _log_q(p: float, z: float, total: float) -> float:
+    """log Q(p, z) = log(1 - P(p, z)) from the ascending-series sum ``total``,
+    with P = z^p e^(-z) total / Gamma(p + 1) formed in logs."""
+    log_p = p * math.log(z) - z - math.lgamma(p + 1.0) + math.log(total)
+    # log1p(-P) is exact for small P, log(-expm1(log P)) for P near 1
+    return math.log1p(-math.exp(log_p)) if log_p < _LOG_HALF else math.log(-math.expm1(log_p))
 
 
-def _lower_series(p: float, z: float) -> float:
-    """gamma(p, z) (lower) by the ascending series; valid for z < p + 1."""
-    term = 1.0 / p
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= z / (p + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * _gamma_prefactor(p, z)
-    raise ArithmeticError(f"lower gamma series failed to converge (p={p}, z={z})")
-
-
-def _upper_cf(p: float, z: float) -> float:
-    """Gamma(p, z) by the continued fraction (modified Lentz); z >= p + 1."""
-    tiny = 1e-300
+def _log_upper_gamma(p: float, z: float) -> float:
+    """log Gamma(p, z) for one z > 0: the scalar form of the array kernel."""
+    if z < p + 1.0:
+        term = total = 1.0
+        for n in range(1, _MAX_ITER):
+            term *= z / (p + n)
+            total += term
+            if term < total * _EPS:
+                return math.lgamma(p) + _log_q(p, z, total)
+        raise ArithmeticError(f"lower gamma series failed to converge (p={p}, z={z})")
     b = z + 1.0 - p
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    c = 1.0 / _TINY
+    d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - p)
         b += 2.0
         d = an * d + b
         if d == 0.0:
-            d = tiny
+            d = _TINY
         c = b + an / c
         if c == 0.0:
-            c = tiny
+            c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * _gamma_prefactor(p, z)
+            return p * math.log(z) - z + math.log(h)
     raise ArithmeticError(f"upper gamma continued fraction failed (p={p}, z={z})")
 
 
 def upper_incomplete_gamma(p: float, z: float) -> float:
     """Gamma(p, z) = integral_z^inf x**(p-1) exp(-x) dx, for p > 0, z >= 0."""
-    p = float(p)
+    p = _check_shape(p, "upper_incomplete_gamma")
     z = float(z)
-    if not math.isfinite(p) or p <= 0.0:
-        raise ValueError(f"upper_incomplete_gamma requires p > 0, got {p!r}")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError(f"upper_incomplete_gamma requires z >= 0, got {z!r}")
     if z == 0.0:
         return complete_gamma(p)
-    if z < p + 1.0:
-        return complete_gamma(p) - _lower_series(p, z)
-    return _upper_cf(p, z)
+    return math.exp(_log_upper_gamma(p, z))
+
+
+def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
+    """log Gamma(p, z) at every entry of ``z`` (finite, >= 0), for p > 0.
+
+    Returns a float array of the shape of ``z``; log Gamma(p, 0) is
+    ``math.lgamma(p)``.  Raises ``ArithmeticError`` if a point has not
+    converged after ``_MAX_ITER`` terms.
+    """
+    p = _check_shape(p, "log_upper_incomplete_gamma")
+    z = np.asarray(z, dtype=float)
+    # written so that NaN fails too
+    if z.size and not (0.0 <= z.min() and z.max() < math.inf):
+        raise ValueError("log_upper_incomplete_gamma requires finite z >= 0")
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    series = flat < p + 1.0
+
+    x = flat[series]
+    if x.size:
+        # the terms fall monotonically (z/(p + n) < 1), so a converged point
+        # stays converged while the others finish
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for n in range(1, _MAX_ITER):
+            term *= x / (p + n)
+            total += term
+            if (term < total * _EPS).all():
+                break
+        else:
+            raise ArithmeticError(f"lower gamma series failed to converge (p={p})")
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives P = 0 at z = 0
+            log_p = p * np.log(x) - x - math.lgamma(p + 1.0) + np.log(total)
+        small = log_p < _LOG_HALF
+        log_q = np.empty_like(x)
+        log_q[small] = np.log1p(-np.exp(log_p[small]))
+        log_q[~small] = np.log(-np.expm1(log_p[~small]))
+        out[series] = math.lgamma(p) + log_q
+
+    x = flat[~series]
+    if x.size:
+        b = x + 1.0 - p  # >= 2
+        c = np.full_like(x, 1.0 / _TINY)
+        d = 1.0 / b
+        h = d.copy()
+        h_out = np.empty_like(x)
+        live = np.arange(x.size)
+        for i in range(1, _MAX_ITER):
+            an = -i * (i - p)
+            b += 2.0
+            d *= an
+            d += b
+            d[d == 0.0] = _TINY
+            c = b + an / c
+            c[c == 0.0] = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            # converged points leave the loop, as in the scalar form: a
+            # further delta need not be 1 again
+            conv = np.abs(delta - 1.0) < _EPS
+            if conv.any():
+                h_out[live[conv]] = h[conv]
+                keep = ~conv
+                if not keep.any():
+                    break
+                live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+        else:
+            raise ArithmeticError(f"upper gamma continued fraction failed (p={p})")
+        out[~series] = p * np.log(x) - x + np.log(h_out)
+    return out.reshape(z.shape)

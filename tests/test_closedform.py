@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ruinlab import (
+    PRESETS,
     ModelParams,
     NoSolutionError,
     classical_exact,
@@ -12,10 +13,29 @@ from ruinlab import (
     riskfree_exact,
     riskfree_tail,
 )
+from ruinlab import closedform
 
 CLASSICAL = ModelParams(a=0.0, b=0.0, c=0.1, lam=0.09, m=1.0)
 RISKFREE_LOW = ModelParams(a=0.02, b=0.0, c=0.02, lam=0.09, m=1.0)   # a < lam
 RISKFREE_HIGH = ModelParams(a=0.1, b=0.0, c=0.02, lam=0.09, m=1.0)   # a > lam
+RISKFREE_PRESETS = ["fig3-I", "fig3-II", "fig4-I", "fig4-II"]
+# (a, c, lam) with m = 1 where m^p Gamma(p, z0) overflows, p = lam/a = 200..2500
+OVERFLOW_POINTS = [(0.001, 0.0, 0.2), (0.0005, 0.0, 0.2), (0.001, 0.01, 0.5), (0.0002, 0.05, 0.5)]
+
+
+def _log_norm_reference(a, c, lam, m):
+    """(log I_c(u) as a function, log norm) from scipy gammaincc/gammaln."""
+    from scipy.special import gammaincc, gammaln
+
+    p = lam / a
+    z0 = c / (a * m)
+
+    def log_ic(u):
+        with np.errstate(divide="ignore"):  # Q underflows to 0 far out: phi = 1
+            return p * math.log(m) + z0 + gammaln(p) + np.log(gammaincc(p, u / m + z0))
+
+    log_q = math.log(a / lam) + p * math.log(c / a) if c > 0.0 else -math.inf
+    return log_ic, float(np.logaddexp(log_ic(0.0), log_q))
 
 
 class TestClassicalExact:
@@ -117,6 +137,53 @@ class TestRiskFreeExact:
         # the unbounded slope is still integrable: phi rises immediately
         assert steep.evaluate(0.5)[0] > 0.0
 
+    @pytest.mark.parametrize("point", OVERFLOW_POINTS)
+    def test_large_shape_in_logs(self, point):
+        a, c, lam = point
+        p = lam / a
+        us = np.linspace(0.0, 3.0 * p, 301)
+        log_ic, log_norm = _log_norm_reference(a, c, lam, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = riskfree_exact(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0))
+            phi, dphi = sol.evaluate(us)
+        assert np.all((phi >= 0.0) & (phi <= 1.0))
+        assert np.max(np.abs(phi - (1.0 - np.exp(log_ic(us) - log_norm)))) <= 1e-12
+        assert np.all(np.isfinite(dphi[1:]))
+        assert sol.log_norm == pytest.approx(log_norm, rel=1e-14)
+
+    @pytest.mark.parametrize("name", RISKFREE_PRESETS)
+    def test_scalar_equals_array(self, name):
+        sol = riskfree_exact(PRESETS[name].params)
+        us = np.linspace(0.0, 50.0, 201)
+        assert us.size >= closedform._ARRAY_MIN  # the array takes the kernel
+        phi, dphi = sol.evaluate(us)
+        scalar = np.array([sol.evaluate(float(u)) for u in us])
+        np.testing.assert_allclose(scalar[:, 0], phi, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(scalar[:, 1], dphi, rtol=1e-14, atol=0.0)
+
+    def test_dense_evaluation_is_one_kernel_call(self, monkeypatch):
+        calls = []
+        scalar = closedform.upper_incomplete_gamma
+
+        def counted(p, z):
+            calls.append(z)
+            return scalar(p, z)
+
+        monkeypatch.setattr(closedform, "upper_incomplete_gamma", counted)
+        for name in RISKFREE_PRESETS:
+            sol = riskfree_exact(PRESETS[name].params)
+            calls.clear()
+            sol.evaluate(np.linspace(0.0, 50.0, 10_001))
+            assert len(calls) <= 4, name
+
+    @pytest.mark.parametrize("bad", [math.nan, [1.0, math.nan], math.inf, -math.inf])
+    def test_rejects_non_finite_query(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            riskfree_exact(RISKFREE_HIGH).evaluate(bad)
+        with pytest.raises(ValueError, match="finite"):
+            classical_exact(CLASSICAL).evaluate(bad)
+
     def test_rejects_wrong_regime(self):
         with pytest.raises(ValueError):
             riskfree_exact(CLASSICAL)
@@ -136,6 +203,19 @@ class TestRiskFreeTail:
             ratios[u] = exact / approx
         assert ratios[20.0] == pytest.approx(1.0, abs=0.05)
         assert abs(ratios[28.0] - 1.0) < abs(ratios[10.0] - 1.0)
+
+    @pytest.mark.parametrize("point", OVERFLOW_POINTS[:2])
+    def test_large_shape_without_premiums(self, point):
+        from scipy.special import gammaln
+
+        a, c, lam = point
+        p = lam / a
+        us = np.array([0.5 * p, p, 2.0 * p])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = riskfree_tail(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0), us)
+        exact = 1.0 - np.exp((p - 1.0) * np.log(us) - us - gammaln(p))
+        assert np.max(np.abs(tail - exact)) <= 1e-12
 
     def test_exact_for_exponential_case(self):
         p = ModelParams(a=0.09, b=0.0, c=0.0, lam=0.09, m=1.0)

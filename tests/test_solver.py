@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,26 @@ class TestSolutionProperties:
         changes = int(np.sum(signs[:-1] * signs[1:] < 0.0))
         assert changes == 1
         assert phi_second_derivative_at_zero(p, grid.C0) > 0.0
+
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, [1.0, np.nan], np.inf])
+    def test_evaluate_rejects_non_finite(self, solved, name, bad):
+        with pytest.raises(ValueError, match="finite u"):
+            solved(name).evaluate(bad)
+
+    def test_no_premium_second_derivative_near_origin(self, solved):
+        # fig4-II: phi'' = ((p - 1)/u - 1/m) phi' with p = 0.9 falls like
+        # u^(p - 2); at u = 1e-300 it is about -9.4e328, beyond double range
+        grid = solved("fig4-II")
+        a, lam, m = 0.1, 0.09, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grid.evaluate(1e-300)[2] == -np.inf
+            for u in (1e-200, 1e-30):
+                _, dphi, ddphi = grid.evaluate(u)
+                direct = -(a - lam + a * u / m) * dphi / (a * u)
+                assert ddphi == pytest.approx(direct, rel=1e-13)
 
 
 class TestMakeGrid:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ruinlab import complete_gamma, upper_incomplete_gamma
+from ruinlab import complete_gamma, log_upper_incomplete_gamma, upper_incomplete_gamma
 
 # frozen from numerical quadrature of the defining integral,
 # int_0.2^inf x^-0.1 exp(-x) dx (scipy.integrate.quad, epsabs=1e-14)
@@ -79,3 +79,55 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma(1.0, -0.1)
+
+
+class TestLogUpperIncompleteGamma:
+    @pytest.mark.parametrize("p", [0.05, 0.9, 4.5, 150.0, 2500.0])
+    def test_against_scipy(self, p):
+        from scipy.special import gammaincc, gammaln
+
+        # both branches, z = 0 and the switch point z = p + 1 exactly
+        z = np.concatenate(([0.0, p + 1.0], np.geomspace(1e-6, 3.0 * p + 50.0, 400)))
+        got = log_upper_incomplete_gamma(p, z)
+        q = gammaincc(p, z)
+        normal = q >= np.finfo(float).tiny
+        ref = gammaln(p) + np.log(q[normal])
+        # relative on log Gamma, and 1e-13 absolute on it (relative on
+        # Gamma) where log Gamma crosses 0
+        np.testing.assert_allclose(got[normal], ref, rtol=1e-13, atol=1e-13)
+        assert got[0] == math.lgamma(p)
+
+    @pytest.mark.parametrize("p", [0.05, 0.9, 4.5, 150.0])
+    def test_matches_scalar_routine(self, p):
+        z = np.concatenate((np.linspace(0.01, p + 1.0, 50), np.linspace(p + 1.0, 3.0 * p + 50.0, 50)))
+        scalar = np.array([math.log(upper_incomplete_gamma(p, x)) for x in z])
+        np.testing.assert_allclose(log_upper_incomplete_gamma(p, z), scalar, rtol=1e-15, atol=1e-15)
+
+    def test_finite_where_gamma_overflows(self):
+        # Gamma(2500) ~ 10^7030; the scalar routine overflows there
+        with pytest.raises(OverflowError):
+            upper_incomplete_gamma(2500.0, 10.0)
+        z = np.array([0.0, 10.0, 2500.0, 1e4])
+        got = log_upper_incomplete_gamma(2500.0, z)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.diff(got) <= 0.0) and got[-1] < got[1]
+
+    def test_keeps_shape(self):
+        z = np.linspace(0.0, 20.0, 12).reshape(3, 4)
+        got = log_upper_incomplete_gamma(1.7, z)
+        assert got.shape == (3, 4)
+        assert log_upper_incomplete_gamma(1.7, 2.0).shape == ()
+        assert log_upper_incomplete_gamma(1.7, np.array([])).shape == (0,)
+
+    def test_rejects_bad_arguments(self):
+        for z in ([1.0, -0.1], [1.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                log_upper_incomplete_gamma(1.0, z)
+        for p in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                log_upper_incomplete_gamma(p, [1.0])
+
+    def test_unconverged_series_raises(self):
+        # at p = 1e4 the series needs about 860 terms near z = p
+        with pytest.raises(ArithmeticError):
+            log_upper_incomplete_gamma(1e4, [1e4])
