@@ -25,7 +25,13 @@ from .closedform import (
     riskfree_exact,
     riskfree_tail,
 )
-from .errors import IntegrationError, NoSolutionError, RuinlabError, SolverError
+from .errors import (
+    ConvergenceError,
+    IntegrationError,
+    NoSolutionError,
+    RuinlabError,
+    SolverError,
+)
 from .model import (
     ModelParams,
     PortfolioSpec,
@@ -54,6 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormSolution",
+    "ConvergenceError",
     "IntegrationError",
     "McEstimate",
     "ModelParams",

@@ -246,6 +246,7 @@ def phi_capital_stock(
         "d2": d2,
         "u0": u0,
         "U": U,
+        "steps": len(traj.us) - 1,
         "rtol": rtol,
         "atol": atol,
     }

@@ -13,6 +13,10 @@ class SolverError(RuinlabError):
     """A numerical stage failed (normalization unstable, limit nonpositive, ...)."""
 
 
+class ConvergenceError(SolverError, ArithmeticError):
+    """A series or continued fraction did not converge within its term budget."""
+
+
 class IntegrationError(SolverError):
     """The ODE integrator could not complete a span.
 

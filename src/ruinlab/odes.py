@@ -1,16 +1,36 @@
-"""Adaptive Dormand-Prince 5(4) integration with dense output.
+"""Dormand-Prince 5(4) integration of affine fields, with dense output.
 
 The solver pipeline needs tight tolerances (the normalization at infinity
 reads off a first derivative that decays like a power of u) and continuous
-access to the computed solution (the Volterra residual check integrates
+access to the computed solution (the capital-stock quadrature integrates
 against it), so the integrator keeps the standard quartic interpolant of the
-Dormand-Prince pair for every accepted step.
+Dormand-Prince pair for every step.
 
-The states have one to three components, where a numpy call costs more than
-its arithmetic, so a step runs on Python floats with scalar tableau constants
-and fills flat ``array('d')`` buffers, turned into arrays once at the end.
-A field's ``rhs(u, y)`` therefore takes the state as a sequence of floats and
-returns a tuple of floats, one per component.
+Every field the package integrates is affine in the state, y' = M(u) y +
+g(u), and the two singular equations are linear (g = 0).  One
+Dormand-Prince step is then an affine map y_{k+1} = P_k y_k + q_k, and its
+embedded error estimate and dense-output vector are affine in y_k too; none
+of these maps depends on the state (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4-II.6).  ``integrate`` forms them for blocks of up to
+``_BLOCK`` steps at once in numpy, and the only per-step Python work left
+is the scan of y_{k+1} = P_k y_k + q_k.  A field's ``rhs(u, y)`` is
+therefore called on arrays: ``u`` is a float or a 1-D array of abscissae,
+``y`` a sequence of ``dimension`` components that broadcast against ``u``,
+and it returns ``dimension`` components, each broadcast from ``u`` and the
+state.  M(u) and g(u) come from one call on the unit states and the zero
+state, stacked along a leading axis.
+
+The mesh is chosen in rounds, not by a step-size controller:
+
+1. a pilot mesh whose steps keep h * rho(M(u)) <= 3, rho the spectral
+   radius of the field matrix on a log-spaced grid of the span, so that
+   every step is stable;
+2. one equidistribution: the pilot's error estimates, scaled by
+   err_k^(-1/5), give a step density whose integral places the new mesh;
+3. splitting of any step that still fails, until every step passes.
+
+A step is accepted when the RMS of its embedded error against ``atol +
+rtol * max(|y_k|, |y_{k+1}|)`` is at most one.
 
 Also defined here are the three vector fields used by the package: the
 third-order equation satisfied by the survival probability in the main
@@ -21,9 +41,11 @@ Volterra convolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,56 +59,75 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2); the seventh stage is evaluated at the fifth-order solution.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Table II.5.2); stages 6 and 7 sit at u + h, the seventh at the fifth-order
+# solution.
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9])
+_A = [
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+]
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 # fifth-order minus embedded fourth-order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # dense-output weights of the quartic interpolant
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-)
+])
 
-_SAFETY = 0.9
-_BETA = 0.04
-_EXPO = 0.2 - _BETA * 0.75
-_FAC_MIN = 0.2
-_FAC_MAX = 10.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# steps per block of the batched build; bounds its temporaries
+_BLOCK = 256
+# pilot mesh: h * rho(M) <= _STABLE on a grid of _GRID offsets, log-spaced
+# from _GRID_MIN of the span
+_STABLE = 3.0
+_GRID = 241
+_GRID_MIN = 1e-12
+# equidistribution aims every step at this error; a failing step is cut
+# into at most _MAX_SPLIT parts per round
+_TARGET = 0.8
+_MAX_SPLIT = 10
+# relative mismatch of rhs(u, y) and M(u) y + g(u) that marks a field as not affine
+_AFFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A first-order system u -> d(state)/du: ``rhs(u, y)`` takes the state as
-    a sequence of ``dimension`` floats and returns a tuple of as many."""
+    """An affine first-order system u -> d(state)/du.
+
+    ``rhs(u, y)`` takes a float or 1-D array ``u`` and ``dimension`` state
+    components that broadcast against it, and returns as many components,
+    computed elementwise.
+    """
 
     dimension: int
-    rhs: Callable[[float, Sequence[float]], tuple[float, ...]]
+    rhs: Callable[[object, Sequence], Sequence]
     name: str = ""
 
 
 @dataclass
 class Trajectory:
-    """Accepted steps of one integration plus per-step dense output.
+    """Steps of one integration plus per-step dense output.
 
-    ``us`` are the strictly increasing step endpoints, ``states`` the accepted
-    state vectors, and ``cont[i]`` the five interpolation vectors of step i.
+    ``us`` are the strictly increasing step endpoints, ``states`` the state
+    vectors there, and ``cont[i]`` the five interpolation vectors of step i.
     Off-node queries evaluate the quartic interpolant, which matches the step
     endpoints exactly and carries the accuracy of the local error control.
+    ``rounds`` counts the mesh passes and ``built`` the steps whose
+    propagators were formed, over all passes.
     """
 
     us: np.ndarray
     states: np.ndarray
     cont: np.ndarray
     name: str = ""
+    rounds: int = 0
+    built: int = 0
 
     @property
     def u_start(self) -> float:
@@ -122,31 +163,213 @@ class Trajectory:
             out += self.cont[idx, j, :]
             out *= w
         out += self.cont[idx, 0, :]
-        # step endpoints must reproduce the accepted states bit for bit
+        # step endpoints must reproduce the states bit for bit
         at_end = uq == self.us[-1]
         if at_end.any():
             out[at_end] = self.states[-1]
         return out[0] if scalar else out
 
 
-def _rms(v) -> float:
-    return math.sqrt(sum(x * x for x in v) / len(v))
-
-
-def _initial_step(rhs, u0, y0, f0, rtol, atol, span):
-    scale = [atol + rtol * abs(y) for y in y0]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([f / s for f, s in zip(f0, scale)])
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    y1 = [y + h0 * f for y, f in zip(y0, f0)]
-    f1 = rhs(u0 + h0, y1)
-    d2 = _rms([(g - f) / s for g, f, s in zip(f1, f0, scale)]) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+def _field_matrices(rhs, dim: int, u: np.ndarray) -> np.ndarray:
+    """The field matrix at every abscissa of ``u``, from one ``rhs`` call on
+    the unit states and the zero state: M(u) for a linear field (g = 0 at
+    every abscissa), else [[M(u), g(u)], [0, 0]], which acts on (y, 1) and
+    makes the affine field linear in one more component that stays 1.
+    """
+    n = dim + 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # component i of state j at row j: states broadcast against u
+        f = rhs(u, np.eye(dim, n)[:, :, None])
+    if len(f) != dim:
+        raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
+    f = [np.broadcast_to(fi, (n, u.size)) for fi in f]  # state, abscissa
+    if any(fi[dim].any() for fi in f):
+        out = np.zeros((u.size, n, n))
+        for i, fi in enumerate(f):
+            out[:, i, :] = fi.T
+            out[:, i, :dim] -= fi[dim, :, None]  # rhs(e_j) - rhs(0) = M e_j
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, span)
+        out = np.empty((u.size, dim, dim))
+        for i, fi in enumerate(f):
+            out[:, i, :] = fi[:dim].T
+    if not np.isfinite(out).all():
+        at = float(u[np.argmax(~np.isfinite(out).all(axis=(1, 2)))])
+        raise IntegrationError(f"non-finite field at u={at:.6g}", u=at)
+    return out
+
+
+def _combine(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] K[i], as one matrix-vector product."""
+    return np.dot(weights, K[: weights.size].reshape(weights.size, -1)).reshape(K.shape[1:])
+
+
+def _build(rhs, dim: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Matrices of the steps [lo_k, hi_k], in blocks of at most ``_BLOCK``.
+
+    Returns W of shape (5, steps, dim, dim + 1): the first ``dim`` rows
+    (the last row is zero) of the field matrices at lo_k and hi_k, of the
+    increment S_k = P_k - I, of the embedded error E_k and of the
+    dense-output matrix D_k, all acting on z_k = (y_k, 1).
+    """
+    W = np.zeros((5, lo.size, dim, dim + 1))  # a linear field leaves the last column 0
+    for start in range(0, lo.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        left, right = lo[blk], hi[blk]
+        h = right - left
+        us = np.concatenate([left + c * h for c in _C] + [right])
+        F = _field_matrices(rhs, dim, us)
+        n = F.shape[-1]
+        F = F.reshape(6, left.size, n, n)
+        eye = np.eye(n)
+        hh = h[:, None, None]
+        K = np.empty((7, left.size, n, n))
+        K[0] = F[0]
+        for i in range(1, 6):
+            Y = _combine(_A[i], K)
+            Y *= hh
+            Y += eye
+            np.matmul(F[i], Y, out=K[i])
+        S = _combine(_B, K)
+        S *= hh
+        np.matmul(F[5], S + eye, out=K[6])
+        W[0, blk, :, :n] = F[0, :, :dim]
+        W[1, blk, :, :n] = F[5, :, :dim]
+        W[2, blk, :, :n] = S[:, :dim]
+        W[3, blk, :, :n] = (_combine(_E, K) * hh)[:, :dim]
+        W[4, blk, :, :n] = (_combine(_D, K) * hh)[:, :dim]
+    return W
+
+
+def _scan(S: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States y_0, .., y_N from y_{k+1} = y_k + S_k (y_k, 1), one step at a
+    time in Python floats (unrolled for the package's two and three
+    components).  S is read through a memoryview, so each step's floats
+    are freed as the next are made."""
+    dim = y0.size
+    n = dim * (dim + 1)  # entries of S_k
+    steps = zip(*[iter(memoryview(np.ascontiguousarray(S).reshape(-1)))] * n)
+    out = array("d", y0.tolist())
+    if dim == 3:
+        a, b, c = y0.tolist()
+        for s0, s1, s2, s3, t0, t1, t2, t3, w0, w1, w2, w3 in steps:
+            a, b, c = (
+                a + (s0 * a + s1 * b + s2 * c + s3),
+                b + (t0 * a + t1 * b + t2 * c + t3),
+                c + (w0 * a + w1 * b + w2 * c + w3),
+            )
+            out.extend((a, b, c))
+    elif dim == 2:
+        a, b = y0.tolist()
+        for s0, s1, s2, t0, t1, t2 in steps:
+            a, b = a + (s0 * a + s1 * b + s2), b + (t0 * a + t1 * b + t2)
+            out.extend((a, b))
+    else:
+        y = y0.tolist()
+        for flat in steps:
+            z = y + [1.0]
+            y = [v + sum(map(mul, flat[i * (dim + 1):(i + 1) * (dim + 1)], z)) for i, v in enumerate(y)]
+            out.extend(y)
+    return np.frombuffer(out).reshape(-1, dim)
+
+
+def _apply(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M_k (y_k, 1) for every k."""
+    return np.matmul(M[:, :, :-1], Y[:, :, None])[:, :, 0] + M[:, :, -1]
+
+
+def _check_affine(rhs, us: np.ndarray, Y: np.ndarray, F: np.ndarray) -> None:
+    """Refuse a field whose rhs at the nodes is not M(u) y + g(u)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.stack([np.broadcast_to(fi, us.shape) for fi in rhs(us, Y.T)], axis=1)
+        scale = _apply(np.abs(F), np.abs(Y))
+        diff = np.abs(direct - _apply(F, Y))
+        # values near underflow have lost their relative precision, and a
+        # state near overflow may overflow in either form
+        bad = (diff > _AFFINE_TOL * scale + _TINY) | (np.isnan(diff) & np.isfinite(scale))
+    if bad.any():
+        at = float(us[np.argmax(bad.any(axis=1))])
+        raise ValueError(f"field is not affine in the state (checked at u={at:.6g})")
+
+
+def _advance(rhs, x, fresh, W_kept, Y, rtol, atol):
+    """One pass over mesh ``x``: build its ``fresh`` steps (all of them if
+    ``W_kept`` is None; the others keep the matrices ``W_kept``, in order),
+    scan from the first fresh step on from the states ``Y``, and return
+    (W, Y, err) with err the scaled RMS error of every step."""
+    dim = Y.shape[1]
+    if W_kept is None:
+        W = _build(rhs, dim, x[:-1], x[1:])
+    else:
+        W = np.empty((5, x.size - 1, dim, dim + 1))
+        W[:, fresh] = _build(rhs, dim, x[:-1][fresh], x[1:][fresh])
+        W[:, ~fresh] = W_kept
+    first = 0 if W_kept is None else int(np.argmax(fresh))
+    Y = np.concatenate((Y[:first], _scan(W[2, first:], Y[first])))
+    finite = np.isfinite(Y).all(axis=1)
+    if not finite.all():
+        # a field that is not affine is refused before its states are blamed
+        k = int(np.argmin(finite))
+        if k > 1:
+            _check_affine(rhs, x[1:k], Y[1:k], W[1, : k - 1])
+        raise IntegrationError(f"non-finite state at u={x[k]:.6g}", u=float(x[k - 1]))
+    scale = atol + rtol * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
+    err = np.sqrt(np.mean((_apply(W[3], Y[:-1]) / scale) ** 2, axis=1))
+    return W, Y, err
+
+
+def _pilot(rhs, dim: int, u0: float, u1: float, max_step: float, max_steps: int):
+    """Pilot mesh with h * rho(M(u)) <= _STABLE and h <= max_step, and the
+    step cap of each of its steps."""
+    span = u1 - u0
+    grid = u0 + span * np.concatenate(([0.0], _GRID_MIN ** np.linspace(1.0, 0.0, _GRID)))
+    grid[-1] = u1
+    grid = grid[np.concatenate(([True], np.diff(grid) > 0.0))]  # offsets below ulp(u0) coincide
+    rho = np.abs(np.linalg.eigvals(_field_matrices(rhs, dim, grid))).max(axis=1)
+    with np.errstate(divide="ignore"):
+        cap = np.minimum(_STABLE / np.maximum(rho[:-1], rho[1:]), max_step)
+    width = np.diff(grid)
+    # a pilot step may exceed its cap by rounding only
+    count = np.maximum(np.ceil(width / cap * (1.0 - 1e-12)), 1.0)
+    total = np.cumsum(count)
+    if not total[-1] <= max_steps:
+        at = float(grid[np.argmax(~(total <= max_steps))])
+        raise IntegrationError(f"step budget exhausted at u={at:.6g}", u=at)
+    count = count.astype(np.int64)
+    return _subdivide(grid, count), np.repeat(cap, count)
+
+
+def _subdivide(x: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Mesh x with step k cut into ``parts[k]`` equal pieces."""
+    k = np.repeat(np.arange(parts.size), parts)
+    j = np.arange(k.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    out = np.empty(k.size + 1)
+    out[:-1] = x[k] + (x[k + 1] - x[k]) * (j / parts[k])
+    out[-1] = x[-1]
+    return out
+
+
+def _equidistribute(x: np.ndarray, err: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """New mesh whose steps would each have error _TARGET under err ~ h^5,
+    and stay within the caps of the steps of ``x`` they cover."""
+    h = np.diff(x)
+    count = np.maximum(np.maximum((err / _TARGET) ** 0.2, h / cap), h / (x[-1] - x[0]))
+    cum = np.concatenate(([0.0], np.cumsum(count)))
+    n = max(1, math.ceil(cum[-1] * (1.0 - 1e-12)))
+    out = np.interp(np.linspace(0.0, cum[-1], n + 1), cum, x)
+    out[0], out[-1] = x[0], x[-1]
+    return out
+
+
+def _check_mesh(x: np.ndarray, before: int, max_steps: int) -> None:
+    """Refuse mesh x, which follows ``before`` other steps, if the steps
+    run past ``max_steps`` or one of them underflows."""
+    if before + x.size - 1 > max_steps:
+        at = float(x[max(max_steps - before, 0)])
+        raise IntegrationError(f"step budget exhausted at u={at:.6g}", u=at)
+    tiny = np.diff(x) <= 16.0 * _EPS * np.maximum(np.abs(x[:-1]), 1e-30)
+    if tiny.any():
+        at = float(x[np.argmax(tiny)])
+        raise IntegrationError(f"step size underflow at u={at:.6g}", u=at)
 
 
 def integrate(
@@ -159,12 +382,14 @@ def integrate(
     max_step: float = math.inf,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
-    """Integrate ``sys`` forward from ``u_start`` to ``u_end > u_start`` adaptively.
+    """Integrate the affine field ``sys`` forward from ``u_start`` to ``u_end > u_start``.
 
-    Embedded 5(4) pair with PI step control; a step is accepted when the
-    RMS of the local error against ``atol + rtol * |state|`` is at most one.
-    Raises :class:`IntegrationError` on step-size underflow or non-finite
-    state, reporting the abscissa of the failure.
+    Meshes in rounds (see the module docstring) until every step passes
+    the error test; steps are at most ``max_step`` long, to rounding.
+    Raises :class:`IntegrationError`, with the abscissa of the failure, on
+    a non-finite field or state, step-size underflow, or more than
+    ``max_steps`` steps; raises ``ValueError`` for a field that is not
+    affine in the state.
     """
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
@@ -172,99 +397,70 @@ def integrate(
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):
         raise ValueError(f"state0 must have shape ({dim},), got {state.shape}")
-    y = state.tolist()
-    u = float(u_start)
-    u_final = float(u_end)
-    if not u_final > u:
-        raise ValueError(f"integration span must be increasing, got [{u:g}, {u_final:g}]")
-    span = u_final - u
-
+    if not np.isfinite(state).all():
+        raise ValueError(f"state0 must be finite, got {state}")
+    u0, u1 = float(u_start), float(u_end)
+    if not u1 > u0:
+        raise ValueError(f"integration span must be increasing, got [{u0:g}, {u1:g}]")
     rhs = sys.rhs
-    f = rhs(u, y)
-    if len(f) != dim:
-        raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
-    h = min(_initial_step(rhs, u, y, f, rtol, atol, span), max_step)
 
-    # per step: one node, one state, five interpolation coefficients per component
-    us = array("d", (u,))
-    states = array("d", y)
-    cont = array("d")
-    facold = 1e-4
-    was_rejected = False
+    # round 1: the pilot, for its error estimates only
+    x, cap = _pilot(rhs, dim, u0, u1, max_step, max_steps)
+    err = np.empty(x.size - 1)
+    y = state[None]
+    for lo in range(0, x.size - 1, _BLOCK):
+        xb = x[lo: lo + _BLOCK + 1]
+        _, Y, err[lo: lo + xb.size - 1] = _advance(rhs, xb, None, None, y, rtol, atol)
+        y = Y[-1:]
+    built = x.size - 1
 
-    for _ in range(max_steps):
-        remaining = u_final - u
-        if remaining <= 16.0 * _EPS * max(abs(u), abs(u_final), 1e-30):
-            break
-        h = min(h, max_step)
-        if h <= 16.0 * _EPS * max(abs(u), 1e-30):
-            raise IntegrationError(f"step size underflow at u={u:.6g}", u=u)
-        last = h >= remaining
-        if last:
-            h = remaining
-
-        k1 = f
-        k2 = rhs(u + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = rhs(u + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-        k4 = rhs(u + _C4 * h, [
-            v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
-        ])
-        k5 = rhs(u + _C5 * h, [
-            v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ])
-        k6 = rhs(u + h, [
-            v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        ])
-        y_new = [
-            v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-            for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-        ]
-        if not all(map(math.isfinite, y_new)):
-            raise IntegrationError(f"non-finite state at u={u + h:.6g}", u=u)
-        k7 = rhs(u + h, y_new)
-
-        err = 0.0
-        coeffs = []  # the step's interpolation coefficients, kept if it is accepted
-        for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            q = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-            q /= atol + rtol * max(abs(v), abs(w))
-            err += q * q
-            dy = w - v
-            b = h * a - dy
-            dense = h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * g + _D7 * k)
-            coeffs += (v, dy, b, dy - h * k - b, dense)
-        err = math.sqrt(err / dim)
-
-        if err <= 1.0:
-            u_new = u_final if last else u + h
-            cont.extend(coeffs)
-            us.append(u_new)
-            states.extend(y_new)
-            f = k7  # FSAL
-            u, y = u_new, y_new
-
-            fac11 = err**_EXPO if err > 0.0 else 0.0
-            fac = fac11 / facold**_BETA if err > 0.0 else 1.0 / _FAC_MAX
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            h_new = h / fac
-            if was_rejected:
-                h_new = min(h_new, h)
-            was_rejected = False
-            facold = max(err, 1e-4)
-            h = h_new
-        else:
-            h = h / min(1.0 / _FAC_MIN, err**_EXPO / _SAFETY)
-            was_rejected = True
-    else:
-        raise IntegrationError(f"step budget exhausted at u={u:.6g}", u=u)
+    # round 2: the equidistributed mesh, block by block; a block's failing
+    # steps are split and it is passed again from its first state
+    x = _equidistribute(x, err, cap)
+    _check_mesh(x, 0, max_steps)
+    n_steps = x.size - 1  # steps of the final mesh, splits included
+    # the parts of the Trajectory, grown block by block
+    us, states, cont = array("d", x[:1].tobytes()), array("d", state.tobytes()), array("d")
+    y = state[None]
+    splits = 0
+    for lo in range(0, x.size - 1, _BLOCK):
+        xb = x[lo: lo + _BLOCK + 1]
+        fresh = W_kept = None
+        for passes in itertools.count():
+            built += xb.size - 1 if fresh is None else int(fresh.sum())
+            W, Y, err = _advance(rhs, xb, fresh, W_kept, y, rtol, atol)
+            failed = ~(err <= 1.0)
+            if not failed.any():
+                break
+            parts = np.where(
+                failed, np.clip(np.ceil((err / _TARGET) ** 0.2), 2, _MAX_SPLIT), 1
+            ).astype(np.int64)
+            n_steps += int(parts.sum()) - parts.size
+            xb = _subdivide(xb, parts)
+            _check_mesh(xb, n_steps - (xb.size - 1), max_steps)
+            W_kept = W[:, ~failed]
+            fresh = np.repeat(failed, parts)
+            y = Y
+        splits = max(splits, passes)
+        _check_affine(rhs, xb[1:], Y[1:], W[1])
+        h = np.diff(xb)[:, None]
+        f_lo, f_hi = _apply(W[0], Y[:-1]), _apply(W[1], Y[1:])
+        dy = Y[1:] - Y[:-1]
+        b = h * f_lo - dy
+        cont.frombytes(
+            np.stack((Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1])), axis=1).tobytes()
+        )
+        us.frombytes(xb[1:].tobytes())
+        states.frombytes(Y[1:].tobytes())
+        y = Y[-1:]
 
     return Trajectory(
         us=np.frombuffer(us),
         states=np.frombuffer(states).reshape(-1, dim),
-        cont=np.frombuffer(cont).reshape(-1, dim, 5).transpose(0, 2, 1),
+        cont=np.frombuffer(cont).reshape(-1, 5, dim),
         name=sys.name,
+        rounds=2 + splits,
+        built=built,
     )
 
 
@@ -280,9 +476,9 @@ def main_ode_field(params: ModelParams) -> OdeSystem:
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
     b2 = b * b
 
-    def rhs(u: float, y) -> tuple[float, float, float]:
-        if u <= 0.0:
-            raise ValueError(f"main ODE field is singular at u={u:g}; need u > 0")
+    def rhs(u, y):
+        if np.min(u) <= 0.0:
+            raise ValueError(f"main ODE field is singular at u={np.min(u):g}; need u > 0")
         coeff2 = c + (b2 + a) * u + b2 * u * u / (2.0 * m)
         coeff1 = a - lam + c / m + a * u / m
         return y[1], y[2], -(coeff2 * y[2] + coeff1 * y[1]) / (0.5 * b2 * u * u)
@@ -295,13 +491,13 @@ def companion_volterra_field(params: ModelParams, phi_interp) -> OdeSystem:
 
     With y(0) = 0 the solution equals (1/m) * int_0^u phi(s) exp(-(u-s)/m) ds,
     so this field turns the integral term of the survival equation into one
-    extra ODE component.  ``phi_interp`` maps u to phi(u); queries outside its
-    span propagate that interpolant's error.
+    extra ODE component.  ``phi_interp`` maps an array of u to phi(u);
+    queries outside its span propagate that interpolant's error.
     """
     m = params.m
 
-    def rhs(u: float, y) -> tuple[float]:
-        return ((float(phi_interp(u)) - y[0]) / m,)
+    def rhs(u, y):
+        return ((phi_interp(u) - y[0]) / m,)
 
     return OdeSystem(dimension=1, rhs=rhs, name="volterra-companion")
 
@@ -317,9 +513,9 @@ def eta_ode_field(params: ModelParams) -> OdeSystem:
     _, d1, d2 = exponents(params)
     m = params.m
 
-    def rhs(u: float, y) -> tuple[float, float]:
-        if u <= 0.0:
-            raise ValueError(f"eta field is singular at u={u:g}; need u > 0")
+    def rhs(u, y):
+        if np.min(u) <= 0.0:
+            raise ValueError(f"eta field is singular at u={np.min(u):g}; need u > 0")
         return y[1], -((2.0 * d1 + u / m) * u * y[1] + (d2 * u / m) * y[0]) / (u * u)
 
     return OdeSystem(dimension=2, rhs=rhs, name="capital-stock-eta")

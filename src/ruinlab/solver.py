@@ -134,6 +134,7 @@ def solve_main(
         "atol": atol,
         "A": A,
         "A_stability": stability,
+        "steps": len(traj.us) - 1,
     }
     if tail is None:
         diagnostics["tail_note"] = "power-law tail below integrator resolution at U"

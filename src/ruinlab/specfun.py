@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 __all__ = ["complete_gamma", "log_upper_incomplete_gamma", "upper_incomplete_gamma"]
 
 _MAX_ITER = 600
@@ -62,7 +64,7 @@ def _log_upper_gamma(p: float, z: float) -> float:
             total += term
             if term < total * _EPS:
                 return math.lgamma(p) + _log_q(p, z, total)
-        raise ArithmeticError(f"lower gamma series failed to converge (p={p}, z={z})")
+        raise ConvergenceError(f"lower gamma series failed to converge (p={p}, z={z})")
     b = z + 1.0 - p
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -81,7 +83,7 @@ def _log_upper_gamma(p: float, z: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return p * math.log(z) - z + math.log(h)
-    raise ArithmeticError(f"upper gamma continued fraction failed (p={p}, z={z})")
+    raise ConvergenceError(f"upper gamma continued fraction failed (p={p}, z={z})")
 
 
 def upper_incomplete_gamma(p: float, z: float) -> float:
@@ -99,8 +101,9 @@ def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
     """log Gamma(p, z) at every entry of ``z`` (finite, >= 0), for p > 0.
 
     Returns a float array of the shape of ``z``; log Gamma(p, 0) is
-    ``math.lgamma(p)``.  Raises ``ArithmeticError`` if a point has not
-    converged after ``_MAX_ITER`` terms.
+    ``math.lgamma(p)``.  Raises :class:`ConvergenceError` (an
+    ``ArithmeticError``) if a point has not converged after ``_MAX_ITER``
+    terms.
     """
     p = _check_shape(p, "log_upper_incomplete_gamma")
     z = np.asarray(z, dtype=float)
@@ -123,7 +126,7 @@ def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
             if (term < total * _EPS).all():
                 break
         else:
-            raise ArithmeticError(f"lower gamma series failed to converge (p={p})")
+            raise ConvergenceError(f"lower gamma series failed to converge (p={p})")
         with np.errstate(divide="ignore"):  # log 0 = -inf gives P = 0 at z = 0
             log_p = p * np.log(x) - x - math.lgamma(p + 1.0) + np.log(total)
         small = log_p < _LOG_HALF
@@ -161,6 +164,6 @@ def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
                     break
                 live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
         else:
-            raise ArithmeticError(f"upper gamma continued fraction failed (p={p})")
+            raise ConvergenceError(f"upper gamma continued fraction failed (p={p})")
         out[~series] = p * np.log(x) - x + np.log(h_out)
     return out.reshape(z.shape)

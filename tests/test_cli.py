@@ -64,6 +64,17 @@ class TestSolveCommand:
         assert code == 2
         assert "u_max must be finite" in err
 
+    def test_unconverged_gamma_exits_3(self, capsys):
+        # p = lam/a = 1e4: the incomplete-gamma series does not converge at u = 1e4
+        code, _, err = run(capsys, "solve", "--a", "1e-5", "--b", "0", "--c", "0",
+                           "--lambda", "0.1", "--m", "1", "--umax", "1e4", "--points", "3")
+        assert code == 3
+        assert "failed to converge" in err
+
+    def test_footer_leaves_out_step_count(self, capsys):
+        _, out, _ = run(capsys, *SOLVE_FIG1_II)
+        assert not any(ln.startswith("# steps") for ln in out.split("\n"))
+
     @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
     def test_non_finite_tolerance_exits_2(self, capsys, flag):
         code, _, err = run(capsys, "solve", "--preset", "fig5-I", flag, "inf")

@@ -67,11 +67,38 @@ class TestIntegrate:
                 integrate(DECAY, 1.0, [1.0], u_end, rtol=1e-10, atol=1e-12)
 
     def test_blowup_reports_abscissa(self):
-        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] * y[0],), name="blowup")
+        # y' = y/(1-u)^2 is linear, y = exp(u/(1-u)) blows up at u = 1
+        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] / (1.0 - u) ** 2,), name="blowup")
         with pytest.raises(IntegrationError) as exc:
             integrate(system, 0.0, [1.0], 2.0, rtol=1e-8, atol=1e-10)
         assert exc.value.u is not None
         assert 0.8 <= exc.value.u <= 1.2  # true blow-up time is u = 1
+
+    def test_non_affine_field_rejected(self):
+        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] * y[0],), name="square")
+        with pytest.raises(ValueError, match="not affine"):
+            integrate(system, 0.0, [1.0], 0.5, rtol=1e-8, atol=1e-10)
+
+    def test_affine_field_through_zero_state(self):
+        # y' = 1 - y with y(0) = 0: y = 1 - exp(-u)
+        system = OdeSystem(dimension=1, rhs=lambda u, y: (1.0 - y[0],), name="affine")
+        traj = integrate(system, 0.0, [0.0], 3.0, rtol=1e-11, atol=1e-13)
+        us = np.linspace(0.0, 3.0, 61)
+        assert np.max(np.abs(traj(us)[:, 0] - (1.0 - np.exp(-us)))) < 1e-10
+
+    def test_steps_within_max_step(self):
+        traj = integrate(DECAY, 0.0, [1.0], 2.0, rtol=10.0, atol=10.0, max_step=0.05)
+        assert np.max(np.diff(traj.us)) <= 0.05 * (1.0 + 1e-9)
+
+    def test_counters(self):
+        traj = integrate(DECAY, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
+        assert traj.rounds >= 2  # the pilot and the equidistributed mesh
+        assert traj.built >= len(traj.us) - 1
+
+    def test_step_budget(self):
+        with pytest.raises(IntegrationError, match="budget") as exc:
+            integrate(DECAY, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12, max_steps=5)
+        assert 0.0 <= exc.value.u <= 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -113,6 +140,16 @@ class TestMainOdeField:
         field = main_ode_field(self.PARAMS)
         with pytest.raises(ValueError):
             field.rhs(0.0, np.zeros(3))
+        with pytest.raises(ValueError):
+            field.rhs(np.array([1.0, 0.0]), np.zeros((3, 2)))
+
+    def test_array_matches_scalar(self):
+        field = main_ode_field(self.PARAMS)
+        us = np.array([0.5, 2.5, 40.0])
+        ys = np.array([[0.3, -0.2, 0.9], [1.0, 0.1, 0.0], [0.7, 1e-3, -2e-4]])
+        batch = np.array(field.rhs(us, ys.T))
+        for k in range(3):
+            assert batch[:, k] == pytest.approx(np.asarray(field.rhs(us[k], ys[k])), rel=1e-15)
 
     def test_constant_trajectory(self):
         field = main_ode_field(self.PARAMS)
@@ -133,6 +170,12 @@ class TestCompanionVolterraField:
         traj = integrate(field, 0.0, [0.0], 5.0, rtol=1e-11, atol=1e-13)
         us = np.linspace(0.0, 5.0, 41)
         assert np.max(np.abs(traj(us)[:, 0] - (1.0 - np.exp(-us)))) < 1e-10
+
+    def test_array_input(self):
+        field = companion_volterra_field(self.PARAMS, np.sin)
+        us = np.array([0.0, 1.0, 2.0])
+        (deriv,) = field.rhs(us, [np.full(3, 0.5)])
+        assert deriv == pytest.approx((np.sin(us) - 0.5) / self.PARAMS.m, rel=1e-15)
 
     def test_identity_input(self):
         field = companion_volterra_field(self.PARAMS, lambda u: u)
@@ -180,3 +223,43 @@ def test_main_trajectory_increasing_while_slope_positive():
     positive = traj.states[:, 1] > 0.0
     assert np.all(positive)
     assert np.all(np.diff(traj.states[:, 0]) > 0.0)
+
+
+class TestAgainstDop853:
+    """Node states and dense output against scipy's DOP853 at rtol 1e-13.
+
+    Each component is compared relative to its largest magnitude on the
+    span: the power-law components fall far below the absolute tolerance.
+    """
+
+    @staticmethod
+    def main_case(name):
+        from ruinlab import PRESETS, eval_series, series_coeffs_main
+
+        p = PRESETS[name].params
+        exp = series_coeffs_main(p)
+        return main_ode_field(p), exp.u0, np.array(eval_series(exp, 1.0, exp.u0)), 400.0 * p.m
+
+    @staticmethod
+    def eta_case(name):
+        from ruinlab import PRESETS, solve_eta
+
+        p = PRESETS[name].params
+        start = solve_eta(p, 200.0 * p.m)
+        return eta_ode_field(p), start.us[0], start.states[0], 200.0 * p.m
+
+    @pytest.mark.parametrize("case", ["fig1-II", "fig2-II", "fig5-I eta"])
+    def test_matches_dop853(self, case):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        name = case.split()[0]
+        field, u0, y0, u1 = self.eta_case(name) if case.endswith("eta") else self.main_case(name)
+        traj = integrate(field, u0, y0, u1)
+        ref = solve_ivp(
+            lambda u, y: np.array(field.rhs(u, y)), (u0, u1), y0,
+            method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True,
+        )
+        off_node = np.random.default_rng(5).uniform(u0, u1, 1000)
+        for us, ours in ((traj.us, traj.states), (off_node, traj(off_node))):
+            exact = ref.sol(us).T
+            scale = np.abs(exact).max(axis=0)
+            assert np.all(np.abs(ours - exact) <= 1e-9 * scale)

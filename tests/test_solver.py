@@ -58,6 +58,18 @@ class TestPhiSecondDerivativeAtZero:
             phi_second_derivative_at_zero(PARAMS["fig5-I"], 0.1)
 
 
+# perfbench/sweep.py generate(16), index 21: 2a/b^2 = 22.05, m = 45.5
+R_22 = ModelParams(
+    a=0.011208678471990783,
+    b=0.031887836490038644,
+    c=29.920968677457772,
+    lam=0.09875972662458603,
+    m=45.52237924750843,
+)
+# solve(R_22, rtol=1e-13, atol=1e-15) with the scalar step-size-controlled integrator
+R_22_C0 = 0.8523814899562107
+
+
 class TestSolveMain:
     def test_fig1_ii_landmarks(self, solved):
         grid = solved("fig1-II")
@@ -137,6 +149,44 @@ class TestSolveMain:
     def test_rejects_non_finite_tolerance(self, name, key, value):
         with pytest.raises(ValueError, match="rtol and atol"):
             solve(PARAMS[name], **{key: value})
+
+    def test_long_span_stays_within_one(self):
+        # U = 800 m here; the integrator's global error once put phi 1e-9 above 1
+        grid = solve(R_22)
+        assert grid.phi.max() <= 1.0 + 1e-12
+        assert grid.C0 == pytest.approx(R_22_C0, rel=1e-11)
+
+    def test_stiff_point_with_underflowing_slope(self):
+        # fraction 0.01 of ROADMAP item 2's example, 2a/b^2 = 4,622: phi'
+        # underflows far out, where rhs(u, y) and M(u) y lose their digits
+        grid = solve(ModelParams(a=0.0208, b=0.003, c=0.1, lam=0.09, m=1.0))
+        # the scalar step-size-controlled integrator's C0
+        assert grid.C0 == pytest.approx(0.3433158915078975, rel=1e-11)
+        assert grid.phi.max() <= 1.0 + 1e-12
+
+    def test_few_rhs_calls(self, monkeypatch):
+        # the field is wrapped the way perfbench/tracer.py counts it: one
+        # count per rhs call, whatever the size of its arrays
+        calls = []
+        real = solver.main_ode_field
+
+        def counted_field(params):
+            system = real(params)
+
+            def rhs(u, y):
+                calls.append(1)
+                return system.rhs(u, y)
+
+            return type(system)(dimension=system.dimension, rhs=rhs, name=system.name)
+
+        monkeypatch.setattr(solver, "main_ode_field", counted_field)
+        solve(PARAMS["fig1-II"])
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
+    def test_steps_reported(self, solved, name):
+        steps = solved(name).diagnostics["steps"]
+        assert isinstance(steps, int) and steps > 0
 
     def test_wrong_regime_rejected(self):
         with pytest.raises(ValueError):

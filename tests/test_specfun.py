@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ruinlab import complete_gamma, log_upper_incomplete_gamma, upper_incomplete_gamma
+from ruinlab import (
+    ConvergenceError,
+    ModelParams,
+    RuinlabError,
+    complete_gamma,
+    log_upper_incomplete_gamma,
+    solve,
+    upper_incomplete_gamma,
+)
 
 # frozen from numerical quadrature of the defining integral,
 # int_0.2^inf x^-0.1 exp(-x) dx (scipy.integrate.quad, epsabs=1e-14)
@@ -131,3 +139,11 @@ class TestLogUpperIncompleteGamma:
         # at p = 1e4 the series needs about 860 terms near z = p
         with pytest.raises(ArithmeticError):
             log_upper_incomplete_gamma(1e4, [1e4])
+
+    def test_unconverged_series_is_typed(self):
+        # the same failure reached through a solve is a RuinlabError
+        grid = solve(ModelParams(a=1e-5, b=0.0, c=0.0, lam=0.1, m=1.0))
+        with pytest.raises(RuinlabError) as exc:
+            grid.evaluate(1e4)
+        assert isinstance(exc.value, ConvergenceError)
+        assert isinstance(exc.value, ArithmeticError)
