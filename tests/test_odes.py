@@ -140,6 +140,9 @@ class TestMainOdeField:
         field = main_ode_field(self.PARAMS)
         with pytest.raises(ValueError):
             field.rhs(0.0, np.zeros(3))
+
+    def test_singular_origin_rejected_in_arrays(self):
+        field = main_ode_field(self.PARAMS)
         with pytest.raises(ValueError):
             field.rhs(np.array([1.0, 0.0]), np.zeros((3, 2)))
 
