@@ -17,11 +17,13 @@ finite exactly when d2 - mu1 = 2a/b^2 - 1 > 0.  It is evaluated in logs,
 and so is every value of the density P1 s^(mu1 - 1) eta(s), so no power of
 s overflows however large mu1 is.
 
-The partial integral needs eta only out to the largest abscissa asked for.
 The series covers [0, u0], integrated termwise, which absorbs the integrable
 s^(mu1 - 1) endpoint singularity when mu1 < 1.  One integration of eta's
-equation covers [u0, U], with 10-point Gauss-Legendre quadrature over each
-integrator step.
+equation covers [u0, U].  The density is taken once, at solve time, at the
+10 Gauss-Legendre nodes of each integrator step; the exact antiderivative
+of their degree-9 interpolant, 11 Legendre coefficients per step, equals
+the GL sum at the step's end.  So phi at a query is the integral up to its
+step plus one Clenshaw evaluation, with no quadrature per query.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ __all__ = ["exponents", "eta_series", "solve_eta", "phi_capital_stock"]
 logger = logging.getLogger(__name__)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-# intervals per dense-output call in quad; bounds the peak memory of a large evaluation
+# node values g -> Legendre coefficients, 0 at t = -1, of int p dt for their
+# interpolant p = sum_n a_n P_n(t), a_n = (n + 1/2) sum_i w_i g_i P_n(t_i)
+_ANTIDERIVATIVE = np.polynomial.legendre.legint(
+    (np.polynomial.legendre.legvander(_GL_NODES, 9) * _GL_WEIGHTS[:, None]).T
+    * (np.arange(10) + 0.5)[:, None], lbnd=-1.0)
+# steps per dense-output call of the node pass; bounds its peak memory
 _EVAL_BLOCK = 512
 _TINY = np.finfo(float).tiny
 
@@ -170,23 +177,29 @@ def phi_capital_stock(
         """P1 s^(mu1-1) eta at s > 0."""
         return np.exp((mu1 - 1.0) * np.log(s / m) - log_zm) * eta / m
 
-    def quad(lo: np.ndarray, hi: np.ndarray):
-        """Integrals of the density over [lo_i, hi_i], each inside one step,
-        and (eta, eta') at hi: one dense-output call per block of intervals."""
-        part = np.empty_like(hi)
-        states = np.empty((hi.size, 2))
-        for start in range(0, hi.size, _EVAL_BLOCK):
-            blk = slice(start, start + _EVAL_BLOCK)
-            half = 0.5 * (hi[blk] - lo[blk])
-            nodes = (0.5 * (hi[blk] + lo[blk]))[:, None] + half[:, None] * _GL_NODES
-            st = traj(np.concatenate((nodes.ravel(), hi[blk])))
-            eta_nodes = st[: nodes.size, 0].reshape(nodes.shape)
-            part[blk] = half * (density(nodes, eta_nodes) @ _GL_WEIGHTS)
-            states[blk] = st[nodes.size:]
-        return part, states
-
-    per_step, _ = quad(traj.us[:-1], traj.us[1:])
+    # per step k, from the density at its GL nodes: its integral over the step
+    # and the coefficients of its antiderivative F_k(t), t in [-1, 1]
+    half = 0.5 * np.diff(traj.us)
+    per_step = np.empty_like(half)
+    coef = np.empty((_ANTIDERIVATIVE.shape[0], half.size))
+    for start in range(0, half.size, _EVAL_BLOCK):
+        blk = slice(start, start + _EVAL_BLOCK)
+        hb = half[blk]
+        nodes = (0.5 * (traj.us[1:][blk] + traj.us[:-1][blk]))[:, None] + hb[:, None] * _GL_NODES
+        g = density(nodes, traj(nodes.ravel())[:, 0].reshape(nodes.shape))
+        per_step[blk] = hb * (g @ _GL_WEIGHTS)
+        coef[:, blk] = (_ANTIDERIVATIVE @ g.T) * hb
     base = phi_inner(np.array([u0]))[0] + np.concatenate(([0.0], np.cumsum(per_step)))
+
+    def phi_outer(x: np.ndarray) -> np.ndarray:
+        """phi at u0 <= x <= U: base[k] + F_k(t) in the step k of x, by numpy's
+        ``legval`` recurrence with one gathered coefficient alive at a time."""
+        step = traj.us[1:-1].searchsorted(x, side="right")
+        t = (x - traj.us[step]) / half[step] - 1.0
+        c0, c1 = coef[-2][step], coef[-1][step]
+        for nd in range(len(coef) - 1, 1, -1):
+            c0, c1 = coef[nd - 2][step] - c1 * ((nd - 1) / nd), c0 + c1 * t * ((2 * nd - 1) / nd)
+        return base[step] + (c0 + c1 * t)
 
     def lim_dphi0() -> float:
         if mu1 > 1.0:
@@ -207,31 +220,22 @@ def phi_capital_stock(
         return -np.inf
 
     def eval3(uq: np.ndarray):
-        phi = np.empty_like(uq)
-        eta = np.empty_like(uq)
-        deta = np.empty_like(uq)
+        # the step antiderivatives and the trajectory above u0, the series below
+        x = np.maximum(uq, u0)
+        phi = phi_outer(x)
+        eta, deta = traj(x).T
         inner = uq <= u0
-        if inner.any():
+        series = inner.any()
+        if series:
             phi[inner] = phi_inner(uq[inner])
             eta[inner], deta[inner], _ = poly3(poly, uq[inner])
-        outer = ~inner
-        if outer.any():
-            x = uq[outer]
-            step = np.searchsorted(traj.us, x, side="right") - 1
-            np.maximum(step, 0, out=step)
-            np.minimum(step, len(traj.us) - 2, out=step)
-            part, states = quad(traj.us[step], x)
-            phi[outer] = base[step] + part
-            eta[outer], deta[outer] = states[:, 0], states[:, 1]
-        pos = uq > 0.0
-        dphi = np.empty_like(uq)
-        ddphi = np.empty_like(uq)
-        up = uq[pos]
-        dphi[pos] = density(up, eta[pos])
-        ddphi[pos] = density(up, (mu1 - 1.0) * eta[pos] + up * deta[pos]) / up
-        if not pos.all():
-            dphi[~pos] = lim_dphi0()
-            ddphi[~pos] = lim_ddphi0()
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 is set below
+            dphi = density(uq, eta)
+            ddphi = density(uq, (mu1 - 1.0) * eta + uq * deta) / uq
+        if series:
+            at0 = uq == 0.0
+            dphi[at0] = lim_dphi0()
+            ddphi[at0] = lim_ddphi0()
         return phi, dphi, ddphi
 
     phi, dphi, ddphi = eval3(u_grid)

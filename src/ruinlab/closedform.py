@@ -14,10 +14,13 @@ log Gamma(p, z) with p = lam/a and z0 = c/(a m), the normalization
 log(I_c(0) + q) by log-sum-exp, phi = 1 - exp(log I_c(u) - log norm) and
 phi' = exp((p - 1) log(u + c/a) - u/m - log norm).  So no m^p, Gamma(p) or
 norm is formed, and the solution stays finite where they overflow (p of
-several hundred).  Arrays of ``_ARRAY_MIN`` points or more take
-log Gamma from the array kernel ``log_upper_incomplete_gamma``.  Shorter
-queries with p <= ``_SCALAR_P_MAX``, where Gamma(p, z) is finite, call
-``upper_incomplete_gamma`` per point, which is faster below that size.
+several hundred).  Without premiums phi = -expm1(log Q(p, u/m)) from the
+regularized log Q, which adding and removing log Gamma(p) would round where
+phi is small.  Arrays of ``_ARRAY_MIN`` points or more take log Gamma or
+log Q from the array kernel ``log_upper_incomplete_gamma``.  Shorter
+queries with p <= ``_SCALAR_P_MAX``, where Gamma(p, z) is finite, run its
+scalar form per point (``upper_incomplete_gamma`` for log Gamma), faster
+below that size.
 
 Both serve as independent oracles for the numerical pipeline.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import NoSolutionError
 from .model import ModelParams, Regime, classify_regime
-from .specfun import log_upper_incomplete_gamma, upper_incomplete_gamma
+from .specfun import _log_upper_gamma, log_upper_incomplete_gamma, upper_incomplete_gamma
 
 __all__ = [
     "ClosedFormSolution",
@@ -69,18 +72,19 @@ class ClosedFormSolution:
     log_norm: float | None = None
 
     def evaluate(self, u):
-        """Return (phi, phi') at scalar or array u >= 0.
+        """Return (phi, phi') at u >= 0: floats for a scalar u, arrays of u's
+        shape otherwise.  ``evaluator`` takes the validated 1-D array.
 
         Raises ValueError for a negative, infinite or NaN u."""
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        uq = np.atleast_1d(np.asarray(u, dtype=float))
+        uq = np.asarray(u, dtype=float)
+        flat = uq.ravel()
         # written so that NaN fails too
-        if uq.size and not (0.0 <= uq.min() and uq.max() < math.inf):
+        if flat.size and not (0.0 <= flat.min() and flat.max() < math.inf):
             raise ValueError("u must be finite and nonnegative")
-        phi, dphi = self.evaluator(uq)
-        if scalar:
+        phi, dphi = self.evaluator(flat)
+        if uq.ndim == 0:
             return float(phi[0]), float(dphi[0])
-        return phi, dphi
+        return phi.reshape(uq.shape), dphi.reshape(uq.shape)
 
 
 def lundberg_coefficient(params: ModelParams) -> float:
@@ -116,28 +120,30 @@ def classical_exact(params: ModelParams) -> ClosedFormSolution:
     )
 
 
+def _log_gamma(p: float, z: np.ndarray, regularized: bool = False) -> np.ndarray:
+    """log Gamma(p, z), or log Q(p, z) formed without log Gamma(p)."""
+    if z.size >= _ARRAY_MIN or p > _SCALAR_P_MAX:
+        return log_upper_incomplete_gamma(p, z, regularized)
+    if regularized:
+        return np.array([_log_upper_gamma(p, x, True) if x > 0.0 else 0.0 for x in z])
+    with np.errstate(divide="ignore"):  # Gamma(p, z) underflows from z ~ 745
+        return np.log([upper_incomplete_gamma(p, x) for x in z])
+
+
 def _log_ic(p: float, z0: float, m: float, u: np.ndarray) -> np.ndarray:
-    """log I_c(u) = p log m + z0 + log Gamma(p, u/m + z0)."""
-    z = u / m + z0
-    if z.size < _ARRAY_MIN and p <= _SCALAR_P_MAX:
-        with np.errstate(divide="ignore"):  # Gamma(p, z) underflows from z ~ 745
-            log_g = np.log([upper_incomplete_gamma(p, x) for x in z])
-        # the kernel's value at z = 0, so that phi(0) = 0 exactly without
-        # premiums on both routes
-        log_g[z == 0.0] = math.lgamma(p)
-    else:
-        log_g = log_upper_incomplete_gamma(p, z)
-    return p * math.log(m) + z0 + log_g
+    """log I_c(u) = p log m + z0 + log Gamma(p, u/m + z0), for c > 0."""
+    return p * math.log(m) + z0 + _log_gamma(p, u / m + z0)
 
 
 def _log_norm(params: ModelParams) -> tuple[float, float, float]:
     """(log q, log I_c(0), log norm) of the risk-free form, norm = I_c(0) + q."""
     a, c, lam, m = params.a, params.c, params.lam, params.m
     p = lam / a
-    # q = (a/lam)(c/a)^p vanishes for c = 0, which folds the premium-free
-    # case into the same normalization
-    log_q = math.log(a / lam) + p * math.log(c / a) if c > 0.0 else -math.inf
-    log_ic0 = float(_log_ic(p, c / (a * m), m, np.zeros(1))[0])
+    # q = (a/lam)(c/a)^p vanishes for c = 0, where I_c(0) = m^p Gamma(p)
+    log_q, log_ic0 = -math.inf, p * math.log(m) + math.lgamma(p)
+    if c > 0.0:
+        log_q = math.log(a / lam) + p * math.log(c / a)
+        log_ic0 = float(_log_ic(p, c / (a * m), m, np.zeros(1))[0])
     return log_q, log_ic0, float(np.logaddexp(log_ic0, log_q))
 
 
@@ -152,7 +158,10 @@ def riskfree_exact(params: ModelParams) -> ClosedFormSolution:
     log_q, log_ic0, log_norm = _log_norm(params)
 
     def evaluator(u: np.ndarray):
-        phi = 1.0 - np.exp(_log_ic(p, z0, m, u) - log_norm)
+        if c > 0.0:
+            phi = 1.0 - np.exp(_log_ic(p, z0, m, u) - log_norm)
+        else:
+            phi = -np.expm1(_log_gamma(p, u / m, regularized=True))
         # in logs: (u + c/a)^(p-1) alone overflows from p ~ 150 at u ~ 117
         with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.where(

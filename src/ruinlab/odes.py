@@ -115,7 +115,8 @@ class Trajectory:
     """Steps of one integration plus per-step dense output.
 
     ``us`` are the strictly increasing step endpoints, ``states`` the state
-    vectors there, and ``cont[i]`` the five interpolation vectors of step i.
+    vectors there, and ``cont[j]`` the j-th of the five interpolation vectors
+    of every step, one column per step.
     Off-node queries evaluate the quartic interpolant, which matches the step
     endpoints exactly and carries the accuracy of the local error control.
     ``rounds`` counts the mesh passes and ``built`` the steps whose
@@ -124,7 +125,7 @@ class Trajectory:
 
     us: np.ndarray
     states: np.ndarray
-    cont: np.ndarray
+    cont: tuple[np.ndarray, ...]
     name: str = ""
     rounds: int = 0
     built: int = 0
@@ -138,36 +139,37 @@ class Trajectory:
         return float(self.us[-1])
 
     def __call__(self, u):
-        """Evaluate the dense interpolant at scalar or array ``u``."""
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        uq = np.atleast_1d(np.asarray(u, dtype=float))
-        lo, hi = self.u_start, self.u_end
+        """The dense interpolant at scalar ``u``, or one row per entry of array ``u``."""
+        uq = np.asarray(u, dtype=float)
+        scalar, uq = uq.ndim == 0, uq.ravel()
+        us = self.us
+        lo, hi = us[0], us[-1]
+        bottom, top = (uq.min(), uq.max()) if uq.size else (lo, lo)
         slack = 1e-9 * max(hi - lo, abs(hi), 1.0)
         # written so that NaN fails too
-        if uq.size and not (lo - slack <= uq.min() and uq.max() <= hi + slack):
+        if not (lo - slack <= bottom and top <= hi + slack):
             raise ValueError(f"query outside trajectory span [{lo:g}, {hi:g}]")
-        idx = np.searchsorted(self.us, uq, side="right") - 1
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, len(self.us) - 2, out=idx)
-        h = self.us[idx + 1] - self.us[idx]
-        theta = uq - self.us[idx]
-        theta /= h
-        np.maximum(theta, 0.0, out=theta)
-        np.minimum(theta, 1.0, out=theta)
-        theta = theta[:, None]
+        # the step of each query, the first or the last one outside the span
+        idx = us[1:-1].searchsorted(uq, side="right")
+        left = us[idx]
+        theta = uq - left
+        theta /= us[1:][idx] - left
+        if bottom < lo or top > hi:  # theta lies in [0, 1] inside the span
+            np.clip(theta, 0.0, 1.0, out=theta)
         rest = 1.0 - theta
         # r1 + theta*(r2 + rest*(r3 + theta*(r4 + rest*r5))) with r_j the
-        # interpolation vectors, in place: one gathered r_j alive at a time
-        out = self.cont[idx, 4, :] * rest
+        # interpolation vectors, one gathered at a time, in place, with the
+        # query along rows: no inner loop over the state's few components
+        out = self.cont[4].take(idx, axis=1)
+        out *= rest
         for j, w in ((3, theta), (2, rest), (1, theta)):
-            out += self.cont[idx, j, :]
+            out += self.cont[j].take(idx, axis=1)
             out *= w
-        out += self.cont[idx, 0, :]
+        out += self.cont[0].take(idx, axis=1)
         # step endpoints must reproduce the states bit for bit
-        at_end = uq == self.us[-1]
-        if at_end.any():
-            out[at_end] = self.states[-1]
-        return out[0] if scalar else out
+        if top >= hi:
+            out[:, uq == hi] = self.states[-1][:, None]
+        return out[:, 0] if scalar else out.T
 
 
 def _field_matrices(rhs, dim: int, u: np.ndarray) -> np.ndarray:
@@ -420,7 +422,8 @@ def integrate(
     _check_mesh(x, 0, max_steps)
     n_steps = x.size - 1  # steps of the final mesh, splits included
     # the parts of the Trajectory, grown block by block
-    us, states, cont = array("d", x[:1].tobytes()), array("d", state.tobytes()), array("d")
+    us, states = array("d", x[:1].tobytes()), array("d", state.tobytes())
+    cont = [array("d") for _ in range(5)]
     y = state[None]
     splits = 0
     for lo in range(0, x.size - 1, _BLOCK):
@@ -447,9 +450,8 @@ def integrate(
         f_lo, f_hi = _apply(W[0], Y[:-1]), _apply(W[1], Y[1:])
         dy = Y[1:] - Y[:-1]
         b = h * f_lo - dy
-        cont.frombytes(
-            np.stack((Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1])), axis=1).tobytes()
-        )
+        for c, r in zip(cont, (Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1]))):
+            c.frombytes(r.tobytes())
         us.frombytes(xb[1:].tobytes())
         states.frombytes(Y[1:].tobytes())
         y = Y[-1:]
@@ -457,7 +459,8 @@ def integrate(
     return Trajectory(
         us=np.frombuffer(us),
         states=np.frombuffer(states).reshape(-1, dim),
-        cont=np.frombuffer(cont).reshape(-1, 5, dim),
+        # one column per step; each buffer is freed once copied
+        cont=tuple(np.frombuffer(cont.pop(0)).reshape(-1, dim).T.copy() for _ in range(5)),
         name=sys.name,
         rounds=2 + splits,
         built=built,

@@ -12,6 +12,8 @@ from .model import RegimeInfo
 
 __all__ = ["TailFit", "SolutionGrid", "make_grid"]
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
     """Output grid from 0 to u_max, uniform or logarithmic."""
@@ -28,14 +30,15 @@ def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform
     """(u_grid, u_max) of a solve: a given grid raises u_max to its end,
     u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.
 
-    Raises ValueError for a non-finite or nonpositive ``u_max`` and for a
-    ``u_grid`` entry that is non-finite or negative."""
+    Raises ValueError for a non-finite or nonpositive ``u_max``, for a
+    ``u_grid`` entry that is non-finite or negative, and for a ``u_grid``
+    that is not 1-D."""
     if u_max is not None and not 0.0 < u_max < math.inf:
         raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
-        if not np.all((u_grid >= 0.0) & (u_grid < math.inf)):
-            raise ValueError("u_grid entries must be finite and >= 0")
+        if u_grid.ndim != 1 or not np.all((u_grid >= 0.0) & (u_grid < math.inf)):
+            raise ValueError("u_grid entries must be finite and >= 0, in a 1-D array")
         u_max = max(u_max or 0.0, float(u_grid.max()))
     if u_max is None:
         u_max = 50.0 * m
@@ -84,6 +87,7 @@ class SolutionGrid:
     regime: RegimeInfo
     tail: TailFit | None = None
     diagnostics: dict = field(default_factory=dict)
+    # (phi, phi', phi'') at a validated 1-D array inside ``span``
     _eval3: Callable | None = field(default=None, repr=False)
 
     @property
@@ -91,19 +95,20 @@ class SolutionGrid:
         return (0.0, float(self.diagnostics.get("U", np.inf)))
 
     def evaluate(self, u):
-        """Return (phi, phi', phi'') at scalar or array u within ``span``.
+        """Return (phi, phi', phi'') at u within ``span``: floats for a scalar
+        u, arrays of u's shape otherwise.
 
         Raises ValueError for u outside ``span`` and for an infinite or NaN
         u, also where ``span`` reaches to infinity."""
         if self._eval3 is None:
             raise ValueError("this solution carries no dense evaluator")
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        uq = np.atleast_1d(np.asarray(u, dtype=float))
+        uq = np.asarray(u, dtype=float)
+        flat = uq.ravel()
         lo, hi = self.span
-        # written so that NaN fails too
-        if uq.size and not (lo <= uq.min() and uq.max() <= hi and uq.max() < math.inf):
+        # written so that NaN and inf fail too
+        if flat.size and not (lo <= flat.min() and flat.max() <= min(hi, _FLOAT_MAX)):
             raise ValueError(f"evaluation needs finite u in the solution span [{lo:g}, {hi:g}]")
-        phi, dphi, ddphi = self._eval3(uq)
-        if scalar:
+        phi, dphi, ddphi = self._eval3(flat)
+        if uq.ndim == 0:
             return float(phi[0]), float(dphi[0]), float(ddphi[0])
-        return phi, dphi, ddphi
+        return phi.reshape(uq.shape), dphi.reshape(uq.shape), ddphi.reshape(uq.shape)

@@ -111,18 +111,12 @@ def solve_main(
         tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U, stability=stability)
 
     def eval3(uq: np.ndarray):
-        phi = np.empty_like(uq)
-        dphi = np.empty_like(uq)
-        ddphi = np.empty_like(uq)
+        # the trajectory above u0, the series below
+        st = traj(np.maximum(uq, u0))
+        phi, dphi, ddphi = C0 * st[:, 0], C0 * st[:, 1], C0 * st[:, 2]
         inner = uq <= u0
         if inner.any():
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
-        outer = ~inner
-        if outer.any():
-            st = traj(uq[outer])
-            phi[outer] = C0 * st[:, 0]
-            dphi[outer] = C0 * st[:, 1]
-            ddphi[outer] = C0 * st[:, 2]
         return phi, dphi, ddphi
 
     phi, dphi, ddphi = eval3(u_grid)
@@ -170,9 +164,7 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
         return -math.inf
 
     def eval3(uq: np.ndarray):
-        phi, dphi = cf.evaluate(uq)
-        phi = np.atleast_1d(phi)
-        dphi = np.atleast_1d(dphi)
+        phi, dphi = cf.evaluator(uq)
         # (a u + c) phi'' + (a - lam + c/m + a u/m) phi' = 0
         if c > 0.0:
             ddphi = -(a - lam + c / m + a * uq / m) * dphi / (a * uq + c)

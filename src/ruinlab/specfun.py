@@ -55,15 +55,17 @@ def _log_q(p: float, z: float, total: float) -> float:
     return math.log1p(-math.exp(log_p)) if log_p < _LOG_HALF else math.log(-math.expm1(log_p))
 
 
-def _log_upper_gamma(p: float, z: float) -> float:
-    """log Gamma(p, z) for one z > 0: the scalar form of the array kernel."""
+def _log_upper_gamma(p: float, z: float, regularized: bool = False) -> float:
+    """log Gamma(p, z), or log Q(p, z) if ``regularized``, for one z > 0: the
+    scalar form of the array kernel."""
     if z < p + 1.0:
         term = total = 1.0
         for n in range(1, _MAX_ITER):
             term *= z / (p + n)
             total += term
             if term < total * _EPS:
-                return math.lgamma(p) + _log_q(p, z, total)
+                log_q = _log_q(p, z, total)
+                return log_q if regularized else math.lgamma(p) + log_q
         raise ConvergenceError(f"lower gamma series failed to converge (p={p}, z={z})")
     b = z + 1.0 - p
     c = 1.0 / _TINY
@@ -82,7 +84,8 @@ def _log_upper_gamma(p: float, z: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return p * math.log(z) - z + math.log(h)
+            log_g = p * math.log(z) - z + math.log(h)
+            return log_g - math.lgamma(p) if regularized else log_g
     raise ConvergenceError(f"upper gamma continued fraction failed (p={p}, z={z})")
 
 
@@ -97,13 +100,15 @@ def upper_incomplete_gamma(p: float, z: float) -> float:
     return math.exp(_log_upper_gamma(p, z))
 
 
-def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
+def log_upper_incomplete_gamma(p: float, z, regularized: bool = False) -> np.ndarray:
     """log Gamma(p, z) at every entry of ``z`` (finite, >= 0), for p > 0.
 
     Returns a float array of the shape of ``z``; log Gamma(p, 0) is
-    ``math.lgamma(p)``.  Raises :class:`ConvergenceError` (an
-    ``ArithmeticError``) if a point has not converged after ``_MAX_ITER``
-    terms.
+    ``math.lgamma(p)``.  With ``regularized`` it is log Q(p, z) = log
+    Gamma(p, z) - log Gamma(p), which the series branch forms without log
+    Gamma(p), so that 1 - Q = -expm1(log Q) stays accurate where Q is near 1.
+    Raises :class:`ConvergenceError` (an ``ArithmeticError``) if a point has
+    not converged after ``_MAX_ITER`` terms.
     """
     p = _check_shape(p, "log_upper_incomplete_gamma")
     z = np.asarray(z, dtype=float)
@@ -133,7 +138,7 @@ def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
         log_q = np.empty_like(x)
         log_q[small] = np.log1p(-np.exp(log_p[small]))
         log_q[~small] = np.log(-np.expm1(log_p[~small]))
-        out[series] = math.lgamma(p) + log_q
+        out[series] = log_q if regularized else math.lgamma(p) + log_q
 
     x = flat[~series]
     if x.size:
@@ -165,5 +170,6 @@ def log_upper_incomplete_gamma(p: float, z) -> np.ndarray:
                 live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
         else:
             raise ConvergenceError(f"upper gamma continued fraction failed (p={p})")
-        out[~series] = p * np.log(x) - x + np.log(h_out)
+        log_g = p * np.log(x) - x + np.log(h_out)
+        out[~series] = log_g - math.lgamma(p) if regularized else log_g
     return out.reshape(z.shape)

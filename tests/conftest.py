@@ -89,6 +89,27 @@ def classical_survival_to_horizon(params, u, T):
     return 1.0 - (rho * math.exp(-(1.0 - rho) * x) - tail / math.pi)
 
 
+def solve_recording_trajectory(monkeypatch, params, **kwargs):
+    """``solve(params, **kwargs)`` and the trajectory its dense output reads
+    (``None`` on a closed-form route), recorded at ``integrate``."""
+    from ruinlab import odes, solver
+
+    seen = []
+    integrate = odes.integrate
+
+    def recording(*args, **kw):
+        seen.append(integrate(*args, **kw))
+        return seen[-1]
+
+    with monkeypatch.context() as mp:
+        # capitalstock imports integrate from odes at call time
+        mp.setattr(odes, "integrate", recording)
+        mp.setattr(solver, "integrate", recording)
+        grid = solve(params, **kwargs)
+    assert len(seen) <= 1
+    return grid, (seen[0] if seen else None)
+
+
 @pytest.fixture(scope="session")
 def solved():
     """Session cache of solved scenarios (u_max = 50, default tolerances)."""

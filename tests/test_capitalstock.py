@@ -8,12 +8,13 @@ from scipy.special import factorial, poch
 from ruinlab import (
     ModelParams,
     NoSolutionError,
+    Trajectory,
     eta_series,
     exponents,
     phi_capital_stock,
     solve_eta,
 )
-from conftest import log_mellin_normalization, mellin_normalization
+from conftest import log_mellin_normalization, mellin_normalization, solve_recording_trajectory
 
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)   # a < lam
 FIG5_II = ModelParams(a=0.1, b=0.1, c=0.0, lam=0.09, m=1.0)   # a > lam
@@ -271,3 +272,42 @@ class TestSweepRegressions:
         assert grid.diagnostics["P1"] == pytest.approx(
             1.0 / mellin_normalization(params), rel=1e-12
         )
+
+
+class TestDenseOutput:
+    POINTS = {"fig5-I": FIG5_I, "fig5-II": FIG5_II, **SWEEP}
+
+    @pytest.mark.parametrize("params", list(POINTS.values()), ids=list(POINTS))
+    def test_antiderivative_contract(self, monkeypatch, params):
+        grid, traj = solve_recording_trajectory(monkeypatch, params)
+        nodes = traj.us
+        phi = grid.evaluate(nodes)[0]
+        # continuous across every step end
+        left = grid.evaluate(np.nextafter(nodes, 0.0))[0]
+        assert np.max(np.abs(phi - left)) <= 1e-15
+        dense = grid.evaluate(np.linspace(0.0, grid.span[1], 10_001))[0]
+        assert np.all(np.diff(dense) >= 0.0)
+        # node values: the series value at u0 plus the per-step GL sums of
+        # P1 s^(mu1 - 1) eta(s), formed here in logs from the diagnostics
+        mu1, log_p1 = grid.diagnostics["mu1"], grid.diagnostics["log_P1"]
+        x, w = np.polynomial.legendre.leggauss(10)
+        half = 0.5 * np.diff(nodes)
+        s = (0.5 * (nodes[1:] + nodes[:-1]))[:, None] + half[:, None] * x
+        eta = traj(s.ravel())[:, 0].reshape(s.shape)
+        density = np.exp(log_p1 + (mu1 - 1.0) * np.log(s)) * eta
+        per_step = half * (density @ w)
+        expected = grid.evaluate(nodes[0])[0] + np.concatenate(([0.0], np.cumsum(per_step)))
+        np.testing.assert_allclose(phi, expected, rtol=1e-12, atol=1e-15)
+
+    def test_one_trajectory_call_per_evaluation(self, monkeypatch):
+        grid = phi_capital_stock(FIG5_I)
+        calls = []
+        call = Trajectory.__call__
+
+        def counted(self, u):
+            calls.append(np.size(u))
+            return call(self, u)
+
+        monkeypatch.setattr(Trajectory, "__call__", counted)
+        grid.evaluate(np.linspace(0.0, 50.0, 10_001))
+        assert len(calls) == 1  # the series covers u <= u0

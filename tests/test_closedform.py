@@ -152,6 +152,33 @@ class TestRiskFreeExact:
         assert np.all(np.isfinite(dphi[1:]))
         assert sol.log_norm == pytest.approx(log_norm, rel=1e-14)
 
+    @pytest.mark.parametrize("name", ["fig4-I", "fig4-II"])
+    def test_small_phi_without_premiums(self, name):
+        # phi = P(p, u/m), the regularized lower incomplete gamma function,
+        # to 1e-14 relative where phi is small, on the scalar and array routes
+        mpmath = pytest.importorskip("mpmath")
+        params = PRESETS[name].params
+        us = np.array([0.05, 0.25, 0.5, 1.0, 2.0])
+        with mpmath.workdps(30):
+            ref = [
+                float(mpmath.gammainc(params.lam / params.a, 0, u / params.m, regularized=True))
+                for u in us
+            ]
+        sol = riskfree_exact(params)
+        scalar = [sol.evaluate(float(u))[0] for u in us]
+        dense = sol.evaluate(np.concatenate((us, np.linspace(3.0, 50.0, 201))))[0][: us.size]
+        np.testing.assert_allclose(scalar, ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(dense, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (4, 64)])  # 256 points take the kernel
+    def test_any_shape(self, shape):
+        us = np.random.default_rng(5).uniform(0.0, 50.0, shape)
+        for sol in (riskfree_exact(RISKFREE_HIGH), riskfree_exact(PRESETS["fig4-II"].params),
+                    classical_exact(CLASSICAL)):
+            flat = sol.evaluate(us.ravel())
+            for got, ref in zip(sol.evaluate(us), flat):
+                np.testing.assert_array_equal(got, ref.reshape(shape))
+
     @pytest.mark.parametrize("name", RISKFREE_PRESETS)
     def test_scalar_equals_array(self, name):
         sol = riskfree_exact(PRESETS[name].params)

@@ -20,7 +20,7 @@ from ruinlab import (
     solver,
 )
 from ruinlab.series import series_coeffs_infinity
-from conftest import PARAMS
+from conftest import PARAMS, solve_recording_trajectory
 
 # perfbench/reference.json: scipy DOP853 from the series at u = 0, limit from
 # the first-order tail at U = 1e4 m; reference error at most 3.7e-13
@@ -315,3 +315,43 @@ class TestGridValidation:
     def test_rejects_invalid_grid_entry(self, name, bad):
         with pytest.raises(ValueError, match="u_grid entries"):
             solve(PARAMS[name], u_grid=[0.0, bad, 3.0])
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_rejects_grid_of_two_dimensions(self, name):
+        with pytest.raises(ValueError, match="1-D"):
+            solve(PARAMS[name], u_grid=np.linspace(0.0, 10.0, 6).reshape(2, 3))
+
+
+class TestEvaluate:
+    NAMES = TestSolutionProperties.NAMES
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_scalar_equals_array(self, monkeypatch, name):
+        # u = 0, u0, every trajectory node, the span end where it is finite,
+        # 50 seeded points and a 201-point grid, so the array takes each
+        # route's dense path (the incomplete-gamma kernel on the risk-free one)
+        grid, traj = solve_recording_trajectory(monkeypatch, PARAMS[name], u_max=50.0)
+        hi = grid.span[1]
+        rng = np.random.default_rng(11)
+        parts = [[0.0], rng.uniform(0.0, min(hi, 50.0), 50), np.linspace(0.0, 50.0, 201)]
+        if traj is not None:
+            parts += [[grid.diagnostics["u0"]], traj.us]
+        if np.isfinite(hi):
+            parts.append([hi])
+        us = np.concatenate(parts)
+        arrays = grid.evaluate(us)
+        scalars = np.array([grid.evaluate(float(u)) for u in us])
+        for k in range(3):
+            np.testing.assert_allclose(scalars[:, k], arrays[k], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("shape", [(4, 8), (4, 64)])  # 256 points take the kernel
+    def test_any_shape(self, solved, name, shape):
+        grid = solved(name)
+        us = np.random.default_rng(3).uniform(0.0, 50.0, shape)
+        flat = grid.evaluate(us.ravel())
+        for got, ref in zip(grid.evaluate(us), flat):
+            assert got.shape == shape
+            np.testing.assert_array_equal(got, ref.reshape(shape))
+        assert grid.evaluate(np.full((4, 8), 5.0))[0].shape == (4, 8)
+        assert isinstance(grid.evaluate(np.array(5.0))[0], float)
