@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--u", help="initial surplus (comma-separated list allowed)")
     p_mc.add_argument("--n", type=int, help="number of paths")
     p_mc.add_argument("--T", type=float, help="time horizon")
-    p_mc.add_argument("--dt", type=float, help="Euler step bound (b > 0 only)")
+    p_mc.add_argument("--dt", type=float, help="time step bound (b > 0 only)")
     p_mc.add_argument("--seed", type=int, help="RNG seed (default: RUINLAB_SEED env)")
     p_mc.add_argument("--out")
     p_mc.set_defaults(func=cmd_mc)

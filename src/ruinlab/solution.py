@@ -31,14 +31,16 @@ def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform
     u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.
 
     Raises ValueError for a non-finite or nonpositive ``u_max``, for a
-    ``u_grid`` entry that is non-finite or negative, and for a ``u_grid``
-    that is not 1-D."""
+    ``u_grid`` entry that is non-finite or negative, for a ``u_grid`` that is
+    not 1-D, and for one that is not strictly increasing."""
     if u_max is not None and not 0.0 < u_max < math.inf:
         raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
         if u_grid.ndim != 1 or not np.all((u_grid >= 0.0) & (u_grid < math.inf)):
             raise ValueError("u_grid entries must be finite and >= 0, in a 1-D array")
+        if np.any(u_grid[1:] <= u_grid[:-1]):
+            raise ValueError("u_grid must be strictly increasing")
         u_max = max(u_max or 0.0, float(u_grid.max()))
     if u_max is None:
         u_max = 50.0 * m
@@ -72,8 +74,9 @@ class TailFit:
 class SolutionGrid:
     """A solved survival probability sampled on a grid.
 
-    ``u`` is strictly increasing from 0; ``phi``, ``dphi``, ``ddphi`` are the
-    sampled value and first two derivatives.  The grid is a view of the
+    ``u`` is strictly increasing, from 0 unless the solve was given a
+    ``u_grid``; ``phi``, ``dphi``, ``ddphi`` are the sampled value and first
+    two derivatives.  The grid is a view of the
     solution, not its full content: ``evaluate`` queries the underlying
     representation (closed form, series + trajectory, or quadrature) anywhere
     in ``span``.  Treat instances as immutable.

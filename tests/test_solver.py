@@ -317,6 +317,17 @@ class TestGridValidation:
             solve(PARAMS[name], u_grid=[0.0, bad, 3.0])
 
     @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("grid", [[3.0, 1.0, 2.0], [1.0, 2.0, 2.0]])
+    def test_rejects_grid_not_strictly_increasing(self, name, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve(PARAMS[name], u_grid=grid)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_grid_need_not_start_at_zero(self, name):
+        grid = solve(PARAMS[name], u_grid=[1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(grid.u, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("name", ROUTES)
     def test_rejects_grid_of_two_dimensions(self, name):
         with pytest.raises(ValueError, match="1-D"):
             solve(PARAMS[name], u_grid=np.linspace(0.0, 10.0, 6).reshape(2, 3))

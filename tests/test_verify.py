@@ -178,6 +178,35 @@ class TestMcSurvival:
         est = mc_survival(p, 1e6, 2000, T=400.0, dt=0.05, seed=3)
         assert est.p_hat == 1.0
 
+    def test_odd_path_count_counts_no_phantom_lane(self):
+        # an odd block's last pair has a phantom partner that starts ruined
+        p = PARAMS["fig1-II"]
+        assert mc_survival(p, 1e6, 3, T=400.0, dt=0.05, seed=3).p_hat == 1.0
+        est = mc_survival(p, 1e6, 1, T=400.0, dt=0.05, seed=3)
+        assert est.p_hat == 1.0 and est.stderr == 0.0
+
+    @staticmethod
+    def _spread(p, u, n, T, dt):
+        """Sample SD of p_hat over 40 seeds, over the mean reported stderr."""
+        est = [mc_survival(p, u, n, T=T, dt=dt, seed=s) for s in range(1, 41)]
+        return np.std([e.p_hat for e in est], ddof=1) / np.mean([e.stderr for e in est])
+
+    def test_stderr_bounds_spread_of_pairs(self):
+        # survival is nondecreasing in every Brownian increment, so antithetic
+        # partners are not positively correlated and stderr stays a bound;
+        # here claims decide ruin, and the ratio measures about 1.0
+        assert self._spread(PARAMS["fig1-II"], 1.0, 1000, 10.0, 0.05) <= 1.25
+
+    def test_pairs_cut_spread_where_diffusion_decides(self):
+        # many small claims (lam m = 1, c = 0) and a = b^2/2: the surplus
+        # drifts to ruin unless the Brownian path lifts it past a X = lam m,
+        # so that path decides ruin; partners' outcomes correlate about -0.64
+        # (2,000 pairs), so the ratio is about 0.6, against 1.0 for
+        # independent lanes and 1.3 for pairs sharing +Z; lam dt = 0.05 keeps
+        # 95% of steps free of claims, whose log-factors are each lane's own
+        p = ModelParams(a=0.5, b=1.0, c=0.0, lam=100.0, m=0.01)
+        assert self._spread(p, 1.0, 100, 1.0, 0.0005) <= 0.85
+
     def test_zero_surplus_no_premium_ruins(self):
         p = ModelParams(a=0.1, b=0.0, c=0.0, lam=0.09, m=1.0)
         est = mc_survival(p, 0.0, 2000, T=400.0, seed=3)
