@@ -69,7 +69,10 @@ def exponents(params: ModelParams) -> tuple[float, float, float]:
 
 
 def eta_series(params: ModelParams, order: int = ORDER) -> np.ndarray:
-    """Coefficients P_2..P_order of eta's convergent series at u = 0."""
+    """Coefficients P_2..P_order of eta's convergent series at u = 0
+    (requires order >= 2)."""
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
     _, d1, d2 = exponents(params)
     m = params.m
     P = np.zeros(order + 1)  # P[k] valid for k = 2..order

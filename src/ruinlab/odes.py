@@ -12,8 +12,9 @@ Dormand-Prince step is then an affine map y_{k+1} = P_k y_k + q_k, and its
 embedded error estimate and dense-output vector are affine in y_k too; none
 of these maps depends on the state (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.6).  ``integrate`` forms them for blocks of up to
-``_BLOCK`` steps at once in numpy, and the only per-step Python work left
-is the scan of y_{k+1} = P_k y_k + q_k.  A field's ``rhs(u, y)`` is
+``_BLOCK`` steps at once in numpy, and takes a block's states from the
+prefix products of its step maps, also in numpy, so no Python code runs
+per step.  A field's ``rhs(u, y)`` is
 therefore called on arrays: ``u`` is a float or a 1-D array of abscissae,
 ``y`` a sequence of ``dimension`` components that broadcast against ``u``,
 and it returns ``dimension`` components, each broadcast from ``u`` and the
@@ -41,11 +42,8 @@ Volterra convolution.
 
 from __future__ import annotations
 
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -243,35 +241,22 @@ def _build(rhs, dim: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _scan(S: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """States y_0, .., y_N from y_{k+1} = y_k + S_k (y_k, 1), one step at a
-    time in Python floats (unrolled for the package's two and three
-    components).  S is read through a memoryview, so each step's floats
-    are freed as the next are made."""
-    dim = y0.size
-    n = dim * (dim + 1)  # entries of S_k
-    steps = zip(*[iter(memoryview(np.ascontiguousarray(S).reshape(-1)))] * n)
-    out = array("d", y0.tolist())
-    if dim == 3:
-        a, b, c = y0.tolist()
-        for s0, s1, s2, s3, t0, t1, t2, t3, w0, w1, w2, w3 in steps:
-            a, b, c = (
-                a + (s0 * a + s1 * b + s2 * c + s3),
-                b + (t0 * a + t1 * b + t2 * c + t3),
-                c + (w0 * a + w1 * b + w2 * c + w3),
-            )
-            out.extend((a, b, c))
-    elif dim == 2:
-        a, b = y0.tolist()
-        for s0, s1, s2, t0, t1, t2 in steps:
-            a, b = a + (s0 * a + s1 * b + s2), b + (t0 * a + t1 * b + t2)
-            out.extend((a, b))
-    else:
-        y = y0.tolist()
-        for flat in steps:
-            z = y + [1.0]
-            y = [v + sum(map(mul, flat[i * (dim + 1):(i + 1) * (dim + 1)], z)) for i, v in enumerate(y)]
-            out.extend(y)
-    return np.frombuffer(out).reshape(-1, dim)
+    """States y_0, .., y_N from y_{k+1} = y_k + S_k (y_k, 1), as the prefix
+    products of the step maps P_k = [[I + S_k], [0 .. 0 1]] applied to
+    (y_0, 1): doubling P[k] <- P[k] P[k - d], d = 1, 2, 4, .., leaves
+    P[k] = P_k .. P_0 (Hillis & Steele, Comm. ACM 29(12), 1986).  A blow-up
+    leaves inf or nan rows."""
+    n, dim = len(S), y0.size
+    P = np.zeros((n, dim + 1, dim + 1))
+    P[:, :dim] = S
+    P += np.eye(dim + 1)
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < n:
+            P[d:] = P[d:] @ P[:-d]
+            d *= 2
+        Y = P[:, :dim] @ np.append(y0, 1.0)
+    return np.concatenate((y0[None], Y))
 
 
 def _apply(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -293,20 +278,19 @@ def _check_affine(rhs, us: np.ndarray, Y: np.ndarray, F: np.ndarray) -> None:
         raise ValueError(f"field is not affine in the state (checked at u={at:.6g})")
 
 
-def _advance(rhs, x, fresh, W_kept, Y, rtol, atol):
+def _advance(rhs, x, fresh, W_kept, y0, rtol, atol):
     """One pass over mesh ``x``: build its ``fresh`` steps (all of them if
     ``W_kept`` is None; the others keep the matrices ``W_kept``, in order),
-    scan from the first fresh step on from the states ``Y``, and return
-    (W, Y, err) with err the scaled RMS error of every step."""
-    dim = Y.shape[1]
+    scan the whole mesh from its first state ``y0``, and return (W, Y, err)
+    with err the scaled RMS error of every step."""
+    dim = y0.size
     if W_kept is None:
         W = _build(rhs, dim, x[:-1], x[1:])
     else:
         W = np.empty((5, x.size - 1, dim, dim + 1))
         W[:, fresh] = _build(rhs, dim, x[:-1][fresh], x[1:][fresh])
         W[:, ~fresh] = W_kept
-    first = 0 if W_kept is None else int(np.argmax(fresh))
-    Y = np.concatenate((Y[:first], _scan(W[2, first:], Y[first])))
+    Y = _scan(W[2], y0)
     finite = np.isfinite(Y).all(axis=1)
     if not finite.all():
         # a field that is not affine is refused before its states are blamed
@@ -408,59 +392,51 @@ def integrate(
 
     # round 1: the pilot, for its error estimates only
     x, cap = _pilot(rhs, dim, u0, u1, max_step, max_steps)
-    err = np.empty(x.size - 1)
-    y = state[None]
+    errs, y = [], state
     for lo in range(0, x.size - 1, _BLOCK):
-        xb = x[lo: lo + _BLOCK + 1]
-        _, Y, err[lo: lo + xb.size - 1] = _advance(rhs, xb, None, None, y, rtol, atol)
-        y = Y[-1:]
+        _, Y, err = _advance(rhs, x[lo: lo + _BLOCK + 1], None, None, y, rtol, atol)
+        errs.append(err)
+        y = Y[-1]
     built = x.size - 1
 
     # round 2: the equidistributed mesh, block by block; a block's failing
     # steps are split and it is passed again from its first state
-    x = _equidistribute(x, err, cap)
+    x = _equidistribute(x, np.concatenate(errs), cap)
     _check_mesh(x, 0, max_steps)
     n_steps = x.size - 1  # steps of the final mesh, splits included
-    # the parts of the Trajectory, grown block by block
-    us, states = array("d", x[:1].tobytes()), array("d", state.tobytes())
-    cont = [array("d") for _ in range(5)]
-    y = state[None]
+    us, states, cont, y = [x[:1]], [state[None]], [], state
     splits = 0
     for lo in range(0, x.size - 1, _BLOCK):
         xb = x[lo: lo + _BLOCK + 1]
-        fresh = W_kept = None
-        for passes in itertools.count():
-            built += xb.size - 1 if fresh is None else int(fresh.sum())
-            W, Y, err = _advance(rhs, xb, fresh, W_kept, y, rtol, atol)
-            failed = ~(err <= 1.0)
-            if not failed.any():
-                break
+        W, Y, err = _advance(rhs, xb, None, None, y, rtol, atol)
+        built += xb.size - 1
+        passes = 0
+        while (failed := ~(err <= 1.0)).any():
             parts = np.where(
                 failed, np.clip(np.ceil((err / _TARGET) ** 0.2), 2, _MAX_SPLIT), 1
             ).astype(np.int64)
             n_steps += int(parts.sum()) - parts.size
             xb = _subdivide(xb, parts)
             _check_mesh(xb, n_steps - (xb.size - 1), max_steps)
-            W_kept = W[:, ~failed]
             fresh = np.repeat(failed, parts)
-            y = Y
+            built += int(fresh.sum())
+            W, Y, err = _advance(rhs, xb, fresh, W[:, ~failed], y, rtol, atol)
+            passes += 1
         splits = max(splits, passes)
         _check_affine(rhs, xb[1:], Y[1:], W[1])
         h = np.diff(xb)[:, None]
         f_lo, f_hi = _apply(W[0], Y[:-1]), _apply(W[1], Y[1:])
         dy = Y[1:] - Y[:-1]
         b = h * f_lo - dy
-        for c, r in zip(cont, (Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1]))):
-            c.frombytes(r.tobytes())
-        us.frombytes(xb[1:].tobytes())
-        states.frombytes(Y[1:].tobytes())
-        y = Y[-1:]
+        cont.append((Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1])))
+        us.append(xb[1:])
+        states.append(Y[1:])
+        y = Y[-1]
 
     return Trajectory(
-        us=np.frombuffer(us),
-        states=np.frombuffer(states).reshape(-1, dim),
-        # one column per step; each buffer is freed once copied
-        cont=tuple(np.frombuffer(cont.pop(0)).reshape(-1, dim).T.copy() for _ in range(5)),
+        us=np.concatenate(us),
+        states=np.concatenate(states),
+        cont=tuple(np.concatenate(c).T.copy() for c in zip(*cont)),  # one column per step
         name=sys.name,
         rounds=2 + splits,
         built=built,

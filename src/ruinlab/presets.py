@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ModelParams
 
@@ -23,7 +23,6 @@ class Scenario:
     points: int = 201
     spacing: str = "uniform"
     landmark: str = ""
-    overrides: dict = field(default_factory=dict)
 
 
 def _scn(name, a, b, c, landmark, **kw):

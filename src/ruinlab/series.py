@@ -127,16 +127,23 @@ def series_coeffs_infinity(params: ModelParams) -> np.ndarray:
     return np.array(e[1:])
 
 
-def truncates(poly: np.ndarray, x: float, tol: float = TOL) -> bool:
+def truncates(poly: np.ndarray, x, tol: float = TOL):
     """Whether sum_k poly[k] x^k may be cut after its last term at ``x``.
 
     The last term |a_N x^N| must be at most ``tol`` and the term magnitudes
-    |a_k x^k| nonincreasing over the final third of the series.
+    |a_k x^k| nonincreasing over the final third of the series.  Returns a
+    bool for a scalar ``x``, else a bool array of ``x``'s shape.
     """
     poly = np.asarray(poly, dtype=float)
-    terms = np.abs(poly) * x ** np.arange(len(poly))
+    x = np.asarray(x, dtype=float)
+    terms = np.abs(poly) * x[..., None] ** np.arange(len(poly))
     guard_len = max(2, (len(poly) - 1) // 3)
-    return bool(terms[-1] <= tol and np.all(np.diff(terms[-guard_len:]) <= 0.0))
+    # two adjacent overflowed terms give a nan step, which fails the test as
+    # it should, without a warning
+    with np.errstate(invalid="ignore"):
+        decreasing = np.all(np.diff(terms[..., -guard_len:], axis=-1) <= 0.0, axis=-1)
+    ok = (terms[..., -1] <= tol) & decreasing
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -> float:
@@ -145,15 +152,16 @@ def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -
     ``poly`` holds the ascending coefficients a_0..a_N of the series.
     Returns ``fallback``, with a warning, when no candidate qualifies.
     """
-    best = max((float(u) for u in candidates if truncates(poly, u, tol)), default=None)
-    if best is None:
-        best = float(fallback)
-        warnings.warn(
-            f"no transfer point satisfied the truncation rule (tol={tol:g}); "
-            f"falling back to u0={best:g}",
-            stacklevel=2,
-        )
-    return best
+    candidates = np.asarray(candidates, dtype=float)
+    ok = truncates(poly, candidates, tol)
+    if ok.any():
+        return float(candidates[ok].max())
+    warnings.warn(
+        f"no transfer point satisfied the truncation rule (tol={tol:g}); "
+        f"falling back to u0={float(fallback):g}",
+        stacklevel=2,
+    )
+    return float(fallback)
 
 
 def poly3(poly: np.ndarray, u: np.ndarray):

@@ -32,13 +32,14 @@ def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform
 
     Raises ValueError for a non-finite or nonpositive ``u_max``, for a
     ``u_grid`` entry that is non-finite or negative, for a ``u_grid`` that is
-    not 1-D, and for one that is not strictly increasing."""
+    empty or not 1-D, and for one that is not strictly increasing."""
     if u_max is not None and not 0.0 < u_max < math.inf:
         raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
-        if u_grid.ndim != 1 or not np.all((u_grid >= 0.0) & (u_grid < math.inf)):
-            raise ValueError("u_grid entries must be finite and >= 0, in a 1-D array")
+        finite = (u_grid >= 0.0) & (u_grid < math.inf)
+        if u_grid.ndim != 1 or not u_grid.size or not finite.all():
+            raise ValueError("u_grid entries must be finite and >= 0, in a non-empty 1-D array")
         if np.any(u_grid[1:] <= u_grid[:-1]):
             raise ValueError("u_grid must be strictly increasing")
         u_max = max(u_max or 0.0, float(u_grid.max()))

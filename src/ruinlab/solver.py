@@ -83,9 +83,10 @@ def solve_main(
     j = np.arange(len(e))
     candidates = 2.0 * max(200.0 * params.m, u_max) * 2.0 ** np.arange(8)
     # a non-finite coefficient never truncates
-    U = next((float(x) for x in candidates if truncates(e, 1.0 / x)), None)
-    if U is None:
+    ok = truncates(e, 1.0 / candidates)
+    if not ok.any():
         raise SolverError(f"series at infinity does not truncate by U={candidates[-1]:g}")
+    U = float(candidates[np.argmax(ok)])
     traj = integrate(main_ode_field(params), u0, state0, U, rtol=rtol, atol=atol)
 
     def match(u: float):

@@ -204,6 +204,8 @@ def ide_residual(
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
     uq = np.sort(np.asarray(grid, dtype=float))
+    if uq.ndim != 1 or uq.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D array, got shape {uq.shape}")
     if uq[0] < solution.span[0] or uq[-1] > solution.span[1]:
         raise ValueError(
             f"grid [{uq[0]:g}, {uq[-1]:g}] exceeds solution span {solution.span}"

@@ -96,6 +96,11 @@ class TestEtaSeries:
         assert coeffs[0] == pytest.approx(-0.6, rel=1e-12)           # P2
         assert coeffs[1] == pytest.approx(0.6 * 7.0 / 22.0, rel=1e-12)  # P3
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_requires_order_at_least_two(self, order):
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            eta_series(FIG5_I, order=order)
+
     def test_signs_alternate(self):
         coeffs = eta_series(FIG5_I, order=15)
         signs = np.sign(coeffs)

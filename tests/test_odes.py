@@ -12,6 +12,7 @@ from ruinlab import (
     integrate,
     main_ode_field,
 )
+from ruinlab import odes
 
 DECAY = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0],), name="decay")
 
@@ -113,6 +114,52 @@ class TestIntegrate:
         system = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0], 0.0), name="wide")
         with pytest.raises(ValueError, match="components"):
             integrate(system, 0.0, [1.0], 1.0)
+
+
+class TestScan:
+    """``odes._scan``, whose prefix products reorder the arithmetic, against
+    the step-by-step recursion y_{k+1} = y_k + S_k (y_k, 1) in Python floats."""
+
+    @staticmethod
+    def sequential(S, y0):
+        ys = [[float(v) for v in y0]]
+        for Sk in S.tolist():
+            z = ys[-1] + [1.0]
+            ys.append([v + sum(s * w for s, w in zip(row, z)) for v, row in zip(ys[-1], Sk)])
+        return np.array(ys)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    def test_matches_sequential_loop(self, dim, steps, affine):
+        rng = np.random.default_rng(100 * steps + 10 * dim + affine)
+        S = rng.uniform(-0.02, 0.02, (steps, dim, dim + 1))
+        if not affine:
+            S[:, :, dim] = 0.0
+        y0 = rng.uniform(-1.0, 1.0, dim)
+        ours, ref = odes._scan(S, y0), self.sequential(S, y0)
+        assert ours.shape == (steps + 1, dim)
+        np.testing.assert_array_equal(ours[0], y0)
+        # relative to the largest component reached so far: an affine state
+        # may pass near zero, where only absolute agreement is possible
+        scale = np.maximum.accumulate(np.abs(ref).max(axis=1))[:, None]
+        assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
+
+
+def test_four_component_linear_system():
+    # y' = A y with A = V diag(lam) V^-1, so y(u) = V diag(exp(lam u)) V^-1 y0
+    lam = np.array([-3.0, -1.0, -0.2, 0.5])
+    V = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 2.0, 1.0, 0.0], [0.0, 0.0, 2.0, 1.0], [1.0, 0.0, 0.0, 2.0]])
+    A = V @ np.diag(lam) @ np.linalg.inv(V)
+    system = OdeSystem(
+        dimension=4, rhs=lambda u, y: np.tensordot(A, np.asarray(y, dtype=float), axes=1), name="linear-4"
+    )
+    y0 = np.array([1.0, -0.5, 0.25, 2.0])
+    traj = integrate(system, 0.0, y0, 3.0, rtol=1e-11, atol=1e-13)
+    c = np.linalg.solve(V, y0)
+    exact = (np.exp(np.outer(traj.us, lam)) * c) @ V.T
+    scale = np.abs(exact).max(axis=1)
+    assert np.all(np.abs(traj.states - exact).max(axis=1) <= 1e-11 * scale)
 
 
 class TestMainOdeField:

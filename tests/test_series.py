@@ -10,7 +10,7 @@ from ruinlab import (
     phi_second_derivative_at_zero,
     series_coeffs_main,
 )
-from ruinlab.series import ORDER, choose_u0, poly3, series_coeffs_infinity
+from ruinlab.series import ORDER, choose_u0, poly3, series_coeffs_infinity, truncates
 
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
@@ -59,6 +59,41 @@ class TestSeriesAtInfinity:
     def test_e2_hand_value(self):
         # (2m/(2 b^2)) * {[(b^2/2) r + c/m - lam] e_1 - c r e_0} with r = 4, e_1 = 2
         assert series_coeffs_infinity(FIG1_II)[2] == pytest.approx(-34.0, rel=1e-12)
+
+
+def truncation_rule(poly, x, tol):
+    """The truncation rule one candidate at a time, in Python floats."""
+    terms = [abs(float(a)) * float(x) ** k for k, a in enumerate(poly)]
+    tail = terms[-max(2, (len(poly) - 1) // 3):]
+    return terms[-1] <= tol and all(b <= a for a, b in zip(tail, tail[1:]))
+
+
+class TestTruncates:
+    @pytest.mark.parametrize(
+        "poly, xs, tol",
+        [
+            (series_coeffs_main(FIG1_II).poly, np.logspace(-3.0, 0.0, 32), 1e-14),
+            (
+                series_coeffs_infinity(ModelParams(a=2.0, b=0.1, c=0.1, lam=0.09, m=1.0)),
+                1.0 / (100.0 * 2.0 ** np.arange(10)),
+                1e-12,
+            ),
+        ],
+        ids=["phi-at-0", "phi-at-infinity"],
+    )
+    def test_array_matches_rule(self, poly, xs, tol):
+        ok = truncates(poly, xs, tol)
+        assert ok.dtype == bool and ok.shape == xs.shape
+        assert ok.any() and not ok.all()
+        assert ok.tolist() == [truncation_rule(poly, x, tol) for x in xs]
+        assert ok.reshape(2, -1).tolist() == truncates(poly, xs.reshape(2, -1), tol).tolist()
+        assert all(type(truncates(poly, x, tol)) is bool for x in xs)
+
+    def test_non_finite_coefficients_never_truncate(self):
+        # adjacent infinite terms give nan steps; they must not warn
+        poly = np.concatenate(([1.0, 0.5], np.full(19, np.inf)))
+        assert not truncates(poly, np.array([1e-3, 0.5])).any()
+        assert truncates(poly, 1e-3) is False
 
 
 class TestChooseU0:

@@ -328,6 +328,11 @@ class TestGridValidation:
         np.testing.assert_array_equal(grid.u, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("name", ROUTES)
+    def test_rejects_empty_grid(self, name):
+        with pytest.raises(ValueError, match="u_grid .* non-empty"):
+            solve(PARAMS[name], u_grid=[])
+
+    @pytest.mark.parametrize("name", ROUTES)
     def test_rejects_grid_of_two_dimensions(self, name):
         with pytest.raises(ValueError, match="1-D"):
             solve(PARAMS[name], u_grid=np.linspace(0.0, 10.0, 6).reshape(2, 3))

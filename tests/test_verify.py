@@ -43,6 +43,11 @@ class TestIdeResidual:
         with pytest.raises(ValueError):
             ide_residual(grid, PARAMS["fig1-II"], np.linspace(0, 1e6, 10))
 
+    @pytest.mark.parametrize("grid", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
+    def test_rejects_grid_not_1d(self, solved, grid):
+        with pytest.raises(ValueError, match="grid must be a non-empty 1-D array"):
+            ide_residual(solved("fig1-II"), PARAMS["fig1-II"], grid)
+
     def test_tighter_tolerances_shrink_residual(self):
         p = PARAMS["fig1-II"]
         loose = solve(p, u_max=50.0, rtol=1e-6, atol=1e-8)
