@@ -28,26 +28,65 @@ step plus one Clenshaw evaluation, with no quadrature per query.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-from .errors import NoSolutionError, SolverError
+from .errors import NoSolutionError, SolverError, log_info
 from .model import ModelParams, Regime, RegimeInfo
-from .series import ORDER, choose_u0, poly3
+from .series import ORDER, choose_u0, horner, poly3
 from .solution import SolutionGrid, TailFit, resolve_grid
+from .specfun import ext_exp, ext_log
 
 __all__ = ["exponents", "eta_series", "solve_eta", "phi_capital_stock"]
 
-logger = logging.getLogger(__name__)
+# the 10-point Gauss-Legendre rule on [-1, 1]: the float64 values that
+# numpy.polynomial.legendre.leggauss(10) returns, whose weights lie up to 6
+# ulp from the exact ones; written out because importing numpy.polynomial
+# costs about 0.75 MB of resident memory
+_GL_HALF = np.array([
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+])
+_GL_HALF_W = np.array([
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1], _GL_HALF))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-# node values g -> Legendre coefficients, 0 at t = -1, of int p dt for their
-# interpolant p = sum_n a_n P_n(t), a_n = (n + 1/2) sum_i w_i g_i P_n(t_i)
-_ANTIDERIVATIVE = np.polynomial.legendre.legint(
-    (np.polynomial.legendre.legvander(_GL_NODES, 9) * _GL_WEIGHTS[:, None]).T
-    * (np.arange(10) + 0.5)[:, None], lbnd=-1.0)
+
+def _legval(c, t):
+    """sum_n c[n] P_n(t) by the recurrence of numpy's ``legval``, for a
+    sequence ``c`` of floats, or of arrays that broadcast against t."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * t * ((2 * nd - 1) / nd)
+    return c0 + c1 * t
+
+
+def _antiderivative(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Node values g -> Legendre coefficients, 0 at t = -1, of int p dt for
+    their interpolant p = sum_n a_n P_n(t), a_n = (n + 1/2) sum_i w_i g_i
+    P_n(t_i); the arithmetic of numpy's ``legvander`` and ``legint``."""
+    n = x.size
+    P = np.empty((n, n))  # P_k(x_i), one row per degree k
+    P[0], P[1] = 1.0, x
+    for k in range(2, n):
+        P[k] = (P[k - 1] * x * (2 * k - 1) - P[k - 2] * (k - 1)) / k
+    a = P * w * (np.arange(n) + 0.5)[:, None]
+    # int P_0 = P_1, int P_k = (P_(k+1) - P_(k-1)) / (2k + 1), and the
+    # constant that puts the zero at t = -1
+    F = np.zeros((n + 1, n))
+    F[1], F[2] = a[0], a[1] / 3
+    for k in range(2, n):
+        F[k + 1] = a[k] / (2 * k + 1)
+        F[k - 1] -= F[k + 1]
+    F[0] = -_legval(F, -1.0)
+    return F
+
+
+_ANTIDERIVATIVE = _antiderivative(_GL_NODES, _GL_WEIGHTS)
 # steps per dense-output call of the node pass; bounds its peak memory
 _EVAL_BLOCK = 512
 _TINY = np.finfo(float).tiny
@@ -166,7 +205,7 @@ def phi_capital_stock(
     eta_atol = max(atol * math.exp(-max(log_weight, 0.0)), _TINY)
     traj = solve_eta(params, U, rtol=rtol, atol=eta_atol)
     u0 = traj.u_start
-    logger.info("capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g", mu1, u0, U, P1)
+    log_info(__name__, "capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g", mu1, u0, U, P1)
 
     # termwise series panel: sum_k c_k u^(mu1+k)/(mu1+k), c_0 = 1, c_k = P_{k+1}
     panel = poly / (mu1 + np.arange(len(poly)))
@@ -219,7 +258,7 @@ def phi_capital_stock(
         if mu1 > 1.0:
             return np.inf
         if mu1 == 1.0:
-            return P1 * poly[1]
+            return float(P1 * poly[1])
         return -np.inf
 
     def eval3(uq: np.ndarray):
@@ -232,7 +271,8 @@ def phi_capital_stock(
         if series:
             phi[inner] = phi_inner(uq[inner])
             eta[inner], deta[inner], _ = poly3(poly, uq[inner])
-        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 is set below
+        # u = 0 is set below; phi'' ~ u^(mu1-2) overflows near 0 for mu1 < 2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dphi = density(uq, eta)
             ddphi = density(uq, (mu1 - 1.0) * eta + uq * deta) / uq
         if series:
@@ -240,6 +280,26 @@ def phi_capital_stock(
             dphi[at0] = lim_dphi0()
             ddphi[at0] = lim_ddphi0()
         return phi, dphi, ddphi
+
+    panel_desc = panel[::-1].tolist()
+
+    def point3(x: float):
+        # eval3's arithmetic in floats: phi_inner and eta's series below u0;
+        # above it phi_outer's Clenshaw sum over the step's coefficients,
+        # and eta, eta' from the trajectory
+        if x <= u0:
+            phi = ext_exp(mu1 * ext_log(x / m) - log_zm) * horner(panel_desc, x)
+            eta, deta, _ = poly3(poly, x)
+        else:
+            k = min(int(traj.us.searchsorted(x, side="right")) - 1, half.size - 1)
+            t = (x - float(traj.us[k])) / float(half[k]) - 1.0
+            phi = float(base[k]) + _legval(coef[:, k].tolist(), t)
+            eta, deta = traj(x)
+        if x == 0.0:
+            return phi, lim_dphi0(), lim_ddphi0()
+        # density(x, v) = P1 x^(mu1-1) v
+        scale = ext_exp((mu1 - 1.0) * ext_log(x / m) - log_zm)
+        return phi, scale * eta / m, scale * ((mu1 - 1.0) * eta + x * deta) / m / x
 
     phi, dphi, ddphi = eval3(u_grid)
 
@@ -267,4 +327,5 @@ def phi_capital_stock(
         tail=tail_fit,
         diagnostics=diagnostics,
         _eval3=eval3,
+        _point3=point3,
     )

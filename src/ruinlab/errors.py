@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and the log helper shared across the package."""
+
+import sys
+
+
+def log_info(name: str, msg: str, *args) -> None:
+    """``logging.getLogger(name).info(msg, *args)``, once ``logging`` is loaded.
+
+    Until some code imports ``logging`` no handler can exist, and an INFO
+    record would reach none, so the package does not import the module
+    itself: it holds about 0.5 MB of resident memory."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(msg, *args)
 
 
 class RuinlabError(Exception):

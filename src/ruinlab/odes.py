@@ -137,9 +137,19 @@ class Trajectory:
         return float(self.us[-1])
 
     def __call__(self, u):
-        """The dense interpolant at scalar ``u``, or one row per entry of array ``u``."""
+        """The dense interpolant: a list of the state's components at a 0-d
+        ``u`` (a float, an int, a numpy scalar or a 0-d array), one row per
+        entry of an array ``u`` otherwise.
+
+        A 0-d u takes the step's five interpolation vectors as Python floats
+        and does the array path's arithmetic on them in the same order, so
+        the two paths agree bit for bit."""
+        if isinstance(u, (float, int)):
+            return self._point(float(u))
         uq = np.asarray(u, dtype=float)
-        scalar, uq = uq.ndim == 0, uq.ravel()
+        if uq.ndim == 0:
+            return self._point(float(uq))
+        uq = uq.ravel()
         us = self.us
         lo, hi = us[0], us[-1]
         bottom, top = (uq.min(), uq.max()) if uq.size else (lo, lo)
@@ -167,7 +177,26 @@ class Trajectory:
         # step endpoints must reproduce the states bit for bit
         if top >= hi:
             out[:, uq == hi] = self.states[-1][:, None]
-        return out[:, 0] if scalar else out.T
+        return out.T
+
+    def _point(self, x: float) -> list:
+        us = self.us
+        lo, hi = float(us[0]), float(us[-1])
+        slack = 1e-9 * max(hi - lo, abs(hi), 1.0)
+        # written so that NaN fails too
+        if not (lo - slack <= x <= hi + slack):
+            raise ValueError(f"query outside trajectory span [{lo:g}, {hi:g}]")
+        if x == hi:
+            return self.states[-1].tolist()
+        # the step of x, the first or the last one outside the span
+        k = min(max(int(us.searchsorted(x, side="right")) - 1, 0), us.size - 2)
+        left, right = us[k: k + 2].tolist()
+        theta = min(max((x - left) / (right - left), 0.0), 1.0)
+        rest = 1.0 - theta
+        return [
+            r1 + theta * (r2 + rest * (r3 + theta * (r4 + rest * r5)))
+            for r1, r2, r3, r4, r5 in zip(*(c[:, k].tolist() for c in self.cont))
+        ]
 
 
 def _field_matrices(rhs, dim: int, u: np.ndarray) -> np.ndarray:

@@ -33,12 +33,12 @@ except phi's transfer at u = 0, which holds it to ``PHI_TOL``.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import log_info
 from .model import ModelParams
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "poly3",
     "eval_series",
 ]
-
-logger = logging.getLogger(__name__)
 
 ORDER = 20
 TOL = 1e-12
@@ -106,7 +104,7 @@ def series_coeffs_main(
     poly = np.concatenate(([1.0, lam_c], lam_c * coeffs / np.arange(2, order + 1)))
     m = params.m
     u0 = choose_u0(poly, m * np.logspace(-3.0, -1.0, 41), min(1e-3, m / 100.0), tol)
-    logger.info("series order %d, transfer point u0=%.6g", order, u0)
+    log_info(__name__, "series order %d, transfer point u0=%.6g", order, u0)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
 
@@ -164,30 +162,45 @@ def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -
     return float(fallback)
 
 
-def poly3(poly: np.ndarray, u: np.ndarray):
-    """Value, first and second derivative of sum_k poly[k] u^k at array ``u``.
+def horner(coeffs, x: float) -> float:
+    """sum_k coeffs[k] x^(N-k), highest power first, by the recurrence of
+    ``np.polyval`` in Python floats."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def poly3(poly: np.ndarray, u):
+    """Value, first and second derivative of sum_k poly[k] u^k at array
+    ``u``, or as Python floats at a float ``u``, with the same arithmetic.
 
     Horner sums of the polynomial and its derivatives: exact at u = 0, where
     they return poly[0], poly[1] and 2 poly[2].
     """
     p = poly[::-1]
     dp = np.polyder(p)
-    return np.polyval(p, u), np.polyval(dp, u), np.polyval(np.polyder(dp), u)
+    ddp = np.polyder(dp)
+    if isinstance(u, float):
+        return tuple(horner(c.tolist(), u) for c in (p, dp, ddp))
+    return np.polyval(p, u), np.polyval(dp, u), np.polyval(ddp, u)
 
 
 def eval_series(exp: SeriesExpansion, C0: float, u):
-    """Evaluate (phi, phi', phi'') of the truncated series at 0 <= u <= u0.
+    """Evaluate (phi, phi', phi'') of the truncated series at 0 <= u <= u0:
+    Python floats for a scalar u, arrays of u's shape otherwise.
 
     Everything is linear in C0.  Values beyond u0 are refused: the series is
     asymptotic and not trusted past its transfer point.
     """
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    uq = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.ndim(u) == 0:
+        uq = lo = hi = float(u)
+    else:
+        uq = np.asarray(u, dtype=float)
+        lo, hi = (uq.min(), uq.max()) if uq.size else (0.0, 0.0)
     # written so that NaN fails too
-    if uq.size and not (0.0 <= uq.min() and uq.max() <= exp.u0 * (1.0 + 1e-12)):
+    if not (0.0 <= lo and hi <= exp.u0 * (1.0 + 1e-12)):
         raise ValueError(f"series evaluation restricted to [0, u0={exp.u0:g}]")
     # C0 stays the outermost factor so scaling C0 rescales the results exactly
     phi, dphi, ddphi = (C0 * v for v in poly3(exp.poly, uq))
-    if scalar:
-        return float(phi[0]), float(dphi[0]), float(ddphi[0])
     return phi, dphi, ddphi

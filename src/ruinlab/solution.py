@@ -12,7 +12,7 @@ from .model import RegimeInfo
 
 __all__ = ["TailFit", "SolutionGrid", "make_grid"]
 
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
@@ -93,26 +93,46 @@ class SolutionGrid:
     diagnostics: dict = field(default_factory=dict)
     # (phi, phi', phi'') at a validated 1-D array inside ``span``
     _eval3: Callable | None = field(default=None, repr=False)
+    # the same at one validated float inside ``span``, in Python floats
+    _point3: Callable | None = field(default=None, repr=False)
 
     @property
     def span(self) -> tuple[float, float]:
         return (0.0, float(self.diagnostics.get("U", np.inf)))
 
     def evaluate(self, u):
-        """Return (phi, phi', phi'') at u within ``span``: floats for a scalar
-        u, arrays of u's shape otherwise.
+        """Return (phi, phi', phi'') at u within ``span``: Python floats for a
+        0-d u (a float, an int, a numpy scalar or a 0-d array), arrays of u's
+        shape otherwise.
 
-        Raises ValueError for u outside ``span`` and for an infinite or NaN
-        u, also where ``span`` reaches to infinity."""
+        A 0-d u takes the solution's point evaluator, which does the array
+        path's work in Python floats and ``math``; the two agree to 1e-14
+        relative, and return the same infinities.  Raises ValueError for u
+        outside ``span`` and for an infinite or NaN u, also where ``span``
+        reaches to infinity."""
         if self._eval3 is None:
             raise ValueError("this solution carries no dense evaluator")
+        if isinstance(u, (float, int)):
+            return self._point(float(u))
         uq = np.asarray(u, dtype=float)
+        if uq.ndim == 0:
+            return self._point(float(uq))
         flat = uq.ravel()
         lo, hi = self.span
         # written so that NaN and inf fail too
         if flat.size and not (lo <= flat.min() and flat.max() <= min(hi, _FLOAT_MAX)):
-            raise ValueError(f"evaluation needs finite u in the solution span [{lo:g}, {hi:g}]")
+            raise _outside_span(lo, hi)
         phi, dphi, ddphi = self._eval3(flat)
-        if uq.ndim == 0:
-            return float(phi[0]), float(dphi[0]), float(ddphi[0])
         return phi.reshape(uq.shape), dphi.reshape(uq.shape), ddphi.reshape(uq.shape)
+
+    def _point(self, x: float) -> tuple[float, float, float]:
+        lo, hi = self.span
+        if not lo <= x <= min(hi, _FLOAT_MAX):
+            raise _outside_span(lo, hi)
+        if self._point3 is None:
+            return tuple(float(v[0]) for v in self._eval3(np.array([x])))
+        return self._point3(x)
+
+
+def _outside_span(lo: float, hi: float) -> ValueError:
+    return ValueError(f"evaluation needs finite u in the solution span [{lo:g}, {hi:g}]")

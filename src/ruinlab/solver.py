@@ -20,14 +20,13 @@ solution, and nonviable ones raise.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from . import capitalstock
 from .closedform import classical_exact, lundberg_coefficient, riskfree_exact
-from .errors import NoSolutionError, SolverError
+from .errors import NoSolutionError, SolverError, log_info
 from .model import (
     REASON_LOADING,
     REASON_NOT_ROBUST,
@@ -39,10 +38,9 @@ from .model import (
 from .odes import integrate, main_ode_field
 from .series import eval_series, series_coeffs_infinity, series_coeffs_main, truncates
 from .solution import SolutionGrid, TailFit, make_grid, resolve_grid
+from .specfun import ext_exp, ext_log
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
-
-logger = logging.getLogger(__name__)
 
 # beyond this, phi'(U) * U^(2a/b^2) amplifies integrator noise, not signal
 _TAIL_RESOLUTION_FACTOR = 100.0
@@ -101,7 +99,7 @@ def solve_main(
         raise SolverError(f"nonpositive limit at infinity: A={A:g}")
     stability = abs(A - match(U / 2.0)[0]) / A
     C0 = 1.0 / A
-    logger.info("main solve: u0=%.4g U=%g C0=%.8g stability=%.2e", u0, U, C0, stability)
+    log_info(__name__, "main solve: u0=%.4g U=%g C0=%.8g stability=%.2e", u0, U, C0, stability)
 
     # The tail coefficient is meaningful only while phi'(U) still stands
     # above the integrator's error floor.
@@ -119,6 +117,12 @@ def solve_main(
         if inner.any():
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
         return phi, dphi, ddphi
+
+    def point3(x: float):
+        if x <= u0:
+            return eval_series(exp, C0, x)
+        phi, dphi, ddphi = traj(x)
+        return C0 * phi, C0 * dphi, C0 * ddphi
 
     phi, dphi, ddphi = eval3(u_grid)
 
@@ -143,6 +147,7 @@ def solve_main(
         tail=tail,
         diagnostics=diagnostics,
         _eval3=eval3,
+        _point3=point3,
     )
 
 
@@ -182,6 +187,17 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
             )
         return phi, dphi, ddphi
 
+    def point3(x: float):
+        # eval3's arithmetic in floats
+        phi, dphi = cf.point(x)
+        if c > 0.0:
+            return phi, dphi, -(a - lam + c / m + a * x / m) * dphi / (a * x + c)
+        if x == 0.0:
+            return phi, dphi, _ddphi_origin_limit()
+        f = (lam / a - 1.0) * m - x
+        sign = (f > 0.0) - (f < 0.0)
+        return phi, dphi, sign * ext_exp(ext_log(abs(f)) - ext_log(x * m) + ext_log(dphi))
+
     phi, dphi, ddphi = eval3(u_grid)
     diagnostics = {"C0": cf.C0, "dphi_at_zero": cf.dphi_at_zero, "U": np.inf}
     if info.regime is Regime.CLASSICAL_CL:
@@ -199,6 +215,7 @@ def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeIn
         tail=None,
         diagnostics=diagnostics,
         _eval3=eval3,
+        _point3=point3,
     )
 
 
@@ -218,6 +235,7 @@ def _zero_grid(params: ModelParams, u_grid: np.ndarray, info: RegimeInfo) -> Sol
         tail=None,
         diagnostics={"reason": f"ruin certain: {info.reason}", "U": np.inf},
         _eval3=eval3,
+        _point3=lambda x: (0.0, 0.0, 0.0),
     )
 
 

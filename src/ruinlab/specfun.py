@@ -17,6 +17,9 @@
 * ``upper_incomplete_gamma`` -- Gamma(p, z) at one point: the same two
   branches in scalar arithmetic, exponentiated.  Overflows (``OverflowError``)
   where Gamma(p, z) exceeds double range, from p of about 171.
+* ``ext_exp`` and ``ext_log`` -- exp and log at one float, as Python floats
+  with numpy's values where ``math`` raises, for the point evaluators that
+  repeat an array path in Python floats.
 """
 
 from __future__ import annotations
@@ -40,6 +43,27 @@ def _check_shape(p: float, name: str) -> float:
     if not math.isfinite(p) or p <= 0.0:
         raise ValueError(f"{name} requires p > 0, got {p!r}")
     return p
+
+
+def ext_exp(x: float) -> float:
+    """exp(x), inf where it overflows (``math.exp`` raises ``OverflowError``)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def ext_log(x: float) -> float:
+    """log(x) as numpy's ``log`` computes it: -inf at 0 and nan below, where
+    ``math.log`` raises ``ValueError``, and no warning.
+
+    Not ``math.log``: the point evaluators multiply logs by exponents of up
+    to thousands (p - 1, mu1), which would turn a last-bit difference from
+    numpy's log into a mismatch with the array path.  A last-bit difference
+    of exp is not amplified, so ``ext_exp`` keeps ``math.exp``."""
+    if x > 0.0:
+        return float(np.log(x))
+    return -math.inf if x == 0.0 else math.nan
 
 
 def complete_gamma(p: float) -> float:

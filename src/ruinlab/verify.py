@@ -59,8 +59,12 @@ _K15_HALF_W = np.array([
 ])
 _K15_X = np.concatenate((-_K15_HALF[:-1], _K15_HALF[::-1]))
 _K15_W = np.concatenate((_K15_HALF_W[:-1], _K15_HALF_W[::-1]))
+_G7_HALF_W = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
 _G7_W = np.zeros(15)
-_G7_W[1::2] = np.polynomial.legendre.leggauss(7)[1]  # at the odd Kronrod nodes
+_G7_W[1::2] = np.concatenate((_G7_HALF_W, _G7_HALF_W[-2::-1]))  # at the odd Kronrod nodes
 _PIECE = 0.5
 _MAX_DEPTH = 40
 _MAX_SPLITS = 4096
@@ -424,7 +428,6 @@ def mc_survival(
       Brownian bridge of its log-factor, and two or more claims in one step
       are composed exactly.  With c = 0 the step is exact in law at any dt;
       otherwise the premium's trapezoid is the only discretization error.
-      lam * h must not exceed 0.5.
 
     Ruin is checked at the claim instants and nowhere else, which is exact
     for c >= 0: from a surplus X_s >= 0 the diffusion gives
@@ -473,10 +476,6 @@ def mc_survival(
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     exact = params.b == 0.0
-    if not exact:
-        lam_h = params.lam * T / math.ceil(T / dt)
-        if lam_h > 0.5:
-            raise ValueError(f"dt too coarse: lam*dt = {lam_h:g} (need << 1)")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
 

@@ -240,6 +240,26 @@ class TestPhiCapitalStock:
             for got, ref in zip(grid.evaluate(float(u)), arrays):
                 assert got == pytest.approx(ref[i], rel=1e-12, abs=0.0)
 
+    def test_second_derivative_overflows_near_origin(self):
+        # fig5-II: mu1 = 0.904, so phi'' ~ u^(mu1 - 2) is beyond double range
+        # at u = 1e-300; both paths return -inf, with no overflow warning
+        grid = phi_capital_stock(FIG5_II)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grid.evaluate(np.array([1e-300, 1.0]))[2][0] == -np.inf
+            assert grid.evaluate(1e-300)[2] == -np.inf
+
+    @pytest.mark.parametrize("name", ["mu1=29", "mu1=65", "mu1=132"])
+    def test_point_path_agrees_at_large_mu1(self, name):
+        # the density P1 u^(mu1-1) eta in logs: the factor mu1 - 1 would
+        # amplify a last-bit difference of the log
+        grid = phi_capital_stock(SWEEP[name])
+        us = np.linspace(0.0, grid.span[1], 201)
+        arrays = grid.evaluate(us)
+        scalars = np.array([grid.evaluate(u) for u in us.tolist()])
+        for k in range(3):
+            np.testing.assert_allclose(scalars[:, k], arrays[k], rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize(
         "params",
         [FIG5_I, FIG5_II, SWEEP["mu1=6.3"], SWEEP["mu1=14"]],
@@ -303,6 +323,21 @@ class TestDenseOutput:
         per_step = half * (density @ w)
         expected = grid.evaluate(nodes[0])[0] + np.concatenate(([0.0], np.cumsum(per_step)))
         np.testing.assert_allclose(phi, expected, rtol=1e-12, atol=1e-15)
+
+    def test_quadrature_tables_match_numpy_polynomial(self):
+        # the written-out Gauss-Legendre rule and the antiderivative matrix
+        # built from it equal numpy.polynomial's, bit for bit
+        from numpy.polynomial import legendre
+
+        from ruinlab import capitalstock
+
+        x, w = legendre.leggauss(10)
+        np.testing.assert_array_equal(capitalstock._GL_NODES, x)
+        np.testing.assert_array_equal(capitalstock._GL_WEIGHTS, w)
+        expected = legendre.legint(
+            (legendre.legvander(x, 9) * w[:, None]).T * (np.arange(10) + 0.5)[:, None], lbnd=-1.0
+        )
+        np.testing.assert_array_equal(capitalstock._ANTIDERIVATIVE, expected)
 
     def test_one_trajectory_call_per_evaluation(self, monkeypatch):
         grid = phi_capital_stock(FIG5_I)

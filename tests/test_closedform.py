@@ -204,6 +204,35 @@ class TestRiskFreeExact:
             sol.evaluate(np.linspace(0.0, 50.0, 10_001))
             assert len(calls) <= 4, name
 
+    @pytest.mark.parametrize("name", ["fig1-I", "fig3-II", "fig4-II"])
+    def test_point_path_validates_in_floats(self, name):
+        params = PRESETS[name].params
+        sol = classical_exact(params) if params.a == 0.0 else riskfree_exact(params)
+        bad = [math.nan, math.inf, -math.inf, -1.0, -5e-324]
+        for u in bad + [-1] + [np.float64(b) for b in bad] + [np.array(b) for b in bad]:
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                sol.evaluate(u)
+        for u in (5, np.float64(5.0), np.array(5.0)):
+            values = sol.evaluate(u)
+            assert len(values) == 2 and all(type(v) is float for v in values)
+            assert values == sol.evaluate(5.0)
+        # far out Gamma(p, z) underflows; the long array takes the kernel
+        far = sol.evaluate(np.full(closedform._ARRAY_MIN, 1e3))
+        assert sol.evaluate(1e3) == (far[0][0], far[1][0])
+
+    @pytest.mark.parametrize("point", OVERFLOW_POINTS)
+    def test_point_path_agrees_at_large_shape(self, point):
+        # phi' = exp((p - 1) log(u + c/a) - u/m - log norm) with p = 200..2500:
+        # the factor p - 1 would amplify a last-bit difference of the log
+        a, c, lam = point
+        sol = riskfree_exact(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0))
+        p = lam / a
+        us = np.linspace(0.05 * p, 3.0 * p, closedform._ARRAY_MIN)  # the kernel's path
+        phi, dphi = sol.evaluate(us)
+        scalar = np.array([sol.evaluate(u) for u in us[::7].tolist()])
+        np.testing.assert_allclose(scalar[:, 1], dphi[::7], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(scalar[:, 0], phi[::7], rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, [1.0, math.nan], math.inf, -math.inf])
     def test_rejects_non_finite_query(self, bad):
         with pytest.raises(ValueError, match="finite"):

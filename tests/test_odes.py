@@ -48,6 +48,22 @@ class TestIntegrate:
         for i in range(len(traj.us)):
             assert traj(traj.us[i])[0] == traj.states[i, 0]
 
+    def test_float_path_equals_array_path(self):
+        # a float query does the array path's arithmetic in Python floats:
+        # off the nodes, at every node, at both ends and just outside them
+        osc = OdeSystem(dimension=2, rhs=lambda u, y: (y[1], -y[0]), name="oscillator")
+        traj = integrate(osc, 0.0, [1.0, 0.0], 3.0, rtol=1e-10, atol=1e-12)
+        rng = np.random.default_rng(2)
+        us = np.concatenate((rng.uniform(0.0, 3.0, 50), traj.us, [-1e-10, 3.0 + 1e-10]))
+        for u, row in zip(us, traj(us)):
+            got = traj(float(u))
+            assert type(got) is list and all(type(v) is float for v in got)
+            np.testing.assert_array_equal(got, row)
+        assert traj(3) == traj.states[-1].tolist()
+        for bad in (math.nan, -0.5, 3.5):
+            with pytest.raises(ValueError, match="outside trajectory span"):
+                traj(bad)
+
     def test_dense_output_accuracy(self):
         traj = integrate(DECAY, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
         us = np.linspace(0.0, 1.0, 77)

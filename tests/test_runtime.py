@@ -1,4 +1,5 @@
 import importlib
+import logging
 import os
 import subprocess
 import sys
@@ -16,6 +17,9 @@ import ruinlab
 for name, scenario in ruinlab.PRESETS.items():
     grid = ruinlab.solve(scenario.params)
     assert 0.0 <= grid.phi[-1] <= 1.0 + 1e-10, name
+# its quadrature tables are written out and it logs only once logging is
+# loaded: numpy.polynomial and logging cost 0.75 and 0.5 MB
+assert "numpy.polynomial" not in sys.modules and "logging" not in sys.modules
 print(len(ruinlab.PRESETS))
 """
 
@@ -33,6 +37,14 @@ def test_presets_solve_with_numpy_only():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str(len(ruinlab.PRESETS))
+
+
+def test_solves_log_once_logging_is_loaded(caplog):
+    with caplog.at_level(logging.INFO, logger="ruinlab"):
+        ruinlab.solve(ruinlab.PRESETS["fig1-II"].params)
+        ruinlab.solve(ruinlab.PRESETS["fig5-I"].params)
+    names = {record.name for record in caplog.records}
+    assert {"ruinlab.series", "ruinlab.solver", "ruinlab.capitalstock"} <= names
 
 
 # the attributes perfbench/tracer.py ``Tracer.install`` replaces in place; a

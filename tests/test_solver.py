@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from ruinlab import (
     ModelParams,
     NoSolutionError,
     Regime,
+    Trajectory,
     classical_exact,
     eval_series,
     integrate,
@@ -340,6 +342,8 @@ class TestGridValidation:
 
 class TestEvaluate:
     NAMES = TestSolutionProperties.NAMES
+    # classical, main, risk-free with and without premiums, capital stock
+    ROUTES = ["fig1-I", "fig1-II", "fig3-II", "fig4-II", "fig5-I"]
 
     @pytest.mark.parametrize("name", NAMES)
     def test_scalar_equals_array(self, monkeypatch, name):
@@ -371,3 +375,52 @@ class TestEvaluate:
             np.testing.assert_array_equal(got, ref.reshape(shape))
         assert grid.evaluate(np.full((4, 8), 5.0))[0].shape == (4, 8)
         assert isinstance(grid.evaluate(np.array(5.0))[0], float)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_point_path_validates_in_floats(self, solved, name):
+        grid = solved(name)
+        bad = [math.nan, math.inf, -math.inf, -1.0, float(np.nextafter(grid.span[1], math.inf))]
+        for u in bad + [-1] + [np.float64(b) for b in bad] + [np.array(b) for b in bad]:
+            with pytest.raises(ValueError, match="finite u in the solution span"):
+                grid.evaluate(u)
+        for u in (5, np.float64(5.0), np.array(5.0)):
+            values = grid.evaluate(u)
+            assert len(values) == 3 and all(type(v) is float for v in values)
+            assert values == grid.evaluate(5.0)
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
+    def test_point_path_reads_trajectory_once(self, solved, monkeypatch, name):
+        # a float query reads one trajectory row and no array evaluator
+        grid = solved(name)
+        calls = []
+        call, eval3 = Trajectory.__call__, grid._eval3
+
+        def counted_call(self, u):
+            calls.append("trajectory")
+            return call(self, u)
+
+        def counted_eval3(uq):
+            calls.append("eval3")
+            return eval3(uq)
+
+        monkeypatch.setattr(Trajectory, "__call__", counted_call)
+        monkeypatch.setattr(grid, "_eval3", counted_eval3)
+        grid.evaluate(5.0)
+        assert calls == ["trajectory"]
+
+    @pytest.mark.parametrize("p", [3.0, 2.0, 1.5, 1.0, 0.9])
+    def test_point_path_near_origin_without_premiums(self, p):
+        # c = 0 risk-free: phi'' = ((p - 1)/u - 1/m) phi' in logs tends at
+        # u = 0 to 0, exp(-log norm), inf, -exp(-log norm)/m and -inf; at
+        # p = 0.9 the log form overflows below u ~ 1e-296, where numpy
+        # returns -inf and math.exp raises OverflowError
+        lam = 0.09
+        grid = solve(ModelParams(a=lam / p, b=0.0, c=0.0, lam=lam, m=1.0), u_max=50.0)
+        near = [0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-8, 1e-3]
+        us = np.concatenate((near, np.linspace(0.0, 50.0, 201)))  # the kernel's path
+        arrays = grid.evaluate(us)
+        scalars = np.array([grid.evaluate(u) for u in near])
+        for k in range(3):
+            np.testing.assert_allclose(scalars[:, k], arrays[k][: len(near)], rtol=1e-14, atol=0.0)
+        if p == 0.9:
+            assert scalars[2, 2] == arrays[2][2] == -math.inf

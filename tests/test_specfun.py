@@ -147,3 +147,31 @@ class TestLogUpperIncompleteGamma:
             grid.evaluate(1e4)
         assert isinstance(exc.value, ConvergenceError)
         assert isinstance(exc.value, ArithmeticError)
+
+
+class TestExtendedExpLog:
+    def test_exp_edges(self):
+        from ruinlab.specfun import ext_exp
+
+        assert ext_exp(710.0) == math.inf  # math.exp raises OverflowError here
+        assert ext_exp(-800.0) == 0.0
+        assert ext_exp(-math.inf) == 0.0 and ext_exp(math.inf) == math.inf
+        assert math.isnan(ext_exp(math.nan))
+        assert ext_exp(1.5) == math.exp(1.5)
+
+    def test_log_edges(self):
+        from ruinlab.specfun import ext_log
+
+        assert ext_log(0.0) == -math.inf  # math.log raises ValueError here
+        assert math.isnan(ext_log(-1.0)) and math.isnan(ext_log(math.nan))
+        assert ext_log(math.inf) == math.inf
+        assert type(ext_log(2.0)) is float
+
+    def test_log_is_numpys_bit_for_bit(self):
+        # the array paths take numpy's log, which may differ from math.log
+        # in the last bit, most often near 1; the point paths multiply it by
+        # up to thousands
+        from ruinlab.specfun import ext_log
+
+        x = np.random.default_rng(4).uniform(0.25, 4.0, 20_000)
+        np.testing.assert_array_equal([ext_log(v) for v in x.tolist()], np.log(x))

@@ -178,6 +178,18 @@ class TestMcSurvival:
         est = mc_survival(p, 5.0, 20_000, T=400.0, dt=dt, seed=11)
         assert abs(est.p_hat - phi) <= 3.0 * est.stderr
 
+    def test_step_exact_in_law_at_two_claims_per_step(self):
+        # lam*dt = 2: steps hold two claims on average, which the step
+        # composes exactly, so without premiums the estimate stays unbiased;
+        # the horizon, 200 steps, leaves its bias below the stderr
+        p = PARAMS["fig5-I"]
+        dt = 2.0 / p.lam
+        T = 200 * dt
+        assert p.lam * T / math.ceil(T / dt) == pytest.approx(2.0, rel=1e-12)
+        phi = solve(p, u_max=50.0).evaluate(5.0)[0]
+        est = mc_survival(p, 5.0, 20_000, T=T, dt=dt, seed=11)
+        assert abs(est.p_hat - phi) <= 3.0 * est.stderr
+
     def test_huge_surplus_survives(self):
         p = PARAMS["fig1-II"]
         est = mc_survival(p, 1e6, 2000, T=400.0, dt=0.05, seed=3)
@@ -238,7 +250,7 @@ class TestMcSurvival:
         with pytest.raises(ValueError):
             mc_survival(self.CLASSICAL, 5.0, 10, T=-1.0)
         with pytest.raises(ValueError):
-            mc_survival(PARAMS["fig1-II"], 5.0, 10, T=10.0, dt=100.0)
+            mc_survival(PARAMS["fig1-II"], 5.0, 10, T=10.0, dt=-1.0)
 
     @pytest.mark.parametrize("dt", [-3.0, 0.0, math.nan, math.inf])
     def test_exact_mode_rejects_invalid_dt(self, dt):
