@@ -6,12 +6,13 @@ singularities at u = 0 and at infinity.  This package solves it for all
 parameter regimes:
 
 * main regime (risky investment, premiums): power series at the singular
-  point, adaptive integration of the equivalent third-order equation, and
+  point, Taylor-series steps of the equivalent third-order equation, and
   normalization against the finite limit at infinity;
 * classical and risk-free regimes (b = 0): closed forms, the latter through
   the upper incomplete gamma function;
-* capital-stock regime (no premiums): quadrature of an auxiliary
-  second-order problem with a power-weight endpoint singularity.
+* capital-stock regime (no premiums): the same equation without premiums,
+  from its Frobenius series at the singular point, normalized by the
+  exact Mellin transform of the auxiliary Kummer function.
 
 Independent oracles (an equation residual by quadrature and a Monte Carlo
 path simulator) validate every solution route.

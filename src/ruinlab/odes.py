@@ -1,49 +1,67 @@
-"""Dormand-Prince 5(4) integration of affine fields, with dense output.
+"""Taylor-series integration of one linear equation with polynomial coefficients.
 
-The solver pipeline needs tight tolerances (the normalization at infinity
-reads off a first derivative that decays like a power of u) and continuous
-access to the computed solution (the capital-stock quadrature integrates
-against it), so the integrator keeps the standard quartic interpolant of the
-Dormand-Prince pair for every step.
+Both singular problems of the package share one linear equation for
+w = phi':
 
-Every field the package integrates is affine in the state, y' = M(u) y +
-g(u), and the two singular equations are linear (g = 0).  One
-Dormand-Prince step is then an affine map y_{k+1} = P_k y_k + q_k, and its
-embedded error estimate and dense-output vector are affine in y_k too; none
-of these maps depends on the state (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.6).  ``integrate`` forms them for blocks of up to
-``_BLOCK`` steps at once in numpy, and takes a block's states from the
-prefix products of its step maps, also in numpy, so no Python code runs
-per step.  A field's ``rhs(u, y)`` is
-therefore called on arrays: ``u`` is a float or a 1-D array of abscissae,
-``y`` a sequence of ``dimension`` components that broadcast against ``u``,
-and it returns ``dimension`` components, each broadcast from ``u`` and the
-state.  M(u) and g(u) come from one call on the unit states and the zero
-state, stacked along a leading axis.
+    (b^2/2) u^2 w'' + [c + (b^2+a) u + b^2 u^2/(2m)] w' + [a - lam + c/m + a u/m] w = 0,
 
-The mesh is chosen in rounds, not by a step-size controller:
+the main regime for c > 0 and the capital stock for c = 0.  Its
+coefficients are polynomials and its only finite singular point is u = 0,
+so about any s > 0 the Taylor coefficients of a solution follow exactly
+from a recurrence, and converge for |u - s| < s.  ``integrate`` steps with
+these series, a high-order Taylor method (Jorba & Zou, Experimental
+Mathematics 14(1), 2005): no stages, no step rejections and no mesh rounds.
 
-1. a pilot mesh whose steps keep h * rho(M(u)) <= 3, rho the spectral
-   radius of the field matrix on a log-spaced grid of the span, so that
-   every step is stable;
-2. one equidistribution: the pilot's error estimates, scaled by
-   err_k^(-1/5), give a step density whose integral places the new mesh;
-3. splitting of any step that still fails, until every step passes.
+It takes a field in the first-order form of one such equation of order n:
 
-A step is accepted when the RMS of its embedded error against ``atol +
-rtol * max(|y_k|, |y_{k+1}|)`` is at most one.
+    y_i' = y_(i+1)  (i < n - 1),    u^e y_(n-1)' = sum_j N_j(u) y_j + f(u),
 
-Also defined here are the three vector fields used by the package: the
-third-order equation satisfied by the survival probability in the main
-regime, the second-order equation for the capital-stock auxiliary function,
-and the one-dimensional companion equation that reproduces the exponential
-Volterra convolution.
+with e in {0, 1, 2} and N_j, f polynomials of degree at most 2.  A field's
+``rhs(u, y)`` is called on arrays: ``u`` is a float or a 1-D array of
+abscissae, ``y`` a sequence of n components that broadcast against ``u``,
+and it returns n components.  ``integrate`` reads e, N_j and f from one
+call on the unit states and the zero state at five abscissae of the span
+(a quadratic through three of them, checked at the other two), and when
+it is done checks ``rhs`` against them at every step node.
+
+If y_0 does not enter the equation (phi in the main field), it is carried
+as the antiderivative of y_1, and the series is that of v = y_1: phi is
+the termwise antiderivative of w.  Otherwise v = y_0.  At s the
+coefficients v_q of v(s + t) = sum_q v_q t^q come from substituting the
+series into the equation; for the w equation above, with P = b^2/2,
+
+    v_(k+2) = -[(2P s k + q0)(k+1) v_(k+1) + (P k(k-1) + q1 k + r0) v_k
+                + (P (k-1)/m + a/m) v_(k-1)] / (P s^2 (k+2)(k+1)),
+
+q0 = c + (b^2+a) s + b^2 s^2/(2m), q1 = b^2 + a + b^2 s/m and
+r0 = a - lam + c/m + a s/m.  A step keeps ``_TERMS`` of them and takes
+the largest h, up to s/2 where e > 0, at which the last two terms of v
+and of each of its derivatives in the state fall below rtol * h / L of
+that component, L the length of the span: the truncation errors of all
+steps add up to about rtol of each component at most.  A component is
+held to its smaller value at the step's two ends, so a decaying one keeps
+its relative accuracy, and to no less than rounding of the state.
+
+The state v, v', .. is carried as 2^E times a vector whose largest entry
+lies in [1/2, 1), so a solution may pass far outside double range on the
+way (the capital-stock density P1 u^(mu1-1) eta starts below it for large
+mu1).  The trajectory keeps each step's coefficients scaled back, in
+powers of theta = (u - s) / h; where a value lies below double range it
+reads 0.
+
+Also defined here are the three vector fields of the package: the
+third-order equation satisfied by the survival probability (the w equation
+with phi added), the second-order equation of the capital-stock auxiliary
+function eta, and the one-dimensional companion equation that reproduces
+the exponential Volterra convolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,47 +74,20 @@ __all__ = [
     "main_ode_field", "companion_volterra_field", "eta_ode_field",
 ]
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2); stages 6 and 7 sit at u + h, the seventh at the fifth-order
-# solution.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9])
-_A = [
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# fifth-order minus embedded fourth-order weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# dense-output weights of the quartic interpolant
-_D = np.array([
-    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-])
-
+# Taylor coefficients of v per step
+_TERMS = 30
+# the five abscissae, as fractions of the span, at which rhs is read: a
+# quadratic through the first, middle and last, checked at the others
+_SAMPLES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+# relative mismatch of rhs and the equation read from it that refuses a field
+_AFFINE_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# steps per block of the batched build; bounds its temporaries
-_BLOCK = 256
-# pilot mesh: h * rho(M) <= _STABLE on a grid of _GRID offsets, log-spaced
-# from _GRID_MIN of the span
-_STABLE = 3.0
-_GRID = 241
-_GRID_MIN = 1e-12
-# equidistribution aims every step at this error; a failing step is cut
-# into at most _MAX_SPLIT parts per round
-_TARGET = 0.8
-_MAX_SPLIT = 10
-# relative mismatch of rhs(u, y) and M(u) y + g(u) that marks a field as not affine
-_AFFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """An affine first-order system u -> d(state)/du.
+    """A first-order system u -> d(state)/du.
 
     ``rhs(u, y)`` takes a float or 1-D array ``u`` and ``dimension`` state
     components that broadcast against it, and returns as many components,
@@ -110,23 +101,18 @@ class OdeSystem:
 
 @dataclass
 class Trajectory:
-    """Steps of one integration plus per-step dense output.
+    """Steps of one integration and their series.
 
-    ``us`` are the strictly increasing step endpoints, ``states`` the state
-    vectors there, and ``cont[j]`` the j-th of the five interpolation vectors
-    of every step, one column per step.
-    Off-node queries evaluate the quartic interpolant, which matches the step
-    endpoints exactly and carries the accuracy of the local error control.
-    ``rounds`` counts the mesh passes and ``built`` the steps whose
-    propagators were formed, over all passes.
+    ``us`` are the strictly increasing step ends and ``states`` the state
+    vectors there.  On step k, component i is the polynomial
+    sum_q coef[q, i, k] theta^q with theta = (u - us[k]) / (us[k+1] - us[k]),
+    which equals ``states[k, i]`` at theta = 0.
     """
 
     us: np.ndarray
     states: np.ndarray
-    cont: tuple[np.ndarray, ...]
+    coef: np.ndarray
     name: str = ""
-    rounds: int = 0
-    built: int = 0
 
     @property
     def u_start(self) -> float:
@@ -137,13 +123,13 @@ class Trajectory:
         return float(self.us[-1])
 
     def __call__(self, u):
-        """The dense interpolant: a list of the state's components at a 0-d
+        """The dense output: a list of the state's components at a 0-d
         ``u`` (a float, an int, a numpy scalar or a 0-d array), one row per
         entry of an array ``u`` otherwise.
 
-        A 0-d u takes the step's five interpolation vectors as Python floats
-        and does the array path's arithmetic on them in the same order, so
-        the two paths agree bit for bit."""
+        A 0-d u takes the step's coefficients as Python floats and does the
+        array path's arithmetic on them in the same order, so the two paths
+        agree bit for bit."""
         if isinstance(u, (float, int)):
             return self._point(float(u))
         uq = np.asarray(u, dtype=float)
@@ -164,17 +150,14 @@ class Trajectory:
         theta /= us[1:][idx] - left
         if bottom < lo or top > hi:  # theta lies in [0, 1] inside the span
             np.clip(theta, 0.0, 1.0, out=theta)
-        rest = 1.0 - theta
-        # r1 + theta*(r2 + rest*(r3 + theta*(r4 + rest*r5))) with r_j the
-        # interpolation vectors, one gathered at a time, in place, with the
-        # query along rows: no inner loop over the state's few components
-        out = self.cont[4].take(idx, axis=1)
-        out *= rest
-        for j, w in ((3, theta), (2, rest), (1, theta)):
-            out += self.cont[j].take(idx, axis=1)
-            out *= w
-        out += self.cont[0].take(idx, axis=1)
-        # step endpoints must reproduce the states bit for bit
+        # Horner's rule with one gathered coefficient alive at a time and the
+        # query along rows
+        coef = self.coef
+        out = coef[-1].take(idx, axis=1)
+        for q in range(len(coef) - 2, -1, -1):
+            out *= theta
+            out += coef[q].take(idx, axis=1)
+        # the span's end reproduces the last state bit for bit
         if top >= hi:
             out[:, uq == hi] = self.states[-1][:, None]
         return out.T
@@ -192,199 +175,164 @@ class Trajectory:
         k = min(max(int(us.searchsorted(x, side="right")) - 1, 0), us.size - 2)
         left, right = us[k: k + 2].tolist()
         theta = min(max((x - left) / (right - left), 0.0), 1.0)
-        rest = 1.0 - theta
-        return [
-            r1 + theta * (r2 + rest * (r3 + theta * (r4 + rest * r5)))
-            for r1, r2, r3, r4, r5 in zip(*(c[:, k].tolist() for c in self.cont))
-        ]
+        out = []
+        for column in self.coef[:, :, k].T.tolist():
+            acc = column[-1]
+            for c in column[-2::-1]:
+                acc = acc * theta + c
+            out.append(acc)
+        return out
 
 
 def _field_matrices(rhs, dim: int, u: np.ndarray) -> np.ndarray:
-    """The field matrix at every abscissa of ``u``, from one ``rhs`` call on
-    the unit states and the zero state: M(u) for a linear field (g = 0 at
-    every abscissa), else [[M(u), g(u)], [0, 0]], which acts on (y, 1) and
-    makes the affine field linear in one more component that stays 1.
-    """
+    """[M(u) | g(u)] at every abscissa of ``u``, shape (u.size, dim, dim + 1),
+    from one ``rhs`` call on the unit states and the zero state; it acts on
+    (y, 1)."""
     n = dim + 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # component i of state j at row j: states broadcast against u
         f = rhs(u, np.eye(dim, n)[:, :, None])
     if len(f) != dim:
         raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
-    f = [np.broadcast_to(fi, (n, u.size)) for fi in f]  # state, abscissa
-    if any(fi[dim].any() for fi in f):
-        out = np.zeros((u.size, n, n))
-        for i, fi in enumerate(f):
-            out[:, i, :] = fi.T
-            out[:, i, :dim] -= fi[dim, :, None]  # rhs(e_j) - rhs(0) = M e_j
-    else:
-        out = np.empty((u.size, dim, dim))
-        for i, fi in enumerate(f):
-            out[:, i, :] = fi[:dim].T
+    out = np.empty((u.size, dim, n))
+    for i, fi in enumerate(f):
+        fi = np.broadcast_to(fi, (n, u.size))  # state, abscissa
+        out[:, i, :] = fi.T
+        out[:, i, :dim] -= fi[dim, :, None]  # rhs(e_j) - rhs(0) = M e_j
     if not np.isfinite(out).all():
         at = float(u[np.argmax(~np.isfinite(out).all(axis=(1, 2)))])
         raise IntegrationError(f"non-finite field at u={at:.6g}", u=at)
     return out
 
 
-def _combine(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] K[i], as one matrix-vector product."""
-    return np.dot(weights, K[: weights.size].reshape(weights.size, -1)).reshape(K.shape[1:])
+@dataclass(frozen=True)
+class _Equation:
+    """u^e y_(n-1)' = sum_j N_j(u) y_j + f(u), read from a field: ``row``
+    holds the Newton coefficients, on the nodes ``ua`` and ``ub``, of
+    N_0, .., N_(n-1) and f."""
 
+    dim: int
+    e: int
+    row: np.ndarray  # (3, dim + 1)
+    ua: float
+    ub: float
 
-def _build(rhs, dim: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Matrices of the steps [lo_k, hi_k], in blocks of at most ``_BLOCK``.
-
-    Returns W of shape (5, steps, dim, dim + 1): the first ``dim`` rows
-    (the last row is zero) of the field matrices at lo_k and hi_k, of the
-    increment S_k = P_k - I, of the embedded error E_k and of the
-    dense-output matrix D_k, all acting on z_k = (y_k, 1).
-    """
-    W = np.zeros((5, lo.size, dim, dim + 1))  # a linear field leaves the last column 0
-    for start in range(0, lo.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        left, right = lo[blk], hi[blk]
-        h = right - left
-        us = np.concatenate([left + c * h for c in _C] + [right])
+    @classmethod
+    def read(cls, rhs, dim: int, u0: float, u1: float) -> "_Equation":
+        us = u0 + (u1 - u0) * _SAMPLES
         F = _field_matrices(rhs, dim, us)
-        n = F.shape[-1]
-        F = F.reshape(6, left.size, n, n)
-        eye = np.eye(n)
-        hh = h[:, None, None]
-        K = np.empty((7, left.size, n, n))
-        K[0] = F[0]
-        for i in range(1, 6):
-            Y = _combine(_A[i], K)
-            Y *= hh
-            Y += eye
-            np.matmul(F[i], Y, out=K[i])
-        S = _combine(_B, K)
-        S *= hh
-        np.matmul(F[5], S + eye, out=K[6])
-        W[0, blk, :, :n] = F[0, :, :dim]
-        W[1, blk, :, :n] = F[5, :, :dim]
-        W[2, blk, :, :n] = S[:, :dim]
-        W[3, blk, :, :n] = (_combine(_E, K) * hh)[:, :dim]
-        W[4, blk, :, :n] = (_combine(_D, K) * hh)[:, :dim]
-    return W
+        shift = np.eye(dim - 1, dim + 1, 1)
+        if not (F[:, :-1] == shift).all():
+            raise ValueError(
+                "integrate takes the first-order form of one linear equation: "
+                "y_i' = y_(i+1) for every component but the last"
+            )
+        ua, ub, uc = us[0], us[2], us[4]
+        for e in (0, 1, 2):
+            g = F[:, -1] * (us**e)[:, None]
+            fab = (g[2] - g[0]) / (ub - ua)
+            fabc = ((g[4] - g[2]) / (uc - ub) - fab) / (uc - ua)
+            fit = g[0] + (us[[1, 3], None] - ua) * (fab + (us[[1, 3], None] - ub) * fabc)
+            if (np.abs(fit - g[[1, 3]]) <= _AFFINE_TOL * np.abs(g).max(axis=0) + _TINY).all():
+                if e and u0 <= 0.0:
+                    raise ValueError(f"field is singular at u = 0; need u_start > 0, got {u0:g}")
+                return cls(dim, e, np.array([g[0], fab, fabc]), float(ua), float(ub))
+        raise ValueError(
+            "field coefficients are not polynomials of degree <= 2 over u^e, e <= 2"
+        )
+
+    @property
+    def antiderivative(self) -> bool:
+        """Whether y_0 is left out of the equation, and so is carried as the
+        antiderivative of y_1."""
+        return self.dim > 1 and not self.row[:, 0].any()
+
+    @property
+    def affine(self) -> bool:
+        return bool(self.row[:, -1].any())
+
+    def local(self, s: float):
+        """(p, c): the Taylor coefficients in t of u^e and of N_0, .., N_(n-1)
+        and f at u = s + t, as Python floats; c[j][d] is that of t^d."""
+        p = ((1.0, 0.0, 0.0), (s, 1.0, 0.0), (s * s, 2.0 * s, 1.0))[self.e]
+        fa, fab, fabc = self.row.tolist()
+        sa, sb = s - self.ua, s - self.ub
+        c = [
+            (a + sa * (b + sb * cc), b + (sa + sb) * cc, cc)
+            for a, b, cc in zip(fa, fab, fabc)
+        ]
+        return p, c
+
+    def check(self, rhs, us: np.ndarray, Y: np.ndarray) -> None:
+        """Refuse a field whose rhs at the nodes is not this equation."""
+        n = self.dim
+        fa, fab, fabc = self.row[:, :, None]
+        N = fa + (us - self.ua) * (fab + (us - self.ub) * fabc)  # (n + 1, nodes)
+        z = np.vstack((Y.T, np.ones(us.size)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            direct = np.stack([np.broadcast_to(fi, us.shape) for fi in rhs(us, Y.T)])
+            den = us**self.e
+            model = np.vstack((z[1:n], (N * z).sum(axis=0) / den))
+            scale = np.vstack((np.abs(z[1:n]), (np.abs(N) * np.abs(z)).sum(axis=0) / den))
+            diff = np.abs(direct - model)
+            # values near underflow have lost their relative precision
+            bad = (diff > _AFFINE_TOL * scale + _TINY) | (np.isnan(diff) & np.isfinite(scale))
+        if bad.any():
+            at = float(us[np.argmax(bad.any(axis=0))])
+            raise ValueError(
+                "field is not affine in the state, or not the equation read from it "
+                f"(checked at u={at:.6g})"
+            )
 
 
-def _scan(S: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """States y_0, .., y_N from y_{k+1} = y_k + S_k (y_k, 1), as the prefix
-    products of the step maps P_k = [[I + S_k], [0 .. 0 1]] applied to
-    (y_0, 1): doubling P[k] <- P[k] P[k - d], d = 1, 2, 4, .., leaves
-    P[k] = P_k .. P_0 (Hillis & Steele, Comm. ACM 29(12), 1986).  A blow-up
-    leaves inf or nan rows."""
-    n, dim = len(S), y0.size
-    P = np.zeros((n, dim + 1, dim + 1))
-    P[:, :dim] = S
-    P += np.eye(dim + 1)
-    d = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while d < n:
-            P[d:] = P[d:] @ P[:-d]
-            d *= 2
-        Y = P[:, :dim] @ np.append(y0, 1.0)
-    return np.concatenate((y0[None], Y))
-
-
-def _apply(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """M_k (y_k, 1) for every k."""
-    return np.matmul(M[:, :, :-1], Y[:, :, None])[:, :, 0] + M[:, :, -1]
-
-
-def _check_affine(rhs, us: np.ndarray, Y: np.ndarray, F: np.ndarray) -> None:
-    """Refuse a field whose rhs at the nodes is not M(u) y + g(u)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.stack([np.broadcast_to(fi, us.shape) for fi in rhs(us, Y.T)], axis=1)
-        scale = _apply(np.abs(F), np.abs(Y))
-        diff = np.abs(direct - _apply(F, Y))
-        # values near underflow have lost their relative precision, and a
-        # state near overflow may overflow in either form
-        bad = (diff > _AFFINE_TOL * scale + _TINY) | (np.isnan(diff) & np.isfinite(scale))
-    if bad.any():
-        at = float(us[np.argmax(bad.any(axis=1))])
-        raise ValueError(f"field is not affine in the state (checked at u={at:.6g})")
-
-
-def _advance(rhs, x, fresh, W_kept, y0, rtol, atol):
-    """One pass over mesh ``x``: build its ``fresh`` steps (all of them if
-    ``W_kept`` is None; the others keep the matrices ``W_kept``, in order),
-    scan the whole mesh from its first state ``y0``, and return (W, Y, err)
-    with err the scaled RMS error of every step."""
-    dim = y0.size
-    if W_kept is None:
-        W = _build(rhs, dim, x[:-1], x[1:])
-    else:
-        W = np.empty((5, x.size - 1, dim, dim + 1))
-        W[:, fresh] = _build(rhs, dim, x[:-1][fresh], x[1:][fresh])
-        W[:, ~fresh] = W_kept
-    Y = _scan(W[2], y0)
-    finite = np.isfinite(Y).all(axis=1)
-    if not finite.all():
-        # a field that is not affine is refused before its states are blamed
-        k = int(np.argmin(finite))
-        if k > 1:
-            _check_affine(rhs, x[1:k], Y[1:k], W[1, : k - 1])
-        raise IntegrationError(f"non-finite state at u={x[k]:.6g}", u=float(x[k - 1]))
-    scale = atol + rtol * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
-    err = np.sqrt(np.mean((_apply(W[3], Y[:-1]) / scale) ** 2, axis=1))
-    return W, Y, err
-
-
-def _pilot(rhs, dim: int, u0: float, u1: float, max_step: float, max_steps: int):
-    """Pilot mesh with h * rho(M(u)) <= _STABLE and h <= max_step, and the
-    step cap of each of its steps."""
-    span = u1 - u0
-    grid = u0 + span * np.concatenate(([0.0], _GRID_MIN ** np.linspace(1.0, 0.0, _GRID)))
-    grid[-1] = u1
-    grid = grid[np.concatenate(([True], np.diff(grid) > 0.0))]  # offsets below ulp(u0) coincide
-    rho = np.abs(np.linalg.eigvals(_field_matrices(rhs, dim, grid))).max(axis=1)
-    with np.errstate(divide="ignore"):
-        cap = np.minimum(_STABLE / np.maximum(rho[:-1], rho[1:]), max_step)
-    width = np.diff(grid)
-    # a pilot step may exceed its cap by rounding only
-    count = np.maximum(np.ceil(width / cap * (1.0 - 1e-12)), 1.0)
-    total = np.cumsum(count)
-    if not total[-1] <= max_steps:
-        at = float(grid[np.argmax(~(total <= max_steps))])
-        raise IntegrationError(f"step budget exhausted at u={at:.6g}", u=at)
-    count = count.astype(np.int64)
-    return _subdivide(grid, count), np.repeat(cap, count)
-
-
-def _subdivide(x: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """Mesh x with step k cut into ``parts[k]`` equal pieces."""
-    k = np.repeat(np.arange(parts.size), parts)
-    j = np.arange(k.size) - np.repeat(np.cumsum(parts) - parts, parts)
-    out = np.empty(k.size + 1)
-    out[:-1] = x[k] + (x[k + 1] - x[k]) * (j / parts[k])
-    out[-1] = x[-1]
+def _falling(x, j: int):
+    """x (x - 1) .. (x - j + 1)."""
+    out = np.ones_like(x)
+    for i in range(j):
+        out = out * (x - i)
     return out
 
 
-def _equidistribute(x: np.ndarray, err: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """New mesh whose steps would each have error _TARGET under err ~ h^5,
-    and stay within the caps of the steps of ``x`` they cover."""
-    h = np.diff(x)
-    count = np.maximum(np.maximum((err / _TARGET) ** 0.2, h / cap), h / (x[-1] - x[0]))
-    cum = np.concatenate(([0.0], np.cumsum(count)))
-    n = max(1, math.ceil(cum[-1] * (1.0 - 1e-12)))
-    out = np.interp(np.linspace(0.0, cum[-1], n + 1), cum, x)
-    out[0], out[-1] = x[0], x[-1]
+def _weights(order: int) -> np.ndarray:
+    """G with sum_c a_c G[c] the recurrence's coefficients of the
+    ``width = max(order + 2, 4)`` terms v_(k+order-width), .., v_(k+order-1)
+    before v_(k+order), for every k, given the step's constants a_c (see
+    ``integrate``): shape (3 order + 2, width, _TERMS - order)."""
+    width = max(order + 2, 4)
+    k = np.arange(_TERMS - order, dtype=float)
+    den = _falling(k + order, order)
+    G = np.zeros((3 * order + 2, width, k.size))
+    # N_j(s + t) v^(j): t^d of N_j meets v_(k-d+j) with weight ff(k-d+j, j)
+    for j in range(order):
+        for d in range(3):
+            G[3 * j + d, width - order + j - d] = _falling(k - d + j, j) / den
+    # (u^e)(s + t) v^(order): its t^d meets v_(k-d+order), d = 1, 2
+    for d in (1, 2):
+        G[3 * order + d - 1, width - d] = _falling(k - d + order, order) / den
+    return G
+
+
+def _step_size(series: list, h: float, tols: list) -> float:
+    """The largest step up to h at which the last two terms of each power
+    series, given highest power first, are at most tols[i] * t."""
+    for coefs, tol in zip(series, tols):
+        top = len(coefs) - 1
+        for j in (0, 1):
+            if coefs[j]:
+                h = min(h, (tol / abs(coefs[j])) ** (1.0 / (top - j - 1)))
+    return h
+
+
+def _values(series: list, h: float) -> list:
+    """The value at t = h of each power series, given highest power first,
+    by Horner's rule."""
+    out = []
+    for coefs in series:
+        acc = 0.0
+        for x in coefs:
+            acc = acc * h + x
+        out.append(acc)
     return out
-
-
-def _check_mesh(x: np.ndarray, before: int, max_steps: int) -> None:
-    """Refuse mesh x, which follows ``before`` other steps, if the steps
-    run past ``max_steps`` or one of them underflows."""
-    if before + x.size - 1 > max_steps:
-        at = float(x[max(max_steps - before, 0)])
-        raise IntegrationError(f"step budget exhausted at u={at:.6g}", u=at)
-    tiny = np.diff(x) <= 16.0 * _EPS * np.maximum(np.abs(x[:-1]), 1e-30)
-    if tiny.any():
-        at = float(x[np.argmax(tiny)])
-        raise IntegrationError(f"step size underflow at u={at:.6g}", u=at)
 
 
 def integrate(
@@ -393,83 +341,160 @@ def integrate(
     state0,
     u_end: float,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
     max_step: float = math.inf,
     max_steps: int = 2_000_000,
+    log_scale: float = 0.0,
 ) -> Trajectory:
-    """Integrate the affine field ``sys`` forward from ``u_start`` to ``u_end > u_start``.
+    """Integrate the field ``sys`` forward from ``u_start`` to ``u_end > u_start``.
 
-    Meshes in rounds (see the module docstring) until every step passes
-    the error test; steps are at most ``max_step`` long, to rounding.
-    Raises :class:`IntegrationError`, with the abscissa of the failure, on
-    a non-finite field or state, step-size underflow, or more than
-    ``max_steps`` steps; raises ``ValueError`` for a field that is not
-    affine in the state.
+    The initial state is ``state0 * exp(log_scale)``; ``log_scale`` lets it
+    lie outside double range.  Steps are at most ``max_step`` long; see the
+    module docstring for the field's form and the step rule.  Raises
+    :class:`IntegrationError`, with the abscissa of the failure, on a
+    non-finite field, a state beyond double range, step-size underflow, or
+    more than ``max_steps`` steps; raises ``ValueError`` for a field that
+    is not of the module docstring's form.
     """
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     dim = sys.dimension
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):
         raise ValueError(f"state0 must have shape ({dim},), got {state.shape}")
-    if not np.isfinite(state).all():
-        raise ValueError(f"state0 must be finite, got {state}")
+    if not (np.isfinite(state).all() and math.isfinite(log_scale)):
+        raise ValueError(f"state0 and log_scale must be finite, got {state}, {log_scale!r}")
     u0, u1 = float(u_start), float(u_end)
     if not u1 > u0:
         raise ValueError(f"integration span must be increasing, got [{u0:g}, {u1:g}]")
-    rhs = sys.rhs
+    eq = _Equation.read(sys.rhs, dim, u0, u1)
 
-    # round 1: the pilot, for its error estimates only
-    x, cap = _pilot(rhs, dim, u0, u1, max_step, max_steps)
-    errs, y = [], state
-    for lo in range(0, x.size - 1, _BLOCK):
-        _, Y, err = _advance(rhs, x[lo: lo + _BLOCK + 1], None, None, y, rtol, atol)
-        errs.append(err)
-        y = Y[-1]
-    built = x.size - 1
+    lo = int(eq.antiderivative)  # v = y_lo
+    order = dim - lo
+    G = _weights(order)
+    width = G.shape[1]
+    G = G.reshape(G.shape[0], -1)
+    # l! and, highest power first, the factors q (q - 1) .. (q - l + 1) that
+    # take v's coefficients to those of its l-th derivative
+    fact = [float(math.factorial(l)) for l in range(order)]
+    falling = [_falling(np.arange(_TERMS - 1.0, l - 1.0, -1.0), l).tolist() for l in range(order)]
+    forcing_den = (1.0 / _falling(np.arange(3.0) + order, order)).tolist()
+    span = u1 - u0
+    singular = eq.e > 0
+    affine = eq.affine
 
-    # round 2: the equidistributed mesh, block by block; a block's failing
-    # steps are split and it is passed again from its first state
-    x = _equidistribute(x, np.concatenate(errs), cap)
-    _check_mesh(x, 0, max_steps)
-    n_steps = x.size - 1  # steps of the final mesh, splits included
-    us, states, cont, y = [x[:1]], [state[None]], [], state
-    splits = 0
-    for lo in range(0, x.size - 1, _BLOCK):
-        xb = x[lo: lo + _BLOCK + 1]
-        W, Y, err = _advance(rhs, xb, None, None, y, rtol, atol)
-        built += xb.size - 1
-        passes = 0
-        while (failed := ~(err <= 1.0)).any():
-            parts = np.where(
-                failed, np.clip(np.ceil((err / _TARGET) ** 0.2), 2, _MAX_SPLIT), 1
-            ).astype(np.int64)
-            n_steps += int(parts.sum()) - parts.size
-            xb = _subdivide(xb, parts)
-            _check_mesh(xb, n_steps - (xb.size - 1), max_steps)
-            fresh = np.repeat(failed, parts)
-            built += int(fresh.sum())
-            W, Y, err = _advance(rhs, xb, fresh, W[:, ~failed], y, rtol, atol)
-            passes += 1
-        splits = max(splits, passes)
-        _check_affine(rhs, xb[1:], Y[1:], W[1])
-        h = np.diff(xb)[:, None]
-        f_lo, f_hi = _apply(W[0], Y[:-1]), _apply(W[1], Y[1:])
-        dy = Y[1:] - Y[:-1]
-        b = h * f_lo - dy
-        cont.append((Y[:-1], dy, b, dy - h * f_hi - b, _apply(W[4], Y[:-1])))
-        us.append(xb[1:])
-        states.append(Y[1:])
-        y = Y[-1]
+    # E and the normalized state, from exp(log_scale) = 2^E * 2^frac
+    E0 = E = math.floor(log_scale / math.log(2.0))
+    start = state * 2.0 ** (log_scale / math.log(2.0) - E)
+    y = start[lo:].tolist()
+    s = u0
+    us, hs, Es, starts, series = [u0], [], [], [], []
+    while True:
+        sigma = max(map(abs, y))
+        if affine:
+            sigma = max(sigma, math.ldexp(1.0, -E))
+        if sigma > 0.0:
+            shift = math.frexp(sigma)[1]
+            E += shift
+            y = [math.ldexp(v, -shift) for v in y]
+            sigma = math.ldexp(sigma, -shift)
+        if E > 1024:
+            raise IntegrationError(f"non-finite state at u={s:.6g}", u=s)
+        if s >= u1:
+            break
+        if len(hs) >= max_steps:
+            raise IntegrationError(f"step budget exhausted at u={s:.6g}", u=s)
 
-    return Trajectory(
-        us=np.concatenate(us),
-        states=np.concatenate(states),
-        cont=tuple(np.concatenate(c).T.copy() for c in zip(*cont)),  # one column per step
-        name=sys.name,
-        rounds=2 + splits,
-        built=built,
-    )
+        # the series of v at s: its first ``order`` terms from the state,
+        # then the recurrence, whose coefficients of the ``width`` terms
+        # before v_(k+order) are rows[k], plus f's term while k <= 2
+        (p0, p1, p2), c = eq.local(s)
+        a = [x / p0 for row in c[lo:dim] for x in row] + [-p1 / p0, -p2 / p0]
+        rows = np.dot(a, G).reshape(width, -1).T.tolist()
+        force = [0.0] * len(rows)
+        if affine:
+            gamma = math.ldexp(1.0, -E) / p0
+            for k in range(min(3, len(rows))):
+                force[k] = gamma * c[dim][k] * forcing_den[k]
+        v = [0.0] * (width - order) + [y[l] / fact[l] for l in range(order)]
+        if width == 4:
+            # equations of order <= 2, the package's own: unrolled, about
+            # five times faster than the sum below
+            x0, x1, x2, x3 = v
+            for (r0, r1, r2, r3), fk in zip(rows, force):
+                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + fk
+                v.append(x3)
+        else:
+            for k, (row, fk) in enumerate(zip(rows, force)):
+                v.append(sum(map(mul, row, v[k: k + width])) + fk)
+        v = v[width - order:]
+
+        h = min(u1 - s, max_step)
+        if singular:
+            h = min(h, 0.5 * s)
+        # each component is held to rtol * h / L of its value at the step's
+        # start, then of its end if that is smaller; never below rounding
+        floor = _EPS * sigma
+        tols = [rtol / span * max(abs(x), floor) for x in y]
+        # the series of v and its derivatives, highest power first
+        desc = [v[::-1]] + [[x * f for x, f in zip(reversed(v), ff)] for ff in falling[1:]]
+        h = _step_size(desc, h, tols)
+        nxt = _values(desc, h)
+        ends = [rtol / span * max(abs(x), floor) for x in nxt]
+        if any(e < t for e, t in zip(ends, tols)):
+            h = _step_size(desc, h, list(map(min, tols, ends)))
+            nxt = _values(desc, h)
+        if h <= 16.0 * _EPS * max(abs(s), 1e-30):
+            raise IntegrationError(f"step size underflow at u={s:.6g}", u=s)
+        # v's coefficients in powers of theta = t / h
+        starts.append(y)
+        powers = accumulate(repeat(h, _TERMS - 1), mul, initial=1.0)
+        series.append([x * hq for x, hq in zip(v, powers)])
+        hs.append(h)
+        Es.append(E)
+        s = u1 if h >= u1 - s else s + h
+        us.append(s)
+        y = nxt
+
+    phi0 = (start[0], E0) if lo else None
+    traj = _trajectory(sys.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
+    eq.check(sys.rhs, traj.us, traj.states)
+    return traj
+
+
+def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
+    """The Trajectory of steps ``hs`` with normalized series ``series`` (in
+    powers of theta), start states ``starts`` and exponents ``Es``; ``end``
+    and ``phi0`` are the last state and the antiderivative component's
+    start value (None without one), each as (value, exponent)."""
+    lo = 0 if phi0 is None else 1
+    V = np.array(series)  # (steps, _TERMS)
+    E = np.array(Es)[:, None]
+    h = hs[:, None]
+    start = np.array(starts)
+    order = start.shape[1]
+    coef = np.zeros((_TERMS + lo, order + lo, h.size))
+    states = np.empty((us.size, order + lo))
+    with np.errstate(over="ignore"):
+        for l in range(order):
+            col = V[:, l:] * _falling(np.arange(l, _TERMS, dtype=float), l) / h**l
+            col[:, 0] = start[:, l]
+            coef[: _TERMS - l, lo + l] = np.ldexp(col, E).T
+        states[:-1, lo:] = coef[0, lo:].T
+        states[-1, lo:] = np.ldexp(*end)
+        if lo:
+            # phi(s + theta h) - phi(s) = sum_q v_q h^(q+1) theta^(q+1) / (q + 1),
+            # summed at theta = 1 as Trajectory does, so phi is continuous
+            coef[1:, 0] = np.ldexp((V * h) / np.arange(1.0, _TERMS + 1.0), E).T
+            inc = np.zeros(h.size)
+            for q in range(_TERMS, 0, -1):
+                inc += coef[q, 0]
+            states[:, 0] = np.cumsum(np.concatenate(([np.ldexp(*phi0)], inc)))
+            coef[0, 0] = states[:-1, 0]
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        at = float(us[np.argmin(finite)])
+        raise IntegrationError(f"non-finite state at u={at:.6g}", u=at)
+    return Trajectory(us=us, states=states, coef=coef, name=name)
 
 
 def main_ode_field(params: ModelParams) -> OdeSystem:
@@ -500,7 +525,7 @@ def companion_volterra_field(params: ModelParams, phi_interp) -> OdeSystem:
     With y(0) = 0 the solution equals (1/m) * int_0^u phi(s) exp(-(u-s)/m) ds,
     so this field turns the integral term of the survival equation into one
     extra ODE component.  ``phi_interp`` maps an array of u to phi(u);
-    queries outside its span propagate that interpolant's error.
+    ``integrate`` takes it where phi is a polynomial of degree at most 2.
     """
     m = params.m
 

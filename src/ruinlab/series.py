@@ -55,7 +55,7 @@ ORDER = 20
 TOL = 1e-12
 # The truncation error at u0 reaches C0 amplified: with a last term of 1e-12,
 # fig2-II's C0 is 1.8e-11 off its converged value, with 1e-14 it is 1.9e-13,
-# for 1.4% more integration steps over the sweep's main points.
+# for 0.5% more Taylor steps over the main points of sweep seeds 1-10.
 PHI_TOL = 1e-14
 
 

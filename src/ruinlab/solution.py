@@ -26,6 +26,12 @@ def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
+def check_tolerances(rtol: float, atol: float) -> None:
+    """Refuse tolerances that are not positive and finite."""
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
+
+
 def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform"):
     """(u_grid, u_max) of a solve: a given grid raises u_max to its end,
     u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.

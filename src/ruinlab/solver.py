@@ -4,9 +4,10 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 
 1. expand the solution at the singular point u = 0 with placeholder C0 = 1
    and transfer the initial data to a regular point u0;
-2. integrate the third-order equation once, from u0 to a U chosen before
-   the integration as the smallest candidate at which the power-law series
-   at infinity, phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
+2. integrate the third-order equation once, by Taylor steps (``odes``),
+   from u0 to a U chosen before the integration as the smallest candidate
+   at which the power-law series at infinity,
+   phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
 3. match that series to phi(U) and phi'(U): the finite limit of the
    unnormalized solution is A = phi(U) + phi'(U) U T(U) / S(U), with
    S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1);
@@ -14,7 +15,7 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
    proportional to C0 (no shooting iteration is needed).
 
 Degenerate regimes dispatch to their closed forms or to the capital-stock
-quadrature; parameter sets with certain ruin yield the explicit zero
+route; parameter sets with certain ruin yield the explicit zero
 solution, and nonviable ones raise.
 """
 
@@ -37,7 +38,7 @@ from .model import (
 )
 from .odes import integrate, main_ode_field
 from .series import eval_series, series_coeffs_infinity, series_coeffs_main, truncates
-from .solution import SolutionGrid, TailFit, make_grid, resolve_grid
+from .solution import SolutionGrid, TailFit, check_tolerances, make_grid, resolve_grid
 from .specfun import ext_exp, ext_log
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
@@ -66,7 +67,11 @@ def solve_main(
     spacing: str = "uniform",
     u_grid=None,
 ) -> SolutionGrid:
-    """Solve the main regime; see the module docstring for the pipeline."""
+    """Solve the main regime; see the module docstring for the pipeline.
+
+    ``rtol`` is the integration's tolerance; ``atol`` decides only whether
+    the tail coefficient K is resolved at U."""
+    check_tolerances(rtol, atol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:
         raise ValueError(f"solve_main expects the main regime, got {info}")
@@ -85,7 +90,7 @@ def solve_main(
     if not ok.any():
         raise SolverError(f"series at infinity does not truncate by U={candidates[-1]:g}")
     U = float(candidates[np.argmax(ok)])
-    traj = integrate(main_ode_field(params), u0, state0, U, rtol=rtol, atol=atol)
+    traj = integrate(main_ode_field(params), u0, state0, U, rtol=rtol)
 
     def match(u: float):
         """(A, phi'(u), S(u)) from the trajectory and the series at u."""

@@ -207,7 +207,7 @@ def test_c11_property_suite(solved, capsys):
     p = PARAMS["fig1-II"]
     exp = series_coeffs_main(p)
     state = np.array(eval_series(exp, 1.0, exp.u0 / 2.0))
-    traj = integrate(main_ode_field(p), exp.u0 / 2.0, state, exp.u0, rtol=1e-12, atol=1e-14)
+    traj = integrate(main_ode_field(p), exp.u0 / 2.0, state, exp.u0, rtol=1e-12)
     target = np.array(eval_series(exp, 1.0, exp.u0))
     assert np.all(np.abs(traj.states[-1] - target) <= 1e-8 * np.maximum(1.0, np.abs(target)))
 
@@ -224,7 +224,7 @@ def test_c11_property_suite(solved, capsys):
     u0 = exp.u0
     pert = np.array(eval_series(exp, 1.0, u0))
     pert[2] += 1e-4
-    ptraj = integrate(main_ode_field(p), u0, pert, u0 + 10.0, rtol=1e-12, atol=1e-14)
+    ptraj = integrate(main_ode_field(p), u0, pert, u0 + 10.0, rtol=1e-12)
 
     def eval3(uq):
         phi = np.empty_like(uq); dphi = np.empty_like(uq); ddphi = np.empty_like(uq)

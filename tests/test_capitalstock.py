@@ -283,7 +283,7 @@ class TestPhiCapitalStock:
                     [0, min(x, 1.0) * m, x * m],
                 ) / z
                 phi = grid.evaluate(x * params.m)[0]
-                assert phi == pytest.approx(float(ref), rel=1e-9), f"u/m = {x}"
+                assert phi == pytest.approx(float(ref), rel=1e-12), f"u/m = {x}"
 
 
 class TestSweepRegressions:
@@ -312,32 +312,37 @@ class TestDenseOutput:
         assert np.max(np.abs(phi - left)) <= 1e-15
         dense = grid.evaluate(np.linspace(0.0, grid.span[1], 10_001))[0]
         assert np.all(np.diff(dense) >= 0.0)
-        # node values: the series value at u0 plus the per-step GL sums of
-        # P1 s^(mu1 - 1) eta(s), formed here in logs from the diagnostics
-        mu1, log_p1 = grid.diagnostics["mu1"], grid.diagnostics["log_P1"]
-        x, w = np.polynomial.legendre.leggauss(10)
+        # node values: the series value at u0 plus the integrals of the
+        # trajectory's phi' over the steps, by a 16-point Gauss-Legendre rule,
+        # exact for its polynomials of degree 29
+        x, w = np.polynomial.legendre.leggauss(16)
         half = 0.5 * np.diff(nodes)
         s = (0.5 * (nodes[1:] + nodes[:-1]))[:, None] + half[:, None] * x
-        eta = traj(s.ravel())[:, 0].reshape(s.shape)
-        density = np.exp(log_p1 + (mu1 - 1.0) * np.log(s)) * eta
+        density = traj(s.ravel())[:, 1].reshape(s.shape)
         per_step = half * (density @ w)
         expected = grid.evaluate(nodes[0])[0] + np.concatenate(([0.0], np.cumsum(per_step)))
         np.testing.assert_allclose(phi, expected, rtol=1e-12, atol=1e-15)
+        # phi' at the nodes is the density P1 u^(mu1 - 1) eta(u), formed here
+        # in logs from the diagnostics, with eta from its own equation
+        mu1, log_p1 = grid.diagnostics["mu1"], grid.diagnostics["log_P1"]
+        eta = solve_eta(params, nodes[-1])(nodes)[:, 0]
+        with np.errstate(under="ignore"):
+            density = np.exp(log_p1 + (mu1 - 1.0) * np.log(nodes)) * eta
+        np.testing.assert_allclose(traj.states[:, 1], density, rtol=1e-9, atol=1e-300)
 
-    def test_quadrature_tables_match_numpy_polynomial(self):
-        # the written-out Gauss-Legendre rule and the antiderivative matrix
-        # built from it equal numpy.polynomial's, bit for bit
-        from numpy.polynomial import legendre
+    def test_nonpositive_density_raises(self, monkeypatch):
+        from ruinlab import SolverError, odes
 
-        from ruinlab import capitalstock
+        integrate = odes.integrate
 
-        x, w = legendre.leggauss(10)
-        np.testing.assert_array_equal(capitalstock._GL_NODES, x)
-        np.testing.assert_array_equal(capitalstock._GL_WEIGHTS, w)
-        expected = legendre.legint(
-            (legendre.legvander(x, 9) * w[:, None]).T * (np.arange(10) + 0.5)[:, None], lbnd=-1.0
-        )
-        np.testing.assert_array_equal(capitalstock._ANTIDERIVATIVE, expected)
+        def flipped(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            traj.states[5, 1] = -traj.states[5, 1]
+            return traj
+
+        monkeypatch.setattr(odes, "integrate", flipped)
+        with pytest.raises(SolverError, match="not positive"):
+            phi_capital_stock(FIG5_I)
 
     def test_one_trajectory_call_per_evaluation(self, monkeypatch):
         grid = phi_capital_stock(FIG5_I)

@@ -224,7 +224,7 @@ class TestSeriesRecurrence:
         u_half = exp.u0 / 2.0
         state = np.array(eval_series(exp, 1.0, u_half))
         traj = integrate(
-            main_ode_field(FIG1_II), u_half, state, exp.u0, rtol=1e-12, atol=1e-14
+            main_ode_field(FIG1_II), u_half, state, exp.u0, rtol=1e-12
         )
         target = np.array(eval_series(exp, 1.0, exp.u0))
         diff = np.abs(traj.states[-1] - target)

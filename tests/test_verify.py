@@ -112,7 +112,7 @@ class TestGResidualDecay:
         u0 = exp.u0
         state = np.array(eval_series(exp, 1.0, u0))
         state[2] += 1e-4
-        traj = integrate(main_ode_field(p), u0, state, u0 + 10.0, rtol=1e-12, atol=1e-14)
+        traj = integrate(main_ode_field(p), u0, state, u0 + 10.0, rtol=1e-12)
 
         def eval3(uq):
             phi = np.empty_like(uq)
