@@ -12,6 +12,7 @@ from ruinlab import (
     eta_ode_field,
     integrate,
     main_ode_field,
+    odes,
 )
 
 DECAY = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0],), name="decay")
@@ -171,6 +172,58 @@ class TestTaylorSteps:
             scale += np.abs(rhs(u, (zero, zero, value[:, 2]))[2])
             np.testing.assert_allclose(slope[:, :2], value[:, 1:], rtol=1e-12, atol=0.0)
             assert np.all(np.abs(slope[:, 2] - field) <= 1e-12 * scale)
+
+
+class TestScan:
+    """``integrate`` over ``steps`` equal steps of one equation of order
+    ``dim``, y^(dim) = sum_j N_j(u) y^(j) + f(u) with random quadratics N_j
+    and f = 0 (linear) or not (affine), against a step-by-step loop in
+    Python floats that writes the Taylor recurrence out term by term."""
+
+    H = 2.0**-8  # so that the step ends fall on the mesh exactly
+
+    @staticmethod
+    def sequential(N, f, us, y0):
+        n = len(y0)
+        ys = [[float(v) for v in y0]]
+        for s, h in zip(us[:-1].tolist(), np.diff(us).tolist()):
+            # N_0, .., N_(n-1) and f about s: their t^0, t^1, t^2 terms
+            loc = [(c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2) for c0, c1, c2 in N + [f]]
+            v = [x / math.factorial(l) for l, x in enumerate(ys[-1])]
+            # t^k of y^(n) = sum_j N_j y^(j) + f, with t^k of y^(j) = v_(k+j) (k+j)!/k!
+            for k in range(odes._TERMS - n):
+                acc = loc[n][k] if k < 3 else 0.0
+                for j in range(n):
+                    for d in range(min(k, 2) + 1):
+                        acc += loc[j][d] * v[k - d + j] * math.perm(k - d + j, j)
+                v.append(acc / math.perm(k + n, n))
+            ys.append([sum(x * math.perm(q, l) * h ** (q - l) for q, x in enumerate(v[l:], l)) for l in range(n)])
+        return np.array(ys)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    def test_matches_sequential_loop(self, dim, steps, affine):
+        rng = np.random.default_rng(100 * steps + 10 * dim + affine)
+        N = rng.uniform(-1.0, 1.0, (dim, 3)).tolist()
+        f = rng.uniform(-1.0, 1.0, 3).tolist() if affine else [0.0, 0.0, 0.0]
+        y0 = rng.uniform(-1.0, 1.0, dim)
+
+        def quad(c, u):
+            return c[0] + u * (c[1] + u * c[2])
+
+        def rhs(u, y):
+            return (*y[1:dim], sum(quad(c, u) * yj for c, yj in zip(N, y)) + quad(f, u))
+
+        system = OdeSystem(dimension=dim, rhs=rhs, name="polynomial")
+        traj = integrate(system, 0.0, y0, steps * self.H, max_step=self.H)
+        np.testing.assert_array_equal(traj.us, self.H * np.arange(steps + 1))
+        ours, ref = traj.states, self.sequential(N, f, traj.us, y0)
+        np.testing.assert_array_equal(ours[0], y0)
+        # relative to the largest component reached so far: a solution may
+        # pass near zero, where only absolute agreement is possible
+        scale = np.maximum.accumulate(np.abs(ref).max(axis=1))[:, None]
+        assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
 
 
 def test_four_component_linear_system():
