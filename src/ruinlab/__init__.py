@@ -20,7 +20,6 @@ path simulator) validate every solution route.
 
 from .capitalstock import eta_series, exponents, phi_capital_stock, solve_eta
 from .closedform import (
-    ClosedFormSolution,
     classical_exact,
     lundberg_coefficient,
     riskfree_exact,
@@ -60,7 +59,6 @@ from .verify import McEstimate, ResidualReport, TailEstimate, ide_residual, mc_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedFormSolution",
     "ConvergenceError",
     "IntegrationError",
     "McEstimate",

@@ -230,8 +230,6 @@ def phi_capital_stock(
         scale = ext_exp((mu1 - 1.0) * ext_log(x / m) - log_zm)
         return phi, scale * eta / m, scale * ((mu1 - 1.0) * eta + x * deta) / m / x
 
-    phi, dphi, ddphi = eval3(u_grid)
-
     # Z is exact, so the limit does not move with U: stability is 0
     tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U, stability=0.0)
     diagnostics = {
@@ -246,15 +244,12 @@ def phi_capital_stock(
         "rtol": rtol,
         "atol": atol,
     }
-    return SolutionGrid(
-        u=u_grid,
-        phi=phi,
-        dphi=dphi,
-        ddphi=ddphi,
+    return SolutionGrid.sample(
+        u_grid,
+        eval3,
+        point3,
         C0=0.0,
         regime=RegimeInfo(Regime.CAPITAL_STOCK),
         tail=tail_fit,
         diagnostics=diagnostics,
-        _eval3=eval3,
-        _point3=point3,
     )

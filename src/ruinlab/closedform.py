@@ -9,6 +9,10 @@ and admits closed forms:
       phi(u) = 1 - I_c(u)/[I_c(0) + q],  q = (a/lam)(c/a)^(lam/a),
   where I_c(u) = m^(lam/a) exp(c/(a m)) * Gamma(lam/a, u/m + c/(a m)).
 
+Both routes return a ``SolutionGrid`` whose span is [0, inf), with phi''
+from the degenerate equation (a u + c) phi'' + (a - lam + c/m + a u/m) phi'
+= 0.
+
 The risk-free form is assembled in logs: log I_c(u) = p log m + z0 +
 log Gamma(p, z) with p = lam/a and z0 = c/(a m), the normalization
 log(I_c(0) + q) by log-sum-exp, phi = 1 - exp(log I_c(u) - log norm) and
@@ -20,8 +24,7 @@ phi is small.  Arrays of ``_ARRAY_MIN`` points or more take log Gamma or
 log Q from the array kernel ``log_upper_incomplete_gamma``.  A single point,
 and each point of a shorter array, takes the solution's point evaluator:
 the same formulas in Python floats, with log Gamma or log Q from the scalar
-routines (``upper_incomplete_gamma`` while p <= ``_SCALAR_P_MAX``, where
-Gamma(p, z) is finite), faster below that size.
+routine ``_log_upper_gamma``, faster below that size.
 
 Both serve as independent oracles for the numerical pipeline.
 """
@@ -29,13 +32,12 @@ Both serve as independent oracles for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NoSolutionError
-from .model import ModelParams, Regime, classify_regime
+from .model import ModelParams, Regime, RegimeInfo, classify_regime
+from .solution import SolutionGrid, resolve_grid
 from .specfun import (
     _log_upper_gamma,
     ext_exp,
@@ -45,7 +47,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "ClosedFormSolution",
     "classical_exact",
     "riskfree_exact",
     "riskfree_tail",
@@ -60,52 +61,6 @@ _ARRAY_MIN = 128
 _SCALAR_P_MAX = 171.0
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
-    """An exact solution: phi and phi' evaluable anywhere on [0, inf).
-
-    ``evaluator`` takes a validated 1-D array and ``point`` one validated
-    float; both return (phi, phi'), ``point`` as Python floats.
-    ``dphi_at_zero`` may be ``inf`` (risk-free, c = 0, a > lam: the slope at
-    the origin is unbounded but integrable).  ``log_ic0`` = log I_c(0) and
-    ``log_norm`` = log(I_c(0) + q) are populated for the risk-free regime
-    only; they stay finite where I_c(0) overflows.
-    """
-
-    regime: Regime
-    params: ModelParams
-    C0: float
-    evaluator: Callable[[np.ndarray], tuple]
-    point: Callable[[float], tuple]
-    dphi_at_zero: float
-    log_ic0: float | None = None
-    log_norm: float | None = None
-
-    def evaluate(self, u):
-        """Return (phi, phi') at u >= 0: Python floats for a 0-d u (a float,
-        an int, a numpy scalar or a 0-d array), arrays of u's shape otherwise.
-
-        A 0-d u takes ``point``, which does the array path's work in Python
-        floats and ``math``; the two agree to 1e-14 relative, and return the
-        same infinities.  Raises ValueError for a negative, infinite or NaN u."""
-        if isinstance(u, (float, int)):
-            return self._point(float(u))
-        uq = np.asarray(u, dtype=float)
-        if uq.ndim == 0:
-            return self._point(float(uq))
-        flat = uq.ravel()
-        # written so that NaN fails too
-        if flat.size and not (0.0 <= flat.min() and flat.max() < math.inf):
-            raise ValueError("u must be finite and nonnegative")
-        phi, dphi = self.evaluator(flat)
-        return phi.reshape(uq.shape), dphi.reshape(uq.shape)
-
-    def _point(self, x: float) -> tuple[float, float]:
-        if not 0.0 <= x < math.inf:
-            raise ValueError("u must be finite and nonnegative")
-        return self.point(x)
-
-
 def lundberg_coefficient(params: ModelParams) -> float:
     """Exponential decay rate of the classical ruin probability."""
     if params.c <= params.lam * params.m:
@@ -113,8 +68,17 @@ def lundberg_coefficient(params: ModelParams) -> float:
     return (params.c - params.lam * params.m) / (params.m * params.c)
 
 
-def classical_exact(params: ModelParams) -> ClosedFormSolution:
-    """Exact solution for a = b = 0; requires positive safety loading."""
+def _ddphi(params: ModelParams, u, dphi):
+    """phi'' at u (an array or a float) for c > 0, from the degenerate
+    equation (a u + c) phi'' + (a - lam + c/m + a u/m) phi' = 0."""
+    a, c, lam, m = params.a, params.c, params.lam, params.m
+    return -(a - lam + c / m + a * u / m) * dphi / (a * u + c)
+
+
+def classical_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
+    """Exact solution for a = b = 0; requires positive safety loading.
+
+    Sampled on ``u_grid``, by default 201 points on [0, 50 m]."""
     info = classify_regime(params)
     if info.regime is not Regime.CLASSICAL_CL:
         if params.a == 0.0 and params.b == 0.0:
@@ -126,22 +90,21 @@ def classical_exact(params: ModelParams) -> ClosedFormSolution:
     rl = lundberg_coefficient(params)
     amp = lam * m / c
 
-    def evaluator(u: np.ndarray):
+    def eval3(u: np.ndarray):
         decay = np.exp(-rl * u)
-        return 1.0 - amp * decay, amp * rl * decay
+        dphi = amp * rl * decay
+        return 1.0 - amp * decay, dphi, _ddphi(params, u, dphi)
 
-    def point(x: float):
+    def point3(x: float):
         decay = math.exp(-rl * x)
-        return 1.0 - amp * decay, amp * rl * decay
+        dphi = amp * rl * decay
+        return 1.0 - amp * decay, dphi, _ddphi(params, x, dphi)
 
-    return ClosedFormSolution(
-        regime=Regime.CLASSICAL_CL,
-        params=params,
-        C0=1.0 - amp,
-        evaluator=evaluator,
-        point=point,
-        dphi_at_zero=amp * rl,
-    )
+    C0 = 1.0 - amp
+    diagnostics = {"C0": C0, "dphi_at_zero": point3(0.0)[1], "U": math.inf}
+    diagnostics["lundberg_coefficient"] = rl
+    u_grid, _ = resolve_grid(m, u_grid)
+    return SolutionGrid.sample(u_grid, eval3, point3, C0=C0, regime=info, diagnostics=diagnostics)
 
 
 def _log_ic(p: float, z0: float, m: float, u: np.ndarray) -> np.ndarray:
@@ -172,8 +135,10 @@ def _log_norm(params: ModelParams) -> tuple[float, float, float]:
     return log_q, log_ic0, float(np.logaddexp(log_ic0, log_q))
 
 
-def riskfree_exact(params: ModelParams) -> ClosedFormSolution:
-    """Exact solution for b = 0, a > 0, with or without premiums (c >= 0)."""
+def riskfree_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
+    """Exact solution for b = 0, a > 0, with or without premiums (c >= 0).
+
+    Sampled on ``u_grid``, by default 201 points on [0, 50 m]."""
     if params.b != 0.0 or params.a <= 0.0:
         raise ValueError(f"riskfree_exact requires b = 0 and a > 0, got {params}")
     a, c, lam, m = params.a, params.c, params.lam, params.m
@@ -183,9 +148,20 @@ def riskfree_exact(params: ModelParams) -> ClosedFormSolution:
     log_q, log_ic0, log_norm = _log_norm(params)
     # phi' where u + c/a = 0, which only u = 0 without premiums reaches
     dphi_origin = math.inf if p < 1.0 else (math.exp(-log_norm) if p == 1.0 else 0.0)
+    # phi'' there, where phi' ~ u^(p-1) exp(-u/m) / norm
+    if p > 2.0:
+        ddphi_origin = 0.0
+    elif p == 2.0:
+        ddphi_origin = math.exp(-log_norm)
+    elif p > 1.0:
+        ddphi_origin = math.inf
+    elif p == 1.0:
+        ddphi_origin = -math.exp(-log_norm) / m
+    else:
+        ddphi_origin = -math.inf
 
-    def point(x: float):
-        # the evaluator's arithmetic in floats
+    def point2(x: float):
+        # (phi, phi') by the arithmetic of eval3 in floats
         if c > 0.0:
             phi = 1.0 - ext_exp(_log_ic_point(p, z0, m, x) - log_norm)
         else:
@@ -196,42 +172,57 @@ def riskfree_exact(params: ModelParams) -> ClosedFormSolution:
             return phi, dphi_origin
         return phi, ext_exp((p - 1.0) * ext_log(w) - x / m - log_norm)
 
-    def evaluator(u: np.ndarray):
+    def eval3(u: np.ndarray):
         if u.size < _ARRAY_MIN:
-            phi, dphi = np.array([point(x) for x in u.tolist()]).reshape(-1, 2).T
-            return phi, dphi
-        if c > 0.0:
-            phi = 1.0 - np.exp(_log_ic(p, z0, m, u) - log_norm)
+            phi, dphi = np.array([point2(x) for x in u.tolist()]).reshape(-1, 2).T
         else:
-            phi = -np.expm1(log_upper_incomplete_gamma(p, u / m, regularized=True))
-        # in logs: (u + c/a)^(p-1) alone overflows from p ~ 150 at u ~ 117
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = np.where(
-                (u + c_over_a) > 0.0,
-                np.exp((p - 1.0) * np.log(u + c_over_a) - u / m - log_norm),
-                dphi_origin,
+            if c > 0.0:
+                phi = 1.0 - np.exp(_log_ic(p, z0, m, u) - log_norm)
+            else:
+                phi = -np.expm1(log_upper_incomplete_gamma(p, u / m, regularized=True))
+            # in logs: (u + c/a)^(p-1) alone overflows from p ~ 150 at u ~ 117
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dphi = np.where(
+                    (u + c_over_a) > 0.0,
+                    np.exp((p - 1.0) * np.log(u + c_over_a) - u / m - log_norm),
+                    dphi_origin,
+                )
+        if c > 0.0:
+            return phi, dphi, _ddphi(params, u, dphi)
+        # c = 0: phi'' = ((p - 1)/u - 1/m) phi' = f phi' / (u m), in logs,
+        # since f / (u m) and phi' both grow without bound as u -> 0; beyond
+        # double range the value is -inf or inf
+        f = (p - 1.0) * m - u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ddphi = np.where(
+                u > 0.0,
+                np.sign(f) * np.exp(np.log(np.abs(f)) - np.log(u * m) + np.log(dphi)),
+                ddphi_origin,
             )
-        return phi, dphi
+        return phi, dphi, ddphi
+
+    def point3(x: float):
+        # eval3's arithmetic in floats
+        phi, dphi = point2(x)
+        if c > 0.0:
+            return phi, dphi, _ddphi(params, x, dphi)
+        if x == 0.0:
+            return phi, dphi, ddphi_origin
+        f = (p - 1.0) * m - x
+        sign = (f > 0.0) - (f < 0.0)
+        return phi, dphi, sign * ext_exp(ext_log(abs(f)) - ext_log(x * m) + ext_log(dphi))
 
     C0 = math.exp(log_q - log_norm)
-    if c > 0.0:
-        d1 = lam * C0 / c  # exact by construction
-    elif a < lam:
-        d1 = 0.0
-    elif a == lam:
-        d1 = 1.0 / m
-    else:
-        d1 = math.inf  # integrable endpoint singularity of the slope
-
-    return ClosedFormSolution(
-        regime=Regime.RISK_FREE,
-        params=params,
-        C0=C0,
-        evaluator=evaluator,
-        point=point,
-        dphi_at_zero=d1,
-        log_ic0=log_ic0,
-        log_norm=log_norm,
+    diagnostics = {
+        "C0": C0,
+        "dphi_at_zero": point3(0.0)[1],
+        "U": math.inf,
+        "log_ic0": log_ic0,
+        "log_norm": log_norm,
+    }
+    u_grid, _ = resolve_grid(m, u_grid)
+    return SolutionGrid.sample(
+        u_grid, eval3, point3, C0=C0, regime=RegimeInfo(Regime.RISK_FREE), diagnostics=diagnostics
     )
 
 

@@ -83,10 +83,10 @@ class SolutionGrid:
 
     ``u`` is strictly increasing, from 0 unless the solve was given a
     ``u_grid``; ``phi``, ``dphi``, ``ddphi`` are the sampled value and first
-    two derivatives.  The grid is a view of the
-    solution, not its full content: ``evaluate`` queries the underlying
-    representation (closed form, series + trajectory, or quadrature) anywhere
-    in ``span``.  Treat instances as immutable.
+    two derivatives.  The grid is a view of the solution, not its full
+    content: ``evaluate`` queries the underlying representation (closed form,
+    or series + trajectory) anywhere in ``span``.  Every route builds its
+    result with ``sample``.  Treat instances as immutable.
     """
 
     u: np.ndarray
@@ -101,6 +101,13 @@ class SolutionGrid:
     _eval3: Callable | None = field(default=None, repr=False)
     # the same at one validated float inside ``span``, in Python floats
     _point3: Callable | None = field(default=None, repr=False)
+
+    @classmethod
+    def sample(cls, u: np.ndarray, eval3: Callable, point3: Callable, **fields) -> "SolutionGrid":
+        """The solution with evaluators ``eval3`` and ``point3``, sampled once
+        on the validated grid ``u``; ``fields`` are the remaining fields."""
+        phi, dphi, ddphi = eval3(u)
+        return cls(u=u, phi=phi, dphi=dphi, ddphi=ddphi, _eval3=eval3, _point3=point3, **fields)
 
     @property
     def span(self) -> tuple[float, float]:

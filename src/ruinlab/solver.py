@@ -21,12 +21,10 @@ solution, and nonviable ones raise.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import capitalstock
-from .closedform import classical_exact, lundberg_coefficient, riskfree_exact
+from .closedform import classical_exact, riskfree_exact
 from .errors import NoSolutionError, SolverError, log_info
 from .model import (
     REASON_LOADING,
@@ -39,7 +37,6 @@ from .model import (
 from .odes import integrate, main_ode_field
 from .series import eval_series, series_coeffs_infinity, series_coeffs_main, truncates
 from .solution import SolutionGrid, TailFit, check_tolerances, make_grid, resolve_grid
-from .specfun import ext_exp, ext_log
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
 
@@ -129,8 +126,6 @@ def solve_main(
         phi, dphi, ddphi = traj(x)
         return C0 * phi, C0 * dphi, C0 * ddphi
 
-    phi, dphi, ddphi = eval3(u_grid)
-
     diagnostics = {
         "u0": u0,
         "U": U,
@@ -142,105 +137,23 @@ def solve_main(
     }
     if tail is None:
         diagnostics["tail_note"] = "power-law tail below integrator resolution at U"
-    return SolutionGrid(
-        u=u_grid,
-        phi=phi,
-        dphi=dphi,
-        ddphi=ddphi,
-        C0=C0,
-        regime=info,
-        tail=tail,
-        diagnostics=diagnostics,
-        _eval3=eval3,
-        _point3=point3,
+    return SolutionGrid.sample(
+        u_grid, eval3, point3, C0=C0, regime=info, tail=tail, diagnostics=diagnostics
     )
 
 
-def _closedform_grid(cf, params: ModelParams, u_grid: np.ndarray, info: RegimeInfo) -> SolutionGrid:
-    """Sample a closed-form solution, with phi'' from the degenerate equation."""
-    a, c, lam, m = params.a, params.c, params.lam, params.m
-
-    def _ddphi_origin_limit() -> float:
-        # only reached for c = 0 (risk-free without premiums), where
-        # phi' ~ u^(p-1) exp(-u/m) / norm with p = lam/a
-        p = lam / a
-        if p > 2.0:
-            return 0.0
-        if p == 2.0:
-            return math.exp(-cf.log_norm)
-        if p > 1.0:
-            return math.inf
-        if p == 1.0:
-            return -math.exp(-cf.log_norm) / m
-        return -math.inf
-
-    def eval3(uq: np.ndarray):
-        phi, dphi = cf.evaluator(uq)
-        # (a u + c) phi'' + (a - lam + c/m + a u/m) phi' = 0
-        if c > 0.0:
-            ddphi = -(a - lam + c / m + a * uq / m) * dphi / (a * uq + c)
-            return phi, dphi, ddphi
-        # c = 0: phi'' = ((p - 1)/u - 1/m) phi' = f phi' / (u m), in logs,
-        # since f / (u m) and phi' both grow without bound as u -> 0; beyond
-        # double range the value is -inf or inf
-        f = (lam / a - 1.0) * m - uq
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ddphi = np.where(
-                uq > 0.0,
-                np.sign(f) * np.exp(np.log(np.abs(f)) - np.log(uq * m) + np.log(dphi)),
-                _ddphi_origin_limit(),
-            )
-        return phi, dphi, ddphi
-
-    def point3(x: float):
-        # eval3's arithmetic in floats
-        phi, dphi = cf.point(x)
-        if c > 0.0:
-            return phi, dphi, -(a - lam + c / m + a * x / m) * dphi / (a * x + c)
-        if x == 0.0:
-            return phi, dphi, _ddphi_origin_limit()
-        f = (lam / a - 1.0) * m - x
-        sign = (f > 0.0) - (f < 0.0)
-        return phi, dphi, sign * ext_exp(ext_log(abs(f)) - ext_log(x * m) + ext_log(dphi))
-
-    phi, dphi, ddphi = eval3(u_grid)
-    diagnostics = {"C0": cf.C0, "dphi_at_zero": cf.dphi_at_zero, "U": np.inf}
-    if info.regime is Regime.CLASSICAL_CL:
-        diagnostics["lundberg_coefficient"] = lundberg_coefficient(params)
-    if cf.log_norm is not None:
-        diagnostics["log_ic0"] = cf.log_ic0
-        diagnostics["log_norm"] = cf.log_norm
-    return SolutionGrid(
-        u=u_grid,
-        phi=phi,
-        dphi=dphi,
-        ddphi=ddphi,
-        C0=cf.C0,
-        regime=info,
-        tail=None,
-        diagnostics=diagnostics,
-        _eval3=eval3,
-        _point3=point3,
-    )
-
-
-def _zero_grid(params: ModelParams, u_grid: np.ndarray, info: RegimeInfo) -> SolutionGrid:
+def _zero_grid(u_grid: np.ndarray, info: RegimeInfo) -> SolutionGrid:
     def eval3(uq: np.ndarray):
         z = np.zeros_like(uq)
         return z, z.copy(), z.copy()
 
-    z = np.zeros_like(u_grid)
-    return SolutionGrid(
-        u=u_grid,
-        phi=z,
-        dphi=z.copy(),
-        ddphi=z.copy(),
+    return SolutionGrid.sample(
+        u_grid,
+        eval3,
+        lambda x: (0.0, 0.0, 0.0),
         C0=0.0,
         regime=info,
-        tail=None,
         diagnostics={"reason": f"ruin certain: {info.reason}", "U": np.inf},
-        _eval3=eval3,
-        _point3=lambda x: (0.0, 0.0, 0.0),
     )
 
 
@@ -266,16 +179,14 @@ def solve(
     if info.regime is Regime.MAIN:
         return solve_main(params, u_max=u_max, rtol=rtol, atol=atol, u_grid=u_grid)
     if info.regime is Regime.CLASSICAL_CL:
-        return _closedform_grid(classical_exact(params), params, u_grid, info)
+        return classical_exact(params, u_grid=u_grid)
     if info.regime is Regime.RISK_FREE:
-        return _closedform_grid(riskfree_exact(params), params, u_grid, info)
+        return riskfree_exact(params, u_grid=u_grid)
     if info.regime is Regime.CAPITAL_STOCK:
-        return capitalstock.phi_capital_stock(
-            params, u_grid=u_grid, u_max=u_max, rtol=rtol, atol=atol
-        )
+        return capitalstock.phi_capital_stock(params, u_grid, u_max, rtol=rtol, atol=atol)
     # NO_SOLUTION
     if info.reason == REASON_NOT_ROBUST:
-        return _zero_grid(params, u_grid, info)
+        return _zero_grid(u_grid, info)
     if info.reason == REASON_LOADING:
         raise NoSolutionError(
             f"no solution: c <= lambda*m ({params.c:g} <= {params.lam * params.m:g})"

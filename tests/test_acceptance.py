@@ -80,12 +80,13 @@ def test_c05_riskfree_closed_forms():
     sol_ii = riskfree_exact(PARAMS["fig3-II"])
     for value, ref in (
         (sol_i.C0, 0.00704),
-        (sol_i.dphi_at_zero, 0.0317),
+        (sol_i.diagnostics["dphi_at_zero"], 0.0317),
         (sol_ii.C0, 0.2046),
-        (sol_ii.dphi_at_zero, 0.9207),
+        (sol_ii.diagnostics["dphi_at_zero"], 0.9207),
     ):
         assert abs(value - ref) / ref <= 1e-3
-    _pass(5, f"C0={sol_i.C0:.6f}/{sol_ii.C0:.6f}, D1={sol_i.dphi_at_zero:.6f}/{sol_ii.dphi_at_zero:.6f}")
+    d1_i, d1_ii = sol_i.diagnostics["dphi_at_zero"], sol_ii.diagnostics["dphi_at_zero"]
+    _pass(5, f"C0={sol_i.C0:.6f}/{sol_ii.C0:.6f}, D1={d1_i:.6f}/{d1_ii:.6f}")
 
 
 def test_c06_riskfree_no_premium_cases():
@@ -98,7 +99,7 @@ def test_c06_riskfree_no_premium_cases():
     # a > lam: phi(0) = 0, unbounded but integrable slope
     sol_hi = riskfree_exact(PARAMS["fig4-II"])
     assert sol_hi.C0 == 0.0
-    assert sol_hi.dphi_at_zero == math.inf
+    assert sol_hi.diagnostics["dphi_at_zero"] == math.inf
     integral, _ = quad(
         lambda u: sol_hi.evaluate(u)[1], 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200
     )
@@ -107,7 +108,7 @@ def test_c06_riskfree_no_premium_cases():
 
     # a < lam: zero slope at the origin
     sol_lo = riskfree_exact(PARAMS["fig4-I"])
-    assert sol_lo.C0 == 0.0 and sol_lo.dphi_at_zero == 0.0
+    assert sol_lo.C0 == 0.0 and sol_lo.diagnostics["dphi_at_zero"] == 0.0
     _pass(6, f"int phi' = {integral:.12f} vs phi(1) = {phi1:.12f}")
 
 

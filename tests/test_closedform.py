@@ -42,13 +42,13 @@ class TestClassicalExact:
     def test_landmarks(self):
         sol = classical_exact(CLASSICAL)
         assert sol.C0 == pytest.approx(0.1, abs=1e-12)
-        assert sol.dphi_at_zero == pytest.approx(0.09, abs=1e-12)
+        assert sol.diagnostics["dphi_at_zero"] == pytest.approx(0.09, abs=1e-12)
         assert lundberg_coefficient(CLASSICAL) == pytest.approx(0.1, rel=1e-12)
 
     def test_formula(self):
         sol = classical_exact(CLASSICAL)
         us = np.linspace(0.0, 80.0, 41)
-        phi, dphi = sol.evaluate(us)
+        phi, dphi, _ = sol.evaluate(us)
         exact = 1.0 - 0.9 * np.exp(-0.1 * us)
         assert np.max(np.abs(phi - exact)) < 1e-14
         assert np.max(np.abs(dphi - 0.09 * np.exp(-0.1 * us))) < 1e-14
@@ -56,7 +56,7 @@ class TestClassicalExact:
     def test_limits_and_shape(self):
         sol = classical_exact(CLASSICAL)
         us = np.linspace(0.0, 200.0, 101)
-        phi, dphi = sol.evaluate(us)
+        phi, dphi, _ = sol.evaluate(us)
         assert np.all(np.diff(phi) >= 0.0)
         assert np.all((phi >= 0.0) & (phi <= 1.0))
         assert sol.evaluate(200.0)[0] == pytest.approx(1.0, abs=1e-8)
@@ -76,22 +76,22 @@ class TestRiskFreeExact:
     def test_caption_values(self):
         sol = riskfree_exact(RISKFREE_LOW)
         assert sol.C0 == pytest.approx(0.00704, rel=1e-3)
-        assert sol.dphi_at_zero == pytest.approx(0.0317, rel=1e-3)
+        assert sol.diagnostics["dphi_at_zero"] == pytest.approx(0.0317, rel=1e-3)
         sol = riskfree_exact(RISKFREE_HIGH)
         assert sol.C0 == pytest.approx(0.2046, rel=1e-3)
-        assert sol.dphi_at_zero == pytest.approx(0.9207, rel=1e-3)
+        assert sol.diagnostics["dphi_at_zero"] == pytest.approx(0.9207, rel=1e-3)
 
     def test_origin_relation_exact(self):
         # c * phi'(0) = lam * phi(0) is built into the normalization
         for p in (RISKFREE_LOW, RISKFREE_HIGH):
             sol = riskfree_exact(p)
-            assert p.c * sol.dphi_at_zero == pytest.approx(p.lam * sol.C0, rel=1e-13)
+            assert p.c * sol.diagnostics["dphi_at_zero"] == pytest.approx(p.lam * sol.C0, rel=1e-13)
 
     def test_monotone_bounded_limits_to_one(self):
         for p in (RISKFREE_LOW, RISKFREE_HIGH):
             sol = riskfree_exact(p)
             us = np.linspace(0.0, 100.0, 201)
-            phi, dphi = sol.evaluate(us)
+            phi, dphi, _ = sol.evaluate(us)
             assert np.all(np.diff(phi) >= 0.0)
             assert np.all((phi >= 0.0) & (phi <= 1.0))
             assert phi[-1] == pytest.approx(1.0, abs=1e-10)
@@ -102,9 +102,9 @@ class TestRiskFreeExact:
         p = ModelParams(a=0.09, b=0.0, c=0.0, lam=0.09, m=1.0)
         sol = riskfree_exact(p)
         assert sol.C0 == 0.0
-        assert sol.dphi_at_zero == pytest.approx(1.0, rel=1e-12)
+        assert sol.diagnostics["dphi_at_zero"] == pytest.approx(1.0, rel=1e-12)
         us = np.linspace(0.0, 30.0, 61)
-        phi, _ = sol.evaluate(us)
+        phi, _, _ = sol.evaluate(us)
         assert np.max(np.abs(phi - (1.0 - np.exp(-us)))) < 1e-12
 
     def test_no_premium_large_shape(self):
@@ -113,7 +113,7 @@ class TestRiskFreeExact:
 
         p = ModelParams(a=0.001, b=0.0, c=0.0, lam=0.15, m=1.0)
         us = np.linspace(0.0, 50.0, 101)
-        phi, _ = riskfree_exact(p).evaluate(us)
+        phi, _, _ = riskfree_exact(p).evaluate(us)
         assert np.max(np.abs(phi - gammainc(150.0, us))) < 1e-12
 
     def test_no_premium_large_shape_slope(self):
@@ -124,16 +124,16 @@ class TestRiskFreeExact:
         us = np.array([100.0, 118.0, 200.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, dphi = riskfree_exact(p).evaluate(us)
+            _, dphi, _ = riskfree_exact(p).evaluate(us)
         exact = np.exp(149.0 * np.log(us) - us - gammaln(150.0))
         assert np.all(np.isfinite(dphi))
         assert np.max(np.abs(dphi / exact - 1.0)) <= 1e-12
 
     def test_no_premium_slope_classification(self):
         slow = riskfree_exact(ModelParams(a=0.02, b=0.0, c=0.0, lam=0.09, m=1.0))
-        assert slow.C0 == 0.0 and slow.dphi_at_zero == 0.0
+        assert slow.C0 == 0.0 and slow.diagnostics["dphi_at_zero"] == 0.0
         steep = riskfree_exact(ModelParams(a=0.1, b=0.0, c=0.0, lam=0.09, m=1.0))
-        assert steep.C0 == 0.0 and steep.dphi_at_zero == math.inf
+        assert steep.C0 == 0.0 and steep.diagnostics["dphi_at_zero"] == math.inf
         # the unbounded slope is still integrable: phi rises immediately
         assert steep.evaluate(0.5)[0] > 0.0
 
@@ -146,11 +146,11 @@ class TestRiskFreeExact:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = riskfree_exact(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0))
-            phi, dphi = sol.evaluate(us)
+            phi, dphi, _ = sol.evaluate(us)
         assert np.all((phi >= 0.0) & (phi <= 1.0))
         assert np.max(np.abs(phi - (1.0 - np.exp(log_ic(us) - log_norm)))) <= 1e-12
         assert np.all(np.isfinite(dphi[1:]))
-        assert sol.log_norm == pytest.approx(log_norm, rel=1e-14)
+        assert sol.diagnostics["log_norm"] == pytest.approx(log_norm, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["fig4-I", "fig4-II"])
     def test_small_phi_without_premiums(self, name):
@@ -184,7 +184,7 @@ class TestRiskFreeExact:
         sol = riskfree_exact(PRESETS[name].params)
         us = np.linspace(0.0, 50.0, 201)
         assert us.size >= closedform._ARRAY_MIN  # the array takes the kernel
-        phi, dphi = sol.evaluate(us)
+        phi, dphi, _ = sol.evaluate(us)
         scalar = np.array([sol.evaluate(float(u)) for u in us])
         np.testing.assert_allclose(scalar[:, 0], phi, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(scalar[:, 1], dphi, rtol=1e-14, atol=0.0)
@@ -210,15 +210,15 @@ class TestRiskFreeExact:
         sol = classical_exact(params) if params.a == 0.0 else riskfree_exact(params)
         bad = [math.nan, math.inf, -math.inf, -1.0, -5e-324]
         for u in bad + [-1] + [np.float64(b) for b in bad] + [np.array(b) for b in bad]:
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+            with pytest.raises(ValueError, match="finite u"):
                 sol.evaluate(u)
         for u in (5, np.float64(5.0), np.array(5.0)):
             values = sol.evaluate(u)
-            assert len(values) == 2 and all(type(v) is float for v in values)
+            assert len(values) == 3 and all(type(v) is float for v in values)
             assert values == sol.evaluate(5.0)
         # far out Gamma(p, z) underflows; the long array takes the kernel
         far = sol.evaluate(np.full(closedform._ARRAY_MIN, 1e3))
-        assert sol.evaluate(1e3) == (far[0][0], far[1][0])
+        assert sol.evaluate(1e3) == (far[0][0], far[1][0], far[2][0])
 
     @pytest.mark.parametrize("point", OVERFLOW_POINTS)
     def test_point_path_agrees_at_large_shape(self, point):
@@ -228,7 +228,7 @@ class TestRiskFreeExact:
         sol = riskfree_exact(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0))
         p = lam / a
         us = np.linspace(0.05 * p, 3.0 * p, closedform._ARRAY_MIN)  # the kernel's path
-        phi, dphi = sol.evaluate(us)
+        phi, dphi, _ = sol.evaluate(us)
         scalar = np.array([sol.evaluate(u) for u in us[::7].tolist()])
         np.testing.assert_allclose(scalar[:, 1], dphi[::7], rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(scalar[:, 0], phi[::7], rtol=1e-13, atol=0.0)

@@ -209,7 +209,7 @@ class TestSolveDispatch:
     def test_riskfree_grid_matches_closed_form(self, solved):
         grid = solved("fig3-II")
         cf = riskfree_exact(PARAMS["fig3-II"])
-        phi, dphi = cf.evaluate(grid.u)
+        phi, dphi, _ = cf.evaluate(grid.u)
         assert np.max(np.abs(grid.phi - phi)) < 1e-13
         assert grid.C0 == cf.C0
 
