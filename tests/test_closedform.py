@@ -191,13 +191,13 @@ class TestRiskFreeExact:
 
     def test_dense_evaluation_is_one_kernel_call(self, monkeypatch):
         calls = []
-        scalar = closedform.upper_incomplete_gamma
+        scalar = closedform._log_upper_gamma
 
-        def counted(p, z):
+        def counted(p, z, *args):
             calls.append(z)
-            return scalar(p, z)
+            return scalar(p, z, *args)
 
-        monkeypatch.setattr(closedform, "upper_incomplete_gamma", counted)
+        monkeypatch.setattr(closedform, "_log_upper_gamma", counted)
         for name in RISKFREE_PRESETS:
             sol = riskfree_exact(PRESETS[name].params)
             calls.clear()
@@ -245,6 +245,27 @@ class TestRiskFreeExact:
             riskfree_exact(CLASSICAL)
         with pytest.raises(ValueError):
             riskfree_exact(ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0))
+
+
+class TestSecondDerivative:
+    """phi'' from the degenerate equation against a central difference of phi'."""
+
+    @pytest.mark.parametrize("path", ["array", "point"])
+    @pytest.mark.parametrize("name", ["fig1-I", "fig3-I", "fig3-II", "fig4-I", "fig4-II"])
+    def test_matches_difference_of_slope(self, name, path):
+        # fig4-II (c = 0, p = 0.9) takes the log form, whose phi' ~ u^(p-1)
+        params = PRESETS[name].params
+        sol = classical_exact(params) if params.a == 0.0 else riskfree_exact(params)
+        us = np.geomspace(0.01, 40.0, closedform._ARRAY_MIN)  # the array takes the kernel
+        h = 1e-5 * us
+        if path == "array":
+            evaluate = sol.evaluate
+        else:
+            def evaluate(u):
+                return np.array([sol.evaluate(float(x)) for x in u]).T
+        ddphi = evaluate(us)[2]
+        difference = (evaluate(us + h)[1] - evaluate(us - h)[1]) / (2.0 * h)
+        np.testing.assert_allclose(ddphi, difference, rtol=1e-6, atol=1e-9 * np.max(np.abs(ddphi)))
 
 
 class TestRiskFreeTail:

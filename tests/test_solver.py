@@ -368,6 +368,14 @@ class TestEvaluate:
         for k in range(3):
             np.testing.assert_allclose(scalars[:, k], arrays[k], rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", NAMES + ["zero"])
+    def test_grid_is_evaluate_on_its_grid(self, solved, name):
+        # every route samples its grid with the evaluator it keeps
+        zero = ModelParams(a=0.001, b=0.1, c=0.1, lam=0.09, m=1.0)  # 2a/b^2 = 0.2
+        grid = solve(zero, u_max=10.0) if name == "zero" else solved(name)
+        for sampled, evaluated in zip((grid.phi, grid.dphi, grid.ddphi), grid.evaluate(grid.u)):
+            assert sampled.tobytes() == evaluated.tobytes()
+
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("shape", [(4, 8), (4, 64)])  # 256 points take the kernel
     def test_any_shape(self, solved, name, shape):
