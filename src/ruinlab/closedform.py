@@ -24,7 +24,8 @@ phi is small.  Arrays of ``_ARRAY_MIN`` points or more take log Gamma or
 log Q from the array kernel ``log_upper_incomplete_gamma``.  A single point,
 and each point of a shorter array, takes the solution's point evaluator:
 the same formulas in Python floats, with log Gamma or log Q from the scalar
-routine ``_log_upper_gamma``, faster below that size.
+routines (``upper_incomplete_gamma`` while p <= ``_SCALAR_P_MAX``, where
+Gamma(p, z) is finite), faster below that size.
 
 Both serve as independent oracles for the numerical pipeline.
 """
@@ -38,10 +39,13 @@ import numpy as np
 from .errors import NoSolutionError
 from .model import ModelParams, Regime, RegimeInfo, classify_regime
 from .solution import SolutionGrid, resolve_grid
-from .specfun import _log_upper_gamma, ext_exp, ext_log, log_upper_incomplete_gamma
-
-# perfbench/tracer.py patches upper_incomplete_gamma here
-from .specfun import upper_incomplete_gamma  # noqa: F401
+from .specfun import (
+    _log_upper_gamma,
+    ext_exp,
+    ext_log,
+    log_upper_incomplete_gamma,
+    upper_incomplete_gamma,
+)
 
 __all__ = [
     "classical_exact",
@@ -54,6 +58,8 @@ __all__ = [
 # ~4 us a point it beats the array kernel, whose loops cost 0.15-0.7 ms
 # whatever the size, up to 128-256 points (measured on a 2-core x86 VM)
 _ARRAY_MIN = 128
+# Gamma(p) and so Gamma(p, z) are finite for p below 171.6
+_SCALAR_P_MAX = 171.0
 
 
 def lundberg_coefficient(params: ModelParams) -> float:
@@ -96,8 +102,12 @@ def classical_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
         return 1.0 - amp * decay, dphi, _ddphi(params, x, dphi)
 
     C0 = 1.0 - amp
-    diagnostics = {"C0": C0, "dphi_at_zero": point3(0.0)[1], "U": math.inf}
-    diagnostics["lundberg_coefficient"] = rl
+    diagnostics = {
+        "C0": C0,
+        "dphi_at_zero": point3(0.0)[1],
+        "U": math.inf,
+        "lundberg_coefficient": rl,
+    }
     u_grid, _ = resolve_grid(m, u_grid)
     return SolutionGrid.sample(u_grid, eval3, point3, C0=C0, regime=info, diagnostics=diagnostics)
 
@@ -110,7 +120,12 @@ def _log_ic(p: float, z0: float, m: float, u: np.ndarray) -> np.ndarray:
 
 def _log_ic_point(p: float, z0: float, m: float, x: float) -> float:
     """log I_c(x) at one x >= 0, for c > 0."""
-    return p * math.log(m) + z0 + _log_upper_gamma(p, x / m + z0)
+    z = x / m + z0
+    if p <= _SCALAR_P_MAX:  # Gamma(p, z) is finite; it underflows from z ~ 745
+        log_g = ext_log(upper_incomplete_gamma(p, z))
+    else:
+        log_g = _log_upper_gamma(p, z)
+    return p * math.log(m) + z0 + log_g
 
 
 def _log_norm(params: ModelParams) -> tuple[float, float, float]:

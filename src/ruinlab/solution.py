@@ -103,7 +103,7 @@ class SolutionGrid:
     _point3: Callable | None = field(default=None, repr=False)
 
     @classmethod
-    def sample(cls, u: np.ndarray, eval3: Callable, point3: Callable, **fields) -> "SolutionGrid":
+    def sample(cls, u: np.ndarray, eval3: Callable, point3: Callable, **fields) -> SolutionGrid:
         """The solution with evaluators ``eval3`` and ``point3``, sampled once
         on the validated grid ``u``; ``fields`` are the remaining fields."""
         phi, dphi, ddphi = eval3(u)
@@ -123,8 +123,6 @@ class SolutionGrid:
         relative, and return the same infinities.  Raises ValueError for u
         outside ``span`` and for an infinite or NaN u, also where ``span``
         reaches to infinity."""
-        if self._eval3 is None:
-            raise ValueError("this solution carries no dense evaluator")
         if isinstance(u, (float, int)):
             return self._point(float(u))
         uq = np.asarray(u, dtype=float)
