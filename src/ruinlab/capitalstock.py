@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NoSolutionError, SolverError, log_info
 from .model import ModelParams, Regime, RegimeInfo
-from .series import ORDER, choose_u0, horner, poly3
+from .series import ORDER, choose_u0, horner, origin_limits, poly3
 from .solution import SolutionGrid, TailFit, check_tolerances, resolve_grid
 from .specfun import ext_exp, ext_log
 
@@ -183,23 +183,8 @@ def phi_capital_stock(
         at = traj.us[np.argmax(negative)]
         raise SolverError(f"capital-stock density is not positive near u={at:.6g}")
 
-    def lim_dphi0() -> float:
-        if mu1 > 1.0:
-            return 0.0
-        if mu1 == 1.0:
-            return P1
-        return np.inf
-
-    def lim_ddphi0() -> float:
-        if mu1 > 2.0:
-            return 0.0
-        if mu1 == 2.0:
-            return P1
-        if mu1 > 1.0:
-            return np.inf
-        if mu1 == 1.0:
-            return float(P1 * poly[1])
-        return -np.inf
+    # eta = 1 + P_2 u + ..., so phi' = P1 u^(mu1-1) (1 + P_2 u + ...)
+    dphi0, ddphi0 = origin_limits(mu1, P1, float(poly[1]))
 
     def eval3(uq: np.ndarray):
         # the trajectory above u0, the series below
@@ -214,8 +199,8 @@ def phi_capital_stock(
                 dphi[inner] = density(x, eta)
                 ddphi[inner] = density(x, (mu1 - 1.0) * eta + x * deta) / x
             at0 = uq == 0.0
-            dphi[at0] = lim_dphi0()
-            ddphi[at0] = lim_ddphi0()
+            dphi[at0] = dphi0
+            ddphi[at0] = ddphi0
         return phi, dphi, ddphi
 
     def point3(x: float):
@@ -224,7 +209,7 @@ def phi_capital_stock(
             return tuple(traj(x))
         phi = ext_exp(mu1 * ext_log(x / m) - log_zm) * horner(panel_desc, x)
         if x == 0.0:
-            return phi, lim_dphi0(), lim_ddphi0()
+            return phi, dphi0, ddphi0
         eta, deta, _ = poly3(poly, x)
         # density(x, v) = P1 x^(mu1-1) v
         scale = ext_exp((mu1 - 1.0) * ext_log(x / m) - log_zm)

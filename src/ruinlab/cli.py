@@ -58,16 +58,8 @@ def _resolve(args, key: str, flag_value, default=None):
             return int(raw)
         return raw
     preset = getattr(args, "_preset", None)
-    if preset is not None:
-        if key in ("a", "b", "c", "lambda", "m"):
-            attr = "lam" if key == "lambda" else key
-            return getattr(preset.params, attr)
-        if key == "umax":
-            return preset.u_max
-        if key == "points":
-            return preset.points
-        if key == "spacing":
-            return preset.spacing
+    if preset is not None and key in ("a", "b", "c", "lambda", "m"):
+        return getattr(preset.params, "lam" if key == "lambda" else key)
     return default
 
 

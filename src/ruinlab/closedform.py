@@ -11,7 +11,10 @@ and admits closed forms:
 
 Both routes return a ``SolutionGrid`` whose span is [0, inf), with phi''
 from the degenerate equation (a u + c) phi'' + (a - lam + c/m + a u/m) phi'
-= 0.
+= 0: phi'' = -R_L phi' in the classical regime, and, divided by a w with
+w = u + c/a, phi'' = (p - 1 - w/m) phi'/w in the risk-free regime for every
+c >= 0.  Where w = 0 (u = 0 without premiums) phi' and phi'' are the limits
+of phi' ~ u^(p-1) exp(-u/m) / norm (``series.origin_limits``).
 
 The risk-free form is assembled in logs: log I_c(u) = p log m + z0 +
 log Gamma(p, z) with p = lam/a and z0 = c/(a m), the normalization
@@ -38,6 +41,7 @@ import numpy as np
 
 from .errors import NoSolutionError
 from .model import ModelParams, Regime, RegimeInfo, classify_regime
+from .series import origin_limits
 from .solution import SolutionGrid, resolve_grid
 from .specfun import (
     _log_upper_gamma,
@@ -69,13 +73,6 @@ def lundberg_coefficient(params: ModelParams) -> float:
     return (params.c - params.lam * params.m) / (params.m * params.c)
 
 
-def _ddphi(params: ModelParams, u, dphi):
-    """phi'' at u (an array or a float) for c > 0, from the degenerate
-    equation (a u + c) phi'' + (a - lam + c/m + a u/m) phi' = 0."""
-    a, c, lam, m = params.a, params.c, params.lam, params.m
-    return -(a - lam + c / m + a * u / m) * dphi / (a * u + c)
-
-
 def classical_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
     """Exact solution for a = b = 0; requires positive safety loading.
 
@@ -94,12 +91,12 @@ def classical_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
     def eval3(u: np.ndarray):
         decay = np.exp(-rl * u)
         dphi = amp * rl * decay
-        return 1.0 - amp * decay, dphi, _ddphi(params, u, dphi)
+        return 1.0 - amp * decay, dphi, -rl * dphi
 
     def point3(x: float):
         decay = math.exp(-rl * x)
         dphi = amp * rl * decay
-        return 1.0 - amp * decay, dphi, _ddphi(params, x, dphi)
+        return 1.0 - amp * decay, dphi, -rl * dphi
 
     C0 = 1.0 - amp
     diagnostics = {
@@ -110,12 +107,6 @@ def classical_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
     }
     u_grid, _ = resolve_grid(m, u_grid)
     return SolutionGrid.sample(u_grid, eval3, point3, C0=C0, regime=info, diagnostics=diagnostics)
-
-
-def _log_ic(p: float, z0: float, m: float, u: np.ndarray) -> np.ndarray:
-    """log I_c(u) = p log m + z0 + log Gamma(p, u/m + z0), for c > 0, over an
-    array of at least ``_ARRAY_MIN`` points."""
-    return p * math.log(m) + z0 + log_upper_incomplete_gamma(p, u / m + z0)
 
 
 def _log_ic_point(p: float, z0: float, m: float, x: float) -> float:
@@ -151,76 +142,44 @@ def riskfree_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
     z0 = c / (a * m)
     c_over_a = c / a
     log_q, log_ic0, log_norm = _log_norm(params)
-    # phi' where u + c/a = 0, which only u = 0 without premiums reaches
-    dphi_origin = math.inf if p < 1.0 else (math.exp(-log_norm) if p == 1.0 else 0.0)
-    # phi'' there, where phi' ~ u^(p-1) exp(-u/m) / norm
-    if p > 2.0:
-        ddphi_origin = 0.0
-    elif p == 2.0:
-        ddphi_origin = math.exp(-log_norm)
-    elif p > 1.0:
-        ddphi_origin = math.inf
-    elif p == 1.0:
-        ddphi_origin = -math.exp(-log_norm) / m
-    else:
-        ddphi_origin = -math.inf
-
-    def point2(x: float):
-        # (phi, phi') by the arithmetic of eval3 in floats
-        if c > 0.0:
-            phi = 1.0 - ext_exp(_log_ic_point(p, z0, m, x) - log_norm)
-        else:
-            z = x / m
-            phi = -math.expm1(_log_upper_gamma(p, z, True) if z > 0.0 else 0.0)
-        w = x + c_over_a
-        if not w > 0.0:
-            return phi, dphi_origin
-        return phi, ext_exp((p - 1.0) * ext_log(w) - x / m - log_norm)
+    # phi' and phi'' where w = u + c/a = 0, which only u = 0 without premiums
+    # reaches: there phi' = u^(p-1) exp(-u/m) / norm
+    dphi_origin, ddphi_origin = origin_limits(p, ext_exp(-log_norm), -1.0 / m)
 
     def eval3(u: np.ndarray):
         if u.size < _ARRAY_MIN:
-            phi, dphi = np.array([point2(x) for x in u.tolist()]).reshape(-1, 2).T
-        else:
-            if c > 0.0:
-                phi = 1.0 - np.exp(_log_ic(p, z0, m, u) - log_norm)
-            else:
-                phi = -np.expm1(log_upper_incomplete_gamma(p, u / m, regularized=True))
-            # in logs: (u + c/a)^(p-1) alone overflows from p ~ 150 at u ~ 117
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dphi = np.where(
-                    (u + c_over_a) > 0.0,
-                    np.exp((p - 1.0) * np.log(u + c_over_a) - u / m - log_norm),
-                    dphi_origin,
-                )
+            return tuple(np.array([point3(x) for x in u.tolist()]).reshape(-1, 3).T)
         if c > 0.0:
-            return phi, dphi, _ddphi(params, u, dphi)
-        # c = 0: phi'' = ((p - 1)/u - 1/m) phi' = f phi' / (u m), in logs,
-        # since f / (u m) and phi' both grow without bound as u -> 0; beyond
-        # double range the value is -inf or inf
-        f = (p - 1.0) * m - u
+            log_g = log_upper_incomplete_gamma(p, u / m + z0)
+            phi = 1.0 - np.exp(p * math.log(m) + z0 + log_g - log_norm)
+        else:
+            phi = -np.expm1(log_upper_incomplete_gamma(p, u / m, regularized=True))
+        w = u + c_over_a
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ddphi = np.where(
-                u > 0.0,
-                np.sign(f) * np.exp(np.log(np.abs(f)) - np.log(u * m) + np.log(dphi)),
-                ddphi_origin,
-            )
+            # in logs: w^(p-1) alone overflows from p ~ 150 at u ~ 117
+            dphi = np.where(w > 0.0, np.exp((p - 1.0) * np.log(w) - u / m - log_norm), dphi_origin)
+            ddphi = np.where(w > 0.0, ((p - 1.0) - w / m) * (dphi / w), ddphi_origin)
         return phi, dphi, ddphi
 
     def point3(x: float):
         # eval3's arithmetic in floats
-        phi, dphi = point2(x)
         if c > 0.0:
-            return phi, dphi, _ddphi(params, x, dphi)
-        if x == 0.0:
-            return phi, dphi, ddphi_origin
-        f = (p - 1.0) * m - x
-        sign = (f > 0.0) - (f < 0.0)
-        return phi, dphi, sign * ext_exp(ext_log(abs(f)) - ext_log(x * m) + ext_log(dphi))
+            phi = 1.0 - ext_exp(_log_ic_point(p, z0, m, x) - log_norm)
+        else:
+            z = x / m  # phi(0) is 0.0, where -expm1(log Q(p, 0)) reads -0.0
+            phi = -math.expm1(_log_upper_gamma(p, z, True)) if z > 0.0 else 0.0
+        w = x + c_over_a
+        if not w > 0.0:
+            return phi, dphi_origin, ddphi_origin
+        dphi = ext_exp((p - 1.0) * ext_log(w) - x / m - log_norm)
+        return phi, dphi, ((p - 1.0) - w / m) * (dphi / w)
 
     C0 = math.exp(log_q - log_norm)
+    # point3(0.0)[1], without forming log I_c(0) a second time
+    dphi0 = ext_exp((p - 1.0) * ext_log(c_over_a) - log_norm) if c > 0.0 else dphi_origin
     diagnostics = {
         "C0": C0,
-        "dphi_at_zero": point3(0.0)[1],
+        "dphi_at_zero": dphi0,
         "U": math.inf,
         "log_ic0": log_ic0,
         "log_norm": log_norm,

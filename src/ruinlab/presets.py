@@ -19,19 +19,11 @@ class Scenario:
 
     name: str
     params: ModelParams
-    u_max: float = 50.0
-    points: int = 201
-    spacing: str = "uniform"
     landmark: str = ""
 
 
-def _scn(name, a, b, c, landmark, **kw):
-    return Scenario(
-        name=name,
-        params=ModelParams(a=a, b=b, c=c, lam=0.09, m=1.0),
-        landmark=landmark,
-        **kw,
-    )
+def _scn(name, a, b, c, landmark):
+    return Scenario(name=name, params=ModelParams(a=a, b=b, c=c, lam=0.09, m=1.0), landmark=landmark)
 
 
 PRESETS: dict[str, Scenario] = {

@@ -22,6 +22,11 @@ polynomial, and the two share this module's machinery:
 * ``poly3`` evaluates the polynomial and its first two derivatives, which
   gives regular initial data at u0 and the solution on [0, u0].
 
+Where the slope has a power-law leading term at u = 0 instead,
+phi' = A u^(e-1) (1 + s u + ...), ``origin_limits`` reads phi'(0+) and
+phi''(0+) off that term: the capital stock (e = mu1) and the risk-free
+regime without premiums (e = lam/a) share it.
+
 At infinity the main-regime slope is a power law times a series in 1/u,
 phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
 Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j, and the
@@ -33,6 +38,7 @@ except phi's transfer at u = 0, which holds it to ``PHI_TOL``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -204,3 +210,14 @@ def eval_series(exp: SeriesExpansion, C0: float, u):
     # C0 stays the outermost factor so scaling C0 rescales the results exactly
     phi, dphi, ddphi = (C0 * v for v in poly3(exp.poly, uq))
     return phi, dphi, ddphi
+
+
+def origin_limits(e: float, A: float, s: float) -> tuple[float, float]:
+    """(phi'(0+), phi''(0+)) of phi' = A u^(e-1) (1 + s u + ...), A > 0."""
+    if e < 1.0:
+        return math.inf, -math.inf
+    if e == 1.0:
+        return A, A * s
+    if e < 2.0:
+        return 0.0, math.inf
+    return 0.0, A if e == 2.0 else 0.0

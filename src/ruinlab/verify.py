@@ -24,7 +24,7 @@ from .errors import IntegrationError
 from .model import ModelParams, Regime
 # perfbench/tracer.py patches integrate and companion_volterra_field here
 from .odes import companion_volterra_field, integrate  # noqa: F401
-from .solution import SolutionGrid
+from .solution import SolutionGrid, check_tolerances
 
 __all__ = [
     "ResidualReport",
@@ -205,8 +205,7 @@ def ide_residual(
     The report scales the sup norm by lam so tolerances are comparable
     across parameter sets.
     """
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
+    check_tolerances(rtol, atol)
     uq = np.sort(np.asarray(grid, dtype=float))
     if uq.ndim != 1 or uq.size == 0:
         raise ValueError(f"grid must be a non-empty 1-D array, got shape {uq.shape}")

@@ -299,6 +299,38 @@ class TestSweepRegressions:
         )
 
 
+class TestOriginLimits:
+    """phi'(0+) and phi''(0+) of phi' = P1 u^(mu1-1) (1 + P_2 u + ...) at
+    the exact exponents mu1 = 1 and mu1 = 2 (b = 0.5, a = 0.25)."""
+
+    @staticmethod
+    def _origin_values(params):
+        grid = phi_capital_stock(params, u_max=10.0)
+        short = grid.evaluate(np.array([0.0, 0.5]))
+        return grid, [
+            (grid.dphi[0], grid.ddphi[0]),
+            (short[1][0], short[2][0]),
+            grid.evaluate(0.0)[1:],
+        ]
+
+    def test_exponent_one(self):
+        params = ModelParams(a=0.25, b=0.5, c=0.0, lam=0.25, m=1.0)
+        assert exponents(params)[0] == 1.0
+        grid, values = self._origin_values(params)
+        p1 = grid.diagnostics["P1"]
+        for dphi, ddphi in values:
+            assert dphi == p1
+            assert ddphi == p1 * eta_series(params)[0]
+
+    def test_exponent_two(self):
+        params = ModelParams(a=0.25, b=0.5, c=0.0, lam=0.75, m=1.0)
+        assert exponents(params)[0] == 2.0
+        grid, values = self._origin_values(params)
+        for dphi, ddphi in values:
+            assert dphi == 0.0
+            assert ddphi == grid.diagnostics["P1"]
+
+
 class TestDenseOutput:
     POINTS = {"fig5-I": FIG5_I, "fig5-II": FIG5_II, **SWEEP}
 

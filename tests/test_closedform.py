@@ -12,6 +12,7 @@ from ruinlab import (
     lundberg_coefficient,
     riskfree_exact,
     riskfree_tail,
+    solve,
 )
 from ruinlab import closedform
 
@@ -204,6 +205,23 @@ class TestRiskFreeExact:
             sol.evaluate(np.linspace(0.0, 50.0, 10_001))
             assert len(calls) <= 4, name
 
+    def test_one_log_ic0_per_solve(self, monkeypatch):
+        calls = []
+        scalar = closedform.upper_incomplete_gamma
+
+        def counted(p, z):
+            calls.append(z)
+            return scalar(p, z)
+
+        monkeypatch.setattr(closedform, "upper_incomplete_gamma", counted)
+        for name in ("fig3-I", "fig3-II"):
+            calls.clear()
+            sol = riskfree_exact(PRESETS[name].params)
+            assert len(calls) == 1, name
+            assert sol.u.size >= closedform._ARRAY_MIN  # the grid takes the kernel
+            # the diagnostic is the point evaluator's slope at 0
+            assert sol.diagnostics["dphi_at_zero"] == sol.evaluate(0.0)[1]
+
     @pytest.mark.parametrize("name", ["fig1-I", "fig3-II", "fig4-II"])
     def test_point_path_validates_in_floats(self, name):
         params = PRESETS[name].params
@@ -247,13 +265,60 @@ class TestRiskFreeExact:
             riskfree_exact(ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0))
 
 
+def _origin_values(sol):
+    """(phi, phi', phi'') at u = 0 from the grid row, a short array (the
+    point path), a kernel-length array and a scalar query."""
+    assert sol.u[0] == 0.0
+    short = sol.evaluate(np.array([0.0, 1.0]))
+    long = sol.evaluate(np.linspace(0.0, 50.0, closedform._ARRAY_MIN))
+    return [
+        (sol.phi[0], sol.dphi[0], sol.ddphi[0]),
+        tuple(v[0] for v in short),
+        tuple(v[0] for v in long),
+        sol.evaluate(0.0),
+    ]
+
+
+class TestOriginLimits:
+    """phi'(0+) and phi''(0+) without premiums at the exact exponents p = 1
+    and p = 2 of phi' = u^(p-1) exp(-u/m) / norm, and the sign of phi(0)."""
+
+    @pytest.mark.parametrize("name", ["fig4-I", "fig4-II"])
+    def test_phi_at_zero_is_positive_zero(self, name):
+        sol = riskfree_exact(PRESETS[name].params)
+        for phi, _, _ in _origin_values(sol):
+            assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_exponent_one(self, m):
+        params = ModelParams(a=0.09, b=0.0, c=0.0, lam=0.09, m=m)
+        assert params.lam / params.a == 1.0
+        for _, dphi, ddphi in _origin_values(riskfree_exact(params)):
+            assert dphi == pytest.approx(1.0 / m, rel=1e-15)
+            assert ddphi == pytest.approx(-1.0 / m**2, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_exponent_two(self, m):
+        params = ModelParams(a=0.05, b=0.0, c=0.0, lam=0.1, m=m)
+        assert params.lam / params.a == 2.0
+        for _, dphi, ddphi in _origin_values(riskfree_exact(params)):
+            assert dphi == 0.0
+            assert ddphi == pytest.approx(1.0 / m**2, rel=1e-15)
+
+    def test_inflection_is_exact_zero(self):
+        # fig3-I: phi'' = (p - 1 - w/m) phi'/w with p - 1 = w = 3.5 at u = 2.5
+        sol = solve(PRESETS["fig3-I"].params)
+        assert sol.evaluate(2.5)[2] == 0.0
+        assert sol.ddphi[sol.u == 2.5].tolist() == [0.0]
+
+
 class TestSecondDerivative:
     """phi'' from the degenerate equation against a central difference of phi'."""
 
     @pytest.mark.parametrize("path", ["array", "point"])
     @pytest.mark.parametrize("name", ["fig1-I", "fig3-I", "fig3-II", "fig4-I", "fig4-II"])
     def test_matches_difference_of_slope(self, name, path):
-        # fig4-II (c = 0, p = 0.9) takes the log form, whose phi' ~ u^(p-1)
+        # fig4-II (c = 0, p = 0.9) has phi' ~ u^(p-1)
         params = PRESETS[name].params
         sol = classical_exact(params) if params.a == 0.0 else riskfree_exact(params)
         us = np.geomspace(0.01, 40.0, closedform._ARRAY_MIN)  # the array takes the kernel
