@@ -32,8 +32,14 @@ phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
 Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j, and the
 solver matches the series at a U where it ``truncates`` in 1/U.
 
-All expansions keep ``ORDER`` terms and hold their last term to ``TOL``,
-except phi's transfer at u = 0, which holds it to ``PHI_TOL``.
+The expansions keep ``ORDER`` terms, except the main regime's at u = 0:
+where 20 terms reach the top of its first candidates, 0.1 m, it doubles
+its order, up to ``MAX_ORDER``, while that carries u0 further, up to 4 m
+(``series_coeffs_main``).  Just beyond u = 0 the equation is stiff, with a
+fast mode of rate about 2c/(b^2 u^2), so Taylor steps there are short
+and a longer series saves most of them when b is small.  Every expansion
+holds its last term to ``TOL``, except phi's transfer at u = 0, which
+holds it to ``PHI_TOL``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ __all__ = [
 ]
 
 ORDER = 20
+# the longest main-regime series at u = 0 (``series_coeffs_main``)
+MAX_ORDER = 160
 TOL = 1e-12
 # The truncation error at u0 reaches C0 amplified: with a last term of 1e-12,
 # fig2-II's C0 is 1.8e-11 off its converged value, with 1e-14 it is 1.9e-13,
@@ -69,9 +77,10 @@ PHI_TOL = 1e-14
 class SeriesExpansion:
     """Truncated main-regime expansion at u = 0, and its transfer point.
 
-    ``coeffs[i]`` holds D_{i+2}; ``order`` is N; ``poly`` holds the ascending
-    coefficients of phi/C0; ``u0`` is the abscissa to which initial
-    conditions are transferred.
+    ``coeffs[i]`` holds D_{i+2}; ``order`` is N, ``ORDER`` or a doubling of
+    it up to ``MAX_ORDER`` (``series_coeffs_main``); ``poly`` holds the
+    N + 1 ascending coefficients of phi/C0; ``u0`` is the abscissa to which
+    initial conditions are transferred.
     """
 
     coeffs: np.ndarray
@@ -84,32 +93,66 @@ class SeriesExpansion:
 def _recurrence(params: ModelParams, order: int) -> np.ndarray:
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
     b2 = b * b
-    D = np.zeros(order + 1)  # D[k] valid for k in 2..order
-    D[2] = -((a - lam) / c + 1.0 / m)
+    # in Python floats, which overflow to inf without a warning
+    D = [0.0, 0.0, -((a - lam) / c + 1.0 / m)]  # D[k] valid for k in 2..order
     if order >= 3:
-        D[3] = -(D[2] * (b2 + 2.0 * a - lam + c / m) + a / m) / (2.0 * c)
+        D.append(-(D[2] * (b2 + 2.0 * a - lam + c / m) + a / m) / (2.0 * c))
     for k in range(4, order + 1):
         t1 = D[k - 1] * ((k - 1) * (k - 2) * b2 / 2.0 + (k - 1) * a - lam + c / m)
         t2 = D[k - 2] * ((k - 3) * b2 / 2.0 + a) / m
-        D[k] = -(t1 + t2) / (c * (k - 1))
-    return D[2:]
+        D.append(-(t1 + t2) / (c * (k - 1)))
+    return np.array(D[2:])
+
+
+def _main_poly(params: ModelParams, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D_2..D_order, ascending coefficients of phi/C0)."""
+    coeffs = _recurrence(params, order)
+    lam_c = params.lam / params.c
+    # at high order the coefficients may pass double range; an inf or nan
+    # coefficient never truncates
+    with np.errstate(over="ignore"):
+        poly = np.concatenate(([1.0, lam_c], lam_c * coeffs / np.arange(2, order + 1)))
+    return coeffs, poly
 
 
 def series_coeffs_main(
     params: ModelParams,
-    order: int = ORDER,
+    order: int | None = None,
     tol: float = PHI_TOL,
 ) -> SeriesExpansion:
-    """Build the expansion for the main regime (requires c > 0, order >= 2)."""
+    """Build the expansion for the main regime (requires c > 0, order >= 2).
+
+    u0 is the largest candidate in m 10^[-3, -1] at which ``ORDER`` terms
+    truncate.  Where that is the top candidate 0.1 m, the stretch beyond
+    it, stiff with rate about 2c/(b^2 u^2), is worth carrying in a longer
+    series: the order doubles up to ``MAX_ORDER`` over candidates in
+    (0.1 m, 10^0.6 m] while the largest u0 at which both phi and m^2 phi''
+    truncate keeps growing.  The integrator starts from phi'' too, whose
+    truncation error is about N^2 (m/u0)^2 times phi's.  An explicit
+    ``order`` is kept, with u0 among the first candidates.
+    """
     if params.c == 0.0:
         raise ValueError("series recurrence divides by c; c must be positive")
+    pinned = order is not None
+    order = ORDER if order is None else order
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    coeffs = _recurrence(params, order)
-    lam_c = params.lam / params.c
-    poly = np.concatenate(([1.0, lam_c], lam_c * coeffs / np.arange(2, order + 1)))
     m = params.m
-    u0 = choose_u0(poly, m * np.logspace(-3.0, -1.0, 41), min(1e-3, m / 100.0), tol)
+    coeffs, poly = _main_poly(params, order)
+    candidates = m * np.logspace(-3.0, -1.0, 41)
+    u0 = choose_u0(poly, candidates, min(1e-3, m / 100.0), tol)
+    far = m * np.logspace(-0.95, 0.6, 32)
+    while not pinned and u0 >= candidates[-1] and order < MAX_ORDER:
+        longer, lpoly = _main_poly(params, 2 * order)
+        if (np.abs(lpoly) < np.finfo(float).tiny).any():
+            break  # a coefficient near underflow has lost its digits
+        k = np.arange(2, len(lpoly))
+        with np.errstate(over="ignore"):
+            dd = m * m * k * (k - 1.0) * lpoly[2:]
+        ok = truncates(lpoly, far, tol) & truncates(dd, far, tol)
+        if not ok.any() or far[ok].max() <= u0:
+            break
+        order, coeffs, poly, u0 = 2 * order, longer, lpoly, float(far[ok].max())
     log_info(__name__, "series order %d, transfer point u0=%.6g", order, u0)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
@@ -135,18 +178,18 @@ def truncates(poly: np.ndarray, x, tol: float = TOL):
     """Whether sum_k poly[k] x^k may be cut after its last term at ``x``.
 
     The last term |a_N x^N| must be at most ``tol`` and the term magnitudes
-    |a_k x^k| nonincreasing over the final third of the series.  Returns a
-    bool for a scalar ``x``, else a bool array of ``x``'s shape.
+    |a_k x^k| nonincreasing over the final third of the series, and no term
+    may be inf or nan.  Returns a bool for a scalar ``x``, else a bool array
+    of ``x``'s shape.
     """
     poly = np.asarray(poly, dtype=float)
     x = np.asarray(x, dtype=float)
-    terms = np.abs(poly) * x[..., None] ** np.arange(len(poly))
     guard_len = max(2, (len(poly) - 1) // 3)
-    # two adjacent overflowed terms give a nan step, which fails the test as
-    # it should, without a warning
-    with np.errstate(invalid="ignore"):
+    # a power or coefficient beyond double range fails, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(poly) * x[..., None] ** np.arange(len(poly))
         decreasing = np.all(np.diff(terms[..., -guard_len:], axis=-1) <= 0.0, axis=-1)
-    ok = (terms[..., -1] <= tol) & decreasing
+    ok = (terms[..., -1] <= tol) & decreasing & np.isfinite(terms).all(axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -128,6 +128,7 @@ def solve_main(
 
     diagnostics = {
         "u0": u0,
+        "series_order": exp.order,
         "U": U,
         "rtol": rtol,
         "atol": atol,

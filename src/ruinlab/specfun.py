@@ -17,6 +17,10 @@
 * ``upper_incomplete_gamma`` -- Gamma(p, z) at one point: the same two
   branches in scalar arithmetic, exponentiated.  Overflows (``OverflowError``)
   where Gamma(p, z) exceeds double range, from p of about 171.
+* ``log_gamma_ratio`` -- log Gamma(x + s) - log Gamma(x) for x >= 20,
+  without the cancellation of two ``math.lgamma``: the difference of two
+  Stirling series (DLMF 5.11.1), whose leading logs combine through
+  log1p(s/x).
 * ``ext_exp`` and ``ext_log`` -- exp and log at one float, as Python floats
   with numpy's values where ``math`` raises, for the point evaluators that
   repeat an array path in Python floats.
@@ -36,6 +40,10 @@ _MAX_ITER = 600
 _EPS = 1e-16
 _TINY = 1e-300  # stands in for a zero Lentz denominator
 _LOG_HALF = -math.log(2.0)
+# B_2k / (2k (2k - 1)), k = 1..5, of Stirling's series for log Gamma; from
+# z = 20 on, the first omitted term is below 1e-17
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+STIRLING_MIN = 20.0
 
 
 def _check_shape(p: float, name: str) -> float:
@@ -64,6 +72,29 @@ def ext_log(x: float) -> float:
     if x > 0.0:
         return float(np.log(x))
     return -math.inf if x == 0.0 else math.nan
+
+
+def _stirling_tail(z: float) -> float:
+    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2] for z >= 20."""
+    w = 1.0 / (z * z)
+    t = 0.0
+    for c in reversed(_STIRLING):
+        t = t * w + c
+    return t / z
+
+
+def log_gamma_ratio(x: float, s: float) -> float:
+    """log Gamma(x + s) - log Gamma(x) for x >= ``STIRLING_MIN`` and s > 0.
+
+    The difference of two Stirling series, in which
+    (x + s - 1/2) log(x + s) - (x - 1/2) log x = (x - 1/2) log1p(s/x) + s log(x + s),
+    so its error is near the rounding of s log(x + s), not of log Gamma(x)
+    as with two ``math.lgamma``.
+    """
+    return (
+        (x - 0.5) * math.log1p(s / x) + s * math.log(x + s) - s
+        + _stirling_tail(x + s) - _stirling_tail(x)
+    )
 
 
 def complete_gamma(p: float) -> float:

@@ -7,6 +7,7 @@ from scipy.special import factorial, poch
 
 from ruinlab import (
     ModelParams,
+    PortfolioSpec,
     NoSolutionError,
     Trajectory,
     eta_series,
@@ -14,6 +15,8 @@ from ruinlab import (
     phi_capital_stock,
     solve_eta,
 )
+from ruinlab.capitalstock import _log_zm
+from ruinlab.model import effective_params
 from conftest import log_mellin_normalization, mellin_normalization, solve_recording_trajectory
 
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)   # a < lam
@@ -170,6 +173,46 @@ class TestMellinNormalization:
                 [0, 1, 10, 100, mpmath.inf],
             )
         assert mellin_normalization(params) == pytest.approx(float(z), rel=1e-12)
+
+
+def fixed_fraction(alpha):
+    """The fixed-fraction example without premiums: mu = 0.1, sigma = 0.3,
+    r_f = 0.02, lam = 0.09, m = 1; r = 2a/b^2 grows like 1/alpha^2."""
+    spec = PortfolioSpec(mu=0.1, sigma=0.3, r=0.02, alpha=alpha)
+    return effective_params(spec, c=0.0, lam=0.09, m=1.0)
+
+
+class TestLogNormalization:
+    @staticmethod
+    def reference(params):
+        """log(Z / m^mu1) at 40 digits from the parameters' double values."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b, lam = (mpmath.mpf(v) for v in (params.a, params.b, params.lam))
+            q = a / b**2
+            s = mpmath.mpf(0.5) - q
+            mu1 = s + mpmath.sqrt(s * s + 2 * lam / b**2)
+            r = 2 * q
+            lg = mpmath.loggamma
+            return float(lg(mu1) + lg(r - 1) + lg(2 * mu1 + r) - lg(mu1 + r - 1) - lg(mu1 + r))
+
+    @pytest.mark.parametrize(
+        "params",
+        [FIG5_I, FIG5_II, *SWEEP.values()]
+        + [fixed_fraction(al) for al in (0.3, 0.03, 0.01, 3e-3, 1e-3, 1e-4)]
+        + [ModelParams(a=r * 0.005, b=0.1, c=0.0, lam=0.09, m=1.0) for r in (20.5, 21.0, 30.0)],
+        ids=["fig5-I", "fig5-II", *SWEEP]
+        + [f"alpha={al:g}" for al in (0.3, 0.03, 0.01, 3e-3, 1e-3, 1e-4)]
+        + ["r=20.5", "r=21", "r=30"],
+    )
+    def test_matches_mpmath(self, params):
+        # the two log-gamma ratios cancel at large r: up to r = 4.5e7 at
+        # alpha = 1e-4, and across the switch to Stirling's series at r = 21;
+        # a large log Z (279 at mu1 = 65) holds 4 ulp of itself
+        mu1, d1, d2 = exponents(params)
+        log_zm = _log_zm(mu1, d1, d2, params.robustness())
+        ref = self.reference(params)
+        assert abs(log_zm - ref) <= max(1e-13, 4.0 * math.ulp(ref))
 
 
 class TestPhiCapitalStock:

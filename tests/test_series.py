@@ -10,7 +10,15 @@ from ruinlab import (
     phi_second_derivative_at_zero,
     series_coeffs_main,
 )
-from ruinlab.series import ORDER, choose_u0, poly3, series_coeffs_infinity, truncates
+from ruinlab.series import (
+    MAX_ORDER,
+    ORDER,
+    _main_poly,
+    choose_u0,
+    poly3,
+    series_coeffs_infinity,
+    truncates,
+)
 
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
@@ -120,6 +128,31 @@ class TestChooseU0:
         with pytest.warns(UserWarning, match="no transfer point"):
             u0 = choose_u0(poly, candidates, 1e-2 * FIG5_I.m, tol=0.0)
         assert u0 == 1e-2 * FIG5_I.m
+
+
+class TestSeriesOrder:
+    def test_explicit_order_is_kept(self):
+        # 20 terms reach the top candidate 0.1 m on fig1-II; left free, the
+        # order grows and so does u0
+        pinned = series_coeffs_main(FIG1_II, order=20)
+        assert pinned.order == 20 and pinned.u0 == pytest.approx(0.1, rel=1e-12)
+        free = series_coeffs_main(FIG1_II)
+        assert ORDER < free.order <= MAX_ORDER and pinned.u0 < free.u0 <= 4.0 * FIG1_II.m
+        assert len(free.poly) == free.order + 1
+
+    def test_short_reach_keeps_order(self):
+        # fig2-I: 20 terms reach only 0.089 m
+        exp = series_coeffs_main(FIG2_I)
+        assert exp.order == ORDER and exp.u0 < 0.1 * FIG2_I.m
+
+    @pytest.mark.parametrize("m", [0.01, 100.0])
+    def test_out_of_range_orders_fail_quietly(self, m):
+        # fig1-II in units of m: at m = 0.01 the order-160 coefficients
+        # overflow, at m = 100 the powers (4 m)^k; neither may warn
+        p = ModelParams(a=0.02, b=0.1, c=0.1 * m, lam=0.09, m=m)
+        _, poly = _main_poly(p, 160)
+        assert not truncates(poly, m * np.array([0.5, 2.0, 4.0])).any()
+        assert ORDER < series_coeffs_main(p).order < 160
 
 
 class TestEvalSeries:

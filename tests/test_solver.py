@@ -7,9 +7,11 @@ import pytest
 from ruinlab import (
     ModelParams,
     NoSolutionError,
+    PortfolioSpec,
     Regime,
     Trajectory,
     classical_exact,
+    effective_params,
     eval_series,
     integrate,
     main_ode_field,
@@ -23,6 +25,7 @@ from ruinlab import (
 )
 from ruinlab.series import series_coeffs_infinity
 from conftest import PARAMS, solve_recording_trajectory
+from test_sweep_references import SWEEP_MAIN_C0
 
 # perfbench/reference.json: scipy DOP853 from the series at u = 0, limit from
 # the first-order tail at U = 1e4 m; reference error at most 3.7e-13
@@ -197,6 +200,63 @@ class TestSolveMain:
     def test_wrong_regime_rejected(self):
         with pytest.raises(ValueError):
             solve_main(PARAMS["fig1-I"])
+
+
+def fixed_fraction(alpha):
+    """ROADMAP item 2's example: fraction alpha in shares (mu = 0.1,
+    sigma = 0.3) and the rest at r_f = 0.02, with c = 0.1, lam = 0.09, m = 1."""
+    spec = PortfolioSpec(mu=0.1, sigma=0.3, r=0.02, alpha=alpha)
+    return effective_params(spec, c=0.1, lam=0.09, m=1.0)
+
+
+class TestLongerSeries:
+    """The series at u = 0 carries the stiff stretch where 20 terms reach
+    0.1 m, with its order doubled while its reach grows."""
+
+    def test_stiff_sweep_point(self):
+        # main8: 2c/(b^2 m) = 1,290; from u0 = 0.1 m it took 1,301 steps
+        params, C0 = SWEEP_MAIN_C0[8]
+        grid = solve(ModelParams(**params))
+        assert grid.diagnostics["u0"] >= params["m"]
+        assert grid.diagnostics["series_order"] > 20
+        assert grid.diagnostics["steps"] <= 200
+        assert grid.C0 == pytest.approx(C0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("alpha", "most", "C0"),
+        [
+            (0.1, 150, 0.3736036303609106),
+            (0.03, 1_000, 0.3510436015834568),
+            (0.01, 10_000, 0.3433158915078227),
+        ],
+    )
+    def test_fixed_fraction(self, alpha, most, C0):
+        # C0 as solved from u0 = 0.1 m with 20 terms, in 288, 3,097 and
+        # 34,510 steps
+        grid = solve(fixed_fraction(alpha))
+        assert grid.diagnostics["steps"] <= most
+        assert grid.C0 == pytest.approx(C0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("name", "u0"), [("fig2-I", 0.08912509381337459), ("fig2-II", 0.039810717055349734)]
+    )
+    def test_short_reach_keeps_order_and_u0(self, solved, name, u0):
+        assert solved(name).diagnostics["series_order"] == 20
+        assert solved(name).diagnostics["u0"] == u0
+
+    @pytest.mark.parametrize("i", [2, 8, 9, 16])
+    def test_hands_over_the_integrated_state(self, i):
+        # (phi, phi', phi'') of the longer series at its u0 against an
+        # integration from the 20-term u0, each relative to its largest
+        # value between the two
+        p = ModelParams(**SWEEP_MAIN_C0[i][0])
+        long, short = series_coeffs_main(p), series_coeffs_main(p, order=20)
+        assert long.order > short.order and long.u0 > short.u0
+        state = np.array(eval_series(short, 1.0, short.u0))
+        traj = integrate(main_ode_field(p), short.u0, state, long.u0, rtol=1e-13)
+        scale = np.abs(traj(np.linspace(short.u0, long.u0, 200))).max(axis=0)
+        err = np.abs(np.array(eval_series(long, 1.0, long.u0)) - traj(long.u0)) / scale
+        assert err.max() <= 1e-13
 
 
 class TestSolveDispatch:

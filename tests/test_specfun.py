@@ -13,6 +13,7 @@ from ruinlab import (
     solve,
     upper_incomplete_gamma,
 )
+from ruinlab.specfun import log_gamma_ratio
 
 # frozen from numerical quadrature of the defining integral,
 # int_0.2^inf x^-0.1 exp(-x) dx (scipy.integrate.quad, epsabs=1e-14)
@@ -147,6 +148,17 @@ class TestLogUpperIncompleteGamma:
             grid.evaluate(1e4)
         assert isinstance(exc.value, ConvergenceError)
         assert isinstance(exc.value, ArithmeticError)
+
+
+class TestLogGammaRatio:
+    @pytest.mark.parametrize("x", [20.0, 21.5, 100.0, 4621.0, 4.45e7])
+    @pytest.mark.parametrize("s", [4e-8, 0.5, 3.0, 200.0])
+    def test_matches_mpmath(self, x, s):
+        # the two math.lgamma of the difference are 8e8 at x = 4.45e7
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.loggamma(mpmath.mpf(x) + s) - mpmath.loggamma(x))
+        assert abs(log_gamma_ratio(x, s) - ref) <= 4.0 * math.ulp(ref) + 1e-18
 
 
 class TestExtendedExpLog:
