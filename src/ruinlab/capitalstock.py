@@ -250,4 +250,5 @@ def phi_capital_stock(
         regime=RegimeInfo(Regime.CAPITAL_STOCK),
         tail=tail_fit,
         diagnostics=diagnostics,
+        span=(0.0, U),
     )

@@ -30,7 +30,8 @@ regime without premiums (e = lam/a) share it.
 At infinity the main-regime slope is a power law times a series in 1/u,
 phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
 Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j, and the
-solver matches the series at a U where it ``truncates`` in 1/U.
+solver matches the series at a U where it ``truncates`` in 1/U and
+evaluates the solution from it beyond U.
 
 The expansions keep ``ORDER`` terms, except the main regime's at u = 0:
 where 20 terms reach the top of its first candidates, 0.1 m, it doubles
@@ -90,23 +91,29 @@ class SeriesExpansion:
     params: ModelParams
 
 
-def _recurrence(params: ModelParams, order: int) -> np.ndarray:
+def _recurrence(params: ModelParams, order: int, D: list | None = None) -> list:
+    """D_0..D_order (D_0 = D_1 = 0) in Python floats, which overflow to inf
+    without a warning; a given list ``D`` of them is extended in place."""
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
     b2 = b * b
-    # in Python floats, which overflow to inf without a warning
-    D = [0.0, 0.0, -((a - lam) / c + 1.0 / m)]  # D[k] valid for k in 2..order
-    if order >= 3:
+    D = [] if D is None else D
+    if not D:
+        D += [0.0, 0.0, -((a - lam) / c + 1.0 / m)]
+    if order >= 3 and len(D) == 3:
         D.append(-(D[2] * (b2 + 2.0 * a - lam + c / m) + a / m) / (2.0 * c))
-    for k in range(4, order + 1):
+    for k in range(len(D), order + 1):
         t1 = D[k - 1] * ((k - 1) * (k - 2) * b2 / 2.0 + (k - 1) * a - lam + c / m)
         t2 = D[k - 2] * ((k - 3) * b2 / 2.0 + a) / m
         D.append(-(t1 + t2) / (c * (k - 1)))
-    return np.array(D[2:])
+    return D
 
 
-def _main_poly(params: ModelParams, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(D_2..D_order, ascending coefficients of phi/C0)."""
-    coeffs = _recurrence(params, order)
+def _main_poly(
+    params: ModelParams, order: int, D: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D_2..D_order, ascending coefficients of phi/C0); a given list ``D``
+    of the recurrence's terms is extended, not rebuilt."""
+    coeffs = np.array(_recurrence(params, order, D)[2: order + 1])
     lam_c = params.lam / params.c
     # at high order the coefficients may pass double range; an inf or nan
     # coefficient never truncates
@@ -127,9 +134,11 @@ def series_coeffs_main(
     it, stiff with rate about 2c/(b^2 u^2), is worth carrying in a longer
     series: the order doubles up to ``MAX_ORDER`` over candidates in
     (0.1 m, 10^0.6 m] while the largest u0 at which both phi and m^2 phi''
-    truncate keeps growing.  The integrator starts from phi'' too, whose
-    truncation error is about N^2 (m/u0)^2 times phi's.  An explicit
-    ``order`` is kept, with u0 among the first candidates.
+    truncate keeps growing.  Each doubling extends the recurrence of the
+    last and scans only the candidates above its u0.  The integrator starts
+    from phi'' too, whose truncation error is about N^2 (m/u0)^2 times
+    phi's.  An explicit ``order`` is kept, with u0 among the first
+    candidates.
     """
     if params.c == 0.0:
         raise ValueError("series recurrence divides by c; c must be positive")
@@ -138,21 +147,25 @@ def series_coeffs_main(
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     m = params.m
-    coeffs, poly = _main_poly(params, order)
+    D: list = []
+    coeffs, poly = _main_poly(params, order, D)
     candidates = m * np.logspace(-3.0, -1.0, 41)
     u0 = choose_u0(poly, candidates, min(1e-3, m / 100.0), tol)
     far = m * np.logspace(-0.95, 0.6, 32)
     while not pinned and u0 >= candidates[-1] and order < MAX_ORDER:
-        longer, lpoly = _main_poly(params, 2 * order)
+        longer, lpoly = _main_poly(params, 2 * order, D)
         if (np.abs(lpoly) < np.finfo(float).tiny).any():
             break  # a coefficient near underflow has lost its digits
-        k = np.arange(2, len(lpoly))
-        with np.errstate(over="ignore"):
-            dd = m * m * k * (k - 1.0) * lpoly[2:]
-        ok = truncates(lpoly, far, tol) & truncates(dd, far, tol)
-        if not ok.any() or far[ok].max() <= u0:
+        x = far[far > u0]
+        x = x[truncates(lpoly, x, tol)]
+        if x.size:
+            k = np.arange(2, len(lpoly))
+            with np.errstate(over="ignore"):
+                dd = m * m * k * (k - 1.0) * lpoly[2:]
+            x = x[truncates(dd, x, tol)]
+        if not x.size:
             break
-        order, coeffs, poly, u0 = 2 * order, longer, lpoly, float(far[ok].max())
+        order, coeffs, poly, u0 = 2 * order, longer, lpoly, float(x.max())
     log_info(__name__, "series order %d, transfer point u0=%.6g", order, u0)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 

@@ -63,9 +63,10 @@ class TailFit:
     ``A`` is the finite limit of the unnormalized solution: the reciprocal of
     phi(0) in the main regime, the full normalizing integral in the
     capital-stock regime.  ``U`` is the end of the integration.  In the main
-    regime ``A`` and ``K`` come from matching the series at infinity to
-    phi(U) and phi'(U), and ``stability`` is |A(U) - A(U/2)| / A, both
-    matched on the same trajectory.  In the capital-stock regime
+    regime it is the match point: ``A`` and ``K`` come from matching the
+    series at infinity to phi(U) and phi'(U), the solution beyond U is that
+    series, and ``stability`` is |A(U) - A(U/2)| / A, both matched on the
+    same trajectory.  In the capital-stock regime
     ``A`` and ``K`` are closed forms (a Mellin transform and the asymptotics
     of Kummer's function), so ``stability`` is 0.
     """
@@ -85,8 +86,11 @@ class SolutionGrid:
     ``u_grid``; ``phi``, ``dphi``, ``ddphi`` are the sampled value and first
     two derivatives.  The grid is a view of the solution, not its full
     content: ``evaluate`` queries the underlying representation (closed form,
-    or series + trajectory) anywhere in ``span``.  Every route builds its
-    result with ``sample``.  Treat instances as immutable.
+    or series + trajectory) anywhere in ``span``.  ``span`` is [0, inf) on
+    every route but the capital stock, whose trajectory ends at U; the main
+    route continues its trajectory by the series at infinity matched at U.
+    Every route builds its result with ``sample``.  Treat instances as
+    immutable.
     """
 
     u: np.ndarray
@@ -97,6 +101,8 @@ class SolutionGrid:
     regime: RegimeInfo
     tail: TailFit | None = None
     diagnostics: dict = field(default_factory=dict)
+    # where ``evaluate`` answers
+    span: tuple[float, float] = (0.0, math.inf)
     # (phi, phi', phi'') at a validated 1-D array inside ``span``
     _eval3: Callable | None = field(default=None, repr=False)
     # the same at one validated float inside ``span``, in Python floats
@@ -108,10 +114,6 @@ class SolutionGrid:
         on the validated grid ``u``; ``fields`` are the remaining fields."""
         phi, dphi, ddphi = eval3(u)
         return cls(u=u, phi=phi, dphi=dphi, ddphi=ddphi, _eval3=eval3, _point3=point3, **fields)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (0.0, float(self.diagnostics.get("U", np.inf)))
 
     def evaluate(self, u):
         """Return (phi, phi', phi'') at u within ``span``: Python floats for a

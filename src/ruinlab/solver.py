@@ -6,7 +6,7 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
    and transfer the initial data to a regular point u0;
 2. integrate the third-order equation once, by Taylor steps (``odes``),
    from u0 to a U chosen before the integration as the smallest candidate
-   at which the power-law series at infinity,
+   u_max 2^(k/2), k = 0, 1, .., at which the power-law series at infinity,
    phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
 3. match that series to phi(U) and phi'(U): the finite limit of the
    unnormalized solution is A = phi(U) + phi'(U) U T(U) / S(U), with
@@ -14,12 +14,18 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
    proportional to C0 (no shooting iteration is needed).
 
+Beyond U the solution is the matched series itself, phi = C0 (A - w u T(u))
+and phi' = C0 w S(u) with w = phi'(U) (U/u)^r / S(U), so the main route,
+like the closed forms, evaluates on [0, inf).
+
 Degenerate regimes dispatch to their closed forms or to the capital-stock
 route; parameter sets with certain ruin yield the explicit zero
 solution, and nonviable ones raise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .model import (
     classify_regime,
 )
 from .odes import integrate, main_ode_field
-from .series import eval_series, series_coeffs_infinity, series_coeffs_main, truncates
+from .series import eval_series, horner, series_coeffs_infinity, series_coeffs_main, truncates
 from .solution import SolutionGrid, TailFit, check_tolerances, make_grid, resolve_grid
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
@@ -66,8 +72,12 @@ def solve_main(
 ) -> SolutionGrid:
     """Solve the main regime; see the module docstring for the pipeline.
 
-    ``rtol`` is the integration's tolerance; ``atol`` decides only whether
-    the tail coefficient K is resolved at U."""
+    U climbs from u_max by factors of sqrt(2) up to 256 max(200 m, u_max),
+    and ``SolverError`` is raised where the series at infinity truncates at
+    none of these.  The solution's span is [0, inf): series at u = 0 up to
+    u0, trajectory up to U, series at infinity beyond.  ``rtol`` is the
+    integration's tolerance; ``atol`` decides only whether the tail
+    coefficient K is resolved at U."""
     check_tolerances(rtol, atol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:
@@ -81,13 +91,24 @@ def solve_main(
     u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
     e = series_coeffs_infinity(params)
     j = np.arange(len(e))
-    candidates = 2.0 * max(200.0 * params.m, u_max) * 2.0 ** np.arange(8)
+    reach = 2.0 * max(200.0 * params.m, u_max)
+    top = 128.0 * reach
+    candidates = u_max * 2.0 ** (np.arange(1 + math.floor(2.0 * math.log2(top / u_max))) / 2.0)
+    # U/2, where the stability check matches again, lies on the trajectory
+    candidates = candidates[(candidates >= 2.0 * u0) & (candidates <= top)]
     # a non-finite coefficient never truncates
     ok = truncates(e, 1.0 / candidates)
     if not ok.any():
-        raise SolverError(f"series at infinity does not truncate by U={candidates[-1]:g}")
+        raise SolverError(f"series at infinity does not truncate by U={top:g}")
     U = float(candidates[np.argmax(ok)])
-    traj = integrate(main_ode_field(params), u0, state0, U, rtol=rtol)
+    # The step rule budgets rtol h / (U - u0) per step, which a short span
+    # loosens.  The budget per unit length is held to that of a span from u0
+    # to ``reach``, and to rtol/8 over this span: the two agree at the
+    # default u_max = 50 m where U = u_max, and the second keeps fig2-II's C0
+    # (U = 100) within 1.89e-13 of its reference, against 1.92e-13.
+    traj = integrate(
+        main_ode_field(params), u0, state0, U, rtol=rtol * min(0.125, (U - u0) / (reach - u0))
+    )
 
     def match(u: float):
         """(A, phi'(u), S(u)) from the trajectory and the series at u."""
@@ -111,18 +132,38 @@ def solve_main(
         K = dphi_U * U**r / ((r - 1.0) * A * S_U)
         tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U, stability=stability)
 
+    # Beyond U, the matched series at infinity: with w = phi'(U) (U/u)^r / S(U),
+    # phi' = w S(u), phi = A - w u T(u) and phi'' = -w sum_j (r+j) e_j u^(-j) / u,
+    # all times C0; U^r is never formed.  phi is written 1 - C0 w u T(u), so
+    # that it reads 1 where w underflows.
+    scale = C0 * dphi_U / S_U
+    desc = [v.tolist() for v in (e[::-1], (e / (r + j - 1.0))[::-1], (e * (r + j))[::-1])]
+
+    def far(x, polyval):
+        # at an array x with np.polyval, at a float with its twin in floats
+        z = 1.0 / x
+        cw = scale * (U * z) ** r
+        S, T, D = (polyval(p, z) for p in desc)
+        return 1.0 - cw * x * T, cw * S, -cw * D * z
+
     def eval3(uq: np.ndarray):
-        # the trajectory above u0, the series below
-        st = traj(np.maximum(uq, u0))
+        # the series at u = 0 up to u0, the trajectory up to U, the series
+        # at infinity beyond
+        st = traj(np.clip(uq, u0, U))
         phi, dphi, ddphi = C0 * st[:, 0], C0 * st[:, 1], C0 * st[:, 2]
         inner = uq <= u0
         if inner.any():
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
+        outer = uq > U
+        if outer.any():
+            phi[outer], dphi[outer], ddphi[outer] = far(uq[outer], np.polyval)
         return phi, dphi, ddphi
 
     def point3(x: float):
         if x <= u0:
             return eval_series(exp, C0, x)
+        if x > U:
+            return far(x, horner)
         phi, dphi, ddphi = traj(x)
         return C0 * phi, C0 * dphi, C0 * ddphi
 

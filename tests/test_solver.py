@@ -98,9 +98,7 @@ class TestSolveMain:
             assert grid.evaluate(u)[0] == pytest.approx(direct, rel=1e-8)
 
     def test_limit_is_one(self, solved):
-        grid = solved("fig1-II")
-        U = grid.diagnostics["U"]
-        assert grid.evaluate(U)[0] == pytest.approx(1.0, rel=1e-6)
+        assert solved("fig1-II").evaluate(400.0)[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_origin_condition_transfer(self, solved):
         # c phi'(u) - lam phi(u) -> 0 linearly as u -> 0
@@ -132,7 +130,7 @@ class TestSolveMain:
 
     def test_near_borderline_robustness_matches_at_smallest_U(self):
         grid = solve(R_1_1)
-        assert grid.diagnostics["U"] == 400.0 * R_1_1.m
+        assert grid.diagnostics["U"] == 50.0 * R_1_1.m
         assert grid.diagnostics["A_stability"] <= 1e-9
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
@@ -257,6 +255,64 @@ class TestLongerSeries:
         scale = np.abs(traj(np.linspace(short.u0, long.u0, 200))).max(axis=0)
         err = np.abs(np.array(eval_series(long, 1.0, long.u0)) - traj(long.u0)) / scale
         assert err.max() <= 1e-13
+
+
+class TestFarField:
+    """Beyond U the main route evaluates the series at infinity matched at U,
+    so its span is [0, inf)."""
+
+    MAIN = ["fig1-II", "fig2-I", "fig2-II"]
+
+    @pytest.mark.parametrize("name", MAIN)
+    def test_continuous_across_U(self, solved, name):
+        grid = solved(name)
+        U = grid.diagnostics["U"]
+        assert grid.span == (0.0, math.inf)
+        at = grid.evaluate(U)
+        beyond = grid.evaluate(float(np.nextafter(U, math.inf)))
+        for x, y in zip(at, beyond):
+            assert y == pytest.approx(x, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
+    def test_matches_longer_integration(self, solved, name):
+        # with u_max = 400 these points lie on the trajectory
+        grid, far = solved(name), solve(PARAMS[name], u_max=400.0)
+        assert grid.diagnostics["U"] < 100.0 <= 400.0 <= far.diagnostics["U"]
+        us = np.array([100.0, 200.0, 400.0])
+        (phi, dphi, _), (phi_ref, dphi_ref, _) = grid.evaluate(us), far.evaluate(us)
+        np.testing.assert_allclose(phi, phi_ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(dphi, dphi_ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("name", MAIN)
+    def test_scalar_equals_array_beyond_U(self, solved, name):
+        grid = solved(name)
+        us = grid.diagnostics["U"] * np.array([1.0 + 1e-12, 1.5, 4.0, 1e3, 1e10])
+        us = np.append(us, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = grid.evaluate(us)
+            scalars = np.array([grid.evaluate(float(u)) for u in us])
+        for k in range(3):
+            np.testing.assert_allclose(scalars[:, k], arrays[k], rtol=1e-14, atol=0.0)
+        assert scalars[-1, 0] == arrays[0][-1] == 1.0
+        assert np.all(np.diff(arrays[0]) >= 0.0) and np.all(arrays[0] <= 1.0)
+
+    def test_few_steps_to_the_first_truncating_U(self, solved):
+        # the integration ends at the first candidate u_max 2^(k/2) at which
+        # the series at infinity truncates; it ran to 400 in 49 steps before
+        grid = solved("fig1-II")
+        assert grid.diagnostics["U"] == 50.0
+        assert grid.diagnostics["steps"] <= 30
+
+    @pytest.mark.parametrize("name", ["fig1-II", "fig2-II", "R_1_1"])
+    @pytest.mark.parametrize("u_max", [0.01, 1.0, 50.0, 1000.0])
+    def test_ladder_from_any_u_max(self, name, u_max):
+        # the candidates climb from u_max to 256 max(200 m, u_max); at
+        # u_max = 0.01 m a ladder that stopped at 1024 u_max would raise
+        p = R_1_1 if name == "R_1_1" else PARAMS[name]
+        grid = solve(p, u_max=u_max * p.m)
+        assert grid.diagnostics["U"] >= u_max * p.m
+        assert grid.C0 == pytest.approx(solve(p).C0, rel=1e-12)
 
 
 class TestSolveDispatch:

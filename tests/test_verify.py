@@ -39,9 +39,10 @@ class TestIdeResidual:
         assert rep.sup == 0.0
 
     def test_span_mismatch(self, solved):
-        grid = solved("fig1-II")
+        # the capital stock's span ends at U; the main route's reaches infinity
+        grid = solved("fig5-I")
         with pytest.raises(ValueError):
-            ide_residual(grid, PARAMS["fig1-II"], np.linspace(0, 1e6, 10))
+            ide_residual(grid, PARAMS["fig5-I"], np.linspace(0, 1e6, 10))
 
     @pytest.mark.parametrize("grid", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
     def test_rejects_grid_not_1d(self, solved, grid):
