@@ -6,10 +6,12 @@ Gauss-Kronrod quadrature over pieces of [0, u], joined by the exact
 recursion of the exponential convolution.  Monte Carlo simulates the
 surplus process directly, with claims as events; for b > 0 it steps the
 diffusion with the exact geometric Brownian factor, in antithetic pairs of
-paths, and checks ruin at the claim instants.  Survival is nondecreasing in
-every Brownian increment, so partners are not positively correlated and the
-reported standard error sqrt(p (1 - p) / n) is an upper bound.  The tail
-estimator fits the large-u power law from samples.
+paths, carrying the surplus shifted by half a step's premium so that a step
+without claims is one multiply-add, and checks ruin at the claim instants.
+Survival is nondecreasing in every Brownian increment, so partners are not
+positively correlated and the reported standard error sqrt(p (1 - p) / n) is
+an upper bound.  Each block of paths draws from its own SFC64 substream.
+The tail estimator fits the large-u power law from samples.
 """
 
 from __future__ import annotations
@@ -333,19 +335,25 @@ def _mc_block_gbm(params, u, T, dt, rng, size):
     """Paths for b > 0 in antithetic pairs and time chunks, with claims as events.
 
     The step grid is h = T/ceil(T/dt).  Over a step the surplus moves as
-    X -> g X + A, with the exact geometric Brownian factor
-    g = exp((a - b^2/2) h + b sqrt(h) Z) and the premium by trapezoid,
-    A = c h (1 + g)/2.  With n pairs, lane i takes the step normals Z and
+    X -> g X + c h (1 + g)/2, with the exact geometric Brownian factor
+    g = exp((a - b^2/2) h + b sqrt(h) Z) and the premium by trapezoid.  The
+    lanes carry Y = X + c h/2 instead, for which that step is Y -> g Y + c h:
+    one multiply-add.  With n pairs, lane i takes the step normals Z and
     lane i + n takes -Z, whose factor exp(2 (a - b^2/2) h) / g costs a
     division, not a draw.  Claims, their sizes and their bridge normals stay
-    each lane's own: ``_claim_window`` draws them and replaces g and A of the
-    steps holding them.  Each chunk of K steps (K * lanes <= _CHUNK) draws
-    its normals at once and sweeps the lanes one multiply-add per step; ruin
-    is then read off at the chunk's claim instants.  A ruined lane keeps
-    moving beside its partner but is never counted again; a pair leaves at
-    the end of a window once both its lanes are ruined, and the block ends
-    early when no lane is left.  An odd block's last pair has a phantom
-    partner that starts ruined.
+    each lane's own: ``_claim_window`` draws them and gives each step holding
+    them its exact map X -> g X + A, which for Y reads
+    Y -> g Y + A + (c h/2)(1 - g).  Each chunk of K steps (K * lanes <=
+    _CHUNK) draws its normals at once and sweeps the lanes one in-place
+    multiply-add per step; ruin is then read off at the chunk's claim
+    instants from X = Y - c h/2 at the start of each claim's step.  The
+    normals, factors and additive terms live in flat buffers allocated once
+    per block and viewed as (K, lanes) per window; the additive buffer holds
+    c h except at a chunk's claim steps, which are reset after the chunk.  A
+    ruined lane keeps moving beside its partner but is never counted again;
+    a pair leaves at the end of a window once both its lanes are ruined, and
+    the block ends early when no lane is left.  An odd block's last pair has
+    a phantom partner that starts ruined.
     """
     a, b, c, lam = params.a, params.b, params.c, params.lam
     n_steps = int(math.ceil(T / dt))
@@ -353,11 +361,17 @@ def _mc_block_gbm(params, u, T, dt, rng, size):
     drift = (a - 0.5 * b * b) * h
     vol = b * math.sqrt(h)
     mirror = math.exp(2.0 * drift)
+    ch = c * h
     n = (size + 1) // 2
-    X = np.full(2 * n, float(u))
+    Y = np.full(2 * n, float(u) + 0.5 * ch)
     nxt = rng.exponential(1.0 / lam, 2 * n)
     alive = np.ones(2 * n, dtype=bool)
     alive[-1] = size % 2 == 0
+    # a chunk of nk steps on `lanes` lanes never needs more than this
+    cap = min(max(_CHUNK, 2 * n), n_steps * 2 * n)
+    z_buf = np.empty(cap // 2)
+    g_buf = np.empty(cap)
+    a_buf = np.full(cap, ch)
     k0 = 0
     while k0 < n_steps and n:
         lanes = 2 * n
@@ -366,40 +380,44 @@ def _mc_block_gbm(params, u, T, dt, rng, size):
         events = _claim_window(params, h, nxt, k0 * h, W, rng)
         if events is not None:
             (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
+            a_fold += 0.5 * ch * (1.0 - g_fold)
         for j0 in range(0, W, K):
             nk = min(K, W - j0)
-            Z = rng.standard_normal((nk, n))
+            Z = z_buf[: nk * n].reshape(nk, n)
+            G = g_buf[: nk * lanes].reshape(nk, lanes)
+            A = a_buf[: nk * lanes].reshape(nk, lanes)
+            rng.standard_normal(out=Z)
             Z *= vol
             Z += drift
-            G = np.empty((nk, lanes))
             np.exp(Z, out=G[:, :n])
             np.divide(mirror, G[:, :n], out=G[:, n:])
-            A = G + 1.0
-            A *= 0.5 * c * h
             if events is not None:
                 lo, hi = np.searchsorted(gk, (j0, j0 + nk))
-                G[gk[lo:hi] - j0, glane[lo:hi]] = g_fold[lo:hi]
-                A[gk[lo:hi] - j0, glane[lo:hi]] = a_fold[lo:hi]
-            # row k of A becomes the surplus at the end of step j0 + k
-            x = X
+                rows, cols = gk[lo:hi] - j0, glane[lo:hi]
+                G[rows, cols] = g_fold[lo:hi]
+                A[rows, cols] = a_fold[lo:hi]
+            # row k of G becomes Y at the end of step j0 + k
+            y = Y
             for k in range(nk):
-                np.multiply(G[k], x, out=G[k])
-                A[k] += G[k]
-                x = A[k]
+                row = G[k]
+                np.multiply(row, y, out=row)
+                np.add(row, A[k], out=row)
+                y = row
             if events is not None:
+                A[rows, cols] = ch
                 lo, hi = np.searchsorted(ck, (j0, j0 + nk))
                 kk, ll = ck[lo:hi] - j0, clane[lo:hi]
-                start = np.where(kk == 0, X[ll], A[kk - 1, ll])
+                start = np.where(kk == 0, Y[ll], G[kk - 1, ll]) - 0.5 * ch
                 # g > 0 and c >= 0: between claims the surplus cannot fall
                 alive[ll[c_alpha[lo:hi] * start + c_beta[lo:hi] < 0.0]] = False
-            X = A[-1].copy()
+            Y[:] = G[-1]
             if not alive.any():
                 break
         pair = alive[:n] | alive[n:]
         if not pair.all():
             keep = np.flatnonzero(pair)
             keep = np.concatenate((keep, keep + n))
-            X, nxt, alive = X[keep], nxt[keep], alive[keep]
+            Y, nxt, alive = Y[keep], nxt[keep], alive[keep]
             n = keep.size // 2
         k0 += W
     return int(np.count_nonzero(alive))
@@ -453,13 +471,22 @@ def mc_survival(
     must be finite and positive, and so must a given dt, even when b = 0,
     where the exact scheme does not use it and the estimate records dt = 0.
 
-    Paths are processed in fixed-size blocks, each drawing from a substream
-    derived deterministically from (seed, block index), so the estimate is
-    reproducible and independent of how blocks are distributed over workers.
-    Both schemes draw different streams than earlier versions (the b > 0
-    scheme once stepped by Euler-Maruyama and then without pairs, the b = 0
-    scheme drew for stopped paths too), so an estimate under a given seed
-    differs from theirs.
+    The b > 0 lanes carry Y = X + c h/2, over which a step without claims
+    is Y -> g Y + c h, one in-place multiply-add; a step with claims keeps
+    its exact map, and ruin is read from X = Y - c h/2.  The normals,
+    factors and additive terms of a chunk of steps live in buffers
+    allocated once per block.
+
+    Paths are processed in fixed-size blocks, each drawing from an SFC64
+    generator seeded by ``SeedSequence(entropy=seed, spawn_key=(block,))``,
+    so the estimate is reproducible and independent of how blocks are
+    distributed over workers.  SFC64 (256-bit state, a 64-bit counter that
+    keeps distinct seeds apart for at least 2^64 draws) draws normals about
+    a fifth faster than PCG64, numpy's default.  Both schemes draw different
+    streams than earlier versions (the b > 0 scheme once stepped by
+    Euler-Maruyama and then without pairs, the b = 0 scheme drew for stopped
+    paths too, and both drew from PCG64), so an estimate under a given seed
+    differs from theirs; the law of every path is unchanged.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -483,8 +510,8 @@ def mc_survival(
     block_index = 0
     while done < n_paths:
         size = min(_BLOCK, n_paths - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
+        rng = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
         )
         if exact:
             survivors += _mc_block_exact(params, u, T, rng, size)

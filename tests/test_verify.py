@@ -142,6 +142,99 @@ class TestGResidualDecay:
         assert slope == pytest.approx(-1.0 / p.m, rel=0.02)
 
 
+def _x_form_block(params, u, T, dt, rng, size):
+    """The b > 0 block as it stood before the lanes carried Y = X + c h/2:
+    the surplus X itself, with the premium array A = c h (1 + G)/2 formed
+    per chunk.  Same law, same pairing and same draw order."""
+    a, b, c, lam = params.a, params.b, params.c, params.lam
+    n_steps = int(math.ceil(T / dt))
+    h = T / n_steps
+    drift = (a - 0.5 * b * b) * h
+    vol = b * math.sqrt(h)
+    mirror = math.exp(2.0 * drift)
+    n = (size + 1) // 2
+    X = np.full(2 * n, float(u))
+    nxt = rng.exponential(1.0 / lam, 2 * n)
+    alive = np.ones(2 * n, dtype=bool)
+    alive[-1] = size % 2 == 0
+    k0 = 0
+    while k0 < n_steps and n:
+        lanes = 2 * n
+        K = max(1, verify._CHUNK // lanes)
+        W = min(n_steps - k0, K * max(1, int(verify._CLAIMS / (lanes * lam * h * K))))
+        events = verify._claim_window(params, h, nxt, k0 * h, W, rng)
+        if events is not None:
+            (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
+        for j0 in range(0, W, K):
+            nk = min(K, W - j0)
+            Z = rng.standard_normal((nk, n))
+            Z *= vol
+            Z += drift
+            G = np.empty((nk, lanes))
+            np.exp(Z, out=G[:, :n])
+            np.divide(mirror, G[:, :n], out=G[:, n:])
+            A = G + 1.0
+            A *= 0.5 * c * h
+            if events is not None:
+                lo, hi = np.searchsorted(gk, (j0, j0 + nk))
+                G[gk[lo:hi] - j0, glane[lo:hi]] = g_fold[lo:hi]
+                A[gk[lo:hi] - j0, glane[lo:hi]] = a_fold[lo:hi]
+            x = X
+            for k in range(nk):
+                np.multiply(G[k], x, out=G[k])
+                A[k] += G[k]
+                x = A[k]
+            if events is not None:
+                lo, hi = np.searchsorted(ck, (j0, j0 + nk))
+                kk, ll = ck[lo:hi] - j0, clane[lo:hi]
+                start = np.where(kk == 0, X[ll], A[kk - 1, ll])
+                alive[ll[c_alpha[lo:hi] * start + c_beta[lo:hi] < 0.0]] = False
+            X = A[-1].copy()
+            if not alive.any():
+                break
+        pair = alive[:n] | alive[n:]
+        if not pair.all():
+            keep = np.flatnonzero(pair)
+            keep = np.concatenate((keep, keep + n))
+            X, nxt, alive = X[keep], nxt[keep], alive[keep]
+            n = keep.size // 2
+        k0 += W
+    return int(np.count_nonzero(alive))
+
+
+class TestGbmBlockYForm:
+    """``_mc_block_gbm`` carries Y = X + c h/2; on the same draws it must ruin
+    exactly the lanes that the X-form block ruins."""
+
+    FIG1_II = PARAMS["fig1-II"]
+    TWO_PER_STEP = 2.0 / FIG1_II.lam
+
+    @pytest.mark.parametrize(
+        "u, size, T, dt",
+        [
+            (5.0, 256, 40.0, 0.01),
+            # lam*dt = 2: steps hold several claims and premiums, and c h/2
+            # is about 1.1, so both the claim steps' additive and the ruin
+            # test's shift matter
+            (5.0, 256, 100 * TWO_PER_STEP, TWO_PER_STEP),
+            # most pairs are ruined early and leave, so the buffers are
+            # viewed at ever fewer lanes
+            (0.5, 256, 40.0, 0.01),
+            # the last pair's phantom partner
+            (5.0, 255, 40.0, 0.01),
+        ],
+        ids=["dt=0.01", "lam*dt=2", "u=0.5", "odd"],
+    )
+    def test_matches_x_form(self, u, size, T, dt):
+        p = self.FIG1_II
+        got, want = [], []
+        for seed in range(20):
+            got.append(verify._mc_block_gbm(p, u, T, dt, np.random.Generator(np.random.SFC64(seed)), size))
+            want.append(_x_form_block(p, u, T, dt, np.random.Generator(np.random.SFC64(seed)), size))
+        assert got == want
+        assert 0 < sum(want) < 20 * size
+
+
 class TestMcSurvival:
     CLASSICAL = PARAMS["fig1-I"]
 
