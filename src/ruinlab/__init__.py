@@ -42,7 +42,7 @@ from .model import (
     safety_loading_sign,
 )
 from .odes import (
-    OdeSystem,
+    LinearOde,
     Trajectory,
     companion_volterra_field,
     eta_ode_field,
@@ -61,10 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "IntegrationError",
+    "LinearOde",
     "McEstimate",
     "ModelParams",
     "NoSolutionError",
-    "OdeSystem",
     "PRESETS",
     "PortfolioSpec",
     "Regime",

@@ -12,19 +12,18 @@ from a recurrence, and converge for |u - s| < s.  ``integrate`` steps with
 these series, a high-order Taylor method (Jorba & Zou, Experimental
 Mathematics 14(1), 2005): no stages, no step rejections and no mesh rounds.
 
-It takes a field in the first-order form of one such equation of order n:
+It steps a ``LinearOde``: one such equation of order n, given by its
+coefficients, in the first-order form
 
     y_i' = y_(i+1)  (i < n - 1),    u^e y_(n-1)' = sum_j N_j(u) y_j + f(u),
 
-with e in {0, 1, 2} and N_j, f polynomials of degree at most 2.  A field's
-``rhs(u, y)`` is called on arrays: ``u`` is a float or a 1-D array of
-abscissae, ``y`` a sequence of n components that broadcast against ``u``,
-and it returns n components.  ``integrate`` reads e, N_j and f from one
-call on the unit states and the zero state at five abscissae of the span
-(a quadratic through three of them, checked at the other two), and when
-it is done checks ``rhs`` against them at every step node.
+with e in {0, 1, 2} and N_j, f polynomials of degree at most 2, each held
+as its three monomial coefficients.  About s the coefficients of N_j(s + t)
+and f(s + t) in t are exact shifts of these, c0 + s c1 + s^2 c2, c1 + 2 s c2
+and c2, so the equation is never sampled.  ``LinearOde.rhs`` evaluates the
+first-order form for scipy and the tests; ``integrate`` does not call it.
 
-If y_0 does not enter the equation (phi in the main field), it is carried
+If y_0 does not enter the equation (phi in the main equation), it is carried
 as the antiderivative of y_1, and the series is that of v = y_1: phi is
 the termwise antiderivative of w.  Otherwise v = y_0.  At s the
 coefficients v_q of v(s + t) = sum_q v_q t^q come from substituting the
@@ -49,11 +48,11 @@ mu1).  The trajectory keeps each step's coefficients scaled back, in
 powers of theta = (u - s) / h; where a value lies below double range it
 reads 0.
 
-Also defined here are the three vector fields of the package: the
-third-order equation satisfied by the survival probability (the w equation
-with phi added), the second-order equation of the capital-stock auxiliary
-function eta, and the one-dimensional companion equation that reproduces
-the exponential Volterra convolution.
+Also built here, from ``ModelParams``, are the three equations of the
+package: the third-order equation satisfied by the survival probability
+(the w equation with phi added), the second-order equation of the
+capital-stock auxiliary function eta, and the one-dimensional companion
+equation that reproduces the exponential Volterra convolution.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,33 +68,61 @@ from .errors import IntegrationError
 from .model import ModelParams
 
 __all__ = [
-    "OdeSystem", "Trajectory", "integrate",
+    "LinearOde", "Trajectory", "integrate",
     "main_ode_field", "companion_volterra_field", "eta_ode_field",
 ]
 
 # Taylor coefficients of v per step
 _TERMS = 30
-# the five abscissae, as fractions of the span, at which rhs is read: a
-# quadratic through the first, middle and last, checked at the others
-_SAMPLES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-# relative mismatch of rhs and the equation read from it that refuses a field
-_AFFINE_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
-class OdeSystem:
-    """A first-order system u -> d(state)/du.
+class LinearOde:
+    """u^e y^(n) = sum_j N_j(u) y^(j) + f(u): one linear equation of order
+    n = len(N), stepped by ``integrate`` in the first-order form of the
+    module docstring, with state (y, y', .., y^(n-1)).
 
-    ``rhs(u, y)`` takes a float or 1-D array ``u`` and ``dimension`` state
-    components that broadcast against it, and returns as many components,
-    computed elementwise.
+    ``e`` is 0, 1 or 2, and ``N`` holds N_0, .., N_(n-1) and ``f`` the
+    forcing, each as the monomial coefficients (c0, c1, c2) of
+    c0 + c1 u + c2 u^2.  Raises ``ValueError`` for another e, another shape
+    or a non-finite coefficient.
     """
 
-    dimension: int
-    rhs: Callable[[object, Sequence], Sequence]
+    e: int
+    N: tuple
+    f: tuple = (0.0, 0.0, 0.0)
     name: str = ""
+
+    def __post_init__(self):
+        if self.e not in (0, 1, 2):
+            raise ValueError(f"e must be 0, 1 or 2, got {self.e!r}")
+        N, f = np.asarray(self.N, dtype=float), np.asarray(self.f, dtype=float)
+        if N.ndim != 2 or N.shape[0] < 1 or N.shape[1] != 3 or f.shape != (3,):
+            raise ValueError(
+                f"need N of shape (n, 3) and f of shape (3,), got {N.shape} and {f.shape}"
+            )
+        if not (np.isfinite(N).all() and np.isfinite(f).all()):
+            raise ValueError("equation coefficients must be finite")
+        object.__setattr__(self, "N", tuple(map(tuple, N.tolist())))
+        object.__setattr__(self, "f", tuple(f.tolist()))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.N)
+
+    def rhs(self, u, y):
+        """d(state)/du at a float or 1-D array ``u``, for ``dimension`` state
+        components that broadcast against it, computed elementwise.  Raises
+        ``ValueError`` at u <= 0 where e > 0."""
+        if self.e and np.min(u) <= 0.0:
+            raise ValueError(f"{self.name or 'equation'} is singular at u={np.min(u):g}; need u > 0")
+
+        def poly(c):
+            return c[0] + u * (c[1] + u * c[2])
+
+        top = sum(poly(c) * yj for c, yj in zip(self.N, y)) + poly(self.f)
+        return (*y[1:], top / u**self.e)
 
 
 @dataclass
@@ -184,107 +210,6 @@ class Trajectory:
         return out
 
 
-def _field_matrices(rhs, dim: int, u: np.ndarray) -> np.ndarray:
-    """[M(u) | g(u)] at every abscissa of ``u``, shape (u.size, dim, dim + 1),
-    from one ``rhs`` call on the unit states and the zero state; it acts on
-    (y, 1)."""
-    n = dim + 1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # component i of state j at row j: states broadcast against u
-        f = rhs(u, np.eye(dim, n)[:, :, None])
-    if len(f) != dim:
-        raise ValueError(f"rhs returned {len(f)} components, expected {dim}")
-    out = np.empty((u.size, dim, n))
-    for i, fi in enumerate(f):
-        fi = np.broadcast_to(fi, (n, u.size))  # state, abscissa
-        out[:, i, :] = fi.T
-        out[:, i, :dim] -= fi[dim, :, None]  # rhs(e_j) - rhs(0) = M e_j
-    if not np.isfinite(out).all():
-        at = float(u[np.argmax(~np.isfinite(out).all(axis=(1, 2)))])
-        raise IntegrationError(f"non-finite field at u={at:.6g}", u=at)
-    return out
-
-
-@dataclass(frozen=True)
-class _Equation:
-    """u^e y_(n-1)' = sum_j N_j(u) y_j + f(u), read from a field: ``row``
-    holds the Newton coefficients, on the nodes ``ua`` and ``ub``, of
-    N_0, .., N_(n-1) and f."""
-
-    dim: int
-    e: int
-    row: np.ndarray  # (3, dim + 1)
-    ua: float
-    ub: float
-
-    @classmethod
-    def read(cls, rhs, dim: int, u0: float, u1: float) -> "_Equation":
-        us = u0 + (u1 - u0) * _SAMPLES
-        F = _field_matrices(rhs, dim, us)
-        shift = np.eye(dim - 1, dim + 1, 1)
-        if not (F[:, :-1] == shift).all():
-            raise ValueError(
-                "integrate takes the first-order form of one linear equation: "
-                "y_i' = y_(i+1) for every component but the last"
-            )
-        ua, ub, uc = us[0], us[2], us[4]
-        for e in (0, 1, 2):
-            g = F[:, -1] * (us**e)[:, None]
-            fab = (g[2] - g[0]) / (ub - ua)
-            fabc = ((g[4] - g[2]) / (uc - ub) - fab) / (uc - ua)
-            fit = g[0] + (us[[1, 3], None] - ua) * (fab + (us[[1, 3], None] - ub) * fabc)
-            if (np.abs(fit - g[[1, 3]]) <= _AFFINE_TOL * np.abs(g).max(axis=0) + _TINY).all():
-                if e and u0 <= 0.0:
-                    raise ValueError(f"field is singular at u = 0; need u_start > 0, got {u0:g}")
-                return cls(dim, e, np.array([g[0], fab, fabc]), float(ua), float(ub))
-        raise ValueError(
-            "field coefficients are not polynomials of degree <= 2 over u^e, e <= 2"
-        )
-
-    @property
-    def antiderivative(self) -> bool:
-        """Whether y_0 is left out of the equation, and so is carried as the
-        antiderivative of y_1."""
-        return self.dim > 1 and not self.row[:, 0].any()
-
-    @property
-    def affine(self) -> bool:
-        return bool(self.row[:, -1].any())
-
-    def local(self, s: float):
-        """(p, c): the Taylor coefficients in t of u^e and of N_0, .., N_(n-1)
-        and f at u = s + t, as Python floats; c[j][d] is that of t^d."""
-        p = ((1.0, 0.0, 0.0), (s, 1.0, 0.0), (s * s, 2.0 * s, 1.0))[self.e]
-        fa, fab, fabc = self.row.tolist()
-        sa, sb = s - self.ua, s - self.ub
-        c = [
-            (a + sa * (b + sb * cc), b + (sa + sb) * cc, cc)
-            for a, b, cc in zip(fa, fab, fabc)
-        ]
-        return p, c
-
-    def check(self, rhs, us: np.ndarray, Y: np.ndarray) -> None:
-        """Refuse a field whose rhs at the nodes is not this equation."""
-        n = self.dim
-        fa, fab, fabc = self.row[:, :, None]
-        N = fa + (us - self.ua) * (fab + (us - self.ub) * fabc)  # (n + 1, nodes)
-        z = np.vstack((Y.T, np.ones(us.size)))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            direct = np.stack([np.broadcast_to(fi, us.shape) for fi in rhs(us, Y.T)])
-            den = us**self.e
-            model = np.vstack((z[1:n], (N * z).sum(axis=0) / den))
-            scale = np.vstack((np.abs(z[1:n]), (np.abs(N) * np.abs(z)).sum(axis=0) / den))
-            diff = np.abs(direct - model)
-            # values near underflow have lost their relative precision
-            bad = (diff > _AFFINE_TOL * scale + _TINY) | (np.isnan(diff) & np.isfinite(scale))
-        if bad.any():
-            at = float(us[np.argmax(bad.any(axis=0))])
-            raise ValueError(
-                "field is not affine in the state, or not the equation read from it "
-                f"(checked at u={at:.6g})"
-            )
-
-
 def _falling(x, j: int):
     """x (x - 1) .. (x - j + 1)."""
     out = np.ones_like(x)
@@ -336,7 +261,7 @@ def _values(series: list, h: float) -> list:
 
 
 def integrate(
-    sys: OdeSystem,
+    eq: LinearOde,
     u_start: float,
     state0,
     u_end: float,
@@ -345,19 +270,18 @@ def integrate(
     max_steps: int = 2_000_000,
     log_scale: float = 0.0,
 ) -> Trajectory:
-    """Integrate the field ``sys`` forward from ``u_start`` to ``u_end > u_start``.
+    """Integrate the equation ``eq`` forward from ``u_start`` to ``u_end > u_start``.
 
     The initial state is ``state0 * exp(log_scale)``; ``log_scale`` lets it
     lie outside double range.  Steps are at most ``max_step`` long; see the
-    module docstring for the field's form and the step rule.  Raises
-    :class:`IntegrationError`, with the abscissa of the failure, on a
-    non-finite field, a state beyond double range, step-size underflow, or
-    more than ``max_steps`` steps; raises ``ValueError`` for a field that
-    is not of the module docstring's form.
+    module docstring for the step rule.  Raises :class:`IntegrationError`,
+    with the abscissa of the failure, on equation coefficients or a state
+    beyond double range, step-size underflow, or more than ``max_steps``
+    steps; raises ``ValueError`` for ``u_start <= 0`` where e > 0.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
-    dim = sys.dimension
+    dim = eq.dimension
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):
         raise ValueError(f"state0 must have shape ({dim},), got {state.shape}")
@@ -366,9 +290,13 @@ def integrate(
     u0, u1 = float(u_start), float(u_end)
     if not u1 > u0:
         raise ValueError(f"integration span must be increasing, got [{u0:g}, {u1:g}]")
-    eq = _Equation.read(sys.rhs, dim, u0, u1)
+    if eq.e and not u0 > 0.0:
+        raise ValueError(f"equation is singular at u = 0; need u_start > 0, got {u0:g}")
 
-    lo = int(eq.antiderivative)  # v = y_lo
+    # y_0 left out of the equation is carried as the antiderivative of y_1:
+    # v = y_lo
+    lo = int(dim > 1 and not any(eq.N[0]))
+    table = (*eq.N, eq.f)
     order = dim - lo
     G = _weights(order)
     width = G.shape[1]
@@ -379,8 +307,7 @@ def integrate(
     falling = [_falling(np.arange(_TERMS - 1.0, l - 1.0, -1.0), l).tolist() for l in range(order)]
     forcing_den = (1.0 / _falling(np.arange(3.0) + order, order)).tolist()
     span = u1 - u0
-    singular = eq.e > 0
-    affine = eq.affine
+    affine = any(eq.f)
 
     # E and the normalized state, from exp(log_scale) = 2^E * 2^frac
     E0 = E = math.floor(log_scale / math.log(2.0))
@@ -404,11 +331,17 @@ def integrate(
         if len(hs) >= max_steps:
             raise IntegrationError(f"step budget exhausted at u={s:.6g}", u=s)
 
+        # the Taylor coefficients in t of u^e and of N_0, .., N_(n-1) and f
+        # at u = s + t; c[j][d] is that of t^d.  s^e is 0.0 only below
+        # double range, and a sum that is not finite holds an inf or a NaN
+        p0, p1, p2 = ((1.0, 0.0, 0.0), (s, 1.0, 0.0), (s * s, 2.0 * s, 1.0))[eq.e]
+        c = [(c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2) for c0, c1, c2 in table]
+        a = [x / p0 for row in c[lo:dim] for x in row] + [-p1 / p0, -p2 / p0] if p0 else [math.inf]
+        if not math.isfinite(sum(a)):
+            raise IntegrationError(f"non-finite equation coefficients at u={s:.6g}", u=s)
         # the series of v at s: its first ``order`` terms from the state,
         # then the recurrence, whose coefficients of the ``width`` terms
         # before v_(k+order) are rows[k], plus f's term while k <= 2
-        (p0, p1, p2), c = eq.local(s)
-        a = [x / p0 for row in c[lo:dim] for x in row] + [-p1 / p0, -p2 / p0]
         rows = np.dot(a, G).reshape(width, -1).T.tolist()
         force = [0.0] * len(rows)
         if affine:
@@ -429,7 +362,7 @@ def integrate(
         v = v[width - order:]
 
         h = min(u1 - s, max_step)
-        if singular:
+        if eq.e:
             h = min(h, 0.5 * s)
         # each component is held to rtol * h / L of its value at the step's
         # start, then of its end if that is smaller; never below rounding
@@ -456,9 +389,7 @@ def integrate(
         y = nxt
 
     phi0 = (start[0], E0) if lo else None
-    traj = _trajectory(sys.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
-    eq.check(sys.rhs, traj.us, traj.states)
-    return traj
+    return _trajectory(eq.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
 
 
 def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
@@ -497,58 +428,50 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
     return Trajectory(us=us, states=states, coef=coef, name=name)
 
 
-def main_ode_field(params: ModelParams) -> OdeSystem:
-    """Third-order field for the main regime, state (phi, phi', phi'').
+def main_ode_field(params: ModelParams) -> LinearOde:
+    """The main regime's third-order equation, state (phi, phi', phi''):
 
     (b^2/2) u^2 phi''' + [c + (b^2+a) u + b^2 u^2/(2m)] phi''
-                       + [a - lam + c/m + a u/m] phi' = 0,  u > 0.
+                       + [a - lam + c/m + a u/m] phi' = 0,  u > 0,
 
-    The leading coefficient vanishes at u = 0, so evaluation there is
-    rejected; initial data must be transferred to some u0 > 0 first.
+    divided by b^2/2.  The leading coefficient vanishes at u = 0, so
+    initial data must be transferred to some u0 > 0 first.
     """
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
-    b2 = b * b
-
-    def rhs(u, y):
-        if np.min(u) <= 0.0:
-            raise ValueError(f"main ODE field is singular at u={np.min(u):g}; need u > 0")
-        coeff2 = c + (b2 + a) * u + b2 * u * u / (2.0 * m)
-        coeff1 = a - lam + c / m + a * u / m
-        return y[1], y[2], -(coeff2 * y[2] + coeff1 * y[1]) / (0.5 * b2 * u * u)
-
-    return OdeSystem(dimension=3, rhs=rhs, name="main-phi")
+    P = 0.5 * b * b
+    N1 = (-(a - lam + c / m) / P, -a / (m * P), 0.0)
+    N2 = (-c / P, -(b * b + a) / P, -1.0 / m)
+    return LinearOde(e=2, N=((0.0, 0.0, 0.0), N1, N2), name="main-phi")
 
 
-def companion_volterra_field(params: ModelParams, phi_interp) -> OdeSystem:
+def companion_volterra_field(params: ModelParams, phi) -> LinearOde:
     """y' = (phi(u) - y) / m, which reproduces the exponential convolution.
 
     With y(0) = 0 the solution equals (1/m) * int_0^u phi(s) exp(-(u-s)/m) ds,
-    so this field turns the integral term of the survival equation into one
-    extra ODE component.  ``phi_interp`` maps an array of u to phi(u);
-    ``integrate`` takes it where phi is a polynomial of degree at most 2.
+    so this equation turns the integral term of the survival equation into
+    one extra ODE component.  ``phi`` holds one to three coefficients
+    (p0, p1, p2) of the polynomial phi(u) = p0 + p1 u + p2 u^2.
     """
     m = params.m
+    p = tuple(map(float, phi))
+    if not 1 <= len(p) <= 3:
+        raise ValueError(f"phi needs 1 to 3 polynomial coefficients, got {len(p)}")
+    f = tuple(x / m for x in p + (0.0,) * (3 - len(p)))
+    return LinearOde(e=0, N=((-1.0 / m, 0.0, 0.0),), f=f, name="volterra-companion")
 
-    def rhs(u, y):
-        return ((phi_interp(u) - y[0]) / m,)
 
-    return OdeSystem(dimension=1, rhs=rhs, name="volterra-companion")
+def eta_ode_field(params: ModelParams) -> LinearOde:
+    """The second-order equation of the capital-stock auxiliary function eta,
 
+    u^2 eta'' + (2 d1 + u/m) u eta' + (d2 u / m) eta = 0,  u > 0,
 
-def eta_ode_field(params: ModelParams) -> OdeSystem:
-    """Second-order field for the capital-stock auxiliary function eta.
-
-    u^2 eta'' + (2 d1 + u/m) u eta' + (d2 u / m) eta = 0, u > 0, with the
-    exponents d1, d2 derived from ``params``.  State is (eta, eta').
+    divided by u, with the exponents d1, d2 derived from ``params``.  State
+    is (eta, eta').
     """
     from .capitalstock import exponents  # local import, avoids module cycle
 
     _, d1, d2 = exponents(params)
     m = params.m
-
-    def rhs(u, y):
-        if np.min(u) <= 0.0:
-            raise ValueError(f"eta field is singular at u={np.min(u):g}; need u > 0")
-        return y[1], -((2.0 * d1 + u / m) * u * y[1] + (d2 * u / m) * y[0]) / (u * u)
-
-    return OdeSystem(dimension=2, rhs=rhs, name="capital-stock-eta")
+    return LinearOde(
+        e=1, N=((-d2 / m, 0.0, 0.0), (-2.0 * d1, -1.0 / m, 0.0)), name="capital-stock-eta"
+    )

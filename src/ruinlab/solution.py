@@ -16,9 +16,13 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
-    """Output grid from 0 to u_max, uniform or logarithmic."""
-    if points < 2 or u_max <= 0.0:
-        raise ValueError("need points >= 2 and u_max > 0")
+    """Output grid from 0 to u_max, uniform or logarithmic.
+
+    Raises ValueError for a non-finite or nonpositive ``u_max``, for fewer
+    than two points and for an unknown ``spacing``."""
+    check_u_max(u_max)
+    if points < 2:
+        raise ValueError(f"need points >= 2, got {points}")
     if spacing == "uniform":
         return np.linspace(0.0, u_max, points)
     if spacing == "log":
@@ -32,28 +36,32 @@ def check_tolerances(rtol: float, atol: float) -> None:
         raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
 
 
+def check_u_max(u_max) -> None:
+    """Refuse a ``u_max`` that is not positive and finite."""
+    if not 0.0 < u_max < math.inf:
+        raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
+
+
 def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform"):
-    """(u_grid, u_max) of a solve: a given grid raises u_max to its end,
+    """(u_grid, u_max) of a route: a given grid raises u_max to its end,
     u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.
+    Each route calls it once on the grid it receives.
 
     Raises ValueError for a non-finite or nonpositive ``u_max``, for a
     ``u_grid`` entry that is non-finite or negative, for a ``u_grid`` that is
     empty or not 1-D, and for one that is not strictly increasing."""
-    if u_max is not None and not 0.0 < u_max < math.inf:
-        raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        finite = (u_grid >= 0.0) & (u_grid < math.inf)
-        if u_grid.ndim != 1 or not u_grid.size or not finite.all():
-            raise ValueError("u_grid entries must be finite and >= 0, in a non-empty 1-D array")
-        if np.any(u_grid[1:] <= u_grid[:-1]):
-            raise ValueError("u_grid must be strictly increasing")
-        u_max = max(u_max or 0.0, float(u_grid.max()))
-    if u_max is None:
-        u_max = 50.0 * m
     if u_grid is None:
-        u_grid = make_grid(u_max, points, spacing)
-    return u_grid, u_max
+        u_max = 50.0 * m if u_max is None else u_max
+        return make_grid(u_max, points, spacing), u_max
+    if u_max is not None:
+        check_u_max(u_max)
+    u_grid = np.asarray(u_grid, dtype=float)
+    finite = (u_grid >= 0.0) & (u_grid < math.inf)
+    if u_grid.ndim != 1 or not u_grid.size or not finite.all():
+        raise ValueError("u_grid entries must be finite and >= 0, in a non-empty 1-D array")
+    if np.any(u_grid[1:] <= u_grid[:-1]):
+        raise ValueError("u_grid must be strictly increasing")
+    return u_grid, max(u_max or 0.0, float(u_grid.max()))
 
 
 @dataclass(frozen=True)
@@ -99,14 +107,14 @@ class SolutionGrid:
     ddphi: np.ndarray
     C0: float
     regime: RegimeInfo
+    # (phi, phi', phi'') at a validated 1-D array inside ``span``
+    _eval3: Callable = field(repr=False)
+    # the same at one validated float inside ``span``, in Python floats
+    _point3: Callable = field(repr=False)
     tail: TailFit | None = None
     diagnostics: dict = field(default_factory=dict)
     # where ``evaluate`` answers
     span: tuple[float, float] = (0.0, math.inf)
-    # (phi, phi', phi'') at a validated 1-D array inside ``span``
-    _eval3: Callable | None = field(default=None, repr=False)
-    # the same at one validated float inside ``span``, in Python floats
-    _point3: Callable | None = field(default=None, repr=False)
 
     @classmethod
     def sample(cls, u: np.ndarray, eval3: Callable, point3: Callable, **fields) -> SolutionGrid:
@@ -142,8 +150,6 @@ class SolutionGrid:
         lo, hi = self.span
         if not lo <= x <= min(hi, _FLOAT_MAX):
             raise _outside_span(lo, hi)
-        if self._point3 is None:
-            return tuple(float(v[0]) for v in self._eval3(np.array([x])))
         return self._point3(x)
 
 

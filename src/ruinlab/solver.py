@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from . import capitalstock
+from . import capitalstock, odes
 from .closedform import classical_exact, riskfree_exact
 from .errors import NoSolutionError, SolverError, log_info
 from .model import (
@@ -40,9 +40,18 @@ from .model import (
     RegimeInfo,
     classify_regime,
 )
-from .odes import integrate, main_ode_field
+# perfbench/tracer.py patches integrate and main_ode_field here; its field
+# wrap cannot rebuild a LinearOde, so the equation comes from odes
+from .odes import integrate, main_ode_field  # noqa: F401
 from .series import eval_series, horner, series_coeffs_infinity, series_coeffs_main, truncates
-from .solution import SolutionGrid, TailFit, check_tolerances, make_grid, resolve_grid
+from .solution import (
+    SolutionGrid,
+    TailFit,
+    check_tolerances,
+    check_u_max,
+    make_grid,
+    resolve_grid,
+)
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
 
@@ -107,7 +116,7 @@ def solve_main(
     # default u_max = 50 m where U = u_max, and the second keeps fig2-II's C0
     # (U = 100) within 1.89e-13 of its reference, against 1.92e-13.
     traj = integrate(
-        main_ode_field(params), u0, state0, U, rtol=rtol * min(0.125, (U - u0) / (reach - u0))
+        odes.main_ode_field(params), u0, state0, U, rtol=rtol * min(0.125, (U - u0) / (reach - u0))
     )
 
     def match(u: float):
@@ -184,7 +193,9 @@ def solve_main(
     )
 
 
-def _zero_grid(u_grid: np.ndarray, info: RegimeInfo) -> SolutionGrid:
+def _zero_grid(m: float, u_grid, info: RegimeInfo) -> SolutionGrid:
+    u_grid, _ = resolve_grid(m, u_grid)
+
     def eval3(uq: np.ndarray):
         z = np.zeros_like(uq)
         return z, z.copy(), z.copy()
@@ -216,7 +227,12 @@ def solve(
     ruin is certain under non-robust shares.
     """
     info = classify_regime(params)
-    u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
+    # every route validates the grid it is given, so a grid is only built here
+    if u_grid is None:
+        u_max = 50.0 * params.m if u_max is None else u_max
+        u_grid = make_grid(u_max, points, spacing)
+    elif u_max is not None:
+        check_u_max(u_max)
 
     if info.regime is Regime.MAIN:
         return solve_main(params, u_max=u_max, rtol=rtol, atol=atol, u_grid=u_grid)
@@ -228,7 +244,7 @@ def solve(
         return capitalstock.phi_capital_stock(params, u_grid, u_max, rtol=rtol, atol=atol)
     # NO_SOLUTION
     if info.reason == REASON_NOT_ROBUST:
-        return _zero_grid(u_grid, info)
+        return _zero_grid(params.m, u_grid, info)
     if info.reason == REASON_LOADING:
         raise NoSolutionError(
             f"no solution: c <= lambda*m ({params.c:g} <= {params.lam * params.m:g})"

@@ -237,10 +237,11 @@ def test_c11_property_suite(solved, capsys):
             phi[~inner], dphi[~inner], ddphi[~inner] = st[:, 0], st[:, 1], st[:, 2]
         return phi, dphi, ddphi
 
-    sg = SolutionGrid(
-        u=np.array([0.0, u0 + 10.0]), phi=np.zeros(2), dphi=np.zeros(2),
-        ddphi=np.zeros(2), C0=1.0, regime=RegimeInfo(Regime.MAIN),
-        diagnostics={"U": u0 + 10.0, "atol": 1e-14}, _eval3=eval3,
+    sg = SolutionGrid.sample(
+        np.array([0.0, u0 + 10.0]), eval3,
+        lambda x: tuple(float(v[0]) for v in eval3(np.array([x]))),
+        C0=1.0, regime=RegimeInfo(Regime.MAIN),
+        diagnostics={"U": u0 + 10.0, "atol": 1e-14},
     )
     us = np.linspace(u0 + 0.25, u0 + 5.0, 60)
     rep = ide_residual(sg, p, us, rtol=1e-13, atol=1e-15)

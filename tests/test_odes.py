@@ -6,8 +6,8 @@ import pytest
 from conftest import PARAMS, solve_recording_trajectory
 from ruinlab import (
     IntegrationError,
+    LinearOde,
     ModelParams,
-    OdeSystem,
     companion_volterra_field,
     eta_ode_field,
     integrate,
@@ -15,7 +15,7 @@ from ruinlab import (
     odes,
 )
 
-DECAY = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0],), name="decay")
+DECAY = LinearOde(e=0, N=((-1.0, 0.0, 0.0),), name="decay")
 
 
 class TestIntegrate:
@@ -40,7 +40,7 @@ class TestIntegrate:
     def test_float_path_equals_array_path(self):
         # a float query does the array path's arithmetic in Python floats:
         # off the nodes, at every node, at both ends and just outside them
-        osc = OdeSystem(dimension=2, rhs=lambda u, y: (y[1], -y[0]), name="oscillator")
+        osc = LinearOde(e=0, N=((-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), name="oscillator")
         traj = integrate(osc, 0.0, [1.0, 0.0], 3.0, rtol=1e-10)
         rng = np.random.default_rng(2)
         us = np.concatenate((rng.uniform(0.0, 3.0, 50), traj.us, [-1e-10, 3.0 + 1e-10]))
@@ -73,21 +73,15 @@ class TestIntegrate:
                 integrate(DECAY, 1.0, [1.0], u_end, rtol=1e-10)
 
     def test_blowup_reports_abscissa(self):
-        # y' = y/(1-u)^2 is linear, y = exp(u/(1-u)) blows up at u = 1
-        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] / (1.0 - u) ** 2,), name="blowup")
-        with pytest.raises(IntegrationError) as exc:
-            integrate(system, 0.0, [1.0], 2.0, rtol=1e-8)
-        assert exc.value.u is not None
-        assert 0.8 <= exc.value.u <= 1.2  # true blow-up time is u = 1
-
-    def test_non_affine_field_rejected(self):
-        system = OdeSystem(dimension=1, rhs=lambda u, y: (y[0] * y[0],), name="square")
-        with pytest.raises(ValueError, match="not affine"):
-            integrate(system, 0.0, [1.0], 0.5, rtol=1e-8)
+        # y' = 2 u y, y = exp(u^2) leaves double range at u = sqrt(709.78) = 26.64
+        system = LinearOde(e=0, N=((0.0, 2.0, 0.0),), name="blowup")
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate(system, 0.0, [1.0], 40.0, rtol=1e-8)
+        assert 26.6 <= exc.value.u <= 27.0
 
     def test_affine_field_through_zero_state(self):
         # y' = 1 - y with y(0) = 0: y = 1 - exp(-u)
-        system = OdeSystem(dimension=1, rhs=lambda u, y: (1.0 - y[0],), name="affine")
+        system = LinearOde(e=0, N=((-1.0, 0.0, 0.0),), f=(1.0, 0.0, 0.0), name="affine")
         traj = integrate(system, 0.0, [0.0], 3.0, rtol=1e-11)
         us = np.linspace(0.0, 3.0, 61)
         assert np.max(np.abs(traj(us)[:, 0] - (1.0 - np.exp(-us)))) < 1e-10
@@ -110,31 +104,40 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(DECAY, 0.0, [1.0, 2.0], 1.0)
 
-    def test_wrong_rhs_dimension_rejected(self):
-        # a zip over the components would silently drop the extra one
-        system = OdeSystem(dimension=1, rhs=lambda u, y: (-y[0], 0.0), name="wide")
-        with pytest.raises(ValueError, match="components"):
-            integrate(system, 0.0, [1.0], 1.0)
-
 
 class TestTaylorSteps:
-    """The stepper's contract: the field's form, the scale it carries apart
-    from the state, its step budget, and each step's polynomials against
-    the field they came from."""
+    """The stepper's contract: the equation's form, the scale it carries
+    apart from the state, its step budget, and each step's polynomials
+    against the equation they came from."""
 
-    def test_field_not_one_equation_rejected(self):
-        system = OdeSystem(dimension=2, rhs=lambda u, y: (-y[0], -y[1]), name="diagonal")
-        with pytest.raises(ValueError, match="first-order form"):
-            integrate(system, 0.0, [1.0, 1.0], 1.0)
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"e": 3, "N": ((1.0, 0.0, 0.0),)}, "e must be"),
+            ({"e": -1, "N": ((1.0, 0.0, 0.0),)}, "e must be"),
+            ({"e": 0, "N": ((1.0, 0.0),)}, "shape"),
+            ({"e": 0, "N": ((1.0, 0.0, 0.0, 0.0),)}, "shape"),
+            ({"e": 0, "N": ()}, "shape"),
+            ({"e": 0, "N": (1.0, 0.0, 0.0)}, "shape"),
+            ({"e": 0, "N": ((1.0, 0.0, 0.0),), "f": (1.0, 0.0)}, "shape"),
+            ({"e": 0, "N": ((1.0, math.nan, 0.0),)}, "finite"),
+            ({"e": 0, "N": ((1.0, 0.0, 0.0),), "f": (0.0, 0.0, math.inf)}, "finite"),
+        ],
+    )
+    def test_malformed_table_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            LinearOde(**kwargs)
 
-    def test_non_polynomial_coefficients_rejected(self):
-        field = companion_volterra_field(ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0), np.sin)
-        with pytest.raises(ValueError, match="polynomials"):
-            integrate(field, 0.0, [0.0], 5.0)
+    @pytest.mark.parametrize("u_start", [0.0, -1.0])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_singular_equation_needs_positive_start(self, e, u_start):
+        system = LinearOde(e=e, N=((-1.0, 0.0, 0.0),), name="singular")
+        with pytest.raises(ValueError, match="u_start > 0"):
+            integrate(system, u_start, [1.0], 1.0)
 
     def test_state_beyond_double_range(self):
         # y' = y from exp(-1000): below double range up to u ~ 255
-        grow = OdeSystem(dimension=1, rhs=lambda u, y: (y[0],), name="grow")
+        grow = LinearOde(e=0, N=((1.0, 0.0, 0.0),), name="grow")
         traj = integrate(grow, 0.0, [1.0], 1005.0, log_scale=-1000.0)
         assert traj.states[0, 0] == 0.0
         assert traj.states[-1, 0] == pytest.approx(math.exp(5.0), rel=1e-9)
@@ -209,13 +212,7 @@ class TestScan:
         f = rng.uniform(-1.0, 1.0, 3).tolist() if affine else [0.0, 0.0, 0.0]
         y0 = rng.uniform(-1.0, 1.0, dim)
 
-        def quad(c, u):
-            return c[0] + u * (c[1] + u * c[2])
-
-        def rhs(u, y):
-            return (*y[1:dim], sum(quad(c, u) * yj for c, yj in zip(N, y)) + quad(f, u))
-
-        system = OdeSystem(dimension=dim, rhs=rhs, name="polynomial")
+        system = LinearOde(e=0, N=N, f=f, name="polynomial")
         traj = integrate(system, 0.0, y0, steps * self.H, max_step=self.H)
         np.testing.assert_array_equal(traj.us, self.H * np.arange(steps + 1))
         ours, ref = traj.states, self.sequential(N, f, traj.us, y0)
@@ -232,11 +229,7 @@ def test_four_component_linear_system():
     # V = (lam^i), so y(u) = V diag(exp(lam u)) V^-1 y0
     lam = np.array([-3.0, -1.0, -0.2, 0.5])
     a = -np.poly(lam)[:0:-1]
-    system = OdeSystem(
-        dimension=4,
-        rhs=lambda u, y: (y[1], y[2], y[3], a[0] * y[0] + a[1] * y[1] + a[2] * y[2] + a[3] * y[3]),
-        name="linear-4",
-    )
+    system = LinearOde(e=0, N=[(x, 0.0, 0.0) for x in a], name="linear-4")
     V = np.vander(lam, 4, increasing=True).T
     y0 = np.array([1.0, -0.5, 0.25, 2.0])
     traj = integrate(system, 0.0, y0, 3.0, rtol=1e-11)
@@ -295,28 +288,90 @@ class TestCompanionVolterraField:
     PARAMS = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 
     def test_zero_input(self):
-        field = companion_volterra_field(self.PARAMS, lambda u: 0.0)
+        field = companion_volterra_field(self.PARAMS, (0.0,))
         traj = integrate(field, 0.0, [0.0], 5.0, rtol=1e-10)
         assert np.max(np.abs(traj.states[:, 0])) == 0.0
 
     def test_unit_input(self):
-        field = companion_volterra_field(self.PARAMS, lambda u: 1.0)
+        field = companion_volterra_field(self.PARAMS, (1.0,))
         traj = integrate(field, 0.0, [0.0], 5.0, rtol=1e-11)
         us = np.linspace(0.0, 5.0, 41)
         assert np.max(np.abs(traj(us)[:, 0] - (1.0 - np.exp(-us)))) < 1e-10
 
     def test_array_input(self):
-        field = companion_volterra_field(self.PARAMS, np.sin)
+        field = companion_volterra_field(self.PARAMS, (0.5, -1.0, 0.25))
         us = np.array([0.0, 1.0, 2.0])
         (deriv,) = field.rhs(us, [np.full(3, 0.5)])
-        assert deriv == pytest.approx((np.sin(us) - 0.5) / self.PARAMS.m, rel=1e-15)
+        assert deriv == pytest.approx((0.5 - us + 0.25 * us**2 - 0.5) / self.PARAMS.m, abs=1e-15)
+
+    @pytest.mark.parametrize("phi", [(), (1.0, 2.0, 3.0, 4.0)])
+    def test_phi_needs_one_to_three_coefficients(self, phi):
+        with pytest.raises(ValueError, match="1 to 3"):
+            companion_volterra_field(self.PARAMS, phi)
 
     def test_identity_input(self):
-        field = companion_volterra_field(self.PARAMS, lambda u: u)
+        field = companion_volterra_field(self.PARAMS, (0.0, 1.0))
         traj = integrate(field, 0.0, [0.0], 5.0, rtol=1e-11)
         us = np.linspace(0.0, 5.0, 41)
         exact = us - 1.0 + np.exp(-us)
         assert np.max(np.abs(traj(us)[:, 0] - exact)) < 1e-10
+
+
+class TestBuildersAgainstThePaper:
+    """Each builder's equation, through ``rhs``, at seeded (u, y): the
+    equation written out by hand vanishes to rounding of its terms."""
+
+    MAIN = [
+        ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0),
+        ModelParams(a=0.3, b=0.5, c=0.0, lam=1.7, m=0.2),
+        ModelParams(a=0.0208, b=0.003, c=0.1, lam=0.09, m=3.0),
+    ]
+
+    @staticmethod
+    def seeded(seed, dim):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.01, 50.0, 40), rng.uniform(-1.0, 1.0, (dim, 40))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_main(self, k):
+        p = self.MAIN[k]
+        a, b, c, lam, m = p.a, p.b, p.c, p.lam, p.m
+        u, y = self.seeded(k, 3)
+        d = main_ode_field(p).rhs(u, y)
+        np.testing.assert_array_equal(d[0], y[1])
+        np.testing.assert_array_equal(d[1], y[2])
+        terms = (
+            b * b / 2.0 * u * u * d[2],
+            (c + (b * b + a) * u + b * b * u * u / (2.0 * m)) * y[2],
+            (a - lam + c / m + a * u / m) * y[1],
+        )
+        assert np.all(np.abs(sum(terms)) <= 1e-14 * sum(map(np.abs, terms)))
+
+    def test_eta(self):
+        from ruinlab import exponents
+
+        p = ModelParams(a=0.3, b=0.5, c=0.0, lam=1.7, m=0.2)
+        _, d1, d2 = exponents(p)
+        m = p.m
+        u, y = self.seeded(3, 2)
+        d = eta_ode_field(p).rhs(u, y)
+        np.testing.assert_array_equal(d[0], y[1])
+        terms = (u * u * d[1], (2.0 * d1 + u / m) * u * y[1], d2 * u / m * y[0])
+        assert np.all(np.abs(sum(terms)) <= 1e-14 * sum(map(np.abs, terms)))
+
+    def test_companion(self):
+        p = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=0.7)
+        u, (y,) = self.seeded(4, 1)
+        (d,) = companion_volterra_field(p, (0.3, -0.02, 1e-3)).rhs(u, (y,))
+        phi = 0.3 - 0.02 * u + 1e-3 * u * u
+        terms = (p.m * d, y, -phi)
+        assert np.all(np.abs(sum(terms)) <= 1e-14 * sum(map(np.abs, terms)))
+
+    def test_singular_builders_refuse_the_origin_in_integrate(self):
+        p = ModelParams(a=0.3, b=0.5, c=0.0, lam=1.7, m=0.2)
+        for field, y0 in ((main_ode_field(p), [0.0, 1.0, 0.0]), (eta_ode_field(p), [1.0, 0.0])):
+            with pytest.raises(ValueError, match="u_start > 0"):
+                integrate(field, 0.0, y0, 1.0)
 
 
 class TestEtaOdeField:

@@ -167,24 +167,29 @@ class TestSolveMain:
         assert grid.C0 == pytest.approx(0.3433158915078975, rel=1e-11)
         assert grid.phi.max() <= 1.0 + 1e-12
 
-    def test_few_rhs_calls(self, monkeypatch):
-        # the field is wrapped the way perfbench/tracer.py counts it: one
-        # count per rhs call, whatever the size of its arrays
+    def test_tracer_field_wrap_leaves_solve_unchanged(self, monkeypatch):
+        # perfbench/tracer.py wraps solver.main_ode_field as below, and its
+        # rebuild of the result cannot build a LinearOde: the solve must
+        # take its equation elsewhere and come out bit for bit the same
         calls = []
         real = solver.main_ode_field
 
-        def counted_field(params):
+        def counted_factory(params):
+            calls.append(1)
             system = real(params)
 
-            def rhs(u, y):
-                calls.append(1)
+            def counted_rhs(u, y):
                 return system.rhs(u, y)
 
-            return type(system)(dimension=system.dimension, rhs=rhs, name=system.name)
+            return type(system)(dimension=system.dimension, rhs=counted_rhs, name=system.name)
 
-        monkeypatch.setattr(solver, "main_ode_field", counted_field)
-        solve(PARAMS["fig1-II"])
-        assert 0 < len(calls) <= 100
+        before = solve(PARAMS["fig1-II"])
+        monkeypatch.setattr(solver, "main_ode_field", counted_factory)
+        after = solve(PARAMS["fig1-II"])
+        assert not calls
+        for name in ("u", "phi", "dphi", "ddphi"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        assert (after.C0, after.tail, after.diagnostics) == (before.C0, before.tail, before.diagnostics)
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
     def test_steps_reported(self, solved, name):
@@ -458,6 +463,34 @@ class TestGridValidation:
     def test_rejects_grid_of_two_dimensions(self, name):
         with pytest.raises(ValueError, match="1-D"):
             solve(PARAMS[name], u_grid=np.linspace(0.0, 10.0, 6).reshape(2, 3))
+
+    # classical, main, risk-free, capital stock, certain ruin
+    ALL_ROUTES = {
+        "fig1-I": PARAMS["fig1-I"],
+        "fig1-II": PARAMS["fig1-II"],
+        "fig3-II": PARAMS["fig3-II"],
+        "fig5-I": PARAMS["fig5-I"],
+        "zero": ModelParams(a=0.001, b=0.1, c=0.1, lam=0.09, m=1.0),
+    }
+
+    @pytest.mark.parametrize("u_grid", [None, [0.0, 1.5, 4.0]], ids=["default", "given"])
+    @pytest.mark.parametrize("route", sorted(ALL_ROUTES))
+    def test_one_resolve_grid_call_per_solve(self, monkeypatch, route, u_grid):
+        from ruinlab import capitalstock, closedform, solution
+
+        calls = []
+        real = solution.resolve_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (solver, capitalstock, closedform, solution):
+            monkeypatch.setattr(module, "resolve_grid", counted)
+        grid = solve(self.ALL_ROUTES[route], u_max=10.0, points=11, u_grid=u_grid)
+        assert len(calls) == 1
+        expected = make_grid(10.0, 11) if u_grid is None else u_grid
+        np.testing.assert_array_equal(grid.u, expected)
 
 
 class TestEvaluate:

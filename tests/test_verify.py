@@ -128,13 +128,13 @@ class TestGResidualDecay:
                 phi[~inner], dphi[~inner], ddphi[~inner] = st[:, 0], st[:, 1], st[:, 2]
             return phi, dphi, ddphi
 
-        grid = SolutionGrid(
-            u=np.array([0.0, u0 + 10.0]),
-            phi=np.zeros(2), dphi=np.zeros(2), ddphi=np.zeros(2),
+        grid = SolutionGrid.sample(
+            np.array([0.0, u0 + 10.0]),
+            eval3,
+            lambda x: tuple(float(v[0]) for v in eval3(np.array([x]))),
             C0=1.0,
             regime=RegimeInfo(Regime.MAIN),
             diagnostics={"U": u0 + 10.0, "atol": 1e-14},
-            _eval3=eval3,
         )
         us = np.linspace(u0 + 0.25, u0 + 5.0, 60)
         rep = ide_residual(grid, p, us, rtol=1e-13, atol=1e-15)
@@ -402,13 +402,13 @@ def _synthetic_power_tail(exponent):
         ddphi = -exponent * (exponent - 1.0) * uq ** (exponent - 2.0)
         return phi, dphi, ddphi
 
-    u = np.linspace(1.0, 100.0, 10)
-    phi, dphi, ddphi = eval3(u)
-    return SolutionGrid(
-        u=u, phi=phi, dphi=dphi, ddphi=ddphi, C0=0.0,
+    return SolutionGrid.sample(
+        np.linspace(1.0, 100.0, 10),
+        eval3,
+        lambda x: tuple(float(v[0]) for v in eval3(np.array([x]))),
+        C0=0.0,
         regime=RegimeInfo(Regime.MAIN),
         diagnostics={"U": np.inf, "atol": 1e-12},
-        _eval3=eval3,
     )
 
 
