@@ -10,9 +10,9 @@ parameter regimes:
   normalization against the finite limit at infinity;
 * classical and risk-free regimes (b = 0): closed forms, the latter through
   the upper incomplete gamma function;
-* capital-stock regime (no premiums): the same equation without premiums,
-  from its Frobenius series at the singular point, normalized by the
-  exact Mellin transform of the auxiliary Kummer function.
+* capital-stock regime (no premiums): a positive series of gamma densities
+  from Kummer's transformation, normalized by the exact Mellin transform of
+  the auxiliary Kummer function.
 
 Independent oracles (an equation residual by quadrature and a Monte Carlo
 path simulator) validate every solution route.

@@ -1,52 +1,44 @@
-"""Survival probability without premiums (c = 0, b > 0): Frobenius series and Taylor steps.
+"""Survival probability without premiums (c = 0, b > 0): a series of gamma densities.
 
-In the capital-stock regime the survival probability factors through an
-auxiliary function eta:
+phi(u) = P1 int_0^u s^(mu1-1) M(d2, 2 d1, -s/m) ds, M Kummer's function, mu1 =
+1/2 - a/b^2 + sqrt((1/2 - a/b^2)^2 + 2 lam/b^2).  The Mellin transform of M
+(DLMF 13.10.10) gives 1/P1 = Z exactly, in logs, finite when 2a/b^2 > 1:
 
-    phi(u) = P1 * int_0^u s^(mu1 - 1) eta(s) ds,
-    P1 = 1 / int_0^inf s^(mu1 - 1) eta(s) ds,
+    Z = m^mu1 Gamma(mu1) Gamma(d2 - mu1) Gamma(2 d1) / (Gamma(d2) Gamma(2 d1 - mu1)).
 
-where mu1 = 1/2 - a/b^2 + sqrt((1/2 - a/b^2)^2 + 2 lam/b^2) and eta solves a
-second-order equation with eta(0) = 1 and a convergent power series at 0.
-That solution is Kummer's function M(d2, 2 d1, -u/m), so the normalizing
-integral is its Mellin transform (DLMF 13.10.10):
-
-    1/P1 = m^mu1 Gamma(mu1) Gamma(d2 - mu1) Gamma(2 d1) / (Gamma(d2) Gamma(2 d1 - mu1)),
-
-finite exactly when d2 - mu1 = 2a/b^2 - 1 > 0.  It is evaluated in logs,
-and so is the density P1 s^(mu1 - 1) eta(s) on the series, so no power of
-s overflows however large mu1 is.
-
-The series covers [0, u0], integrated termwise, which absorbs the integrable
-s^(mu1 - 1) endpoint singularity when mu1 < 1.  Above u0, phi' = P1 s^(mu1 - 1)
-eta(s) solves the main regime's equation for phi' with c = 0, so
-``odes.integrate`` carries (phi, phi', phi'') from the Frobenius series at
-u0 to U, with phi the termwise antiderivative of phi' on every step.  The
-start passes the factor P1 (u0/m)^(mu1 - 1) / m in logs, and the
-integrator keeps the state's scale apart, so phi' may start far below
-double range; P1 stays exact.
-"""
+Kummer's transformation (DLMF 13.2.39, 2 d1 - d2 = mu1 + 1) makes the slope
+positive in x = u/m: phi' = P1 u^(mu1-1) e^(-x) M(mu1 + 1, 2 d1, x), and
+phi'' = P1 u^(mu1-2) e^(-x) [(mu1 - 1) M(mu1 + 1, 2 d1, x) - (d2 x/(2 d1))
+M(mu1 + 1, 2 d1 + 1, x)].  So with g_a(x) = x^(a-1) e^(-x)/Gamma(a) and w_k =
+P1 m^mu1 Gamma(mu1 + k) (mu1 + 1)_k/((2 d1)_k k!), m phi' = sum_k w_k g_(mu1+k),
+m^2 phi'' = (mu1 - 1) m phi'/x - sum_k w_k d2/(2 d1 + k) g_(mu1+k), and by
+DLMF 8.2.4 phi = sum_(j>=1) W_(j-1) g_(mu1+j), W_n the prefix sums of the w_k,
+which add up to 1 (Gauss's sum, DLMF 15.4.20).  No term is negative.  The
+terms, cut below e^-``_TAIL`` of the largest, are summed on bands of x as
+polynomials in x/X times scales in logs (``_band``), so no power and no
+e^(+-x) leaves double range; far out, the series at infinity takes over."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
 from .errors import NoSolutionError, SolverError, log_info
 from .model import ModelParams, Regime, RegimeInfo
-from .series import ORDER, choose_u0, horner, origin_limits, poly3
+from .series import ORDER, PHI_TOL, choose_u0, horner, origin_limits, poly3
+from .series import series_coeffs_infinity, truncates
 from .solution import SolutionGrid, TailFit, check_tolerances, resolve_grid
-from .specfun import STIRLING_MIN, ext_exp, ext_log, log_gamma_ratio
+from .specfun import STIRLING_MIN, ext_exp, ext_log, log_gamma_density, log_gamma_ratio
 
 __all__ = ["exponents", "eta_series", "solve_eta", "phi_capital_stock"]
 
 def exponents(params: ModelParams) -> tuple[float, float, float]:
-    """Return (mu1, d1, d2) for b > 0.
-
-    mu1 is computed in rationalized form when 1/2 - a/b^2 is negative, so
-    large a/b^2 does not lose digits to cancellation.
-    """
+    """Return (mu1, d1, d2) for b > 0; mu1 in rationalized form where
+    1/2 - a/b^2 is negative, so that large a/b^2 loses no digits."""
     if params.b == 0.0:
         raise ValueError("capital-stock exponents require b > 0")
     q = params.a / params.b**2
@@ -70,11 +62,6 @@ def eta_series(params: ModelParams, order: int = ORDER) -> np.ndarray:
     return P[2:]
 
 
-def _eta_poly(params: ModelParams) -> np.ndarray:
-    """Ascending coefficients 1, P_2, .., P_ORDER of eta's truncated series."""
-    return np.concatenate(([1.0], eta_series(params)))
-
-
 def _transfer_point(poly: np.ndarray, m: float) -> float:
     """u0: the largest of 33 candidates in [0.01 m, 0.6 m] where eta's series
     truncates."""
@@ -82,32 +69,22 @@ def _transfer_point(poly: np.ndarray, m: float) -> float:
 
 
 def _log_zm(mu1: float, d1: float, d2: float, r: float) -> float:
-    """log(Z / m^mu1), Z = 1/P1 (module docstring), with d2 - mu1 = r - 1
-    and 2 d1 - mu1 = mu1 + r.
-
-    Z holds two log-gamma ratios with shift mu1.  As differences of
-    ``math.lgamma`` they lose about ulp(lgamma(2 d1)), 9e-12 at r = 4,622
-    and 1e-7 at r = 4.5e7; from r - 1 = ``STIRLING_MIN`` on they come from
-    ``log_gamma_ratio``.
-    """
+    """log(Z / m^mu1), Z = 1/P1: two log-gamma ratios with shift mu1 (d2 - mu1
+    = r - 1, 2 d1 - mu1 = mu1 + r), from ``log_gamma_ratio`` where r - 1 >=
+    ``STIRLING_MIN``: ``math.lgamma`` differences lose 9e-12 at r = 4,622."""
     if r - 1.0 < STIRLING_MIN:
-        return (
-            math.lgamma(mu1) + math.lgamma(r - 1.0) + math.lgamma(2.0 * d1)
-            - math.lgamma(d2) - math.lgamma(2.0 * d1 - mu1)
-        )
+        return (math.lgamma(mu1) + math.lgamma(r - 1.0) + math.lgamma(2.0 * d1)
+                - math.lgamma(d2) - math.lgamma(2.0 * d1 - mu1))
     return math.lgamma(mu1) + log_gamma_ratio(mu1 + r, mu1) - log_gamma_ratio(r - 1.0, mu1)
 
 
 def solve_eta(params: ModelParams, u_max: float, rtol: float = 1e-10):
-    """Integrate eta from its series transfer point out to ``u_max``.
-
-    Returns the trajectory of (eta, eta'); its start node is the transfer
-    point u0.  Raises :class:`SolverError` where eta is negative at a node.
-    ``phi_capital_stock`` does not use eta's equation: it integrates phi'.
-    """
+    """The trajectory of (eta, eta') from eta's series at its transfer point
+    u0 out to ``u_max``; :class:`SolverError` where eta is negative at a node.
+    ``phi_capital_stock`` does not use it."""
     from .odes import eta_ode_field, integrate
 
-    poly = _eta_poly(params)
+    poly = np.concatenate(([1.0], eta_series(params)))
     u0 = _transfer_point(poly, params.m)
     eta0, deta0, _ = poly3(poly, u0)
     traj = integrate(eta_ode_field(params), u0, [eta0, deta0], u_max, rtol=rtol)
@@ -119,6 +96,64 @@ def solve_eta(params: ModelParams, u_max: float, rtol: float = 1e-10):
     return traj
 
 
+# a sum's terms below e^-_TAIL (4e-18) of its largest are dropped
+_TAIL = 40.0
+
+
+def _peaked(rho: np.ndarray):
+    """(v, log(max v / v_0)) of the v with v[i+1]/v[i] = rho[i], multiplied out
+    both ways from its largest entry, which is 1, so none leaves double range."""
+    log_v = np.concatenate(([0.0], np.cumsum(np.log(rho))))
+    p = int(np.argmax(log_v))
+    v = np.concatenate((np.cumprod(1.0 / rho[:p][::-1])[::-1], [1.0], np.cumprod(rho[p:])))
+    return v, log_v[p]
+
+
+def _weights(mu1: float, d1: float, d2: float, log_zm: float, n: int):
+    """(coef, profile, omega): W_(k-1), w_k and w_k d2/(2 d1 + k), k < n, times e^-omega,
+    and their logs less log Gamma(mu1 + k) to a few digits, which place the terms."""
+    k, j = np.arange(float(n)), np.arange(n - 1.0)
+    w, log_top = _peaked((mu1 + j) * (mu1 + 1.0 + j) / ((2.0 * d1 + j) * (j + 1.0)))
+    coef = np.array([np.concatenate(([0.0], np.cumsum(w[:-1]))), w, w * d2 / (2.0 * d1 + k)])
+    lgam = math.lgamma(mu1) + np.concatenate(([0.0], np.cumsum(np.log(mu1 + j))))
+    with np.errstate(divide="ignore"):
+        return coef, np.log(coef) - lgam, math.lgamma(mu1) - log_zm + float(log_top)
+
+
+def _band(coef: np.ndarray, profile: np.ndarray, omega: float, mu1: float,
+          lo: float, X: float):
+    """(X, K, shift, cols, thr, desc) of the band (lo, X] of x: there sum c is
+    exp(K[c] + X (1 - y) + shift[c] log y), y = x/X, times the polynomial with
+    coefficients cols[q][c] <= 1 (``desc``: floats, highest first) from the
+    first term within e^-_TAIL of the largest at lo to the last at X; term q
+    enters at y > thr[q], the last of 32 points before it comes within e^-_TAIL."""
+    k = np.arange(coef.shape[1])
+    # at lo = 0, x = 1e-300 keeps just the first nonzero term
+    low = profile + k * math.log(lo or 1e-300)
+    first = np.argmax(low >= low.max(axis=1, keepdims=True) - _TAIL, axis=1)
+    last = _last_within(profile + k * math.log(X))
+    if last.max() == k[-1]:
+        raise SolverError(f"capital-stock series does not truncate within {k.size} terms")
+    rows, K = np.zeros((3, int((last - first).max()) + 1)), []
+    for c, (a, b) in enumerate(zip(first.tolist(), last.tolist())):
+        # the terms coef_j g_(mu1+j)(X) by their ratios; g's are X/(mu1 + j)
+        ratios = coef[c, a + 1: b + 1] / coef[c, a:b] * X / (mu1 + np.arange(a, b))
+        rows[c, : b + 1 - a] = _peaked(ratios)[0]
+        top = int(np.argmax(rows[c]))
+        K.append(omega + math.log(coef[c, a + top]) + log_gamma_density(mu1 + a + top, X))
+    y = np.linspace(lo / X, 1.0, 33)
+    with np.errstate(divide="ignore"):
+        need = _last_within(np.log(rows) + np.arange(rows.shape[1]) * np.log(y[1:, None, None]))
+    thr = y[np.searchsorted(need.max(axis=1), np.arange(rows.shape[1]))].tolist()
+    cols, desc = list(rows.T[:, :, None].copy()), rows[:, ::-1].T.tolist()
+    return X, K, (mu1 - 1.0 + first).tolist(), cols, thr, desc
+
+
+def _last_within(v: np.ndarray) -> np.ndarray:
+    """Index of the last of the logs ``v`` within _TAIL of their largest."""
+    return v.shape[-1] - 1 - np.argmax((v >= v.max(axis=-1, keepdims=True) - _TAIL)[..., ::-1], -1)
+
+
 def phi_capital_stock(
     params: ModelParams,
     u_grid=None,
@@ -126,129 +161,93 @@ def phi_capital_stock(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> SolutionGrid:
-    """Solve the capital-stock regime and sample it on ``u_grid``.
-
-    P1 is exact (see the module docstring), and phi' is integrated once,
-    out to U = max(200 m, u_max), which is the end of the solution's
-    ``span``.  ``u_max`` defaults to 50 m and ``u_grid`` to 201 uniform
-    points on [0, u_max].  The integration holds phi' to ``rtol``, relative
-    to itself, since it may start far below double range; ``atol`` is
-    checked like ``rtol`` and otherwise unused.  Raises
-    :class:`SolverError` where phi' is negative at a step node.  Requires
-    2a/b^2 > 1; otherwise the normalizing integral diverges and ruin is
-    certain.
-    """
-    from . import odes  # at call time, where perfbench/tracer.py patches integrate
-
+    """Solve the capital-stock regime on ``span`` [0, U], U = max(200 m, u_max),
+    and sample it on ``u_grid`` (201 points on [0, u_max], u_max = 50 m by
+    default).  ``rtol`` and ``atol`` are checked and reported only.  Requires
+    2a/b^2 > 1; otherwise the normalizing integral diverges."""
     check_tolerances(rtol, atol)
     if params.c != 0.0 or params.b == 0.0:
         raise ValueError(f"capital-stock regime requires c = 0 and b > 0, got {params}")
     r = params.robustness()
     if r <= 1.0:
-        raise NoSolutionError(
-            f"tail integral diverges: 2a/b^2 = {r:g} <= 1 (shares not robust)"
-        )
-    mu1, d1, d2 = exponents(params)
-    m = params.m
-    poly = _eta_poly(params)
-
+        raise NoSolutionError(f"tail integral diverges: 2a/b^2 = {r:g} <= 1 (shares not robust)")
+    (mu1, d1, d2), m = exponents(params), params.m
     u_grid, u_max = resolve_grid(m, u_grid, u_max)
-
     log_zm = _log_zm(mu1, d1, d2, r)
     # eta ~ Gamma(2 d1)/Gamma(2 d1 - d2) (u/m)^(-d2) gives 1 - phi ~ K u^(1-r)
-    log_K = (
-        (r - 1.0) * math.log(m) + math.lgamma(2.0 * d1) - math.lgamma(2.0 * d1 - d2)
-        - log_zm - math.log(r - 1.0)
-    )
+    log_K = (r - 1.0) * math.log(m) + math.lgamma(2.0 * d1) - math.lgamma(2.0 * d1 - d2)
+    log_K -= log_zm + math.log(r - 1.0)
     log_Z = log_zm + mu1 * math.log(m)
     with np.errstate(over="ignore", under="ignore"):
         Z, P1, K = (float(v) for v in np.exp([log_Z, -log_Z, log_K]))
-
     U = max(200.0 * m, u_max)
-    u0 = _transfer_point(poly, m)
-    log_info(__name__, "capital stock: mu1=%.6g u0=%.4g U=%g P1=%.8g", mu1, u0, U, P1)
+    log_info(__name__, "capital stock: mu1=%.6g U=%g P1=%.8g", mu1, U, P1)
+    # bands (16 i (i + 3), 16 (i + 1)(i + 4)] of x, 8 sqrt(x) wide: bounded magnitudes
+    bounds = [16.0 * i * (i + 3) for i in range(3 + int(math.sqrt(U / m / 16.0)))]
+    edges, n = bounds[1:], int(bounds[-1] + 10.0 * math.sqrt(bounds[-1])) + 60
+    weights = _weights(mu1, d1, d2, log_zm, n)
+    # built on first use: a solve reads only the bands of its grid
+    band = cache(lambda i: _band(*weights, mu1, bounds[i], bounds[i + 1]))
+    # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
+    dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))
+    # beyond the first band top where the series at infinity truncates and M's part in
+    # e^-x (DLMF 13.7.2) is below e^-_TAIL: 1 - phi, u phi', -u^2 phi'' = K (r-1) u^(1-r) (T, S, D)
+    e, j = series_coeffs_infinity(params), np.arange(ORDER + 1)
+    log_e = math.lgamma(mu1 + 1.0) - math.lgamma(mu1 + r - 1.0)
+    x_far = next((X for X in edges if -X + (r - 2.0) * math.log(X) + log_e < -_TAIL
+                  and truncates(e, 1.0 / (X * m), PHI_TOL)), math.inf)
+    far_desc = [v[::-1].tolist() for v in (e / (r + j - 1.0), e, e * (r + j))]
 
-    # termwise series panel: sum_k c_k u^(mu1+k)/(mu1+k), c_0 = 1, c_k = P_{k+1}
-    panel = poly / (mu1 + np.arange(len(poly)))
-    panel_desc = panel[::-1].tolist()
-
-    def phi_inner(u: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            lead = np.exp(mu1 * np.log(u / m) - log_zm)
-        return lead * np.polyval(panel_desc, u)
-
-    def density(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """P1 s^(mu1-1) eta at s > 0."""
-        return np.exp((mu1 - 1.0) * np.log(s / m) - log_zm) * eta / m
-
-    # (phi, phi', phi'') at u0 over their common factor W = density(u0, 1),
-    # which is passed in logs
-    eta0, deta0, _ = poly3(poly, u0)
-    state0 = [u0 * horner(panel_desc, u0), eta0, ((mu1 - 1.0) * eta0 + u0 * deta0) / u0]
-    log_w = (mu1 - 1.0) * math.log(u0 / m) - log_zm - math.log(m)
-    traj = odes.integrate(
-        odes.main_ode_field(params), u0, state0, U, rtol=rtol, log_scale=log_w
-    )
-    # phi' falls below double range near u0 for large mu1: an underflow
-    # reads +0.0, a negative value -0.0
-    negative = np.signbit(traj.states[:, 1])
-    if negative.any():
-        at = traj.us[np.argmax(negative)]
-        raise SolverError(f"capital-stock density is not positive near u={at:.6g}")
-
-    # eta = 1 + P_2 u + ..., so phi' = P1 u^(mu1-1) (1 + P_2 u + ...)
-    dphi0, ddphi0 = origin_limits(mu1, P1, float(poly[1]))
+    def far(u, polyval, exp, log):
+        z, c = 1.0 / u, exp(log_K + math.log(r - 1.0) + (1.0 - r) * log(u))
+        T, S, D = (polyval(p, z) for p in far_desc)
+        return 1.0 - c * T, c * z * S, -c * z * z * D
 
     def eval3(uq: np.ndarray):
-        # the trajectory above u0, the series below
-        phi, dphi, ddphi = traj(np.maximum(uq, u0)).T
-        inner = uq <= u0
-        if inner.any():
-            x = uq[inner]
-            eta, deta, _ = poly3(poly, x)
-            phi[inner] = phi_inner(x)
-            # phi'' ~ u^(mu1-2) overflows near 0 for mu1 < 2; u = 0 is set below
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                dphi[inner] = density(x, eta)
-                ddphi[inner] = density(x, (mu1 - 1.0) * eta + x * deta) / x
-            at0 = uq == 0.0
-            dphi[at0] = dphi0
-            ddphi[at0] = ddphi0
+        # sorted, a band is a slice and term q runs over its tail y > thr[q]
+        x = uq / m
+        order = np.argsort(x, kind="stable")
+        xs, out, lo = x[order], np.zeros((3, x.size)), 0
+        # x = 0 gives log y = -inf, and phi'' ~ u^(mu1-2) overflows near it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            near = np.searchsorted(xs, [X for X in edges if X <= x_far], side="right")
+            for i, hi in enumerate(near.tolist()):
+                if hi > lo:
+                    X, Kc, shift, cols, thr, _ = band(i)
+                    y, acc = xs[lo:hi] / X, out[:, lo:hi]
+                    starts = np.searchsorted(y, thr, side="right").tolist()
+                    for col, s in zip(cols[::-1], starts[::-1]):
+                        acc[:, s:] *= y[s:]
+                        acc[:, s:] += col
+                    acc *= np.exp(np.c_[Kc] + X * (1.0 - y) + np.c_[shift] * np.log(y))
+                lo = hi
+            phi, A, C = out[:, np.argsort(order)]
+            dphi, ddphi = A / m, ((mu1 - 1.0) * A / x - C) / (m * m)
+        at0, outer = x == 0.0, x > x_far
+        phi[at0], dphi[at0], ddphi[at0] = 0.0, dphi0, ddphi0
+        if outer.any():
+            phi[outer], dphi[outer], ddphi[outer] = far(uq[outer], np.polyval, np.exp, np.log)
         return phi, dphi, ddphi
 
-    def point3(x: float):
+    def point3(u: float):
         # eval3's arithmetic in floats
-        if x > u0:
-            return tuple(traj(x))
-        phi = ext_exp(mu1 * ext_log(x / m) - log_zm) * horner(panel_desc, x)
-        if x == 0.0:
-            return phi, dphi0, ddphi0
-        eta, deta, _ = poly3(poly, x)
-        # density(x, v) = P1 x^(mu1-1) v
-        scale = ext_exp((mu1 - 1.0) * ext_log(x / m) - log_zm)
-        return phi, scale * eta / m, scale * ((mu1 - 1.0) * eta + x * deta) / m / x
+        x = u / m
+        if x == 0.0 or x > x_far:
+            return far(u, horner, ext_exp, ext_log) if x else (0.0, dphi0, ddphi0)
+        X, Kc, shift, _, thr, desc = band(bisect_left(edges, x))
+        y, ly = x / X, ext_log(x / X)
+        s0 = s1 = s2 = 0.0
+        for c0, c1, c2 in islice(desc, len(thr) - bisect_left(thr, y), None):
+            s0, s1, s2 = s0 * y + c0, s1 * y + c1, s2 * y + c2
+        scales = (k + X * (1.0 - y) + h * ly for k, h in zip(Kc, shift))
+        phi, A, C = (v * ext_exp(e) for v, e in zip((s0, s1, s2), scales))
+        return phi, A / m, ((mu1 - 1.0) * A / x - C) / (m * m)
 
-    # Z is exact, so the limit does not move with U: stability is 0
-    tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U, stability=0.0)
-    diagnostics = {
-        "P1": P1,
-        "log_P1": -log_Z,  # finite where P1 underflows to 0 (log Z > 709)
-        "mu1": mu1,
-        "d1": d1,
-        "d2": d2,
-        "u0": u0,
-        "U": U,
-        "steps": len(traj.us) - 1,
-        "rtol": rtol,
-        "atol": atol,
-    }
+    # the longest sum on the grid; Z is exact, so the limit does not move
+    # with U; log_P1 is finite where P1 underflows to 0 (log Z > 709)
+    terms = max(len(band(i)[3]) for i in range(bisect_left(edges, min(u_grid[-1] / m, x_far)) + 1))
     return SolutionGrid.sample(
-        u_grid,
-        eval3,
-        point3,
-        C0=0.0,
-        regime=RegimeInfo(Regime.CAPITAL_STOCK),
-        tail=tail_fit,
-        diagnostics=diagnostics,
-        span=(0.0, U),
+        u_grid, eval3, point3, C0=0.0, regime=RegimeInfo(Regime.CAPITAL_STOCK), span=(0.0, U),
+        tail=TailFit(A=Z, K=K, exponent=1.0 - r, U=U), diagnostics=dict(
+            P1=P1, log_P1=-log_Z, mu1=mu1, d1=d1, d2=d2, U=U, terms=terms, rtol=rtol, atol=atol),
     )

@@ -114,7 +114,7 @@ def _solution_lines(grid) -> list[str]:
     if grid.tail is not None:
         lines.append(f"# K = {_fmt(grid.tail.K)}")
         lines.append(f"# exponent = {_fmt(grid.tail.exponent)}")
-    for key in ("reason", "u0", "U", "rtol", "atol", "A_stability", "tail_note"):
+    for key in ("reason", "u0", "U", "rtol", "atol", "tail_note"):
         if key in grid.diagnostics:
             val = grid.diagnostics[key]
             val = _fmt(val) if isinstance(val, (int, float)) else val

@@ -43,10 +43,8 @@ its relative accuracy, and to no less than rounding of the state.
 
 The state v, v', .. is carried as 2^E times a vector whose largest entry
 lies in [1/2, 1), so a solution may pass far outside double range on the
-way (the capital-stock density P1 u^(mu1-1) eta starts below it for large
-mu1).  The trajectory keeps each step's coefficients scaled back, in
-powers of theta = (u - s) / h; where a value lies below double range it
-reads 0.
+way.  The trajectory keeps each step's coefficients scaled back, in powers
+of theta = (u - s) / h; where a value lies below double range it reads 0.
 
 Also built here, from ``ModelParams``, are the three equations of the
 package: the third-order equation satisfied by the survival probability
@@ -268,16 +266,14 @@ def integrate(
     rtol: float = 1e-10,
     max_step: float = math.inf,
     max_steps: int = 2_000_000,
-    log_scale: float = 0.0,
 ) -> Trajectory:
     """Integrate the equation ``eq`` forward from ``u_start`` to ``u_end > u_start``.
 
-    The initial state is ``state0 * exp(log_scale)``; ``log_scale`` lets it
-    lie outside double range.  Steps are at most ``max_step`` long; see the
-    module docstring for the step rule.  Raises :class:`IntegrationError`,
-    with the abscissa of the failure, on equation coefficients or a state
-    beyond double range, step-size underflow, or more than ``max_steps``
-    steps; raises ``ValueError`` for ``u_start <= 0`` where e > 0.
+    Steps are at most ``max_step`` long; see the module docstring for the
+    step rule.  Raises :class:`IntegrationError`, with the abscissa of the
+    failure, on equation coefficients or a state beyond double range,
+    step-size underflow, or more than ``max_steps`` steps; raises
+    ``ValueError`` for ``u_start <= 0`` where e > 0.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
@@ -285,8 +281,8 @@ def integrate(
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):
         raise ValueError(f"state0 must have shape ({dim},), got {state.shape}")
-    if not (np.isfinite(state).all() and math.isfinite(log_scale)):
-        raise ValueError(f"state0 and log_scale must be finite, got {state}, {log_scale!r}")
+    if not np.isfinite(state).all():
+        raise ValueError(f"state0 must be finite, got {state}")
     u0, u1 = float(u_start), float(u_end)
     if not u1 > u0:
         raise ValueError(f"integration span must be increasing, got [{u0:g}, {u1:g}]")
@@ -309,11 +305,7 @@ def integrate(
     span = u1 - u0
     affine = any(eq.f)
 
-    # E and the normalized state, from exp(log_scale) = 2^E * 2^frac
-    E0 = E = math.floor(log_scale / math.log(2.0))
-    start = state * 2.0 ** (log_scale / math.log(2.0) - E)
-    y = start[lo:].tolist()
-    s = u0
+    E, y, s = 0, state[lo:].tolist(), u0
     us, hs, Es, starts, series = [u0], [], [], [], []
     while True:
         sigma = max(map(abs, y))
@@ -388,15 +380,15 @@ def integrate(
         us.append(s)
         y = nxt
 
-    phi0 = (start[0], E0) if lo else None
+    phi0 = float(state[0]) if lo else None
     return _trajectory(eq.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
 
 
 def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
     """The Trajectory of steps ``hs`` with normalized series ``series`` (in
     powers of theta), start states ``starts`` and exponents ``Es``; ``end``
-    and ``phi0`` are the last state and the antiderivative component's
-    start value (None without one), each as (value, exponent)."""
+    is the last state as (value, exponent), and ``phi0`` the antiderivative
+    component's start value (None without one)."""
     lo = 0 if phi0 is None else 1
     V = np.array(series)  # (steps, _TERMS)
     E = np.array(Es)[:, None]
@@ -419,7 +411,7 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
             inc = np.zeros(h.size)
             for q in range(_TERMS, 0, -1):
                 inc += coef[q, 0]
-            states[:, 0] = np.cumsum(np.concatenate(([np.ldexp(*phi0)], inc)))
+            states[:, 0] = np.cumsum(np.concatenate(([phi0], inc)))
             coef[0, 0] = states[:-1, 0]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():

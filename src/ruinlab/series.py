@@ -29,9 +29,9 @@ regime without premiums (e = lam/a) share it.
 
 At infinity the main-regime slope is a power law times a series in 1/u,
 phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
-Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j, and the
-solver matches the series at a U where it ``truncates`` in 1/U and
-evaluates the solution from it beyond U.
+Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j.  The
+main route matches the series at a U where it ``truncates`` in 1/U, the
+capital stock takes it with its exact K, and both evaluate it beyond.
 
 The expansions keep ``ORDER`` terms, except the main regime's at u = 0:
 where 20 terms reach the top of its first candidates, 0.1 m, it doubles
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import log_info
+from .errors import SolverError, log_info
 from .model import ModelParams
 
 __all__ = [
@@ -129,8 +129,9 @@ def series_coeffs_main(
 ) -> SeriesExpansion:
     """Build the expansion for the main regime (requires c > 0, order >= 2).
 
-    u0 is the largest candidate in m 10^[-3, -1] at which ``ORDER`` terms
-    truncate.  Where that is the top candidate 0.1 m, the stretch beyond
+    u0 is the largest candidate in m 10^[-3, -1], or else in m 10^[-7, -3),
+    at which ``ORDER`` terms truncate (``SolverError`` where none does).
+    Where that is the top candidate 0.1 m, the stretch beyond
     it, stiff with rate about 2c/(b^2 u^2), is worth carrying in a longer
     series: the order doubles up to ``MAX_ORDER`` over candidates in
     (0.1 m, 10^0.6 m] while the largest u0 at which both phi and m^2 phi''
@@ -149,10 +150,16 @@ def series_coeffs_main(
     m = params.m
     D: list = []
     coeffs, poly = _main_poly(params, order, D)
-    candidates = m * np.logspace(-3.0, -1.0, 41)
-    u0 = choose_u0(poly, candidates, min(1e-3, m / 100.0), tol)
+    # the first candidates, then the same 0.05-decade lattice below them
+    for candidates in (m * np.logspace(-3.0, -1.0, 41), m * np.logspace(-7.0, -3.0, 81)[:-1]):
+        ok = truncates(poly, candidates, tol)
+        if ok.any():
+            break
+    else:
+        raise SolverError(f"the series at u = 0 truncates at no u0 in m 10^[-7, -1] (tol={tol:g})")
+    u0 = float(candidates[ok].max())
     far = m * np.logspace(-0.95, 0.6, 32)
-    while not pinned and u0 >= candidates[-1] and order < MAX_ORDER:
+    while not pinned and u0 >= 0.1 * m and order < MAX_ORDER:
         longer, lpoly = _main_poly(params, 2 * order, D)
         if (np.abs(lpoly) < np.finfo(float).tiny).any():
             break  # a coefficient near underflow has lost its digits

@@ -68,22 +68,17 @@ def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform
 class TailFit:
     """Large-u behaviour 1 - phi(u) ~ K * u**exponent.
 
-    ``A`` is the finite limit of the unnormalized solution: the reciprocal of
-    phi(0) in the main regime, the full normalizing integral in the
-    capital-stock regime.  ``U`` is the end of the integration.  In the main
-    regime it is the match point: ``A`` and ``K`` come from matching the
-    series at infinity to phi(U) and phi'(U), the solution beyond U is that
-    series, and ``stability`` is |A(U) - A(U/2)| / A, both matched on the
-    same trajectory.  In the capital-stock regime
-    ``A`` and ``K`` are closed forms (a Mellin transform and the asymptotics
-    of Kummer's function), so ``stability`` is 0.
+    ``A`` is the finite limit of the unnormalized solution: 1/phi(0) in the
+    main regime, where ``A`` and ``K`` come from matching the series at
+    infinity, the solution beyond the match point ``U``, to phi(U) and
+    phi'(U).  In the capital-stock regime ``A`` = Z and ``K`` are exact (a
+    Mellin transform and Kummer's asymptotics), and the span is [0, ``U``].
     """
 
     A: float
     K: float
     exponent: float
     U: float
-    stability: float
 
 
 @dataclass
@@ -94,9 +89,9 @@ class SolutionGrid:
     ``u_grid``; ``phi``, ``dphi``, ``ddphi`` are the sampled value and first
     two derivatives.  The grid is a view of the solution, not its full
     content: ``evaluate`` queries the underlying representation (closed form,
-    or series + trajectory) anywhere in ``span``.  ``span`` is [0, inf) on
-    every route but the capital stock, whose trajectory ends at U; the main
-    route continues its trajectory by the series at infinity matched at U.
+    series, or series + trajectory) anywhere in ``span``: [0, inf) on every
+    route but the capital stock, whose span is [0, U]; the main route
+    continues its trajectory by the series at infinity matched at U.
     Every route builds its result with ``sample``.  Treat instances as
     immutable.
     """

@@ -103,7 +103,7 @@ def solve_main(
     reach = 2.0 * max(200.0 * params.m, u_max)
     top = 128.0 * reach
     candidates = u_max * 2.0 ** (np.arange(1 + math.floor(2.0 * math.log2(top / u_max))) / 2.0)
-    # U/2, where the stability check matches again, lies on the trajectory
+    # U stays at least 2 u0 from the transfer point
     candidates = candidates[(candidates >= 2.0 * u0) & (candidates <= top)]
     # a non-finite coefficient never truncates
     ok = truncates(e, 1.0 / candidates)
@@ -119,19 +119,14 @@ def solve_main(
         odes.main_ode_field(params), u0, state0, U, rtol=rtol * min(0.125, (U - u0) / (reach - u0))
     )
 
-    def match(u: float):
-        """(A, phi'(u), S(u)) from the trajectory and the series at u."""
-        phi_u, dphi_u, _ = traj(u)
-        terms = e * (1.0 / u) ** j
-        S = float(terms.sum())
-        return phi_u + dphi_u * u * float(terms @ (1.0 / (r + j - 1.0))) / S, dphi_u, S
-
-    A, dphi_U, S_U = match(U)
+    phi_U, dphi_U, _ = traj(U)
+    terms = e * (1.0 / U) ** j
+    S_U = float(terms.sum())
+    A = phi_U + dphi_U * U * float(terms @ (1.0 / (r + j - 1.0))) / S_U
     if A <= 0.0:
         raise SolverError(f"nonpositive limit at infinity: A={A:g}")
-    stability = abs(A - match(U / 2.0)[0]) / A
     C0 = 1.0 / A
-    log_info(__name__, "main solve: u0=%.4g U=%g C0=%.8g stability=%.2e", u0, U, C0, stability)
+    log_info(__name__, "main solve: u0=%.4g U=%g C0=%.8g", u0, U, C0)
 
     # The tail coefficient is meaningful only while phi'(U) still stands
     # above the integrator's error floor.
@@ -139,7 +134,7 @@ def solve_main(
     tail = None
     if tail_term > _TAIL_RESOLUTION_FACTOR * (atol + rtol * abs(A)):
         K = dphi_U * U**r / ((r - 1.0) * A * S_U)
-        tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U, stability=stability)
+        tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U)
 
     # Beyond U, the matched series at infinity: with w = phi'(U) (U/u)^r / S(U),
     # phi' = w S(u), phi = A - w u T(u) and phi'' = -w sum_j (r+j) e_j u^(-j) / u,
@@ -183,7 +178,6 @@ def solve_main(
         "rtol": rtol,
         "atol": atol,
         "A": A,
-        "A_stability": stability,
         "steps": len(traj.us) - 1,
     }
     if tail is None:

@@ -21,6 +21,8 @@
   without the cancellation of two ``math.lgamma``: the difference of two
   Stirling series (DLMF 5.11.1), whose leading logs combine through
   log1p(s/x).
+* ``log_gamma_density`` -- log x^(a-1) e^(-x) / Gamma(a) without the cancellation
+  of its terms where a is near x and both are large (Loader, 2000).
 * ``ext_exp`` and ``ext_log`` -- exp and log at one float, as Python floats
   with numpy's values where ``math`` raises, for the point evaluators that
   repeat an array path in Python floats.
@@ -95,6 +97,16 @@ def log_gamma_ratio(x: float, s: float) -> float:
         (x - 0.5) * math.log1p(s / x) + s * math.log(x + s) - s
         + _stirling_tail(x + s) - _stirling_tail(x)
     )
+
+
+def log_gamma_density(a: float, x: float) -> float:
+    """log x^(a-1) e^(-x) / Gamma(a) at x > 0; from n = a - 1 = ``STIRLING_MIN``
+    on n - x - n log1p(n/x - 1) - log(2 pi n)/2 - stirlerr(n)."""
+    n = a - 1.0
+    if n < STIRLING_MIN:
+        return n * math.log(x) - x - math.lgamma(a)
+    t = (n - x) / x
+    return n - x - n * math.log1p(t) - 0.5 * math.log(2.0 * math.pi * n) - _stirling_tail(n)
 
 
 def complete_gamma(p: float) -> float:

@@ -92,18 +92,16 @@ def classical_survival_to_horizon(params, u, T):
 def solve_recording_trajectory(monkeypatch, params, **kwargs):
     """``solve(params, **kwargs)`` and the trajectory its dense output reads
     (``None`` on a closed-form route), recorded at ``integrate``."""
-    from ruinlab import odes, solver
+    from ruinlab import solver
 
     seen = []
-    integrate = odes.integrate
+    integrate = solver.integrate
 
     def recording(*args, **kw):
         seen.append(integrate(*args, **kw))
         return seen[-1]
 
     with monkeypatch.context() as mp:
-        # capitalstock imports integrate from odes at call time
-        mp.setattr(odes, "integrate", recording)
         mp.setattr(solver, "integrate", recording)
         grid = solve(params, **kwargs)
     assert len(seen) <= 1

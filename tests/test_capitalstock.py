@@ -13,11 +13,13 @@ from ruinlab import (
     eta_series,
     exponents,
     phi_capital_stock,
+    riskfree_exact,
+    solve,
     solve_eta,
 )
 from ruinlab.capitalstock import _log_zm
 from ruinlab.model import effective_params
-from conftest import log_mellin_normalization, mellin_normalization, solve_recording_trajectory
+from conftest import log_mellin_normalization, mellin_normalization
 
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)   # a < lam
 FIG5_II = ModelParams(a=0.1, b=0.1, c=0.0, lam=0.09, m=1.0)   # a > lam
@@ -229,7 +231,7 @@ class TestPhiCapitalStock:
         assert np.all(np.diff(grid.phi) >= 0.0)
         assert np.all((grid.phi >= 0.0) & (grid.phi <= 1.0 + 1e-10))
         assert grid.evaluate(200.0)[0] > 0.999
-        assert grid.tail is not None and grid.tail.stability < 1e-3
+        assert grid.tail is not None and grid.tail.A == pytest.approx(mellin_normalization(FIG5_I))
 
     def test_slope_at_origin_classification(self):
         low = phi_capital_stock(FIG5_I, u_max=10.0)    # a < lam: mu1 > 1
@@ -378,56 +380,145 @@ class TestDenseOutput:
     POINTS = {"fig5-I": FIG5_I, "fig5-II": FIG5_II, **SWEEP}
 
     @pytest.mark.parametrize("params", list(POINTS.values()), ids=list(POINTS))
-    def test_antiderivative_contract(self, monkeypatch, params):
-        grid, traj = solve_recording_trajectory(monkeypatch, params)
-        nodes = traj.us
-        phi = grid.evaluate(nodes)[0]
-        # continuous across every step end
-        left = grid.evaluate(np.nextafter(nodes, 0.0))[0]
-        assert np.max(np.abs(phi - left)) <= 1e-15
-        dense = grid.evaluate(np.linspace(0.0, grid.span[1], 10_001))[0]
-        assert np.all(np.diff(dense) >= 0.0)
-        # node values: the series value at u0 plus the integrals of the
-        # trajectory's phi' over the steps, by a 16-point Gauss-Legendre rule,
-        # exact for its polynomials of degree 29
+    def test_antiderivative_contract(self, params):
+        grid = phi_capital_stock(params)
+        m, U = params.m, grid.span[1]
+        # continuous where the bands meet, to the rounding of u^(mu1-1)
+        # (1e-13 at mu1 = 132), and monotone over the span up to the
+        # rounding of phi where it is flat at 1 (2e-14 on fig5-II)
+        edges = m * np.array([64.0, 128.0])
+        left = grid.evaluate(np.nextafter(edges, 0.0))
+        for a, b in zip(left, grid.evaluate(edges)):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+        dense = grid.evaluate(np.linspace(0.0, U, 10_001))
+        assert np.all(np.diff(dense[0]) >= -1e-13)
+        assert np.all(dense[1][1:] >= 0.0)
+        # phi at the nodes: its value at the first plus the integrals of phi'
+        # over the steps, by a 16-point Gauss-Legendre rule on a geometric
+        # mesh that resolves u^(mu1-1) near 0
+        nodes = np.geomspace(1e-2 * m, U, 400)
         x, w = np.polynomial.legendre.leggauss(16)
         half = 0.5 * np.diff(nodes)
         s = (0.5 * (nodes[1:] + nodes[:-1]))[:, None] + half[:, None] * x
-        density = traj(s.ravel())[:, 1].reshape(s.shape)
-        per_step = half * (density @ w)
-        expected = grid.evaluate(nodes[0])[0] + np.concatenate(([0.0], np.cumsum(per_step)))
+        per_step = half * (grid.evaluate(s.ravel())[1].reshape(s.shape) @ w)
+        phi = grid.evaluate(nodes)[0]
+        expected = phi[0] + np.concatenate(([0.0], np.cumsum(per_step)))
         np.testing.assert_allclose(phi, expected, rtol=1e-12, atol=1e-15)
         # phi' at the nodes is the density P1 u^(mu1 - 1) eta(u), formed here
         # in logs from the diagnostics, with eta from its own equation
         mu1, log_p1 = grid.diagnostics["mu1"], grid.diagnostics["log_P1"]
-        eta = solve_eta(params, nodes[-1])(nodes)[:, 0]
+        eta = solve_eta(params, U)(nodes[nodes >= 0.6 * m])[:, 0]
         with np.errstate(under="ignore"):
-            density = np.exp(log_p1 + (mu1 - 1.0) * np.log(nodes)) * eta
-        np.testing.assert_allclose(traj.states[:, 1], density, rtol=1e-9, atol=1e-300)
+            density = np.exp(log_p1 + (mu1 - 1.0) * np.log(nodes[nodes >= 0.6 * m])) * eta
+        np.testing.assert_allclose(
+            grid.evaluate(nodes[nodes >= 0.6 * m])[1], density, rtol=1e-9, atol=1e-300
+        )
 
-    def test_nonpositive_density_raises(self, monkeypatch):
-        from ruinlab import SolverError, odes
+    def test_never_integrates(self, monkeypatch):
+        from ruinlab import odes, solver
 
-        integrate = odes.integrate
+        def refuse(*args, **kwargs):
+            raise AssertionError("the capital stock integrates nothing")
 
-        def flipped(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            traj.states[5, 1] = -traj.states[5, 1]
-            return traj
+        for target, name in ((odes, "integrate"), (solver, "integrate"), (Trajectory, "__call__")):
+            monkeypatch.setattr(target, name, refuse)
+        grid = solve(FIG5_I)
+        grid.evaluate(np.linspace(0.0, grid.span[1], 10_001))
+        grid.evaluate(5.0)
 
-        monkeypatch.setattr(odes, "integrate", flipped)
-        with pytest.raises(SolverError, match="not positive"):
-            phi_capital_stock(FIG5_I)
 
-    def test_one_trajectory_call_per_evaluation(self, monkeypatch):
-        grid = phi_capital_stock(FIG5_I)
-        calls = []
-        call = Trajectory.__call__
+def mpmath_reference(params, us):
+    """(phi, phi', phi'') at ``us`` from 40-digit mpmath, in the alternating
+    form phi' = P1 u^(mu1-1) M(d2, 2 d1, -u/m): phi' and phi'' from
+    ``hyp1f1``, and phi = P1 u^mu1 2F2(d2, mu1; 2 d1, mu1 + 1; -u/m) / mu1,
+    its termwise integral, from ``hyp2f2``."""
+    mpmath = pytest.importorskip("mpmath")
+    mu1, d1, d2 = exponents(params)
+    with mpmath.workdps(40):
+        mu, a, b, m = (mpmath.mpf(v) for v in (mu1, d2, 2.0 * d1, params.m))
+        z = (
+            m**mu * mpmath.gamma(mu) * mpmath.gamma(a - mu) * mpmath.gamma(b)
+            / (mpmath.gamma(a) * mpmath.gamma(b - mu))
+        )
 
-        def counted(self, u):
-            calls.append(np.size(u))
-            return call(self, u)
+        def dphi(s):
+            return s ** (mu - 1) * mpmath.hyp1f1(a, b, -s / m) / z
 
-        monkeypatch.setattr(Trajectory, "__call__", counted)
-        grid.evaluate(np.linspace(0.0, 50.0, 10_001))
-        assert len(calls) == 1  # the series covers u <= u0
+        out = []
+        for u in map(mpmath.mpf, us):
+            ddphi = (
+                (mu - 1) * u ** (mu - 2) * mpmath.hyp1f1(a, b, -u / m)
+                - u ** (mu - 1) * a / (b * m) * mpmath.hyp1f1(a + 1, b + 1, -u / m)
+            ) / z
+            phi = u**mu / mu * mpmath.hyp2f2(a, mu, b, mu + 1, -u / m) / z
+            out.append((float(phi), float(dphi(u)), float(ddphi)))
+    return np.array(out).T
+
+
+# sweep seed 5, point 14 of ``perfbench/sweep.py``: mu1 = 140
+MU1_140 = ModelParams(
+    a=7.231753495743007e-06, b=0.0017675174709525098, c=0.0,
+    lam=0.031376409604955746, m=0.01611775550864503,
+)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "params", [FIG5_I, FIG5_II, MU1_140], ids=["fig5-I", "fig5-II", "mu1=140"]
+    )
+    def test_matches_mpmath(self, params):
+        # mu1 = 140 holds 4 ulp of log Z = 279 in P1, about 2e-13
+        grid = phi_capital_stock(params)
+        us = params.m * np.array([0.5, 3.0, 12.5, 37.0, 64.0, 120.0, 199.0])
+        ref = mpmath_reference(params, us)
+        got = grid.evaluate(us)
+        live = ref[0] > 1e-300
+        np.testing.assert_allclose(got[0][live], ref[0][live], rtol=5e-13, atol=0.0)
+        np.testing.assert_allclose(got[1][live], ref[1][live], rtol=5e-13, atol=0.0)
+        assert np.max(np.abs(got[2] - ref[2])) <= 5e-13 * np.max(np.abs(ref[2]))
+
+    @pytest.mark.parametrize("params", [FIG5_I, FIG5_II], ids=["fig5-I", "fig5-II"])
+    def test_long_span(self, params):
+        # u_max = 1e4 m: beyond x = 64 (fig5-I) or 160 (fig5-II) the series
+        # at infinity takes over from the sums
+        self.check_span(params, 1e4, [10.0, 1e3, 1e4])
+
+    def test_long_span_in_bands(self):
+        # r = 553 (alpha = 0.03): the series at infinity truncates nowhere
+        # in the span, so the bands carry the sums out to x = 800, past
+        # x = 750, where a plain density sum underflows
+        self.check_span(fixed_fraction(0.03), 800.0, [100.0, 400.0, 790.0])
+
+    @staticmethod
+    def check_span(params, x_max, xs):
+        grid = phi_capital_stock(params, u_max=x_max * params.m)
+        assert grid.span == (0.0, x_max * params.m)
+        us = np.linspace(0.0, grid.span[1], 4001)
+        phi, dphi, ddphi = grid.evaluate(us)
+        assert np.isfinite(phi).all() and np.isfinite(dphi[1:]).all()
+        assert np.isfinite(ddphi[1:]).all() and np.all(dphi[1:] >= 0.0)
+        # monotone up to the rounding of phi where it is flat at 1
+        assert np.all(np.diff(phi) >= -1e-13) and phi[-1] <= 1.0 + 1e-13
+        pick = us[::67]
+        scalars = np.array([grid.evaluate(u) for u in pick.tolist()])
+        for k, values in enumerate(grid.evaluate(pick)):
+            np.testing.assert_allclose(scalars[:, k], values, rtol=1e-14, atol=0.0)
+        ref = mpmath_reference(params, params.m * np.array(xs))
+        got = grid.evaluate(params.m * np.array(xs))
+        np.testing.assert_allclose(got[0], ref[0], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[2], ref[2], rtol=1e-12, atol=0.0)
+
+    def test_fixed_fraction_approaches_risk_free(self):
+        # the fixed-fraction example without premiums as alpha falls: r = 2a/b^2
+        # grows from 98 to 4.4e7, and phi falls towards the risk-free phi
+        rows = []
+        for alpha in (3e-2, 1e-2, 3e-3, 1e-3, 1e-4):
+            grid = solve(fixed_fraction(alpha))
+            assert grid.diagnostics["terms"] <= 200
+            rows.append([grid.evaluate(u)[0] for u in (0.5, 5.0, 20.0)])
+        limit = riskfree_exact(fixed_fraction(0.0))
+        rows.append([limit.evaluate(u)[0] for u in (0.5, 5.0, 20.0)])
+        assert np.all(np.diff(np.array(rows), axis=0) < 0.0)
+        assert rows[1][1] == pytest.approx(0.67949, abs=1e-5)
+        assert rows[-1][1] == pytest.approx(0.64951, abs=1e-5)

@@ -136,11 +136,13 @@ class TestTaylorSteps:
             integrate(system, u_start, [1.0], 1.0)
 
     def test_state_beyond_double_range(self):
-        # y' = y from exp(-1000): below double range up to u ~ 255
+        # y' = (u - 40) y from 1: y = exp((u - 40)^2/2 - 800) is below double
+        # range around u = 40 and back at 1 at u = 80
+        dip = LinearOde(e=0, N=((-40.0, 1.0, 0.0),), name="dip")
+        traj = integrate(dip, 0.0, [1.0], 80.0)
+        assert traj(40.0)[0] == 0.0
+        assert traj.states[-1, 0] == pytest.approx(1.0, rel=1e-9)
         grow = LinearOde(e=0, N=((1.0, 0.0, 0.0),), name="grow")
-        traj = integrate(grow, 0.0, [1.0], 1005.0, log_scale=-1000.0)
-        assert traj.states[0, 0] == 0.0
-        assert traj.states[-1, 0] == pytest.approx(math.exp(5.0), rel=1e-9)
         with pytest.raises(IntegrationError, match="non-finite") as exc:
             integrate(grow, 0.0, [1.0], 1005.0)
         assert 600.0 <= exc.value.u <= 720.0  # exp(u) overflows at u = 709.8
@@ -161,7 +163,11 @@ class TestTaylorSteps:
         # phi and phi' polynomials are the next components, and that of the
         # phi'' polynomial is what main_ode_field gives, within 1e-12 of the
         # size of its terms
-        _, traj = solve_recording_trajectory(monkeypatch, PARAMS[name])
+        grid, traj = solve_recording_trajectory(monkeypatch, PARAMS[name])
+        if traj is None:
+            # the capital stock integrates nothing: its equation (c = 0),
+            # stepped from the closed form at u = 0.6
+            traj = integrate(main_ode_field(PARAMS[name]), 0.6, grid.evaluate(0.6), 200.0)
         rhs = main_ode_field(PARAMS[name]).rhs
         h = np.diff(traj.us)
         q = np.arange(len(traj.coef))

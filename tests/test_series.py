@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ruinlab import (
     ModelParams,
+    SolverError,
     eta_series,
     eval_series,
     integrate,
@@ -13,6 +16,7 @@ from ruinlab import (
 from ruinlab.series import (
     MAX_ORDER,
     ORDER,
+    PHI_TOL,
     _main_poly,
     choose_u0,
     poly3,
@@ -23,7 +27,7 @@ from ruinlab.series import (
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)
-# the main expansion's candidate grid and fallback, as series_coeffs_main uses them
+# the main expansion's first candidates, and a fallback abscissa for choose_u0
 MAIN_CANDIDATES = FIG1_II.m * np.logspace(-3.0, -1.0, 41)
 MAIN_FALLBACK = min(1e-3, FIG1_II.m / 100.0)
 
@@ -128,6 +132,22 @@ class TestChooseU0:
         with pytest.warns(UserWarning, match="no transfer point"):
             u0 = choose_u0(poly, candidates, 1e-2 * FIG5_I.m, tol=0.0)
         assert u0 == 1e-2 * FIG5_I.m
+
+    def test_main_expansion_tries_lower_candidates(self):
+        # 4,000-fold growth per coefficient: no u0 in m 10^[-3, -1] truncates
+        p = ModelParams(a=25.0, b=1.0, c=0.005, lam=0.1, m=0.1)
+        poly = series_coeffs_main(p, order=20).poly
+        assert not truncates(poly, MAIN_CANDIDATES * p.m, PHI_TOL).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u0 = series_coeffs_main(p).u0
+        assert u0 == pytest.approx(p.m * 10.0**-3.3, rel=1e-12)
+        # where the first candidates truncate, u0 is one of them, as before
+        assert series_coeffs_main(FIG2_I).u0 in MAIN_CANDIDATES
+
+    def test_main_expansion_raises_where_none_truncates(self):
+        with pytest.raises(SolverError, match="truncates at no u0"):
+            series_coeffs_main(FIG1_II, order=20, tol=0.0)
 
 
 class TestSeriesOrder:
