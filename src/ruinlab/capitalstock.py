@@ -16,13 +16,16 @@ DLMF 8.2.4 phi = sum_(j>=1) W_(j-1) g_(mu1+j), W_n the prefix sums of the w_k,
 which add up to 1 (Gauss's sum, DLMF 15.4.20).  No term is negative.  The
 terms, cut below e^-``_TAIL`` of the largest, are summed on bands of x as
 polynomials in x/X times scales in logs (``_band``), so no power and no
-e^(+-x) leaves double range; far out, the series at infinity takes over."""
+e^(+-x) leaves double range.  Where 1 - phi is below 2^-20 they sum 1 - phi =
+Q(mu1, x) + sum_(j>=1) R_(j-1) g_(mu1+j) instead, R_n = 1 - W_n the suffix
+sums of the w_k (their tail by Thomae's relation, DLMF 16.4.11), so that phi
+keeps its last bits and never falls; far out, the series at infinity takes
+over."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -32,13 +35,17 @@ from .model import ModelParams, Regime, RegimeInfo
 from .series import ORDER, PHI_TOL, choose_u0, horner, origin_limits, poly3
 from .series import series_coeffs_infinity, truncates
 from .solution import SolutionGrid, TailFit, check_tolerances, resolve_grid
-from .specfun import STIRLING_MIN, ext_exp, ext_log, log_gamma_density, log_gamma_ratio
+from .specfun import STIRLING_MIN, _log_upper_gamma, ext_exp, ext_log, log_gamma_density
+from .specfun import log_gamma_ratio, log_upper_incomplete_gamma
 
 __all__ = ["exponents", "eta_series", "solve_eta", "phi_capital_stock"]
 
 def exponents(params: ModelParams) -> tuple[float, float, float]:
-    """Return (mu1, d1, d2) for b > 0; mu1 in rationalized form where
-    1/2 - a/b^2 is negative, so that large a/b^2 loses no digits."""
+    """Return (mu1, d1, d2) for b > 0.
+
+    mu1 is computed in rationalized form when 1/2 - a/b^2 is negative, so
+    large a/b^2 does not lose digits to cancellation.
+    """
     if params.b == 0.0:
         raise ValueError("capital-stock exponents require b > 0")
     q = params.a / params.b**2
@@ -68,20 +75,32 @@ def _transfer_point(poly: np.ndarray, m: float) -> float:
     return choose_u0(poly, m * np.logspace(-2.0, np.log10(0.6), 33), 1e-2 * m)
 
 
-def _log_zm(mu1: float, d1: float, d2: float, r: float) -> float:
-    """log(Z / m^mu1), Z = 1/P1: two log-gamma ratios with shift mu1 (d2 - mu1
-    = r - 1, 2 d1 - mu1 = mu1 + r), from ``log_gamma_ratio`` where r - 1 >=
-    ``STIRLING_MIN``: ``math.lgamma`` differences lose 9e-12 at r = 4,622."""
+def _log_w0(mu1: float, d1: float, d2: float, r: float) -> float:
+    """log w_0 = log(Gamma(mu1) m^mu1 / Z), Z = 1/P1 (module docstring), with
+    d2 - mu1 = r - 1 and 2 d1 - mu1 = mu1 + r; log(Z / m^mu1) is log
+    Gamma(mu1) - log w_0.
+
+    w_0 holds two log-gamma ratios with shift mu1.  As differences of
+    ``math.lgamma`` they lose about ulp(lgamma(2 d1)), 9e-12 at r = 4,622
+    and 1e-7 at r = 4.5e7; from r - 1 = ``STIRLING_MIN`` on they come from
+    ``log_gamma_ratio``.  log Gamma(mu1), 548 at mu1 = 140, is left out, so
+    that its rounding does not enter the weights.
+    """
     if r - 1.0 < STIRLING_MIN:
-        return (math.lgamma(mu1) + math.lgamma(r - 1.0) + math.lgamma(2.0 * d1)
-                - math.lgamma(d2) - math.lgamma(2.0 * d1 - mu1))
-    return math.lgamma(mu1) + log_gamma_ratio(mu1 + r, mu1) - log_gamma_ratio(r - 1.0, mu1)
+        return (
+            math.lgamma(d2) + math.lgamma(2.0 * d1 - mu1)
+            - math.lgamma(r - 1.0) - math.lgamma(2.0 * d1)
+        )
+    return log_gamma_ratio(r - 1.0, mu1) - log_gamma_ratio(mu1 + r, mu1)
 
 
 def solve_eta(params: ModelParams, u_max: float, rtol: float = 1e-10):
-    """The trajectory of (eta, eta') from eta's series at its transfer point
-    u0 out to ``u_max``; :class:`SolverError` where eta is negative at a node.
-    ``phi_capital_stock`` does not use it."""
+    """Integrate eta from its series transfer point out to ``u_max``.
+
+    Returns the trajectory of (eta, eta'); its start node is the transfer
+    point u0.  Raises :class:`SolverError` where eta is negative at a node.
+    ``phi_capital_stock`` does not use it: it sums eta's Kummer series.
+    """
     from .odes import eta_ode_field, integrate
 
     poly = np.concatenate(([1.0], eta_series(params)))
@@ -98,6 +117,11 @@ def solve_eta(params: ModelParams, u_max: float, rtol: float = 1e-10):
 
 # a sum's terms below e^-_TAIL (4e-18) of its largest are dropped
 _TAIL = 40.0
+# where 1 - phi is below _FLAT, the bands sum it (R rows) in place of phi
+# (W rows), so that phi keeps its digits as it flattens at 1
+_FLAT = 2.0**-20
+# the most weights a solve holds; at this many a solve takes about 1 s and 40 MB
+_MAX_TERMS = 2**17
 
 
 def _peaked(rho: np.ndarray):
@@ -109,15 +133,46 @@ def _peaked(rho: np.ndarray):
     return v, log_v[p]
 
 
-def _weights(mu1: float, d1: float, d2: float, log_zm: float, n: int):
-    """(coef, profile, omega): W_(k-1), w_k and w_k d2/(2 d1 + k), k < n, times e^-omega,
-    and their logs less log Gamma(mu1 + k) to a few digits, which place the terms."""
+def _tail(mu1: float, d1: float, d2: float, N: float) -> float:
+    """sum_(i>=0) w_(N+i)/w_N where the w_k fall from N on: that series, or
+    where its terms fall slower, N/(r - 1) sum_i (mu1 + r)_i (d2)_i/((2 d1 +
+    N)_i (r)_i) (Thomae's relation, DLMF 16.4.11, with r = 2 d1 - 2 mu1)."""
+    r = 2.0 * (d1 - mu1)
+    (a, b, c, d), scale = min(
+        ((mu1 + N, mu1 + N + 1.0, 2.0 * d1 + N, N + 1.0), 1.0),
+        ((mu1 + r, d2, 2.0 * d1 + N, r), N / (r - 1.0)),
+        key=lambda s: s[0][0] * s[0][1] / (s[0][2] * s[0][3]))
+    term = total = 1.0
+    # the term ratios rise towards 1 from below, so the terms fall throughout
+    for i in range(_MAX_TERMS):
+        term *= (a + i) * (b + i) / ((c + i) * (d + i))
+        total += term
+        if term <= 2.0**-60 * total:
+            return scale * total
+    raise SolverError(f"capital-stock tail sum does not converge within {_MAX_TERMS} terms")
+
+
+def _weights(mu1: float, d1: float, d2: float, log_w0: float, n: int):
+    """(coef, profile, omega): rows W_(k-1), w_k, w_k d2/(2 d1 + k) and R_(k-1)
+    = 1 - W_(k-1) (0 at k = 0), k < n, times e^-omega, and their logs less log
+    Gamma(mu1 + k) to a few digits, which place the terms.  R is W where
+    W_(n-1) < 1 - 2 _FLAT, as phi stays below 1 - _FLAT."""
     k, j = np.arange(float(n)), np.arange(n - 1.0)
     w, log_top = _peaked((mu1 + j) * (mu1 + 1.0 + j) / ((2.0 * d1 + j) * (j + 1.0)))
-    coef = np.array([np.concatenate(([0.0], np.cumsum(w[:-1]))), w, w * d2 / (2.0 * d1 + k)])
+    omega = log_w0 + float(log_top)
+    W = np.concatenate(([0.0], np.cumsum(w[:-1])))
+    R = W
+    # twice _FLAT, so that the rounding of phi's plain sum, which places the
+    # switch to R, cannot place it where R is left out
+    if (W[-1] + w[-1]) * math.exp(omega) >= 1.0 - 2.0 * _FLAT:
+        # suffix sums, exact where 1 - W cancels; the w_k fall from n - 1 on,
+        # since R_(n-1) <= 2 _FLAT < 1/n
+        R = np.cumsum(np.append(w[:-1], w[-1] * _tail(mu1, d1, d2, n - 1.0))[::-1])[::-1]
+        R[0] = 0.0
+    coef = np.array([W, w, w * d2 / (2.0 * d1 + k), R])
     lgam = math.lgamma(mu1) + np.concatenate(([0.0], np.cumsum(np.log(mu1 + j))))
     with np.errstate(divide="ignore"):
-        return coef, np.log(coef) - lgam, math.lgamma(mu1) - log_zm + float(log_top)
+        return coef, np.log(coef) - lgam, omega
 
 
 def _band(coef: np.ndarray, profile: np.ndarray, omega: float, mu1: float,
@@ -161,41 +216,79 @@ def phi_capital_stock(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> SolutionGrid:
-    """Solve the capital-stock regime on ``span`` [0, U], U = max(200 m, u_max),
-    and sample it on ``u_grid`` (201 points on [0, u_max], u_max = 50 m by
-    default).  ``rtol`` and ``atol`` are checked and reported only.  Requires
-    2a/b^2 > 1; otherwise the normalizing integral diverges."""
+    """Solve the capital-stock regime and sample it on ``u_grid``.
+
+    P1 is exact and phi, phi', phi'' are sums of gamma densities (see the
+    module docstring) on the solution's ``span`` [0, U], U = max(200 m,
+    u_max).  ``u_max`` defaults to 50 m and ``u_grid`` to 201 uniform points
+    on [0, u_max].  ``rtol`` and ``atol`` are checked and reported, and
+    otherwise unused.  Raises :class:`SolverError` where the sums would need
+    more than ``_MAX_TERMS`` weights.  Requires 2a/b^2 > 1; otherwise the
+    normalizing integral diverges and ruin is certain.
+    """
     check_tolerances(rtol, atol)
     if params.c != 0.0 or params.b == 0.0:
         raise ValueError(f"capital-stock regime requires c = 0 and b > 0, got {params}")
     r = params.robustness()
     if r <= 1.0:
-        raise NoSolutionError(f"tail integral diverges: 2a/b^2 = {r:g} <= 1 (shares not robust)")
+        raise NoSolutionError(
+            f"tail integral diverges: 2a/b^2 = {r:g} <= 1 (shares not robust)"
+        )
     (mu1, d1, d2), m = exponents(params), params.m
     u_grid, u_max = resolve_grid(m, u_grid, u_max)
-    log_zm = _log_zm(mu1, d1, d2, r)
+    log_w0 = _log_w0(mu1, d1, d2, r)
+    log_zm = math.lgamma(mu1) - log_w0
     # eta ~ Gamma(2 d1)/Gamma(2 d1 - d2) (u/m)^(-d2) gives 1 - phi ~ K u^(1-r)
-    log_K = (r - 1.0) * math.log(m) + math.lgamma(2.0 * d1) - math.lgamma(2.0 * d1 - d2)
-    log_K -= log_zm + math.log(r - 1.0)
+    log_K = (
+        (r - 1.0) * math.log(m) + math.lgamma(2.0 * d1) - math.lgamma(2.0 * d1 - d2)
+        - log_zm - math.log(r - 1.0)
+    )
     log_Z = log_zm + mu1 * math.log(m)
     with np.errstate(over="ignore", under="ignore"):
         Z, P1, K = (float(v) for v in np.exp([log_Z, -log_Z, log_K]))
     U = max(200.0 * m, u_max)
     log_info(__name__, "capital stock: mu1=%.6g U=%g P1=%.8g", mu1, U, P1)
-    # bands (16 i (i + 3), 16 (i + 1)(i + 4)] of x, 8 sqrt(x) wide: bounded magnitudes
-    bounds = [16.0 * i * (i + 3) for i in range(3 + int(math.sqrt(U / m / 16.0)))]
-    edges, n = bounds[1:], int(bounds[-1] + 10.0 * math.sqrt(bounds[-1])) + 60
-    weights = _weights(mu1, d1, d2, log_zm, n)
-    # built on first use: a solve reads only the bands of its grid
-    band = cache(lambda i: _band(*weights, mu1, bounds[i], bounds[i + 1]))
-    # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
-    dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))
-    # beyond the first band top where the series at infinity truncates and M's part in
-    # e^-x (DLMF 13.7.2) is below e^-_TAIL: 1 - phi, u phi', -u^2 phi'' = K (r-1) u^(1-r) (T, S, D)
+    # bands (16 i (i + 3), 16 (i + 1)(i + 4)] of x, 8 sqrt(x) wide, to U/m or to
+    # x_far, the first band top where the series at infinity truncates and M's
+    # part in e^-x (DLMF 13.7.2) is below e^-_TAIL: 1 - phi, u phi', -u^2 phi''
+    # = K (r-1) u^(1-r) (T, S, D) beyond it
     e, j = series_coeffs_infinity(params), np.arange(ORDER + 1)
     log_e = math.lgamma(mu1 + 1.0) - math.lgamma(mu1 + r - 1.0)
-    x_far = next((X for X in edges if -X + (r - 2.0) * math.log(X) + log_e < -_TAIL
-                  and truncates(e, 1.0 / (X * m), PHI_TOL)), math.inf)
+    bounds, x_far = [0.0], math.inf
+    while bounds[-1] < U / m and x_far == math.inf:
+        X = 16.0 * len(bounds) * (len(bounds) + 3)
+        bounds.append(X)
+        if -X + (r - 2.0) * math.log(X) + log_e < -_TAIL and truncates(e, 1.0 / (X * m), PHI_TOL):
+            x_far = X
+    n = int(bounds[-1] + 10.0 * math.sqrt(bounds[-1])) + 60
+    if n > _MAX_TERMS:
+        raise SolverError(
+            f"capital-stock sums need {n} > {_MAX_TERMS} terms to reach x = {bounds[-1]:g}")
+    coef, profile, omega = _weights(mu1, d1, d2, log_w0, n)
+    ks = np.arange(n)
+
+    def rest(x: float) -> float:
+        # 1 - phi from phi's terms summed plainly, to about 1e-13
+        with np.errstate(under="ignore"):
+            terms = np.exp(omega + profile[0] + (mu1 - 1.0 + ks) * math.log(x) - x)
+        return 1.0 - float(terms.sum())
+
+    # the bands sum 1 - phi from x_flat on, where it falls to about _FLAT
+    x_flat = math.inf
+    if rest(bounds[-1]) <= _FLAT:
+        lo, x_flat = 0.0, bounds[-1]
+        for _ in range(12):
+            mid = 0.5 * (lo + x_flat)
+            lo, x_flat = (lo, mid) if rest(mid) <= _FLAT else (mid, x_flat)
+    if x_flat < bounds[-1] and x_flat not in bounds:
+        bounds.insert(bisect_left(bounds, x_flat), x_flat)
+    bands = []
+    for lo, X in zip(bounds, bounds[1:]):
+        rows = [3, 1, 2] if lo >= x_flat else [0, 1, 2]
+        bands.append(_band(coef[rows], profile[rows], omega, mu1, lo, X))
+    edges = bounds[1:]
+    # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
+    dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))
     far_desc = [v[::-1].tolist() for v in (e / (r + j - 1.0), e, e * (r + j))]
 
     def far(u, polyval, exp, log):
@@ -210,16 +303,18 @@ def phi_capital_stock(
         xs, out, lo = x[order], np.zeros((3, x.size)), 0
         # x = 0 gives log y = -inf, and phi'' ~ u^(mu1-2) overflows near it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            near = np.searchsorted(xs, [X for X in edges if X <= x_far], side="right")
-            for i, hi in enumerate(near.tolist()):
+            near = np.searchsorted(xs, edges, side="right").tolist()
+            for (X, Kc, shift, cols, thr, _), hi in zip(bands, near):
                 if hi > lo:
-                    X, Kc, shift, cols, thr, _ = band(i)
                     y, acc = xs[lo:hi] / X, out[:, lo:hi]
                     starts = np.searchsorted(y, thr, side="right").tolist()
                     for col, s in zip(cols[::-1], starts[::-1]):
                         acc[:, s:] *= y[s:]
                         acc[:, s:] += col
                     acc *= np.exp(np.c_[Kc] + X * (1.0 - y) + np.c_[shift] * np.log(y))
+                    if X > x_flat:
+                        Q = np.exp(log_upper_incomplete_gamma(mu1, xs[lo:hi], regularized=True))
+                        acc[0] = 1.0 - (acc[0] + Q)
                 lo = hi
             phi, A, C = out[:, np.argsort(order)]
             dphi, ddphi = A / m, ((mu1 - 1.0) * A / x - C) / (m * m)
@@ -234,20 +329,40 @@ def phi_capital_stock(
         x = u / m
         if x == 0.0 or x > x_far:
             return far(u, horner, ext_exp, ext_log) if x else (0.0, dphi0, ddphi0)
-        X, Kc, shift, _, thr, desc = band(bisect_left(edges, x))
+        X, Kc, shift, _, thr, desc = bands[bisect_left(edges, x)]
         y, ly = x / X, ext_log(x / X)
         s0 = s1 = s2 = 0.0
         for c0, c1, c2 in islice(desc, len(thr) - bisect_left(thr, y), None):
             s0, s1, s2 = s0 * y + c0, s1 * y + c1, s2 * y + c2
         scales = (k + X * (1.0 - y) + h * ly for k, h in zip(Kc, shift))
         phi, A, C = (v * ext_exp(e) for v, e in zip((s0, s1, s2), scales))
+        if X > x_flat:
+            phi = 1.0 - (phi + ext_exp(_log_upper_gamma(mu1, x, True)))
         return phi, A / m, ((mu1 - 1.0) * A / x - C) / (m * m)
 
-    # the longest sum on the grid; Z is exact, so the limit does not move
-    # with U; log_P1 is finite where P1 underflows to 0 (log Z > 709)
-    terms = max(len(band(i)[3]) for i in range(bisect_left(edges, min(u_grid[-1] / m, x_far)) + 1))
+    # Z is exact, so the limit does not move with U
+    tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U)
+    diagnostics = {
+        "P1": P1,
+        "log_P1": -log_Z,  # finite where P1 underflows to 0 (log Z > 709)
+        "mu1": mu1,
+        "d1": d1,
+        "d2": d2,
+        "U": U,
+        # the longest sum on the grid
+        "terms": max(len(b[3]) for b in bands[: bisect_left(edges, u_grid[-1] / m) + 1]),
+        # where the sums change band or form, and where the series at infinity takes over
+        "edges": tuple(m * X for X in edges if m * X < U),
+        "rtol": rtol,
+        "atol": atol,
+    }
     return SolutionGrid.sample(
-        u_grid, eval3, point3, C0=0.0, regime=RegimeInfo(Regime.CAPITAL_STOCK), span=(0.0, U),
-        tail=TailFit(A=Z, K=K, exponent=1.0 - r, U=U), diagnostics=dict(
-            P1=P1, log_P1=-log_Z, mu1=mu1, d1=d1, d2=d2, U=U, terms=terms, rtol=rtol, atol=atol),
+        u_grid,
+        eval3,
+        point3,
+        C0=0.0,
+        regime=RegimeInfo(Regime.CAPITAL_STOCK),
+        tail=tail_fit,
+        diagnostics=diagnostics,
+        span=(0.0, U),
     )

@@ -9,6 +9,7 @@ from ruinlab import (
     ModelParams,
     PortfolioSpec,
     NoSolutionError,
+    SolverError,
     Trajectory,
     eta_series,
     exponents,
@@ -17,7 +18,7 @@ from ruinlab import (
     solve,
     solve_eta,
 )
-from ruinlab.capitalstock import _log_zm
+from ruinlab.capitalstock import _log_w0
 from ruinlab.model import effective_params
 from conftest import log_mellin_normalization, mellin_normalization
 
@@ -212,7 +213,7 @@ class TestLogNormalization:
         # alpha = 1e-4, and across the switch to Stirling's series at r = 21;
         # a large log Z (279 at mu1 = 65) holds 4 ulp of itself
         mu1, d1, d2 = exponents(params)
-        log_zm = _log_zm(mu1, d1, d2, params.robustness())
+        log_zm = math.lgamma(mu1) - _log_w0(mu1, d1, d2, params.robustness())
         ref = self.reference(params)
         assert abs(log_zm - ref) <= max(1e-13, 4.0 * math.ulp(ref))
 
@@ -383,15 +384,16 @@ class TestDenseOutput:
     def test_antiderivative_contract(self, params):
         grid = phi_capital_stock(params)
         m, U = params.m, grid.span[1]
-        # continuous where the bands meet, to the rounding of u^(mu1-1)
-        # (1e-13 at mu1 = 132), and monotone over the span up to the
-        # rounding of phi where it is flat at 1 (2e-14 on fig5-II)
-        edges = m * np.array([64.0, 128.0])
-        left = grid.evaluate(np.nextafter(edges, 0.0))
-        for a, b in zip(left, grid.evaluate(edges)):
+        # continuous at every edge where the sums change band or form, or the
+        # series at infinity takes over, to the rounding of u^(mu1-1) (1e-13
+        # at mu1 = 132), and monotone over the span
+        edges = np.array(grid.diagnostics["edges"])
+        assert edges.size >= 1 and edges[-1] <= U
+        right = grid.evaluate(np.nextafter(edges, np.inf))
+        for a, b in zip(grid.evaluate(edges), right):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
         dense = grid.evaluate(np.linspace(0.0, U, 10_001))
-        assert np.all(np.diff(dense[0]) >= -1e-13)
+        assert np.all(np.diff(dense[0]) >= 0.0) and dense[0][-1] <= 1.0
         assert np.all(dense[1][1:] >= 0.0)
         # phi at the nodes: its value at the first plus the integrals of phi'
         # over the steps, by a 16-point Gauss-Legendre rule on a geometric
@@ -464,18 +466,63 @@ MU1_140 = ModelParams(
 
 class TestClosedForm:
     @pytest.mark.parametrize(
-        "params", [FIG5_I, FIG5_II, MU1_140], ids=["fig5-I", "fig5-II", "mu1=140"]
+        "params, rtol",
+        [(FIG5_I, 2e-14), (FIG5_II, 2e-14), (MU1_140, 2e-13)],
+        ids=["fig5-I", "fig5-II", "mu1=140"],
     )
-    def test_matches_mpmath(self, params):
-        # mu1 = 140 holds 4 ulp of log Z = 279 in P1, about 2e-13
+    def test_matches_mpmath(self, params, rtol):
+        # at mu1 = 140 the scale (mu1 - 1) log u reaches 670 in magnitude and
+        # holds 1.1e-13 of rounding
         grid = phi_capital_stock(params)
         us = params.m * np.array([0.5, 3.0, 12.5, 37.0, 64.0, 120.0, 199.0])
         ref = mpmath_reference(params, us)
         got = grid.evaluate(us)
         live = ref[0] > 1e-300
-        np.testing.assert_allclose(got[0][live], ref[0][live], rtol=5e-13, atol=0.0)
-        np.testing.assert_allclose(got[1][live], ref[1][live], rtol=5e-13, atol=0.0)
-        assert np.max(np.abs(got[2] - ref[2])) <= 5e-13 * np.max(np.abs(ref[2]))
+        np.testing.assert_allclose(got[0][live], ref[0][live], rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(got[1][live], ref[1][live], rtol=rtol, atol=0.0)
+        assert np.max(np.abs(got[2] - ref[2])) <= rtol * np.max(np.abs(ref[2]))
+
+    @pytest.mark.parametrize(
+        "params, xs",
+        [
+            (FIG5_II, [16.0, 20.0, 40.0, 63.0, 100.0, 150.0]),
+            (ModelParams(a=0.02, b=0.1, c=0.0, lam=1e-3, m=1.0), [56.0, 60.0, 63.5]),
+            (fixed_fraction(0.03), [22.0, 50.0]),
+        ],
+        ids=["fig5-II", "r=4", "alpha=0.03"],
+    )
+    def test_flat_phi_to_the_last_bit(self, params, xs):
+        # where 1 - phi < 2^-20 the bands sum 1 - phi itself, from suffix sums
+        # of the weights and Q(mu1, x); phi is then within one unit of 2^-53
+        # of its 40-digit value.  The weights' tail past the last one is
+        # summed in Thomae's form on fig5-II and at r = 4, where leaving it
+        # out moves phi by 1.9e-8, and as it stands at alpha = 0.03
+        grid = phi_capital_stock(params)
+        assert grid.diagnostics["edges"][0] < xs[0] * params.m
+        us = params.m * np.array(xs)
+        assert np.all(np.abs(grid.evaluate(us)[0] - mpmath_reference(params, us)[0]) <= 2.0**-53)
+
+    @pytest.mark.parametrize("params", [FIG5_I, FIG5_II], ids=["fig5-I", "fig5-II"])
+    def test_huge_span_sizes_sums_to_far_field(self, params, monkeypatch):
+        # u_max = 1e8 m: the weights stop at the far field (x = 64 or 160),
+        # not at U/m
+        from ruinlab import capitalstock
+
+        sizes = []
+        weights = capitalstock._weights
+        monkeypatch.setattr(
+            capitalstock, "_weights", lambda *args: sizes.append(args[-1]) or weights(*args)
+        )
+        grid = phi_capital_stock(params, u_max=1e8 * params.m)
+        assert sizes[0] <= 500 and grid.diagnostics["edges"][-1] <= 160.0 * params.m
+        phi, dphi, ddphi = grid.evaluate(np.array([1e3, 1e6, 1e8]) * params.m)
+        assert np.all(phi <= 1.0) and np.all(dphi > 0.0) and np.all(ddphi < 0.0)
+
+    def test_term_budget(self):
+        # alpha = 1e-4 (r = 4.4e7): the series at infinity truncates nowhere
+        # below x = 1e8, so the sums would need 1e8 weights
+        with pytest.raises(SolverError, match="terms"):
+            phi_capital_stock(fixed_fraction(1e-4), u_max=1e8)
 
     @pytest.mark.parametrize("params", [FIG5_I, FIG5_II], ids=["fig5-I", "fig5-II"])
     def test_long_span(self, params):
@@ -497,8 +544,7 @@ class TestClosedForm:
         phi, dphi, ddphi = grid.evaluate(us)
         assert np.isfinite(phi).all() and np.isfinite(dphi[1:]).all()
         assert np.isfinite(ddphi[1:]).all() and np.all(dphi[1:] >= 0.0)
-        # monotone up to the rounding of phi where it is flat at 1
-        assert np.all(np.diff(phi) >= -1e-13) and phi[-1] <= 1.0 + 1e-13
+        assert np.all(np.diff(phi) >= 0.0) and phi[-1] <= 1.0
         pick = us[::67]
         scalars = np.array([grid.evaluate(u) for u in pick.tolist()])
         for k, values in enumerate(grid.evaluate(pick)):
