@@ -176,19 +176,20 @@ def _weights(mu1: float, d1: float, d2: float, log_w0: float, n: int):
 
 
 def _band(coef: np.ndarray, profile: np.ndarray, omega: float, mu1: float,
-          lo: float, X: float):
-    """(X, K, shift, cols, thr, desc) of the band (lo, X] of x: there sum c is
-    exp(K[c] + X (1 - y) + shift[c] log y), y = x/X, times the polynomial with
-    coefficients cols[q][c] <= 1 (``desc``: floats, highest first) from the
-    first term within e^-_TAIL of the largest at lo to the last at X; term q
-    enters at y > thr[q], the last of 32 points before it comes within e^-_TAIL."""
-    k = np.arange(coef.shape[1])
+          lo: float, X: float, start: int):
+    """((X, K, shift, cols, thr, desc), first) of the band (lo, X] of x: there
+    sum c is exp(K[c] + X (1 - y) + shift[c] log y), y = x/X, times the
+    polynomial with coefficients cols[q][c] <= 1 (``desc``: floats, highest
+    first) from the first term within e^-_TAIL of the largest at lo to the
+    last at X; term q enters at y > thr[q], the last of 32 points before it
+    comes within e^-_TAIL.  The scans of the weights start at term ``start``,
+    before which no term is within e^-_TAIL at lo; ``first`` is the next
+    band's ``start``, since a row's first term moves up with x."""
     # at lo = 0, x = 1e-300 keeps just the first nonzero term
-    low = profile + k * math.log(lo or 1e-300)
-    first = np.argmax(low >= low.max(axis=1, keepdims=True) - _TAIL, axis=1)
-    last = _last_within(profile + k * math.log(X))
-    if last.max() == k[-1]:
-        raise SolverError(f"capital-stock series does not truncate within {k.size} terms")
+    first = _within(profile, lo or 1e-300, start)[0]
+    last, n = _within(profile, X, int(first.min()))[1], profile.shape[1]
+    if last.max() == n - 1:
+        raise SolverError(f"capital-stock series does not truncate within {n} terms")
     rows, K = np.zeros((3, int((last - first).max()) + 1)), []
     for c, (a, b) in enumerate(zip(first.tolist(), last.tolist())):
         # the terms coef_j g_(mu1+j)(X) by their ratios; g's are X/(mu1 + j)
@@ -201,12 +202,28 @@ def _band(coef: np.ndarray, profile: np.ndarray, omega: float, mu1: float,
         need = _last_within(np.log(rows) + np.arange(rows.shape[1]) * np.log(y[1:, None, None]))
     thr = y[np.searchsorted(need.max(axis=1), np.arange(rows.shape[1]))].tolist()
     cols, desc = list(rows.T[:, :, None].copy()), rows[:, ::-1].T.tolist()
-    return X, K, (mu1 - 1.0 + first).tolist(), cols, thr, desc
+    return (X, K, (mu1 - 1.0 + first).tolist(), cols, thr, desc), int(first.min())
 
 
 def _last_within(v: np.ndarray) -> np.ndarray:
     """Index of the last of the logs ``v`` within _TAIL of their largest."""
     return v.shape[-1] - 1 - np.argmax((v >= v.max(axis=-1, keepdims=True) - _TAIL)[..., ::-1], -1)
+
+
+def _within(profile: np.ndarray, x: float, a: int):
+    """(first, last) per row of the k whose terms profile[c, k] + k log x are
+    within _TAIL of the row's largest, scanning k >= a, before which the
+    caller knows none is.  The terms are log-concave in k, so a window of k
+    that ends below that on every row holds each row's largest and all its
+    terms within it; the window widens until it does."""
+    n, width = profile.shape[1], 64 + int(32.0 * math.sqrt(x))
+    while True:
+        b = min(n, a + width)
+        v = profile[:, a:b] + np.arange(a, b) * math.log(x)
+        within = v >= v.max(axis=1, keepdims=True) - _TAIL
+        if b == n or not within[:, -1].any():
+            return a + np.argmax(within, axis=1), a + _last_within(v)
+        width *= 4
 
 
 def phi_capital_stock(
@@ -282,10 +299,14 @@ def phi_capital_stock(
             lo, x_flat = (lo, mid) if rest(mid) <= _FLAT else (mid, x_flat)
     if x_flat < bounds[-1] and x_flat not in bounds:
         bounds.insert(bisect_left(bounds, x_flat), x_flat)
-    bands = []
+    # the rows the bands sum: phi's, and 1 - phi's from x_flat on
+    sums = [(coef[rows], profile[rows]) for rows in ([0, 1, 2], [3, 1, 2])]
+    bands, start = [], 0
     for lo, X in zip(bounds, bounds[1:]):
-        rows = [3, 1, 2] if lo >= x_flat else [0, 1, 2]
-        bands.append(_band(coef[rows], profile[rows], omega, mu1, lo, X))
+        # the R row takes over at x_flat, and its scans start at 0
+        start = 0 if lo == x_flat else start
+        band, start = _band(*sums[lo >= x_flat], omega, mu1, lo, X, start)
+        bands.append(band)
     edges = bounds[1:]
     # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
     dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))

@@ -28,7 +28,8 @@ log Q from the array kernel ``log_upper_incomplete_gamma``.  A single point,
 and each point of a shorter array, takes the solution's point evaluator:
 the same formulas in Python floats, with log Gamma or log Q from the scalar
 routines (``upper_incomplete_gamma`` while p <= ``_SCALAR_P_MAX``, where
-Gamma(p, z) is finite), faster below that size.
+Gamma(p, z) is finite): a few us a point against the kernel's fixed cost of
+a few hundred us, so faster below that size.
 
 Both serve as independent oracles for the numerical pipeline.
 """
@@ -59,9 +60,11 @@ __all__ = [
 ]
 
 # Queries below this many points take the point evaluator per point: at
-# ~4 us a point it beats the array kernel, whose loops cost 0.15-0.7 ms
-# whatever the size, up to 128-256 points (measured on a 2-core x86 VM)
-_ARRAY_MIN = 128
+# 4-7 us a point it beats the array kernel, whose fixed cost is 0.2-0.35 ms
+# (its per-level ufunc calls and a continued-fraction probe per doubling of
+# z), up to 56-64 points on fig3-I/II and fig4-I/II over [0, 50 m]
+# (measured on a 2-core x86 VM)
+_ARRAY_MIN = 64
 # Gamma(p) and so Gamma(p, z) are finite for p below 171.6
 _SCALAR_P_MAX = 171.0
 

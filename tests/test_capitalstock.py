@@ -530,6 +530,28 @@ class TestClosedForm:
         # at infinity takes over from the sums
         self.check_span(params, 1e4, [10.0, 1e3, 1e4])
 
+    @pytest.mark.parametrize("params", [FIG5_I, FIG5_II, fixed_fraction(0.03), *SWEEP.values()],
+                             ids=["fig5-I", "fig5-II", "alpha=0.03", *SWEEP])
+    def test_band_windows_match_full_scans(self, params, monkeypatch):
+        # each band scans a window of the weights around its terms; the
+        # first and last term within e^-_TAIL are those of a scan of all
+        from ruinlab import capitalstock
+
+        windowed, scans = capitalstock._within, []
+
+        def checked(profile, x, a):
+            first, last = windowed(profile, x, a)
+            v = profile + np.arange(profile.shape[1]) * math.log(x)
+            within = v >= v.max(axis=1, keepdims=True) - capitalstock._TAIL
+            np.testing.assert_array_equal(first, np.argmax(within, axis=1))
+            np.testing.assert_array_equal(last, capitalstock._last_within(v))
+            scans.append(x)
+            return first, last
+
+        monkeypatch.setattr(capitalstock, "_within", checked)
+        phi_capital_stock(params, u_max=1e3 * params.m)
+        assert scans
+
     def test_long_span_in_bands(self):
         # r = 553 (alpha = 0.03): the series at infinity truncates nowhere
         # in the span, so the bands carry the sums out to x = 800, past

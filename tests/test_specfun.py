@@ -150,6 +150,93 @@ class TestLogUpperIncompleteGamma:
         assert isinstance(exc.value, ArithmeticError)
 
 
+def _kernel_grid(p: float, rng) -> np.ndarray:
+    """z for the kernel at p: the series side down to 1e-6, z = p + 1 exactly,
+    the first and last point of each group the continued fraction takes
+    (groups end where z doubles), the point of each group where the Lentz
+    count is highest, and seeded points in between."""
+    from ruinlab.specfun import _lentz
+
+    heads = (p + 1.0) * 2.0 ** np.arange(7)
+    z = [np.geomspace(1e-6, p + 1.0, 12, endpoint=False), heads, [p + 1.01, p + 1.0105]]
+    for h in heads:
+        inside = h * np.linspace(1.0, 2.0, 64, endpoint=False)
+        count = [_lentz(p, v)[1] for v in inside]
+        z.append([np.nextafter(2.0 * h, 0.0), inside[int(np.argmax(count))]])
+        z.append(h * rng.uniform(1.0, 2.0, 3))
+    return np.sort(np.concatenate(z))
+
+
+class TestKernelAgainstMpmath:
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 4.5, 37.0, 150.0, 2500.0])
+    def test_matches_mpmath(self, p):
+        # relative on log Gamma, or absolute where |log Gamma| < 1; the
+        # continued-fraction side is compared beyond the rounding of its
+        # prefactor p log z - z, which no evaluation of the fraction avoids
+        # (3e-14 of log Gamma where it crosses 0 at p = 150)
+        mpmath = pytest.importorskip("mpmath")
+        z = _kernel_grid(p, np.random.default_rng(int(10 * p)))
+        got = log_upper_incomplete_gamma(p, z)
+        cf = z >= p + 1.0
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.log(mpmath.gammainc(p, v))) for v in z])
+            pre = np.array([float(p * mpmath.log(v) - v) if c else 0.0 for v, c in zip(z, cf)])
+        got = got - np.where(cf, p * np.log(z) - z - pre, 0.0)
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-15
+
+    def test_count_rise_within_a_group(self):
+        # the Lentz count is not monotone in z: the depth probed at a group's
+        # first point needs its margin
+        from ruinlab.specfun import _lentz
+
+        assert _lentz(0.05, 1.05)[1] == 86 and _lentz(0.05, 1.06)[1] == 88
+        assert _lentz(0.05, 1.0605)[1] == 98
+        assert {1.06, 1.0605} <= set(_kernel_grid(0.05, np.random.default_rng(0)).tolist())
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
+    def test_small_shape_series_without_cancellation(self, p):
+        # Q = 1 - P cancels just below z = p + 1, where P is near 1; the
+        # split of DLMF 8.7.3 does not, and neither Q nor P = -expm1(log Q)
+        # loses digits
+        mpmath = pytest.importorskip("mpmath")
+        z = np.geomspace(1e-6, p + 1.0, 200, endpoint=False)
+        z = np.append(z, np.nextafter(p + 1.0, 0.0))
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.log(mpmath.gammainc(p, v))) for v in z])
+            ref_q = np.array([float(mpmath.gammainc(p, v, regularized=True)) for v in z])
+            ref_p = np.array([float(mpmath.gammainc(p, 0, v, regularized=True)) for v in z])
+        scalar = [math.log(upper_incomplete_gamma(p, v)) for v in z]
+        for got in (log_upper_incomplete_gamma(p, z), scalar):
+            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=4e-15)
+        log_q = log_upper_incomplete_gamma(p, z, regularized=True)
+        np.testing.assert_allclose(np.exp(log_q), ref_q, rtol=4e-15, atol=0.0)
+        # where P < 1/2, P = e^t (1 + s) carries the rounding of t ~ p log z
+        near = ref_p >= 0.5
+        np.testing.assert_allclose(-np.expm1(log_q[near]), ref_p[near], rtol=1e-15, atol=0.0)
+
+    def test_probes_per_call(self, monkeypatch):
+        # one probe per group, and a group ends where z doubles
+        from ruinlab import specfun
+
+        probes = []
+        lentz = specfun._lentz
+
+        def counted(p, z):
+            probes.append(z)
+            return lentz(p, z)
+
+        monkeypatch.setattr(specfun, "_lentz", counted)
+        p, z = 0.9, np.linspace(0.0, 50.0, 10_001) + 0.2  # fig3-II's array
+        log_upper_incomplete_gamma(p, z)
+        cf = z[z >= p + 1.0]
+        assert 1 <= len(probes) <= math.log2(cf.max() / cf.min()) + 1.0
+
+    def test_unconverged_probe_raises(self):
+        with pytest.raises(ConvergenceError):
+            log_upper_incomplete_gamma(1e6, [1e6 + 1.0, 3e6])
+
+
 class TestLogGammaRatio:
     @pytest.mark.parametrize("x", [20.0, 21.5, 100.0, 4621.0, 4.45e7])
     @pytest.mark.parametrize("s", [4e-8, 0.5, 3.0, 200.0])
