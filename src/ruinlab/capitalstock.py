@@ -34,7 +34,7 @@ from .errors import NoSolutionError, SolverError, log_info
 from .model import ModelParams, Regime, RegimeInfo
 from .series import ORDER, PHI_TOL, choose_u0, horner, origin_limits, poly3
 from .series import series_coeffs_infinity, truncates
-from .solution import SolutionGrid, TailFit, check_tolerances, resolve_grid
+from .solution import SolutionGrid, TailFit, resolve_grid
 from .specfun import STIRLING_MIN, _log_upper_gamma, ext_exp, ext_log, log_gamma_density
 from .specfun import log_gamma_ratio, log_upper_incomplete_gamma
 
@@ -230,20 +230,17 @@ def phi_capital_stock(
     params: ModelParams,
     u_grid=None,
     u_max: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> SolutionGrid:
     """Solve the capital-stock regime and sample it on ``u_grid``.
 
     P1 is exact and phi, phi', phi'' are sums of gamma densities (see the
     module docstring) on the solution's ``span`` [0, U], U = max(200 m,
     u_max).  ``u_max`` defaults to 50 m and ``u_grid`` to 201 uniform points
-    on [0, u_max].  ``rtol`` and ``atol`` are checked and reported, and
-    otherwise unused.  Raises :class:`SolverError` where the sums would need
-    more than ``_MAX_TERMS`` weights.  Requires 2a/b^2 > 1; otherwise the
-    normalizing integral diverges and ruin is certain.
+    on [0, u_max].  It takes no tolerances: the sums keep every term within
+    e^-``_TAIL`` of the largest.  Raises :class:`SolverError` where the sums
+    would need more than ``_MAX_TERMS`` weights.  Requires 2a/b^2 > 1;
+    otherwise the normalizing integral diverges and ruin is certain.
     """
-    check_tolerances(rtol, atol)
     if params.c != 0.0 or params.b == 0.0:
         raise ValueError(f"capital-stock regime requires c = 0 and b > 0, got {params}")
     r = params.robustness()
@@ -374,8 +371,6 @@ def phi_capital_stock(
         "terms": max(len(b[3]) for b in bands[: bisect_left(edges, u_grid[-1] / m) + 1]),
         # where the sums change band or form, and where the series at infinity takes over
         "edges": tuple(m * X for X in edges if m * X < U),
-        "rtol": rtol,
-        "atol": atol,
     }
     return SolutionGrid.sample(
         u_grid,

@@ -2,18 +2,19 @@
 
 CSV output uses 12 significant digits, '.' decimal separator, LF line
 endings.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
-Settings may also come from a key=value config file (--config); explicit
-flags override file values, which override preset values.
+A setting comes from, in order of precedence, its flag, a key=value
+config file (--config), the preset (--preset, or the config's ``preset``
+key) and the library's default: flag > config > preset > library default.
+argparse layers them: the preset's parameters and then the config's values
+become the command's defaults, converted by each flag's type; a config key
+that names no flag of the command is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import RuinlabError
 from .model import ModelParams, Regime
@@ -23,8 +24,12 @@ from .verify import ide_residual, mc_survival
 
 __all__ = ["main"]
 
-_FLOAT_KEYS = {"a", "b", "c", "lambda", "m", "umax", "rtol", "atol", "T", "dt"}
-_INT_KEYS = {"points", "n", "seed"}
+_PARAMS = ("a", "b", "c", "lambda", "m")
+# the library's keyword where it is not the flag's name
+_KEYWORD = {"lambda": "lam", "umax": "u_max"}
+# entries of a command's namespace that a config key may not set: argparse's
+# own, and the switch --gnuplot, which no config string could turn off
+_NOT_SETTINGS = ("command", "func", "gnuplot")
 
 
 def _fmt(v: float) -> str:
@@ -45,50 +50,21 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _resolve(args, key: str, flag_value, default=None):
-    """flag > config file > preset > default."""
-    if flag_value is not None:
-        return flag_value
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        raw = cfg[key]
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
-    preset = getattr(args, "_preset", None)
-    if preset is not None and key in ("a", "b", "c", "lambda", "m"):
-        return getattr(preset.params, "lam" if key == "lambda" else key)
-    return default
+def _given(args, *keys) -> dict:
+    """The values of ``keys`` that a flag, the config or the preset set, by
+    the library's keyword."""
+    return {_KEYWORD.get(k, k): v for k in keys if (v := vars(args)[k]) is not None}
 
 
 def _build_params(args) -> ModelParams:
-    vals = {}
-    for key in ("a", "b", "c", "lambda", "m"):
-        flag = getattr(args, "lam" if key == "lambda" else key)
-        v = _resolve(args, key, flag)
-        if v is None:
+    for key in _PARAMS:
+        if vars(args)[key] is None:
             raise UsageError(f"missing parameter --{key} (no preset/config supplies it)")
-        vals["lam" if key == "lambda" else key] = float(v)
-    return ModelParams(**vals)
+    return ModelParams(**_given(args, *_PARAMS))
 
 
 class UsageError(Exception):
     pass
-
-
-def _prepare(args):
-    args._config_values = _read_config(args.config) if args.config else {}
-    preset_name = args.preset or args._config_values.get("preset")
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise UsageError(
-                f"unknown preset {preset_name!r}; available: {', '.join(PRESETS)}"
-            )
-        args._preset = PRESETS[preset_name]
-    else:
-        args._preset = None
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -136,12 +112,7 @@ def _gnuplot_script(csv_path: str) -> str:
 
 def cmd_solve(args) -> int:
     params = _build_params(args)
-    u_max = float(_resolve(args, "umax", args.umax, 50.0 * params.m))
-    points = int(_resolve(args, "points", args.points, 201))
-    spacing = _resolve(args, "spacing", args.spacing, "uniform")
-    rtol = float(_resolve(args, "rtol", args.rtol, 1e-10))
-    atol = float(_resolve(args, "atol", args.atol, 1e-12))
-    grid = solve(params, u_max=u_max, points=points, spacing=spacing, rtol=rtol, atol=atol)
+    grid = solve(params, **_given(args, "umax", "points", "spacing", "rtol", "atol"))
     _emit(_solution_lines(grid), args.out)
     if args.gnuplot:
         if args.out is None:
@@ -154,12 +125,8 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     params = _build_params(args)
-    u_max = float(_resolve(args, "umax", args.umax, 50.0 * params.m))
-    points = int(_resolve(args, "points", args.points, 201))
-    rtol = float(_resolve(args, "rtol", args.rtol, 1e-10))
-    atol = float(_resolve(args, "atol", args.atol, 1e-12))
-    grid = solve(params, u_max=u_max, points=points, rtol=rtol, atol=atol)
-    report = ide_residual(grid, params, np.linspace(0.0, u_max, points))
+    grid = solve(params, **_given(args, "umax", "points", "rtol", "atol"))
+    report = ide_residual(grid, params, grid.u)
     lines = ["u,residual"]
     for i in range(len(report.u)):
         lines.append(f"{_fmt(report.u[i])},{_fmt(report.residual[i])}")
@@ -170,29 +137,15 @@ def cmd_residual(args) -> int:
 
 def cmd_mc(args) -> int:
     params = _build_params(args)
-    u_raw = _resolve(args, "u", args.u)
-    if u_raw is None:
+    if args.u is None:
         raise UsageError("mc requires --u (one value or a comma-separated list)")
     try:
-        u_values = [float(tok) for tok in str(u_raw).split(",") if tok.strip() != ""]
+        u_values = [float(tok) for tok in args.u.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --u value: {exc}") from exc
-    n = int(_resolve(args, "n", args.n, 10000))
-    T = _resolve(args, "T", args.T)
-    dt = _resolve(args, "dt", args.dt)
-    seed = _resolve(args, "seed", args.seed)
-    if seed is None and "RUINLAB_SEED" in os.environ:
-        seed = int(os.environ["RUINLAB_SEED"])
     lines = ["u,p_hat,stderr,n,T,dt,seed"]
     for u in u_values:
-        est = mc_survival(
-            params,
-            u,
-            n_paths=n,
-            T=float(T) if T is not None else None,
-            dt=float(dt) if dt is not None else None,
-            seed=int(seed) if seed is not None else None,
-        )
+        est = mc_survival(params, u, n_paths=args.n, **_given(args, "T", "dt", "seed"))
         lines.append(
             f"{_fmt(est.u)},{_fmt(est.p_hat)},{_fmt(est.stderr)},"
             f"{est.n_paths},{_fmt(est.T)},{_fmt(est.dt)},{est.seed}"
@@ -215,70 +168,82 @@ def cmd_presets(args) -> int:
     return 0
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="named scenario (see the presets command)")
-    p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--a", type=float, help="expected risky return")
-    p.add_argument("--b", type=float, help="volatility")
-    p.add_argument("--c", type=float, help="premium rate")
-    p.add_argument("--lambda", dest="lam", type=float, help="claim intensity")
-    p.add_argument("--m", type=float, help="mean claim size")
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its commands' parsers by name, built per call: a
+    command's ``set_defaults`` changes the flags it shares with the others."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", help="named scenario (see the presets command)")
+    common.add_argument("--config", help="key=value file; flags override it")
+    common.add_argument("--a", type=float, help="expected risky return")
+    common.add_argument("--b", type=float, help="volatility")
+    common.add_argument("--c", type=float, help="premium rate")
+    common.add_argument("--lambda", type=float, help="claim intensity")
+    common.add_argument("--m", type=float, help="mean claim size")
+    common.add_argument("--out", help="write CSV here instead of stdout")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--umax", type=float, help="grid endpoint")
+    grid.add_argument("--points", type=int, help="grid size")
+    grid.add_argument("--rtol", type=float)
+    grid.add_argument("--atol", type=float)
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruinlab",
         description="Survival probabilities for the Cramer-Lundberg model with investment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve and emit the solution as CSV")
-    _add_param_flags(p_solve)
-    p_solve.add_argument("--umax", type=float, help="grid endpoint")
-    p_solve.add_argument("--points", type=int, help="grid size")
+    p_solve = sub.add_parser(
+        "solve", parents=[common, grid], help="solve and emit the solution as CSV"
+    )
     p_solve.add_argument("--spacing", choices=("uniform", "log"))
-    p_solve.add_argument("--rtol", type=float)
-    p_solve.add_argument("--atol", type=float)
-    p_solve.add_argument("--out", help="write CSV here instead of stdout")
     p_solve.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_res = sub.add_parser("residual", help="solve, then check the equation residual")
-    _add_param_flags(p_res)
-    p_res.add_argument("--umax", type=float)
-    p_res.add_argument("--points", type=int)
-    p_res.add_argument("--rtol", type=float)
-    p_res.add_argument("--atol", type=float)
-    p_res.add_argument("--out")
+    p_res = sub.add_parser(
+        "residual", parents=[common, grid], help="solve, then check the equation residual"
+    )
     p_res.set_defaults(func=cmd_residual)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo survival estimate")
-    _add_param_flags(p_mc)
+    p_mc = sub.add_parser("mc", parents=[common], help="Monte Carlo survival estimate")
     p_mc.add_argument("--u", help="initial surplus (comma-separated list allowed)")
-    p_mc.add_argument("--n", type=int, help="number of paths")
+    p_mc.add_argument("--n", type=int, default=10000, help="number of paths")
     p_mc.add_argument("--T", type=float, help="time horizon")
     p_mc.add_argument("--dt", type=float, help="time step bound (b > 0 only)")
-    p_mc.add_argument("--seed", type=int, help="RNG seed (default: RUINLAB_SEED env)")
-    p_mc.add_argument("--out")
+    p_mc.add_argument("--seed", type=int, default=os.environ.get("RUINLAB_SEED"),
+                      help="RNG seed (default: RUINLAB_SEED env)")
     p_mc.set_defaults(func=cmd_mc)
 
     p_list = sub.add_parser("presets", help="list built-in scenarios")
     p_list.set_defaults(func=cmd_presets)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv):
+    """Parse ``argv`` with the preset's parameters and then the config's
+    values as the command's defaults."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "presets":
+        return args
+    config = _read_config(args.config) if args.config else {}
+    name = args.preset or config.get("preset")
+    command = commands[args.command]
+    if name is not None:
+        if name not in PRESETS:
+            raise UsageError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+        p = PRESETS[name].params
+        command.set_defaults(**dict(zip(_PARAMS, (p.a, p.b, p.c, p.lam, p.m))))
+    settings = set(vars(args)).difference(_NOT_SETTINGS)
+    command.set_defaults(**{k: v for k, v in config.items() if k in settings})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.func is not cmd_presets:
-            _prepare(args)
+        args = _parse(argv)
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except RuinlabError as exc:

@@ -23,13 +23,11 @@ phi' = exp((p - 1) log(u + c/a) - u/m - log norm).  So no m^p, Gamma(p) or
 norm is formed, and the solution stays finite where they overflow (p of
 several hundred).  Without premiums phi = -expm1(log Q(p, u/m)) from the
 regularized log Q, which adding and removing log Gamma(p) would round where
-phi is small.  Arrays of ``_ARRAY_MIN`` points or more take log Gamma or
-log Q from the array kernel ``log_upper_incomplete_gamma``.  A single point,
-and each point of a shorter array, takes the solution's point evaluator:
-the same formulas in Python floats, with log Gamma or log Q from the scalar
-routines (``upper_incomplete_gamma`` while p <= ``_SCALAR_P_MAX``, where
-Gamma(p, z) is finite): a few us a point against the kernel's fixed cost of
-a few hundred us, so faster below that size.
+phi is small.  Arrays take log Gamma or log Q from the array kernel
+``log_upper_incomplete_gamma``.  A single point takes the solution's point
+evaluator: the same formulas in Python floats, with log Gamma or log Q from
+the scalar routines (``upper_incomplete_gamma`` while p <= ``_SCALAR_P_MAX``,
+where Gamma(p, z) is finite).
 
 Both serve as independent oracles for the numerical pipeline.
 """
@@ -59,12 +57,6 @@ __all__ = [
     "lundberg_coefficient",
 ]
 
-# Queries below this many points take the point evaluator per point: at
-# 4-7 us a point it beats the array kernel, whose fixed cost is 0.2-0.35 ms
-# (its per-level ufunc calls and a continued-fraction probe per doubling of
-# z), up to 56-64 points on fig3-I/II and fig4-I/II over [0, 50 m]
-# (measured on a 2-core x86 VM)
-_ARRAY_MIN = 64
 # Gamma(p) and so Gamma(p, z) are finite for p below 171.6
 _SCALAR_P_MAX = 171.0
 
@@ -150,8 +142,6 @@ def riskfree_exact(params: ModelParams, u_grid=None) -> SolutionGrid:
     dphi_origin, ddphi_origin = origin_limits(p, ext_exp(-log_norm), -1.0 / m)
 
     def eval3(u: np.ndarray):
-        if u.size < _ARRAY_MIN:
-            return tuple(np.array([point3(x) for x in u.tolist()]).reshape(-1, 3).T)
         if c > 0.0:
             log_g = log_upper_incomplete_gamma(p, u / m + z0)
             phi = 1.0 - np.exp(p * math.log(m) + z0 + log_g - log_norm)

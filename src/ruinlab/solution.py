@@ -42,9 +42,9 @@ def check_u_max(u_max) -> None:
         raise ValueError(f"u_max must be finite and > 0, got {u_max!r}")
 
 
-def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform"):
+def resolve_grid(m: float, u_grid=None, u_max=None):
     """(u_grid, u_max) of a route: a given grid raises u_max to its end,
-    u_max defaults to 50 m, and the grid to ``make_grid(u_max, points, spacing)``.
+    u_max defaults to 50 m, and the grid to 201 uniform points on [0, u_max].
     Each route calls it once on the grid it receives.
 
     Raises ValueError for a non-finite or nonpositive ``u_max``, for a
@@ -52,7 +52,7 @@ def resolve_grid(m: float, u_grid=None, u_max=None, points=201, spacing="uniform
     empty or not 1-D, and for one that is not strictly increasing."""
     if u_grid is None:
         u_max = 50.0 * m if u_max is None else u_max
-        return make_grid(u_max, points, spacing), u_max
+        return make_grid(u_max, 201), u_max
     if u_max is not None:
         check_u_max(u_max)
     u_grid = np.asarray(u_grid, dtype=float)

@@ -75,8 +75,6 @@ def solve_main(
     u_max: float | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    points: int = 201,
-    spacing: str = "uniform",
     u_grid=None,
 ) -> SolutionGrid:
     """Solve the main regime; see the module docstring for the pipeline.
@@ -84,9 +82,11 @@ def solve_main(
     U climbs from u_max by factors of sqrt(2) up to 256 max(200 m, u_max),
     and ``SolverError`` is raised where the series at infinity truncates at
     none of these.  The solution's span is [0, inf): series at u = 0 up to
-    u0, trajectory up to U, series at infinity beyond.  ``rtol`` is the
-    integration's tolerance; ``atol`` decides only whether the tail
-    coefficient K is resolved at U."""
+    u0, trajectory up to U, series at infinity beyond.  ``u_max`` defaults
+    to 50 m and ``u_grid`` to 201 uniform points on [0, u_max]; ``solve``
+    builds the other grids.  ``rtol`` is the integration's tolerance;
+    ``atol`` decides only whether the tail coefficient K is resolved at U.
+    Raises ValueError unless both are positive and finite."""
     check_tolerances(rtol, atol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:
@@ -97,7 +97,7 @@ def solve_main(
     u0 = exp.u0
     state0 = np.array(eval_series(exp, 1.0, u0))
 
-    u_grid, u_max = resolve_grid(params.m, u_grid, u_max, points, spacing)
+    u_grid, u_max = resolve_grid(params.m, u_grid, u_max)
     e = series_coeffs_infinity(params)
     j = np.arange(len(e))
     reach = 2.0 * max(200.0 * params.m, u_max)
@@ -215,11 +215,14 @@ def solve(
 ) -> SolutionGrid:
     """Solve any regime and return a uniformly shaped SolutionGrid.
 
+    ``rtol`` and ``atol`` must be positive and finite on every route; the
+    closed forms and the capital stock's exact sums do not use them.
     Raises :class:`NoSolutionError` when the problem is nonviable (classical
     regime with nonpositive safety loading) or refused (2a/b^2 exactly 1);
     returns the explicit zero solution, flagged in the diagnostics, when
     ruin is certain under non-robust shares.
     """
+    check_tolerances(rtol, atol)
     info = classify_regime(params)
     # every route validates the grid it is given, so a grid is only built here
     if u_grid is None:
@@ -235,7 +238,7 @@ def solve(
     if info.regime is Regime.RISK_FREE:
         return riskfree_exact(params, u_grid=u_grid)
     if info.regime is Regime.CAPITAL_STOCK:
-        return capitalstock.phi_capital_stock(params, u_grid, u_max, rtol=rtol, atol=atol)
+        return capitalstock.phi_capital_stock(params, u_grid, u_max)
     # NO_SOLUTION
     if info.reason == REASON_NOT_ROBUST:
         return _zero_grid(params.m, u_grid, info)

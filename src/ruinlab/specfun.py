@@ -271,8 +271,9 @@ def log_upper_incomplete_gamma(p: float, z, regularized: bool = False) -> np.nda
                     total += term
                     if (term < total * _EPS).all():
                         break
-                else:
-                    raise ConvergenceError(f"lower gamma series failed to converge (p={p})")
+                else:  # the scalar routine's message, at the slowest point
+                    raise ConvergenceError(
+                        f"lower gamma series failed to converge (p={p}, z={float(x.max())})")
                 t = log_p = p * np.log(x) - x - math.lgamma(p + 1.0) + np.log(total)
                 s = np.zeros_like(x)
         small = log_p < _LOG_HALF

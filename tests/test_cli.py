@@ -219,3 +219,104 @@ class TestUnboundedSlopeFormatting:
         assert code == 0
         first_row = out.split("\n")[1].split(",")
         assert first_row[2] == "inf"
+
+
+def _rows(out):
+    return [ln for ln in out.strip().split("\n")[1:] if not ln.startswith("#")]
+
+
+def _footer(out, key):
+    return next(ln for ln in out.split("\n") if ln.startswith(f"# {key} = ")).split("= ")[1]
+
+
+class TestLayering:
+    """flag > config file > preset > library default."""
+
+    def config(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_config_over_preset(self, tmp_path, capsys):
+        # fig1-I is classical: C0 = 1 - lam m / c
+        cfg = self.config(tmp_path, "c = 0.2\n")
+        code, out, _ = run(capsys, "solve", "--preset", "fig1-I", "--config", cfg)
+        assert code == 0 and float(_footer(out, "C0")) == pytest.approx(0.55, rel=1e-14)
+        cfg = self.config(tmp_path, "preset = fig1-I\nc = 0.2\n")
+        code, out, _ = run(capsys, "solve", "--config", cfg)
+        assert code == 0 and float(_footer(out, "C0")) == pytest.approx(0.55, rel=1e-14)
+        # a flag over the config
+        code, out, _ = run(capsys, "solve", "--config", cfg, "--c", "0.1")
+        assert code == 0 and float(_footer(out, "C0")) == pytest.approx(0.1, rel=1e-14)
+
+    def test_preset_flag_over_config_preset(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "preset = fig1-I\n")
+        code, out, _ = run(capsys, "solve", "--config", cfg, "--preset", "fig3-II")
+        assert code == 0 and _footer(out, "regime") == "risk-free"
+        code, _, err = run(capsys, "solve", "--config", self.config(tmp_path, "preset = nope\n"))
+        assert code == 2 and "unknown preset" in err
+
+    def test_typed_config_values(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "preset = fig1-I\npoints = 11\numax = 20\nseed = 3\n")
+        code, out, _ = run(capsys, "solve", "--config", cfg)
+        rows = _rows(out)
+        assert code == 0 and len(rows) == 11 and rows[-1].startswith("20,")
+        code, out, _ = run(capsys, "mc", "--config", cfg, "--u", "5", "--n", "10", "--T", "5")
+        assert code == 0 and _rows(out)[0].split(",")[6] == "3"
+        # argparse converts the value with the flag's type, and exits 2
+        bad = self.config(tmp_path, "preset = fig1-I\npoints = 1.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", bad])
+        assert exc.value.code == 2
+
+    def test_residual_reads_config(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "preset = fig1-I\numax = 20\npoints = 11\n")
+        code, out, _ = run(capsys, "residual", "--config", cfg)
+        flags = run(capsys, "residual", "--preset", "fig1-I", "--umax", "20", "--points", "11")
+        assert code == 0 and (code, out) == flags[:2]
+        assert len(_rows(out)) == 11
+
+    def test_mc_reads_config(self, tmp_path, capsys):
+        cfg = self.config(
+            tmp_path, "preset = fig1-II\nu = 1,2\nn = 40\nT = 5\ndt = 0.05\nseed = 7\n"
+        )
+        code, out, _ = run(capsys, "mc", "--config", cfg)
+        flags = run(capsys, "mc", "--preset", "fig1-II", "--u", "1,2", "--n", "40",
+                    "--T", "5", "--dt", "0.05", "--seed", "7")
+        assert code == 0 and (code, out) == flags[:2]
+        assert [r.split(",")[3:] for r in _rows(out)] == [["40", "5", "0.05", "7"]] * 2
+
+    def test_config_seed_over_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RUINLAB_SEED", "777")
+        cfg = self.config(tmp_path, "preset = fig1-I\nu = 5\nn = 10\nT = 5\nseed = 3\n")
+        _, out, _ = run(capsys, "mc", "--config", cfg)
+        assert _rows(out)[0].split(",")[6] == "3"
+        _, out, _ = run(capsys, "mc", "--config", cfg, "--seed", "4")
+        assert _rows(out)[0].split(",")[6] == "4"
+
+    # keys that name no flag of the command: residual has no --spacing, mc no
+    # --points or --rtol, solve no --u or --seed; func and command are
+    # argparse's own destinations, and gnuplot is a switch
+    IGNORED = {
+        "solve": "u = x\nseed = x\n",
+        "residual": "spacing = log\nu = x\n",
+        "mc": "spacing = log\npoints = 3\nrtol = x\n",
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--points", "5"],
+            ["residual", "--points", "5"],
+            ["mc", "--u", "5", "--n", "10", "--T", "5", "--seed", "1"],
+        ],
+    )
+    def test_keys_that_name_no_flag_are_ignored(self, tmp_path, capsys, argv):
+        cfg = self.config(
+            tmp_path,
+            "preset = fig1-II\nfunc = nope\ncommand = mc\nbogus = 1\ngnuplot = 1\n"
+            + self.IGNORED[argv[0]],
+        )
+        code, out, err = run(capsys, argv[0], "--config", cfg, *argv[1:])
+        assert (code, err) == (0, "")
+        assert out == run(capsys, argv[0], "--preset", "fig1-II", *argv[1:])[1]

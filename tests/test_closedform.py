@@ -171,7 +171,7 @@ class TestRiskFreeExact:
         np.testing.assert_allclose(scalar, ref, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(dense, ref, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("shape", [(4, 8), (4, 64)])  # 256 points take the kernel
+    @pytest.mark.parametrize("shape", [(4, 8), (4, 64)])
     def test_any_shape(self, shape):
         us = np.random.default_rng(5).uniform(0.0, 50.0, shape)
         for sol in (riskfree_exact(RISKFREE_HIGH), riskfree_exact(PRESETS["fig4-II"].params),
@@ -184,7 +184,6 @@ class TestRiskFreeExact:
     def test_scalar_equals_array(self, name):
         sol = riskfree_exact(PRESETS[name].params)
         us = np.linspace(0.0, 50.0, 201)
-        assert us.size >= closedform._ARRAY_MIN  # the array takes the kernel
         phi, dphi, _ = sol.evaluate(us)
         scalar = np.array([sol.evaluate(float(u)) for u in us])
         np.testing.assert_allclose(scalar[:, 0], phi, rtol=1e-14, atol=0.0)
@@ -218,7 +217,6 @@ class TestRiskFreeExact:
             calls.clear()
             sol = riskfree_exact(PRESETS[name].params)
             assert len(calls) == 1, name
-            assert sol.u.size >= closedform._ARRAY_MIN  # the grid takes the kernel
             # the diagnostic is the point evaluator's slope at 0
             assert sol.diagnostics["dphi_at_zero"] == sol.evaluate(0.0)[1]
 
@@ -235,7 +233,7 @@ class TestRiskFreeExact:
             assert len(values) == 3 and all(type(v) is float for v in values)
             assert values == sol.evaluate(5.0)
         # far out Gamma(p, z) underflows; the long array takes the kernel
-        far = sol.evaluate(np.full(closedform._ARRAY_MIN, 1e3))
+        far = sol.evaluate(np.full(64, 1e3))
         assert sol.evaluate(1e3) == (far[0][0], far[1][0], far[2][0])
 
     @pytest.mark.parametrize("point", OVERFLOW_POINTS)
@@ -245,7 +243,7 @@ class TestRiskFreeExact:
         a, c, lam = point
         sol = riskfree_exact(ModelParams(a=a, b=0.0, c=c, lam=lam, m=1.0))
         p = lam / a
-        us = np.linspace(0.05 * p, 3.0 * p, closedform._ARRAY_MIN)  # the kernel's path
+        us = np.linspace(0.05 * p, 3.0 * p, 64)  # the kernel's path
         phi, dphi, _ = sol.evaluate(us)
         scalar = np.array([sol.evaluate(u) for u in us[::7].tolist()])
         np.testing.assert_allclose(scalar[:, 1], dphi[::7], rtol=1e-14, atol=0.0)
@@ -266,11 +264,11 @@ class TestRiskFreeExact:
 
 
 def _origin_values(sol):
-    """(phi, phi', phi'') at u = 0 from the grid row, a short array (the
-    point path), a kernel-length array and a scalar query."""
+    """(phi, phi', phi'') at u = 0 from the grid row, a 2-point array, a
+    64-point array and a scalar query."""
     assert sol.u[0] == 0.0
     short = sol.evaluate(np.array([0.0, 1.0]))
-    long = sol.evaluate(np.linspace(0.0, 50.0, closedform._ARRAY_MIN))
+    long = sol.evaluate(np.linspace(0.0, 50.0, 64))
     return [
         (sol.phi[0], sol.dphi[0], sol.ddphi[0]),
         tuple(v[0] for v in short),
@@ -321,7 +319,7 @@ class TestSecondDerivative:
         # fig4-II (c = 0, p = 0.9) has phi' ~ u^(p-1)
         params = PRESETS[name].params
         sol = classical_exact(params) if params.a == 0.0 else riskfree_exact(params)
-        us = np.geomspace(0.01, 40.0, closedform._ARRAY_MIN)  # the array takes the kernel
+        us = np.geomspace(0.01, 40.0, 64)  # the array takes the kernel
         h = 1e-5 * us
         if path == "array":
             evaluate = sol.evaluate

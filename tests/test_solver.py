@@ -508,6 +508,15 @@ class TestGridValidation:
         expected = make_grid(10.0, 11) if u_grid is None else u_grid
         np.testing.assert_array_equal(grid.u, expected)
 
+    @pytest.mark.parametrize("route", sorted(ALL_ROUTES))
+    @pytest.mark.parametrize(
+        ("rtol", "atol"), [(np.inf, 1e-12), (1e-10, np.nan), (-1.0, 1e-12), (1e-10, 0.0)]
+    )
+    def test_every_route_rejects_invalid_tolerances(self, route, rtol, atol):
+        # the closed forms, the capital stock and certain ruin use neither
+        with pytest.raises(ValueError, match="rtol and atol"):
+            solve(self.ALL_ROUTES[route], rtol=rtol, atol=atol)
+
 
 class TestEvaluate:
     NAMES = TestSolutionProperties.NAMES
