@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NoSolutionError, SolverError, log_info
 from .model import ModelParams, Regime, RegimeInfo
-from .series import ORDER, PHI_TOL, choose_u0, horner, origin_limits, poly3
+from .series import ORDER, PHI_TOL, choose_u0, far_field, origin_limits, poly3
 from .series import series_coeffs_infinity, truncates
 from .solution import SolutionGrid, TailFit, resolve_grid
 from .specfun import STIRLING_MIN, _log_upper_gamma, ext_exp, ext_log, log_gamma_density
@@ -266,7 +266,7 @@ def phi_capital_stock(
     # x_far, the first band top where the series at infinity truncates and M's
     # part in e^-x (DLMF 13.7.2) is below e^-_TAIL: 1 - phi, u phi', -u^2 phi''
     # = K (r-1) u^(1-r) (T, S, D) beyond it
-    e, j = series_coeffs_infinity(params), np.arange(ORDER + 1)
+    e = series_coeffs_infinity(params)
     log_e = math.lgamma(mu1 + 1.0) - math.lgamma(mu1 + r - 1.0)
     bounds, x_far = [0.0], math.inf
     while bounds[-1] < U / m and x_far == math.inf:
@@ -307,12 +307,7 @@ def phi_capital_stock(
     edges = bounds[1:]
     # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
     dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))
-    far_desc = [v[::-1].tolist() for v in (e / (r + j - 1.0), e, e * (r + j))]
-
-    def far(u, polyval, exp, log):
-        z, c = 1.0 / u, exp(log_K + math.log(r - 1.0) + (1.0 - r) * log(u))
-        T, S, D = (polyval(p, z) for p in far_desc)
-        return 1.0 - c * T, c * z * S, -c * z * z * D
+    far3, far_point3 = far_field(e, r, log_K)
 
     def eval3(uq: np.ndarray):
         # sorted, a band is a slice and term q runs over its tail y > thr[q]
@@ -339,14 +334,14 @@ def phi_capital_stock(
         at0, outer = x == 0.0, x > x_far
         phi[at0], dphi[at0], ddphi[at0] = 0.0, dphi0, ddphi0
         if outer.any():
-            phi[outer], dphi[outer], ddphi[outer] = far(uq[outer], np.polyval, np.exp, np.log)
+            phi[outer], dphi[outer], ddphi[outer] = far3(uq[outer])
         return phi, dphi, ddphi
 
     def point3(u: float):
         # eval3's arithmetic in floats
         x = u / m
         if x == 0.0 or x > x_far:
-            return far(u, horner, ext_exp, ext_log) if x else (0.0, dphi0, ddphi0)
+            return far_point3(u) if x else (0.0, dphi0, ddphi0)
         X, Kc, shift, _, thr, desc = bands[bisect_left(edges, x)]
         y, ly = x / X, ext_log(x / X)
         s0 = s1 = s2 = 0.0

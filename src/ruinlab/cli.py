@@ -90,7 +90,7 @@ def _solution_lines(grid) -> list[str]:
     if grid.tail is not None:
         lines.append(f"# K = {_fmt(grid.tail.K)}")
         lines.append(f"# exponent = {_fmt(grid.tail.exponent)}")
-    for key in ("reason", "u0", "U", "rtol", "atol", "tail_note"):
+    for key in ("reason", "u0", "U", "rtol"):
         if key in grid.diagnostics:
             val = grid.diagnostics[key]
             val = _fmt(val) if isinstance(val, (int, float)) else val
@@ -112,11 +112,11 @@ def _gnuplot_script(csv_path: str) -> str:
 
 def cmd_solve(args) -> int:
     params = _build_params(args)
-    grid = solve(params, **_given(args, "umax", "points", "spacing", "rtol", "atol"))
+    if args.gnuplot and args.out is None:
+        raise UsageError("--gnuplot requires --out (the script must reference a file)")
+    grid = solve(params, **_given(args, "umax", "points", "spacing", "rtol"))
     _emit(_solution_lines(grid), args.out)
     if args.gnuplot:
-        if args.out is None:
-            raise UsageError("--gnuplot requires --out (the script must reference a file)")
         script = os.path.splitext(args.out)[0] + ".gp"
         with open(script, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_gnuplot_script(args.out) + "\n")
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     params = _build_params(args)
-    grid = solve(params, **_given(args, "umax", "points", "rtol", "atol"))
+    grid = solve(params, **_given(args, "umax", "points", "rtol"))
     report = ide_residual(grid, params, grid.u)
     lines = ["u,residual"]
     for i in range(len(report.u)):
@@ -184,7 +184,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     grid.add_argument("--umax", type=float, help="grid endpoint")
     grid.add_argument("--points", type=int, help="grid size")
     grid.add_argument("--rtol", type=float)
-    grid.add_argument("--atol", type=float)
 
     parser = argparse.ArgumentParser(
         prog="ruinlab",

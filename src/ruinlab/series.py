@@ -27,11 +27,12 @@ phi' = A u^(e-1) (1 + s u + ...), ``origin_limits`` reads phi'(0+) and
 phi''(0+) off that term: the capital stock (e = mu1) and the risk-free
 regime without premiums (e = lam/a) share it.
 
-At infinity the main-regime slope is a power law times a series in 1/u,
-phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2 (Frolova, Kabanov &
-Pergamenshchikov 2002); ``series_coeffs_infinity`` gives the e_j.  The
-main route matches the series at a U where it ``truncates`` in 1/U, the
-capital stock takes it with its exact K, and both evaluate it beyond.
+At infinity 1 - phi ~ K u^(1-r), r = 2a/b^2, and the slope is that power
+law times a series in 1/u, phi' ~ K (r-1) u^(-r) sum_j e_j u^(-j) (Frolova,
+Kabanov & Pergamenshchikov 2002).  ``series_coeffs_infinity`` gives
+the e_j and ``far_field`` the series from log K: the main route reads K off
+phi'(U) at a U where the series ``truncates`` in 1/U, the capital stock has
+it exact, and both evaluate ``far_field`` beyond.
 
 The expansions keep ``ORDER`` terms, except the main regime's at u = 0:
 where 20 terms reach the top of its first candidates, 0.1 m, it doubles
@@ -53,11 +54,13 @@ import numpy as np
 
 from .errors import SolverError, log_info
 from .model import ModelParams
+from .specfun import ext_exp, ext_log
 
 __all__ = [
     "SeriesExpansion",
     "series_coeffs_main",
     "series_coeffs_infinity",
+    "far_field",
     "truncates",
     "choose_u0",
     "poly3",
@@ -192,6 +195,24 @@ def series_coeffs_infinity(params: ModelParams) -> np.ndarray:
         t = (0.5 * b2 * (r + j - 2.0) * (j - 1.0) + c / m - lam) * e[-1] - c * (r + j - 2.0) * e[-2]
         e.append(2.0 * m / (b2 * j) * t)
     return np.array(e[1:])
+
+
+def far_field(e: np.ndarray, r: float, log_K: float):
+    """(eval3, point3), at an array u and in Python floats at a float u, of
+    1 - phi = K (r-1) u^(1-r) T, phi' = K (r-1) u^(-r) S and phi'' = -K (r-1)
+    u^(-r-1) D, with S, T, D the sums over j of e_j u^(-j) times 1, 1/(r+j-1)
+    and r+j.  K and u^(1-r) are multiplied in logs, so neither overflows;
+    log_K = -inf gives phi = 1."""
+    j = np.arange(len(e))
+    desc = [v[::-1].tolist() for v in (e / (r + j - 1.0), e, e * (r + j))]
+    log_c = log_K + math.log(r - 1.0)
+
+    def far(u, polyval, exp, log):
+        z, c = 1.0 / u, exp(log_c + (1.0 - r) * log(u))
+        T, S, D = (polyval(p, z) for p in desc)
+        return 1.0 - c * T, c * z * S, -c * z * z * D
+
+    return lambda u: far(u, np.polyval, np.exp, np.log), lambda u: far(u, horner, ext_exp, ext_log)
 
 
 def truncates(poly: np.ndarray, x, tol: float = TOL):

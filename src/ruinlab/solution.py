@@ -13,9 +13,11 @@ from .model import RegimeInfo
 __all__ = ["TailFit", "SolutionGrid", "make_grid"]
 
 _FLOAT_MAX = float(np.finfo(float).max)
+# the default output grid of ``solve`` and ``resolve_grid``: 201 uniform points on [0, 50 m]
+GRID_POINTS, GRID_SPACING, GRID_U_MAX = 201, "uniform", 50.0
 
 
-def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray:
+def make_grid(u_max: float, points: int, spacing: str = GRID_SPACING) -> np.ndarray:
     """Output grid from 0 to u_max, uniform or logarithmic.
 
     Raises ValueError for a non-finite or nonpositive ``u_max``, for fewer
@@ -30,10 +32,11 @@ def make_grid(u_max: float, points: int, spacing: str = "uniform") -> np.ndarray
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
-def check_tolerances(rtol: float, atol: float) -> None:
-    """Refuse tolerances that are not positive and finite."""
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise ValueError(f"rtol and atol must be positive and finite, got {rtol!r}, {atol!r}")
+def check_tolerances(**tols: float) -> None:
+    """Refuse tolerances, given by name, that are not positive and finite."""
+    if not all(0.0 < t < math.inf for t in tols.values()):
+        got = ", ".join(map(repr, tols.values()))
+        raise ValueError(f"{' and '.join(tols)} must be positive and finite, got {got}")
 
 
 def check_u_max(u_max) -> None:
@@ -51,8 +54,8 @@ def resolve_grid(m: float, u_grid=None, u_max=None):
     ``u_grid`` entry that is non-finite or negative, for a ``u_grid`` that is
     empty or not 1-D, and for one that is not strictly increasing."""
     if u_grid is None:
-        u_max = 50.0 * m if u_max is None else u_max
-        return make_grid(u_max, 201), u_max
+        u_max = GRID_U_MAX * m if u_max is None else u_max
+        return make_grid(u_max, GRID_POINTS), u_max
     if u_max is not None:
         check_u_max(u_max)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -70,9 +73,11 @@ class TailFit:
 
     ``A`` is the finite limit of the unnormalized solution: 1/phi(0) in the
     main regime, where ``A`` and ``K`` come from matching the series at
-    infinity, the solution beyond the match point ``U``, to phi(U) and
-    phi'(U).  In the capital-stock regime ``A`` = Z and ``K`` are exact (a
-    Mellin transform and Kummer's asymptotics), and the span is [0, ``U``].
+    infinity to phi(U) and phi'(U), and no fit is reported where phi'(U) is
+    below the normal float range.  In the capital-stock regime ``A`` = Z and
+    ``K`` are exact (a Mellin transform and Kummer's asymptotics), and the
+    span is [0, ``U``].  ``K``, formed in logs, reads inf beyond double
+    range; far out, both routes evaluate the series with it (``far_field``).
     """
 
     A: float

@@ -7,16 +7,19 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 2. integrate the third-order equation once, by Taylor steps (``odes``),
    from u0 to a U chosen before the integration as the smallest candidate
    u_max 2^(k/2), k = 0, 1, .., at which the power-law series at infinity,
-   phi' ~ K u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
+   phi' ~ K (r - 1) u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
 3. match that series to phi(U) and phi'(U): the finite limit of the
    unnormalized solution is A = phi(U) + phi'(U) U T(U) / S(U), with
    S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1);
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
    proportional to C0 (no shooting iteration is needed).
 
-Beyond U the solution is the matched series itself, phi = C0 (A - w u T(u))
-and phi' = C0 w S(u) with w = phi'(U) (U/u)^r / S(U), so the main route,
-like the closed forms, evaluates on [0, inf).
+The match gives the tail coefficient K of 1 - phi ~ K u^(1-r) as well, in
+logs: log K = log phi'(U) + r log U - log((r - 1) A S(U)).  Beyond U the
+solution is the series at infinity with that K (``series.far_field``), as
+the capital stock's is with its exact K, so the main route, like the closed
+forms, evaluates on [0, inf).  Where phi'(U) is below the normal float range
+it has lost its digits, and K is not reported.
 
 Degenerate regimes dispatch to their closed forms or to the capital-stock
 route; parameter sets with certain ruin yield the explicit zero
@@ -43,20 +46,12 @@ from .model import (
 # perfbench/tracer.py patches integrate and main_ode_field here; its field
 # wrap cannot rebuild a LinearOde, so the equation comes from odes
 from .odes import integrate, main_ode_field  # noqa: F401
-from .series import eval_series, horner, series_coeffs_infinity, series_coeffs_main, truncates
-from .solution import (
-    SolutionGrid,
-    TailFit,
-    check_tolerances,
-    check_u_max,
-    make_grid,
-    resolve_grid,
-)
+from .series import eval_series, far_field, series_coeffs_infinity, series_coeffs_main, truncates
+from .solution import GRID_POINTS, GRID_SPACING, GRID_U_MAX, SolutionGrid, TailFit
+from .solution import check_tolerances, check_u_max, make_grid, resolve_grid
+from .specfun import ext_exp, ext_log
 
 __all__ = ["solve", "solve_main", "phi_second_derivative_at_zero", "make_grid"]
-
-# beyond this, phi'(U) * U^(2a/b^2) amplifies integrator noise, not signal
-_TAIL_RESOLUTION_FACTOR = 100.0
 
 
 def phi_second_derivative_at_zero(params: ModelParams, C0: float) -> float:
@@ -74,7 +69,6 @@ def solve_main(
     params: ModelParams,
     u_max: float | None = None,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
     u_grid=None,
 ) -> SolutionGrid:
     """Solve the main regime; see the module docstring for the pipeline.
@@ -85,9 +79,8 @@ def solve_main(
     u0, trajectory up to U, series at infinity beyond.  ``u_max`` defaults
     to 50 m and ``u_grid`` to 201 uniform points on [0, u_max]; ``solve``
     builds the other grids.  ``rtol`` is the integration's tolerance;
-    ``atol`` decides only whether the tail coefficient K is resolved at U.
-    Raises ValueError unless both are positive and finite."""
-    check_tolerances(rtol, atol)
+    ValueError is raised unless it is positive and finite."""
+    check_tolerances(rtol=rtol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:
         raise ValueError(f"solve_main expects the main regime, got {info}")
@@ -123,32 +116,16 @@ def solve_main(
     terms = e * (1.0 / U) ** j
     S_U = float(terms.sum())
     A = phi_U + dphi_U * U * float(terms @ (1.0 / (r + j - 1.0))) / S_U
-    if A <= 0.0:
-        raise SolverError(f"nonpositive limit at infinity: A={A:g}")
+    if not (A > 0.0 and S_U > 0.0 and dphi_U >= 0.0):
+        raise SolverError(f"nonpositive limit at infinity: A={A:g}, S(U)={S_U:g}, phi'(U)={dphi_U:g}")
     C0 = 1.0 / A
     log_info(__name__, "main solve: u0=%.4g U=%g C0=%.8g", u0, U, C0)
 
-    # The tail coefficient is meaningful only while phi'(U) still stands
-    # above the integrator's error floor.
-    tail_term = dphi_U * U / (r - 1.0)
-    tail = None
-    if tail_term > _TAIL_RESOLUTION_FACTOR * (atol + rtol * abs(A)):
-        K = dphi_U * U**r / ((r - 1.0) * A * S_U)
-        tail = TailFit(A=A, K=K, exponent=1.0 - r, U=U)
-
-    # Beyond U, the matched series at infinity: with w = phi'(U) (U/u)^r / S(U),
-    # phi' = w S(u), phi = A - w u T(u) and phi'' = -w sum_j (r+j) e_j u^(-j) / u,
-    # all times C0; U^r is never formed.  phi is written 1 - C0 w u T(u), so
-    # that it reads 1 where w underflows.
-    scale = C0 * dphi_U / S_U
-    desc = [v.tolist() for v in (e[::-1], (e / (r + j - 1.0))[::-1], (e * (r + j))[::-1])]
-
-    def far(x, polyval):
-        # at an array x with np.polyval, at a float with its twin in floats
-        z = 1.0 / x
-        cw = scale * (U * z) ** r
-        S, T, D = (polyval(p, z) for p in desc)
-        return 1.0 - cw * x * T, cw * S, -cw * D * z
+    # phi'(U) = K (r - 1) A U^(-r) S(U); where phi'(U) reads 0, phi reads 1 beyond U
+    log_K = ext_log(dphi_U) + r * math.log(U) - math.log((r - 1.0) * A * S_U)
+    # phi'(U) below the normal range, and K with it, has lost its digits
+    tail = TailFit(A, ext_exp(log_K), 1.0 - r, U) if dphi_U >= np.finfo(float).tiny else None
+    far3, far_point3 = far_field(e, r, log_K)
 
     def eval3(uq: np.ndarray):
         # the series at u = 0 up to u0, the trajectory up to U, the series
@@ -160,14 +137,14 @@ def solve_main(
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
         outer = uq > U
         if outer.any():
-            phi[outer], dphi[outer], ddphi[outer] = far(uq[outer], np.polyval)
+            phi[outer], dphi[outer], ddphi[outer] = far3(uq[outer])
         return phi, dphi, ddphi
 
     def point3(x: float):
         if x <= u0:
             return eval_series(exp, C0, x)
         if x > U:
-            return far(x, horner)
+            return far_point3(x)
         phi, dphi, ddphi = traj(x)
         return C0 * phi, C0 * dphi, C0 * ddphi
 
@@ -176,12 +153,9 @@ def solve_main(
         "series_order": exp.order,
         "U": U,
         "rtol": rtol,
-        "atol": atol,
         "A": A,
         "steps": len(traj.us) - 1,
     }
-    if tail is None:
-        diagnostics["tail_note"] = "power-law tail below integrator resolution at U"
     return SolutionGrid.sample(
         u_grid, eval3, point3, C0=C0, regime=info, tail=tail, diagnostics=diagnostics
     )
@@ -207,32 +181,31 @@ def _zero_grid(m: float, u_grid, info: RegimeInfo) -> SolutionGrid:
 def solve(
     params: ModelParams,
     u_max: float | None = None,
-    points: int = 201,
-    spacing: str = "uniform",
+    points: int = GRID_POINTS,
+    spacing: str = GRID_SPACING,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
     u_grid=None,
 ) -> SolutionGrid:
     """Solve any regime and return a uniformly shaped SolutionGrid.
 
-    ``rtol`` and ``atol`` must be positive and finite on every route; the
-    closed forms and the capital stock's exact sums do not use them.
+    ``rtol`` must be positive and finite on every route; the closed forms
+    and the capital stock's exact sums do not use it.
     Raises :class:`NoSolutionError` when the problem is nonviable (classical
     regime with nonpositive safety loading) or refused (2a/b^2 exactly 1);
     returns the explicit zero solution, flagged in the diagnostics, when
     ruin is certain under non-robust shares.
     """
-    check_tolerances(rtol, atol)
+    check_tolerances(rtol=rtol)
     info = classify_regime(params)
     # every route validates the grid it is given, so a grid is only built here
     if u_grid is None:
-        u_max = 50.0 * params.m if u_max is None else u_max
+        u_max = GRID_U_MAX * params.m if u_max is None else u_max
         u_grid = make_grid(u_max, points, spacing)
     elif u_max is not None:
         check_u_max(u_max)
 
     if info.regime is Regime.MAIN:
-        return solve_main(params, u_max=u_max, rtol=rtol, atol=atol, u_grid=u_grid)
+        return solve_main(params, u_max=u_max, rtol=rtol, u_grid=u_grid)
     if info.regime is Regime.CLASSICAL_CL:
         return classical_exact(params, u_grid=u_grid)
     if info.regime is Regime.RISK_FREE:

@@ -207,7 +207,7 @@ def ide_residual(
     The report scales the sup norm by lam so tolerances are comparable
     across parameter sets.
     """
-    check_tolerances(rtol, atol)
+    check_tolerances(rtol=rtol, atol=atol)
     uq = np.sort(np.asarray(grid, dtype=float))
     if uq.ndim != 1 or uq.size == 0:
         raise ValueError(f"grid must be a non-empty 1-D array, got shape {uq.shape}")
@@ -542,8 +542,8 @@ def tail_exponent(
 
     Only regimes with a genuine power-law tail qualify (risky investment);
     the risk-free and classical tails are exponential and are rejected.  The
-    window must keep 1 - phi above ten times the solve tolerance, otherwise
-    the fit would read integrator noise.
+    window must keep 1 - phi above 1e-11, otherwise the fit would read
+    integration error.
     """
     if solution.regime.regime not in (Regime.MAIN, Regime.CAPITAL_STOCK):
         raise ValueError(
@@ -555,10 +555,7 @@ def tail_exponent(
     uq = np.geomspace(lo, hi, n_points)
     phi, _, _ = solution.evaluate(uq)
     one_minus = 1.0 - phi
-    floor = 10.0 * solution.diagnostics.get("atol", 1e-12)
-    if np.any(one_minus <= floor):
-        raise ValueError(
-            f"1 - phi underflows the tolerance floor {floor:g} inside the window"
-        )
+    if np.any(one_minus <= 1e-11):
+        raise ValueError("1 - phi underflows the tolerance floor 1e-11 inside the window")
     slope, intercept = np.polyfit(np.log(uq), np.log(one_minus), 1)
     return TailEstimate(slope=float(slope), K=float(np.exp(intercept)))

@@ -71,15 +71,31 @@ class TestSolveCommand:
         assert code == 3
         assert "failed to converge" in err
 
+    def test_footer_reports_the_tail_fit(self, capsys):
+        # fig2-II (2a/b^2 = 20) has a steep tail, 1 - phi ~ 8.7e17 u^-19
+        code, out, _ = run(capsys, "solve", "--preset", "fig2-II", "--points", "5")
+        footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
+        assert code == 0
+        assert footer == ["# regime", "# C0", "# K", "# exponent", "# u0", "# U", "# rtol"]
+        assert float(out.split("# K = ")[1].split()[0]) == pytest.approx(8.706888e17, rel=1e-6)
+
     def test_footer_leaves_out_step_count(self, capsys):
         _, out, _ = run(capsys, *SOLVE_FIG1_II)
         assert not any(ln.startswith("# steps") for ln in out.split("\n"))
 
-    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+    @pytest.mark.parametrize("flag", ["--rtol"])
     def test_non_finite_tolerance_exits_2(self, capsys, flag):
         code, _, err = run(capsys, "solve", "--preset", "fig5-I", flag, "inf")
         assert code == 2
-        assert "rtol and atol" in err
+        assert "rtol must be positive and finite" in err
+
+    @pytest.mark.parametrize("command", ["solve", "residual"])
+    def test_atol_is_unknown_flag(self, capsys, command):
+        # the solve takes one tolerance, the integration's rtol
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig1-II", "--atol", "1e-12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --atol" in capsys.readouterr().err
 
     def test_no_solution_exits_3(self, capsys):
         code, out, err = run(
@@ -126,6 +142,14 @@ class TestSolveCommand:
     def test_gnuplot_requires_out(self, capsys):
         code, _, err = run(capsys, "solve", "--preset", "fig1-I", "--gnuplot")
         assert code == 2 and "--gnuplot requires --out" in err
+
+    def test_gnuplot_without_out_solves_nothing(self, capsys, monkeypatch):
+        # the flag is checked before the solve, so no CSV reaches stdout
+        from ruinlab import cli
+
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+        code, out, _ = run(capsys, "solve", "--preset", "fig1-II", "--gnuplot")
+        assert code == 2 and out == ""
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

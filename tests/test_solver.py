@@ -147,11 +147,10 @@ class TestSolveMain:
         assert dphi[1] / dphi[2] == pytest.approx(law(50.0) / law(100.0), rel=1e-7)
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
-    @pytest.mark.parametrize("key", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_tolerance(self, name, key, value):
-        with pytest.raises(ValueError, match="rtol and atol"):
-            solve(PARAMS[name], **{key: value})
+    def test_rejects_non_finite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            solve(PARAMS[name], rtol=value)
 
     def test_long_span_stays_within_one(self):
         # U = 800 m here; the integrator's global error once put phi 1e-9 above 1
@@ -336,6 +335,49 @@ class TestFarField:
         assert grid.C0 == pytest.approx(solve(p).C0, rel=1e-12)
 
 
+class TestTailFit:
+    """The match at U gives K in logs, and the main route reports it wherever
+    phi'(U) holds its digits."""
+
+    NAMES = ["fig1-II", "fig2-I", "fig2-II"]
+    POINTS = [PARAMS[n] for n in NAMES] + [ModelParams(**p) for p, _ in SWEEP_MAIN_C0]
+    IDS = NAMES + [f"main{i}" for i in range(len(SWEEP_MAIN_C0))]
+
+    @pytest.mark.parametrize("p", POINTS, ids=IDS)
+    def test_K_is_resolved(self, p):
+        # the two agree to 2.6e-13 or better on these points
+        assert solve(p).tail.K == pytest.approx(solve(p, rtol=1e-13).tail.K, rel=1e-11)
+
+    def test_steep_tail_reported(self, solved):
+        # fig2-II: 2a/b^2 = 20, and 1 - phi ~ 8.7e17 u^-19; far out
+        # phi' = K (r-1) u^(-r) (1 + O(1/u))
+        grid, r = solved("fig2-II"), PARAMS["fig2-II"].robustness()
+        assert grid.tail is not None and grid.tail.U == grid.diagnostics["U"] == 100.0
+        assert grid.tail.exponent == pytest.approx(1.0 - r, rel=1e-15)
+        u = 1e8
+        assert grid.evaluate(u)[1] * u**r / (r - 1.0) == pytest.approx(grid.tail.K, rel=1e-6)
+
+    def test_K_beyond_double_range_reads_inf(self):
+        # fraction 0.05 of ROADMAP item 2's example, 2a/b^2 = 213: K passes
+        # double range, 1 - phi beyond U does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = solve(fixed_fraction(0.05))
+            U = grid.diagnostics["U"]
+            far = grid.evaluate(2.0 * U)
+        assert grid.tail.K == math.inf and grid.tail.U == U
+        assert far[0] == 1.0 and 0.0 < far[1] < grid.evaluate(U)[1]
+
+    def test_underflowed_slope_reports_no_tail(self):
+        # fraction 0.03, 2a/b^2 = 553: phi'(U) reads 0.0, which would give K = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = solve(fixed_fraction(0.03))
+            U = grid.diagnostics["U"]
+            assert grid.tail is None
+            assert grid.evaluate(2.0 * U)[0] == 1.0
+
+
 class TestSolveDispatch:
     def test_classical_grid_matches_formula(self, solved):
         grid = solved("fig1-I")
@@ -509,13 +551,11 @@ class TestGridValidation:
         np.testing.assert_array_equal(grid.u, expected)
 
     @pytest.mark.parametrize("route", sorted(ALL_ROUTES))
-    @pytest.mark.parametrize(
-        ("rtol", "atol"), [(np.inf, 1e-12), (1e-10, np.nan), (-1.0, 1e-12), (1e-10, 0.0)]
-    )
-    def test_every_route_rejects_invalid_tolerances(self, route, rtol, atol):
-        # the closed forms, the capital stock and certain ruin use neither
-        with pytest.raises(ValueError, match="rtol and atol"):
-            solve(self.ALL_ROUTES[route], rtol=rtol, atol=atol)
+    @pytest.mark.parametrize("rtol", [np.inf, np.nan, -1.0, 0.0])
+    def test_every_route_rejects_invalid_tolerances(self, route, rtol):
+        # the closed forms, the capital stock and certain ruin do not use it
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            solve(self.ALL_ROUTES[route], rtol=rtol)
 
 
 class TestEvaluate:

@@ -51,8 +51,8 @@ class TestIdeResidual:
 
     def test_tighter_tolerances_shrink_residual(self):
         p = PARAMS["fig1-II"]
-        loose = solve(p, u_max=50.0, rtol=1e-6, atol=1e-8)
-        tight = solve(p, u_max=50.0, rtol=1e-8, atol=1e-10)
+        loose = solve(p, u_max=50.0, rtol=1e-6)
+        tight = solve(p, u_max=50.0, rtol=1e-8)
         grid = np.linspace(0.0, 50.0, 101)
         r_loose = ide_residual(loose, p, grid).rel_sup
         r_tight = ide_residual(tight, p, grid).rel_sup
@@ -134,7 +134,7 @@ class TestGResidualDecay:
             lambda x: tuple(float(v[0]) for v in eval3(np.array([x]))),
             C0=1.0,
             regime=RegimeInfo(Regime.MAIN),
-            diagnostics={"U": u0 + 10.0, "atol": 1e-14},
+            diagnostics={"U": u0 + 10.0},
         )
         us = np.linspace(u0 + 0.25, u0 + 5.0, 60)
         rep = ide_residual(grid, p, us, rtol=1e-13, atol=1e-15)
@@ -408,7 +408,7 @@ def _synthetic_power_tail(exponent):
         lambda x: tuple(float(v[0]) for v in eval3(np.array([x]))),
         C0=0.0,
         regime=RegimeInfo(Regime.MAIN),
-        diagnostics={"U": np.inf, "atol": 1e-12},
+        diagnostics={"U": np.inf},
     )
 
 
