@@ -358,6 +358,7 @@ def phi_capital_stock(
     diagnostics = {
         "P1": P1,
         "log_P1": -log_Z,  # finite where P1 underflows to 0 (log Z > 709)
+        "log_K": log_K,  # finite where K passes double range
         "mu1": mu1,
         "d1": d1,
         "d2": d2,

@@ -89,6 +89,7 @@ def _solution_lines(grid) -> list[str]:
     lines.append(f"# C0 = {_fmt(grid.C0)}")
     if grid.tail is not None:
         lines.append(f"# K = {_fmt(grid.tail.K)}")
+        lines.append(f"# log_K = {_fmt(grid.diagnostics['log_K'])}")
         lines.append(f"# exponent = {_fmt(grid.tail.exponent)}")
     for key in ("reason", "u0", "U", "rtol"):
         if key in grid.diagnostics:

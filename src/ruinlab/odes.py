@@ -40,6 +40,9 @@ that component, L the length of the span: the truncation errors of all
 steps add up to about rtol of each component at most.  A component is
 held to its smaller value at the step's two ends, so a decaying one keeps
 its relative accuracy, and to no less than rounding of the state.
+The recurrence's tables are built once per order and cached; for v of
+order 1 or 2, as in the package's three equations, the recurrence, the
+step rule and the end values are written out over v and v'.
 
 The state v, v', .. is carried as 2^E times a vector whose largest entry
 lies in [1/2, 1), so a solution may pass far outside double range on the
@@ -57,8 +60,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
+from functools import lru_cache
+from operator import lt, mul
 
 import numpy as np
 
@@ -73,6 +76,9 @@ __all__ = [
 # Taylor coefficients of v per step
 _TERMS = 30
 _EPS = float(np.finfo(float).eps)
+# ``_step_size``'s powers for the top two terms of v and of v', and v_q's factor q in v'
+_POWERS = [1.0 / (_TERMS - q) for q in (2, 3, 4)]
+_DOWN = [float(q) for q in range(_TERMS - 1, 0, -1)]
 
 
 @dataclass(frozen=True)
@@ -216,11 +222,13 @@ def _falling(x, j: int):
     return out
 
 
-def _weights(order: int) -> np.ndarray:
-    """G with sum_c a_c G[c] the recurrence's coefficients of the
-    ``width = max(order + 2, 4)`` terms v_(k+order-width), .., v_(k+order-1)
-    before v_(k+order), for every k, given the step's constants a_c (see
-    ``integrate``): shape (3 order + 2, width, _TERMS - order)."""
+@lru_cache(maxsize=None)
+def _tables(order: int):
+    """G, flat, with sum_c a_c G[c, i, k] the recurrence's coefficients of the
+    ``width = max(order + 2, 4)`` terms v_(k+order-width+i) before v_(k+order),
+    given the step's constants a_c (see ``integrate``), step-major (k, i) where
+    width is 4; width; highest power first, the factors q (q - 1) ..
+    (q - l + 1) that take v's coefficients to those of v^(l); f's denominators."""
     width = max(order + 2, 4)
     k = np.arange(_TERMS - order, dtype=float)
     den = _falling(k + order, order)
@@ -232,7 +240,12 @@ def _weights(order: int) -> np.ndarray:
     # (u^e)(s + t) v^(order): its t^d meets v_(k-d+order), d = 1, 2
     for d in (1, 2):
         G[3 * order + d - 1, width - d] = _falling(k - d + order, order) / den
-    return G
+    G = (G.transpose(0, 2, 1) if width == 4 else G).reshape(3 * order + 2, -1)
+    G.flags.writeable = False  # shared by every call of this order
+    falling = tuple(
+        _falling(np.arange(_TERMS - 1.0, l - 1.0, -1.0), l).tolist() for l in range(order))
+    forcing_den = tuple((1.0 / _falling(np.arange(3.0) + order, order)).tolist())
+    return G, width, falling, forcing_den
 
 
 def _step_size(series: list, h: float, tols: list) -> float:
@@ -273,10 +286,13 @@ def integrate(
     step rule.  Raises :class:`IntegrationError`, with the abscissa of the
     failure, on equation coefficients or a state beyond double range,
     step-size underflow, or more than ``max_steps`` steps; raises
-    ``ValueError`` for ``u_start <= 0`` where e > 0.
+    ``ValueError`` for ``u_start <= 0`` where e > 0, a NaN or nonpositive
+    ``max_step``, or ``max_steps < 1``.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
+    if not (max_step > 0.0 and max_steps >= 1):
+        raise ValueError(f"need max_step > 0 and max_steps >= 1, got {max_step!r}, {max_steps!r}")
     dim = eq.dimension
     state = np.asarray(state0, dtype=float)
     if state.shape != (dim,):
@@ -292,18 +308,10 @@ def integrate(
     # y_0 left out of the equation is carried as the antiderivative of y_1:
     # v = y_lo
     lo = int(dim > 1 and not any(eq.N[0]))
-    table = (*eq.N, eq.f)
     order = dim - lo
-    G = _weights(order)
-    width = G.shape[1]
-    G = G.reshape(G.shape[0], -1)
-    # l! and, highest power first, the factors q (q - 1) .. (q - l + 1) that
-    # take v's coefficients to those of its l-th derivative
-    fact = [float(math.factorial(l)) for l in range(order)]
-    falling = [_falling(np.arange(_TERMS - 1.0, l - 1.0, -1.0), l).tolist() for l in range(order)]
-    forcing_den = (1.0 / _falling(np.arange(3.0) + order, order)).tolist()
-    span = u1 - u0
-    affine = any(eq.f)
+    G, width, falling, forcing_den = _tables(order)
+    table, affine = eq.N[lo:], any(eq.f)
+    pad, scale = [0.0] * (width - order), rtol / (u1 - u0)
 
     E, y, s = 0, state[lo:].tolist(), u0
     us, hs, Es, starts, series = [u0], [], [], [], []
@@ -323,57 +331,83 @@ def integrate(
         if len(hs) >= max_steps:
             raise IntegrationError(f"step budget exhausted at u={s:.6g}", u=s)
 
-        # the Taylor coefficients in t of u^e and of N_0, .., N_(n-1) and f
-        # at u = s + t; c[j][d] is that of t^d.  s^e is 0.0 only below
+        # the Taylor coefficients in t of u^e, and those of N_lo, .., N_(n-1)
+        # at u = s + t over u^e's constant term.  s^e is 0.0 only below
         # double range, and a sum that is not finite holds an inf or a NaN
         p0, p1, p2 = ((1.0, 0.0, 0.0), (s, 1.0, 0.0), (s * s, 2.0 * s, 1.0))[eq.e]
-        c = [(c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2) for c0, c1, c2 in table]
-        a = [x / p0 for row in c[lo:dim] for x in row] + [-p1 / p0, -p2 / p0] if p0 else [math.inf]
+        a = [
+            x / p0 for c0, c1, c2 in table for x in (c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2)
+        ] + [-p1 / p0, -p2 / p0] if p0 else [math.inf]
         if not math.isfinite(sum(a)):
             raise IntegrationError(f"non-finite equation coefficients at u={s:.6g}", u=s)
-        # the series of v at s: its first ``order`` terms from the state,
-        # then the recurrence, whose coefficients of the ``width`` terms
-        # before v_(k+order) are rows[k], plus f's term while k <= 2
-        rows = np.dot(a, G).reshape(width, -1).T.tolist()
-        force = [0.0] * len(rows)
+        # the series of v at s: its first ``order`` terms from the state, then
+        # the recurrence, whose coefficients of the ``width`` terms before
+        # v_(k+order) are row k of np.dot(a, G), plus f's term force[k]
+        force = [0.0] * 3
         if affine:
-            gamma = math.ldexp(1.0, -E) / p0
-            for k in range(min(3, len(rows))):
-                force[k] = gamma * c[dim][k] * forcing_den[k]
-        v = [0.0] * (width - order) + [y[l] / fact[l] for l in range(order)]
-        if width == 4:
-            # equations of order <= 2, the package's own: unrolled, about
-            # five times faster than the sum below
-            x0, x1, x2, x3 = v
-            for (r0, r1, r2, r3), fk in zip(rows, force):
-                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + fk
-                v.append(x3)
-        else:
-            for k, (row, fk) in enumerate(zip(rows, force)):
-                v.append(sum(map(mul, row, v[k: k + width])) + fk)
-        v = v[width - order:]
-
+            gamma, (c0, c1, c2) = math.ldexp(1.0, -E) / p0, eq.f
+            f = (c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2)
+            force = [gamma * x * d for x, d in zip(f, forcing_den)]
         h = min(u1 - s, max_step)
         if eq.e:
             h = min(h, 0.5 * s)
         # each component is held to rtol * h / L of its value at the step's
         # start, then of its end if that is smaller; never below rounding
         floor = _EPS * sigma
-        tols = [rtol / span * max(abs(x), floor) for x in y]
-        # the series of v and its derivatives, highest power first
-        desc = [v[::-1]] + [[x * f for x, f in zip(reversed(v), ff)] for ff in falling[1:]]
-        h = _step_size(desc, h, tols)
-        nxt = _values(desc, h)
-        ends = [rtol / span * max(abs(x), floor) for x in nxt]
-        if any(e < t for e, t in zip(ends, tols)):
-            h = _step_size(desc, h, list(map(min, tols, ends)))
+        tols = [scale * max(abs(x), floor) for x in y]
+        if width == 4:
+            # equations of order <= 2, the package's own: the recurrence unrolled,
+            # and ``_step_size`` and ``_values`` written out over v and v'
+            v = y[:]  # v_l = y_l / l! for l <= 1
+            x0, x1, x2, x3 = pad + v
+            quads = zip(*[iter(np.dot(a, G).tolist())] * 4)
+            for fk, (r0, r1, r2, r3) in zip(force, quads):
+                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + fk
+                v.append(x3)
+            for r0, r1, r2, r3 in quads:
+                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3
+                v.append(x3)
+            v1, v2 = v[-1], v[-2]
+            d1, d2 = v1 * (_TERMS - 1), v2 * (_TERMS - 2)
+            for retry in (False, True):
+                if v1:
+                    h = min(h, (tols[0] / abs(v1)) ** _POWERS[0])
+                if v2:
+                    h = min(h, (tols[0] / abs(v2)) ** _POWERS[1])
+                if order == 2:
+                    if d1:
+                        h = min(h, (tols[1] / abs(d1)) ** _POWERS[1])
+                    if d2:
+                        h = min(h, (tols[1] / abs(d2)) ** _POWERS[2])
+                x = dx = 0.0
+                for vq, q in zip(v[:0:-1], _DOWN):
+                    x = x * h + vq
+                    dx = dx * h + vq * q
+                nxt = [x * h + v[0], dx][:order]
+                if retry:
+                    break
+                ends = [scale * max(abs(x), floor) for x in nxt]
+                if not any(map(lt, ends, tols)):
+                    break
+                tols = list(map(min, tols, ends))
+        else:
+            rows = np.dot(a, G).reshape(width, -1).T.tolist()
+            v = pad + [y[l] / math.factorial(l) for l in range(order)]
+            for k, row in enumerate(rows):
+                v.append(sum(map(mul, row, v[k: k + width])) + (force[k] if k < 3 else 0.0))
+            v = v[width - order:]
+            # the series of v and its derivatives, highest power first
+            desc = [v[::-1]] + [[x * f for x, f in zip(reversed(v), ff)] for ff in falling[1:]]
+            h = _step_size(desc, h, tols)
             nxt = _values(desc, h)
+            ends = [scale * max(abs(x), floor) for x in nxt]
+            if any(map(lt, ends, tols)):
+                h = _step_size(desc, h, list(map(min, tols, ends)))
+                nxt = _values(desc, h)
         if h <= 16.0 * _EPS * max(abs(s), 1e-30):
             raise IntegrationError(f"step size underflow at u={s:.6g}", u=s)
-        # v's coefficients in powers of theta = t / h
         starts.append(y)
-        powers = accumulate(repeat(h, _TERMS - 1), mul, initial=1.0)
-        series.append([x * hq for x, hq in zip(v, powers)])
+        series += v
         hs.append(h)
         Es.append(E)
         s = u1 if h >= u1 - s else s + h
@@ -386,11 +420,11 @@ def integrate(
 
 def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
     """The Trajectory of steps ``hs`` with normalized series ``series`` (in
-    powers of theta), start states ``starts`` and exponents ``Es``; ``end``
-    is the last state as (value, exponent), and ``phi0`` the antiderivative
-    component's start value (None without one)."""
+    powers of t, one step after the other), start states ``starts`` and
+    exponents ``Es``; ``end`` is the last state as (value, exponent), and
+    ``phi0`` the antiderivative component's start value (None without one)."""
     lo = 0 if phi0 is None else 1
-    V = np.array(series)  # (steps, _TERMS)
+    V = np.fromiter(series, float, len(series)).reshape(hs.size, _TERMS)
     E = np.array(Es)[:, None]
     h = hs[:, None]
     start = np.array(starts)
@@ -398,6 +432,8 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
     coef = np.zeros((_TERMS + lo, order + lo, h.size))
     states = np.empty((us.size, order + lo))
     with np.errstate(over="ignore"):
+        # in powers of theta = t / h: h^q as the sequential products 1, h, h h, ..
+        V *= np.cumprod(np.hstack([np.ones_like(h), np.repeat(h, _TERMS - 1, axis=1)]), axis=1)
         for l in range(order):
             col = V[:, l:] * _falling(np.arange(l, _TERMS, dtype=float), l) / h**l
             col[:, 0] = start[:, l]
@@ -408,9 +444,7 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
             # phi(s + theta h) - phi(s) = sum_q v_q h^(q+1) theta^(q+1) / (q + 1),
             # summed at theta = 1 as Trajectory does, so phi is continuous
             coef[1:, 0] = np.ldexp((V * h) / np.arange(1.0, _TERMS + 1.0), E).T
-            inc = np.zeros(h.size)
-            for q in range(_TERMS, 0, -1):
-                inc += coef[q, 0]
+            inc = np.cumsum(coef[:0:-1, 0], axis=0)[-1]
             states[:, 0] = np.cumsum(np.concatenate(([phi0], inc)))
             coef[0, 0] = states[:-1, 0]
     finite = np.isfinite(states).all(axis=1)

@@ -154,6 +154,7 @@ def solve_main(
         "U": U,
         "rtol": rtol,
         "A": A,
+        "log_K": log_K,  # finite where K passes double range
         "steps": len(traj.us) - 1,
     }
     return SolutionGrid.sample(

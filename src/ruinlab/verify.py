@@ -549,6 +549,8 @@ def tail_exponent(
         raise ValueError(
             f"power-law tail fit not applicable to regime {solution.regime.regime.value!r}"
         )
+    if n_points < 2:
+        raise ValueError(f"a slope needs n_points >= 2, got {n_points!r}")
     lo, hi = fit_window
     if not 0.0 < lo < hi <= solution.span[1]:
         raise ValueError(f"fit window ({lo:g}, {hi:g}) outside solution span")

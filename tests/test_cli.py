@@ -58,6 +58,17 @@ class TestSolveCommand:
         assert footer[p1 + 1].startswith("# log_P1 = ")
         assert float(footer[p1 + 1].split("=")[1]) == pytest.approx(-1989.7, abs=0.05)
 
+    def test_log_k_reported_when_k_overflows(self, capsys):
+        # fraction 0.05 of ROADMAP item 2's fixed-fraction example,
+        # 2a/b^2 = 213: K reads inf, log K = 951 does not
+        code, out, _ = run(capsys, "solve", "--a", "0.024", "--b", "0.015", "--c", "0.1",
+                           "--lambda", "0.09", "--m", "1")
+        assert code == 0
+        footer = [ln for ln in out.split("\n") if ln.startswith("# ")]
+        k = footer.index("# K = inf")
+        assert footer[k + 1].startswith("# log_K = ")
+        assert float(footer[k + 1].split("=")[1]) == pytest.approx(950.98, abs=0.01)
+
     @pytest.mark.parametrize("umax", ["nan", "inf", "0"])
     def test_non_finite_umax_exits_2(self, capsys, umax):
         code, _, err = run(capsys, "solve", "--preset", "fig1-II", "--umax", umax)
@@ -76,8 +87,9 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--preset", "fig2-II", "--points", "5")
         footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
         assert code == 0
-        assert footer == ["# regime", "# C0", "# K", "# exponent", "# u0", "# U", "# rtol"]
+        assert footer == ["# regime", "# C0", "# K", "# log_K", "# exponent", "# u0", "# U", "# rtol"]
         assert float(out.split("# K = ")[1].split()[0]) == pytest.approx(8.706888e17, rel=1e-6)
+        assert float(out.split("# log_K = ")[1].split()[0]) == pytest.approx(np.log(8.706888e17), rel=1e-9)
 
     def test_footer_leaves_out_step_count(self, capsys):
         _, out, _ = run(capsys, *SOLVE_FIG1_II)

@@ -103,6 +103,14 @@ class TestIntegrate:
             integrate(DECAY, 0.0, [1.0], 0.0)
         with pytest.raises(ValueError):
             integrate(DECAY, 0.0, [1.0, 2.0], 1.0)
+        # step limits: a NaN max_step was dropped, a nonpositive one read
+        # as step-size underflow and max_steps = 0 as an exhausted budget
+        for max_step in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="max_step > 0"):
+                integrate(DECAY, 0.0, [1.0], 1.0, max_step=max_step)
+        for max_steps in (0, -1):
+            with pytest.raises(ValueError, match="max_steps >= 1"):
+                integrate(DECAY, 0.0, [1.0], 1.0, max_steps=max_steps)
 
 
 class TestTaylorSteps:
@@ -185,48 +193,65 @@ class TestTaylorSteps:
 
 class TestScan:
     """``integrate`` over ``steps`` equal steps of one equation of order
-    ``dim``, y^(dim) = sum_j N_j(u) y^(j) + f(u) with random quadratics N_j
-    and f = 0 (linear) or not (affine), against a step-by-step loop in
-    Python floats that writes the Taylor recurrence out term by term."""
+    ``dim``, u^e y^(dim) = sum_j N_j(u) y^(j) + f(u) with random quadratics
+    N_j and f = 0 (linear) or not (affine), against a step-by-step loop in
+    Python floats that writes the Taylor recurrence out term by term.  The
+    singular forms e = 1 and e = 2, those of the eta and main equations,
+    start at u = 1, so that the mesh stays inside s/2."""
 
     H = 2.0**-8  # so that the step ends fall on the mesh exactly
 
     @staticmethod
-    def sequential(N, f, us, y0):
+    def sequential(N, f, us, y0, e=0):
         n = len(y0)
         ys = [[float(v) for v in y0]]
         for s, h in zip(us[:-1].tolist(), np.diff(us).tolist()):
             # N_0, .., N_(n-1) and f about s: their t^0, t^1, t^2 terms
             loc = [(c0 + s * (c1 + s * c2), c1 + 2.0 * s * c2, c2) for c0, c1, c2 in N + [f]]
+            # and those of (s + t)^e
+            lead = ((1.0, 0.0, 0.0), (s, 1.0, 0.0), (s * s, 2.0 * s, 1.0))[e]
             v = [x / math.factorial(l) for l, x in enumerate(ys[-1])]
-            # t^k of y^(n) = sum_j N_j y^(j) + f, with t^k of y^(j) = v_(k+j) (k+j)!/k!
+            # t^k of u^e y^(n) = sum_j N_j y^(j) + f, with t^k of y^(j) = v_(k+j) (k+j)!/k!
             for k in range(odes._TERMS - n):
                 acc = loc[n][k] if k < 3 else 0.0
                 for j in range(n):
                     for d in range(min(k, 2) + 1):
                         acc += loc[j][d] * v[k - d + j] * math.perm(k - d + j, j)
-                v.append(acc / math.perm(k + n, n))
+                for d in range(1, min(k, 2) + 1):
+                    acc -= lead[d] * v[k - d + n] * math.perm(k - d + n, n)
+                v.append(acc / (lead[0] * math.perm(k + n, n)))
             ys.append([sum(x * math.perm(q, l) * h ** (q - l) for q, x in enumerate(v[l:], l)) for l in range(n)])
         return np.array(ys)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
-    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
-    def test_matches_sequential_loop(self, dim, steps, affine):
-        rng = np.random.default_rng(100 * steps + 10 * dim + affine)
+    def check(self, e, dim, steps, affine, seed):
+        rng = np.random.default_rng(seed)
         N = rng.uniform(-1.0, 1.0, (dim, 3)).tolist()
         f = rng.uniform(-1.0, 1.0, 3).tolist() if affine else [0.0, 0.0, 0.0]
         y0 = rng.uniform(-1.0, 1.0, dim)
+        u0 = float(e > 0)
 
-        system = LinearOde(e=0, N=N, f=f, name="polynomial")
-        traj = integrate(system, 0.0, y0, steps * self.H, max_step=self.H)
-        np.testing.assert_array_equal(traj.us, self.H * np.arange(steps + 1))
-        ours, ref = traj.states, self.sequential(N, f, traj.us, y0)
+        system = LinearOde(e=e, N=N, f=f, name="polynomial")
+        traj = integrate(system, u0, y0, u0 + steps * self.H, max_step=self.H)
+        np.testing.assert_array_equal(traj.us, u0 + self.H * np.arange(steps + 1))
+        ours, ref = traj.states, self.sequential(N, f, traj.us, y0, e)
         np.testing.assert_array_equal(ours[0], y0)
         # relative to the largest component reached so far: a solution may
         # pass near zero, where only absolute agreement is possible
         scale = np.maximum.accumulate(np.abs(ref).max(axis=1))[:, None]
         assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    def test_matches_sequential_loop(self, dim, steps, affine):
+        self.check(0, dim, steps, affine, 100 * steps + 10 * dim + affine)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_singular_forms_match_sequential_loop(self, e, dim, steps, affine):
+        self.check(e, dim, steps, affine, 1000 * e + 100 * steps + 10 * dim + affine)
 
 
 def test_four_component_linear_system():

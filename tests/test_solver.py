@@ -348,6 +348,12 @@ class TestTailFit:
         # the two agree to 2.6e-13 or better on these points
         assert solve(p).tail.K == pytest.approx(solve(p, rtol=1e-13).tail.K, rel=1e-11)
 
+    @pytest.mark.parametrize("name", NAMES + ["fig5-I", "fig5-II"])
+    def test_log_K_reported(self, solved, name):
+        # main and capital stock alike: K = exp(log K) where K is finite
+        grid = solved(name)
+        assert grid.tail.K == pytest.approx(math.exp(grid.diagnostics["log_K"]), rel=1e-14)
+
     def test_steep_tail_reported(self, solved):
         # fig2-II: 2a/b^2 = 20, and 1 - phi ~ 8.7e17 u^-19; far out
         # phi' = K (r-1) u^(-r) (1 + O(1/u))
@@ -367,6 +373,8 @@ class TestTailFit:
             far = grid.evaluate(2.0 * U)
         assert grid.tail.K == math.inf and grid.tail.U == U
         assert far[0] == 1.0 and 0.0 < far[1] < grid.evaluate(U)[1]
+        # the diagnostics keep log K, which the tail's K cannot hold
+        assert grid.diagnostics["log_K"] == pytest.approx(950.98, abs=0.01)
 
     def test_underflowed_slope_reports_no_tail(self):
         # fraction 0.03, 2a/b^2 = 553: phi'(U) reads 0.0, which would give K = 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +428,14 @@ class TestTailExponent:
     def test_riskfree_rejected(self, solved):
         with pytest.raises(ValueError, match="not applicable"):
             tail_exponent(solved("fig3-II"), (50.0, 200.0))
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_too_few_points_rejected(self, solved, n_points):
+        # one point fits a line only with a RankWarning, and none raises a raw TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_points >= 2"):
+                tail_exponent(solved("fig1-II"), (10.0, 40.0), n_points=n_points)
 
     def test_underflow_rejected(self, solved):
         # for 2a/b^2 = 20 the tail drops below tolerance long before u = 200
