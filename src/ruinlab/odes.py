@@ -12,16 +12,18 @@ from a recurrence, and converge for |u - s| < s.  ``integrate`` steps with
 these series, a high-order Taylor method (Jorba & Zou, Experimental
 Mathematics 14(1), 2005): no stages, no step rejections and no mesh rounds.
 
-It steps a ``LinearOde``: one such equation of order n, given by its
-coefficients, in the first-order form
+It steps a ``LinearOde``: one such equation, given by its coefficients,
+in the first-order form
 
     y_i' = y_(i+1)  (i < n - 1),    u^e y_(n-1)' = sum_j N_j(u) y_j + f(u),
 
 with e in {0, 1, 2} and N_j, f polynomials of degree at most 2, each held
-as its three monomial coefficients.  About s the coefficients of N_j(s + t)
-and f(s + t) in t are exact shifts of these, c0 + s c1 + s^2 c2, c1 + 2 s c2
-and c2, so the equation is never sampled.  ``LinearOde.rhs`` evaluates the
-first-order form for scipy and the tests; ``integrate`` does not call it.
+as its three monomial coefficients.  The series it steps is that of v
+below, of order 1 or 2, as in the package's three equations.  About s the
+coefficients of N_j(s + t) and f(s + t) in t are exact shifts of these,
+c0 + s c1 + s^2 c2, c1 + 2 s c2 and c2, so the equation is never sampled.
+``LinearOde.rhs`` evaluates the first-order form for scipy and the tests;
+``integrate`` does not call it.
 
 If y_0 does not enter the equation (phi in the main equation), it is carried
 as the antiderivative of y_1, and the series is that of v = y_1: phi is
@@ -40,9 +42,9 @@ that component, L the length of the span: the truncation errors of all
 steps add up to about rtol of each component at most.  A component is
 held to its smaller value at the step's two ends, so a decaying one keeps
 its relative accuracy, and to no less than rounding of the state.
-The recurrence's tables are built once per order and cached; for v of
-order 1 or 2, as in the package's three equations, the recurrence, the
-step rule and the end values are written out over v and v'.
+The recurrence's tables are built once for each of the two orders and
+cached; the recurrence, the step rule and the end values are written out
+over v and v'.
 
 The state v, v', .. is carried as 2^E times a vector whose largest entry
 lies in [1/2, 1), so a solution may pass far outside double range on the
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt, mul
+from operator import lt
 
 import numpy as np
 
@@ -76,7 +78,8 @@ __all__ = [
 # Taylor coefficients of v per step
 _TERMS = 30
 _EPS = float(np.finfo(float).eps)
-# ``_step_size``'s powers for the top two terms of v and of v', and v_q's factor q in v'
+# for v of order 1 or 2: the step rule's powers for the top two terms of v
+# and of v', and v_q's factor q in v'
 _POWERS = [1.0 / (_TERMS - q) for q in (2, 3, 4)]
 _DOWN = [float(q) for q in range(_TERMS - 1, 0, -1)]
 
@@ -89,8 +92,10 @@ class LinearOde:
 
     ``e`` is 0, 1 or 2, and ``N`` holds N_0, .., N_(n-1) and ``f`` the
     forcing, each as the monomial coefficients (c0, c1, c2) of
-    c0 + c1 u + c2 u^2.  Raises ``ValueError`` for another e, another shape
-    or a non-finite coefficient.
+    c0 + c1 u + c2 u^2.  The series v that ``integrate`` steps is of order
+    1 or 2: n is 1 or 2, or 3 with N_0 = 0, where y_0 is carried as an
+    antiderivative.  Raises ``ValueError`` for another e, another shape,
+    v of a higher order or a non-finite coefficient.
     """
 
     e: int
@@ -108,6 +113,9 @@ class LinearOde:
             )
         if not (np.isfinite(N).all() and np.isfinite(f).all()):
             raise ValueError("equation coefficients must be finite")
+        n = N.shape[0]
+        if n > 3 or (n == 3 and N[0].any()):
+            raise ValueError(f"v must be of order 1 or 2: {n} rows of N, N_0 = {N[0].tolist()}")
         object.__setattr__(self, "N", tuple(map(tuple, N.tolist())))
         object.__setattr__(self, "f", tuple(f.tolist()))
 
@@ -224,51 +232,23 @@ def _falling(x, j: int):
 
 @lru_cache(maxsize=None)
 def _tables(order: int):
-    """G, flat, with sum_c a_c G[c, i, k] the recurrence's coefficients of the
-    ``width = max(order + 2, 4)`` terms v_(k+order-width+i) before v_(k+order),
-    given the step's constants a_c (see ``integrate``), step-major (k, i) where
-    width is 4; width; highest power first, the factors q (q - 1) ..
-    (q - l + 1) that take v's coefficients to those of v^(l); f's denominators."""
-    width = max(order + 2, 4)
+    """G, flat, with sum_c a_c G[c, k, i] the recurrence's coefficients of the
+    four terms v_(k+order-4+i) before v_(k+order), given the step's constants
+    a_c (see ``integrate``), step-major (k, i); f's denominators."""
     k = np.arange(_TERMS - order, dtype=float)
     den = _falling(k + order, order)
-    G = np.zeros((3 * order + 2, width, k.size))
+    G = np.zeros((3 * order + 2, 4, k.size))
     # N_j(s + t) v^(j): t^d of N_j meets v_(k-d+j) with weight ff(k-d+j, j)
     for j in range(order):
         for d in range(3):
-            G[3 * j + d, width - order + j - d] = _falling(k - d + j, j) / den
+            G[3 * j + d, 4 - order + j - d] = _falling(k - d + j, j) / den
     # (u^e)(s + t) v^(order): its t^d meets v_(k-d+order), d = 1, 2
     for d in (1, 2):
-        G[3 * order + d - 1, width - d] = _falling(k - d + order, order) / den
-    G = (G.transpose(0, 2, 1) if width == 4 else G).reshape(3 * order + 2, -1)
+        G[3 * order + d - 1, 4 - d] = _falling(k - d + order, order) / den
+    G = G.transpose(0, 2, 1).reshape(3 * order + 2, -1)
     G.flags.writeable = False  # shared by every call of this order
-    falling = tuple(
-        _falling(np.arange(_TERMS - 1.0, l - 1.0, -1.0), l).tolist() for l in range(order))
     forcing_den = tuple((1.0 / _falling(np.arange(3.0) + order, order)).tolist())
-    return G, width, falling, forcing_den
-
-
-def _step_size(series: list, h: float, tols: list) -> float:
-    """The largest step up to h at which the last two terms of each power
-    series, given highest power first, are at most tols[i] * t."""
-    for coefs, tol in zip(series, tols):
-        top = len(coefs) - 1
-        for j in (0, 1):
-            if coefs[j]:
-                h = min(h, (tol / abs(coefs[j])) ** (1.0 / (top - j - 1)))
-    return h
-
-
-def _values(series: list, h: float) -> list:
-    """The value at t = h of each power series, given highest power first,
-    by Horner's rule."""
-    out = []
-    for coefs in series:
-        acc = 0.0
-        for x in coefs:
-            acc = acc * h + x
-        out.append(acc)
-    return out
+    return G, forcing_den
 
 
 def integrate(
@@ -309,9 +289,9 @@ def integrate(
     # v = y_lo
     lo = int(dim > 1 and not any(eq.N[0]))
     order = dim - lo
-    G, width, falling, forcing_den = _tables(order)
+    G, forcing_den = _tables(order)
     table, affine = eq.N[lo:], any(eq.f)
-    pad, scale = [0.0] * (width - order), rtol / (u1 - u0)
+    pad, scale = [0.0] * (4 - order), rtol / (u1 - u0)
 
     E, y, s = 0, state[lo:].tolist(), u0
     us, hs, Es, starts, series = [u0], [], [], [], []
@@ -341,7 +321,7 @@ def integrate(
         if not math.isfinite(sum(a)):
             raise IntegrationError(f"non-finite equation coefficients at u={s:.6g}", u=s)
         # the series of v at s: its first ``order`` terms from the state, then
-        # the recurrence, whose coefficients of the ``width`` terms before
+        # the recurrence, unrolled, whose coefficients of the four terms before
         # v_(k+order) are row k of np.dot(a, G), plus f's term force[k]
         force = [0.0] * 3
         if affine:
@@ -355,55 +335,40 @@ def integrate(
         # start, then of its end if that is smaller; never below rounding
         floor = _EPS * sigma
         tols = [scale * max(abs(x), floor) for x in y]
-        if width == 4:
-            # equations of order <= 2, the package's own: the recurrence unrolled,
-            # and ``_step_size`` and ``_values`` written out over v and v'
-            v = y[:]  # v_l = y_l / l! for l <= 1
-            x0, x1, x2, x3 = pad + v
-            quads = zip(*[iter(np.dot(a, G).tolist())] * 4)
-            for fk, (r0, r1, r2, r3) in zip(force, quads):
-                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + fk
-                v.append(x3)
-            for r0, r1, r2, r3 in quads:
-                x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3
-                v.append(x3)
-            v1, v2 = v[-1], v[-2]
-            d1, d2 = v1 * (_TERMS - 1), v2 * (_TERMS - 2)
-            for retry in (False, True):
-                if v1:
-                    h = min(h, (tols[0] / abs(v1)) ** _POWERS[0])
-                if v2:
-                    h = min(h, (tols[0] / abs(v2)) ** _POWERS[1])
-                if order == 2:
-                    if d1:
-                        h = min(h, (tols[1] / abs(d1)) ** _POWERS[1])
-                    if d2:
-                        h = min(h, (tols[1] / abs(d2)) ** _POWERS[2])
-                x = dx = 0.0
-                for vq, q in zip(v[:0:-1], _DOWN):
-                    x = x * h + vq
-                    dx = dx * h + vq * q
-                nxt = [x * h + v[0], dx][:order]
-                if retry:
-                    break
-                ends = [scale * max(abs(x), floor) for x in nxt]
-                if not any(map(lt, ends, tols)):
-                    break
-                tols = list(map(min, tols, ends))
-        else:
-            rows = np.dot(a, G).reshape(width, -1).T.tolist()
-            v = pad + [y[l] / math.factorial(l) for l in range(order)]
-            for k, row in enumerate(rows):
-                v.append(sum(map(mul, row, v[k: k + width])) + (force[k] if k < 3 else 0.0))
-            v = v[width - order:]
-            # the series of v and its derivatives, highest power first
-            desc = [v[::-1]] + [[x * f for x, f in zip(reversed(v), ff)] for ff in falling[1:]]
-            h = _step_size(desc, h, tols)
-            nxt = _values(desc, h)
+        v = y[:]  # v_l = y_l / l! for l <= 1
+        x0, x1, x2, x3 = pad + v
+        quads = zip(*[iter(np.dot(a, G).tolist())] * 4)
+        for fk, (r0, r1, r2, r3) in zip(force, quads):
+            x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + fk
+            v.append(x3)
+        for r0, r1, r2, r3 in quads:
+            x0, x1, x2, x3 = x1, x2, x3, r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3
+            v.append(x3)
+        v1, v2 = v[-1], v[-2]
+        d1, d2 = v1 * (_TERMS - 1), v2 * (_TERMS - 2)
+        # the largest h at which the last two terms of v and of v' meet tols,
+        # and the end values by Horner's rule; once more with the end's tols
+        for retry in (False, True):
+            if v1:
+                h = min(h, (tols[0] / abs(v1)) ** _POWERS[0])
+            if v2:
+                h = min(h, (tols[0] / abs(v2)) ** _POWERS[1])
+            if order == 2:
+                if d1:
+                    h = min(h, (tols[1] / abs(d1)) ** _POWERS[1])
+                if d2:
+                    h = min(h, (tols[1] / abs(d2)) ** _POWERS[2])
+            x = dx = 0.0
+            for vq, q in zip(v[:0:-1], _DOWN):
+                x = x * h + vq
+                dx = dx * h + vq * q
+            nxt = [x * h + v[0], dx][:order]
+            if retry:
+                break
             ends = [scale * max(abs(x), floor) for x in nxt]
-            if any(map(lt, ends, tols)):
-                h = _step_size(desc, h, list(map(min, tols, ends)))
-                nxt = _values(desc, h)
+            if not any(map(lt, ends, tols)):
+                break
+            tols = list(map(min, tols, ends))
         if h <= 16.0 * _EPS * max(abs(s), 1e-30):
             raise IntegrationError(f"step size underflow at u={s:.6g}", u=s)
         starts.append(y)

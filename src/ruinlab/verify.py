@@ -211,9 +211,13 @@ def ide_residual(
     uq = np.sort(np.asarray(grid, dtype=float))
     if uq.ndim != 1 or uq.size == 0:
         raise ValueError(f"grid must be a non-empty 1-D array, got shape {uq.shape}")
-    if uq[0] < solution.span[0] or uq[-1] > solution.span[1]:
+    # written so that NaN, which sorts last, and inf fail too, as in
+    # SolutionGrid.evaluate
+    lo, hi = solution.span
+    if not (lo <= uq[0] and uq[-1] <= hi and math.isfinite(uq[-1])):
         raise ValueError(
-            f"grid [{uq[0]:g}, {uq[-1]:g}] exceeds solution span {solution.span}"
+            f"grid [{uq[0]:g}, {uq[-1]:g}] exceeds solution span {solution.span} "
+            "or is not finite"
         )
     a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
     y, (phi, dphi, ddphi) = _convolution(solution, uq, m, rtol, atol)
@@ -552,8 +556,8 @@ def tail_exponent(
     if n_points < 2:
         raise ValueError(f"a slope needs n_points >= 2, got {n_points!r}")
     lo, hi = fit_window
-    if not 0.0 < lo < hi <= solution.span[1]:
-        raise ValueError(f"fit window ({lo:g}, {hi:g}) outside solution span")
+    if not (0.0 < lo < hi <= solution.span[1] and math.isfinite(hi)):
+        raise ValueError(f"fit window ({lo:g}, {hi:g}) outside solution span or not finite")
     uq = np.geomspace(lo, hi, n_points)
     phi, _, _ = solution.evaluate(uq)
     one_minus = 1.0 - phi

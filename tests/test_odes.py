@@ -130,6 +130,9 @@ class TestTaylorSteps:
             ({"e": 0, "N": ((1.0, 0.0, 0.0),), "f": (1.0, 0.0)}, "shape"),
             ({"e": 0, "N": ((1.0, math.nan, 0.0),)}, "finite"),
             ({"e": 0, "N": ((1.0, 0.0, 0.0),), "f": (0.0, 0.0, math.inf)}, "finite"),
+            # v of order 3: three rows with y_0 in the equation, or four without
+            ({"e": 0, "N": ((1.0, 0.0, 0.0),) * 3}, "order 1 or 2"),
+            ({"e": 2, "N": ((0.0, 0.0, 0.0),) + ((1.0, 0.0, 0.0),) * 3}, "order 1 or 2"),
         ],
     )
     def test_malformed_table_rejected(self, kwargs, match):
@@ -195,9 +198,11 @@ class TestScan:
     """``integrate`` over ``steps`` equal steps of one equation of order
     ``dim``, u^e y^(dim) = sum_j N_j(u) y^(j) + f(u) with random quadratics
     N_j and f = 0 (linear) or not (affine), against a step-by-step loop in
-    Python floats that writes the Taylor recurrence out term by term.  The
-    singular forms e = 1 and e = 2, those of the eta and main equations,
-    start at u = 1, so that the mesh stays inside s/2."""
+    Python floats that writes the Taylor recurrence out term by term.  At
+    dim 3, N_0 = 0, so y_0 is carried as the antiderivative of a v of order
+    2, as phi in the main equation.  The singular forms e = 1 and e = 2,
+    those of the eta and main equations, start at u = 1, so that the mesh
+    stays inside s/2."""
 
     H = 2.0**-8  # so that the step ends fall on the mesh exactly
 
@@ -226,6 +231,8 @@ class TestScan:
     def check(self, e, dim, steps, affine, seed):
         rng = np.random.default_rng(seed)
         N = rng.uniform(-1.0, 1.0, (dim, 3)).tolist()
+        if dim == 3:
+            N[0] = [0.0, 0.0, 0.0]
         f = rng.uniform(-1.0, 1.0, 3).tolist() if affine else [0.0, 0.0, 0.0]
         y0 = rng.uniform(-1.0, 1.0, dim)
         u0 = float(e > 0)
@@ -240,34 +247,18 @@ class TestScan:
         scale = np.maximum.accumulate(np.abs(ref).max(axis=1))[:, None]
         assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
     @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
     def test_matches_sequential_loop(self, dim, steps, affine):
         self.check(0, dim, steps, affine, 100 * steps + 10 * dim + affine)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("steps", [1, 2, 255, 256, 1000])
     @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
     @pytest.mark.parametrize("e", [1, 2])
     def test_singular_forms_match_sequential_loop(self, e, dim, steps, affine):
         self.check(e, dim, steps, affine, 1000 * e + 100 * steps + 10 * dim + affine)
-
-
-def test_four_component_linear_system():
-    # y^(4) = a0 y + a1 y' + a2 y'' + a3 y^(3) in first-order form: its
-    # companion matrix has eigenvalues lam and eigenvectors the columns of
-    # V = (lam^i), so y(u) = V diag(exp(lam u)) V^-1 y0
-    lam = np.array([-3.0, -1.0, -0.2, 0.5])
-    a = -np.poly(lam)[:0:-1]
-    system = LinearOde(e=0, N=[(x, 0.0, 0.0) for x in a], name="linear-4")
-    V = np.vander(lam, 4, increasing=True).T
-    y0 = np.array([1.0, -0.5, 0.25, 2.0])
-    traj = integrate(system, 0.0, y0, 3.0, rtol=1e-11)
-    c = np.linalg.solve(V, y0)
-    exact = (np.exp(np.outer(traj.us, lam)) * c) @ V.T
-    scale = np.abs(exact).max(axis=1)
-    assert np.all(np.abs(traj.states - exact).max(axis=1) <= 1e-11 * scale)
 
 
 class TestMainOdeField:

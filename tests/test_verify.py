@@ -40,10 +40,14 @@ class TestIdeResidual:
         assert rep.sup == 0.0
 
     def test_span_mismatch(self, solved):
-        # the capital stock's span ends at U; the main route's reaches infinity
+        # the capital stock's span ends at U; the main route's reaches
+        # infinity, but a grid point there or a NaN is refused before any work
         grid = solved("fig5-I")
         with pytest.raises(ValueError):
             ide_residual(grid, PARAMS["fig5-I"], np.linspace(0, 1e6, 10))
+        for bad in ([1.0, math.inf], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="not finite"):
+                ide_residual(solved("fig1-II"), PARAMS["fig1-II"], bad)
 
     @pytest.mark.parametrize("grid", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
     def test_rejects_grid_not_1d(self, solved, grid):
@@ -436,6 +440,14 @@ class TestTailExponent:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_points >= 2"):
                 tail_exponent(solved("fig1-II"), (10.0, 40.0), n_points=n_points)
+
+    @pytest.mark.parametrize(
+        "window", [(0.0, 10.0), (10.0, 5.0), (10.0, math.inf), (math.nan, 10.0)]
+    )
+    def test_window_outside_span_rejected(self, solved, window):
+        # the main route's span reaches infinity, but the window must be finite
+        with pytest.raises(ValueError, match="fit window"):
+            tail_exponent(solved("fig1-II"), window)
 
     def test_underflow_rejected(self, solved):
         # for 2a/b^2 = 20 the tail drops below tolerance long before u = 200
