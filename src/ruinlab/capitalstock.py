@@ -16,11 +16,11 @@ DLMF 8.2.4 phi = sum_(j>=1) W_(j-1) g_(mu1+j), W_n the prefix sums of the w_k,
 which add up to 1 (Gauss's sum, DLMF 15.4.20).  No term is negative.  The
 terms, cut below e^-``_TAIL`` of the largest, are summed on bands of x as
 polynomials in x/X times scales in logs (``_band``), so no power and no
-e^(+-x) leaves double range.  Where 1 - phi is below 2^-20 they sum 1 - phi =
-Q(mu1, x) + sum_(j>=1) R_(j-1) g_(mu1+j) instead, R_n = 1 - W_n the suffix
-sums of the w_k (their tail by Thomae's relation, DLMF 16.4.11), so that phi
-keeps its last bits and never falls; far out, the series at infinity takes
-over."""
+e^(+-x) leaves double range; each band is built in order on first use and
+kept.  Where 1 - phi is below 2^-20 they sum 1 - phi = Q(mu1, x) +
+sum_(j>=1) R_(j-1) g_(mu1+j) instead, R_n = 1 - W_n the suffix sums of the
+w_k (their tail by Thomae's relation, DLMF 16.4.11), so that phi keeps its
+last bits and never falls; far out, the series at infinity takes over."""
 
 from __future__ import annotations
 
@@ -239,7 +239,9 @@ def phi_capital_stock(
     on [0, u_max].  It takes no tolerances: the sums keep every term within
     e^-``_TAIL`` of the largest.  Raises :class:`SolverError` where the sums
     would need more than ``_MAX_TERMS`` weights.  Requires 2a/b^2 > 1;
-    otherwise the normalizing integral diverges and ruin is certain.
+    otherwise the normalizing integral diverges and ruin is certain.  The
+    bands are built in order on first use and kept (a solve builds those to
+    its grid's top); ``diagnostics["edges"]`` still lists them all.
     """
     if params.c != 0.0 or params.b == 0.0:
         raise ValueError(f"capital-stock regime requires c = 0 and b > 0, got {params}")
@@ -298,13 +300,20 @@ def phi_capital_stock(
         bounds.insert(bisect_left(bounds, x_flat), x_flat)
     # the rows the bands sum: phi's, and 1 - phi's from x_flat on
     sums = [(coef[rows], profile[rows]) for rows in ([0, 1, 2], [3, 1, 2])]
-    bands, start = [], 0
-    for lo, X in zip(bounds, bounds[1:]):
-        # the R row takes over at x_flat, and its scans start at 0
-        start = 0 if lo == x_flat else start
-        band, start = _band(*sums[lo >= x_flat], omega, mu1, lo, X, start)
-        bands.append(band)
     edges = bounds[1:]
+    # band i and the scan start it hands on, by index: a repeated build writes the same entry
+    bands, scans = [None] * len(edges), [0] * len(bounds)
+
+    def band_at(i: int):
+        # builds the missing bands up to i in order, and keeps them
+        while bands[i] is None:
+            j = bands.index(None)
+            lo, X = bounds[j], bounds[j + 1]
+            # the R row takes over at x_flat, and its scans start at 0
+            start = 0 if lo == x_flat else scans[j]
+            bands[j], scans[j + 1] = _band(*sums[lo >= x_flat], omega, mu1, lo, X, start)
+        return bands[i]
+
     # phi' = P1 u^(mu1-1) (1 + P_2 u + ..), P_2 = -d2/(2 m d1)
     dphi0, ddphi0 = origin_limits(mu1, P1, -d2 / (2.0 * m * d1))
     far3, far_point3 = far_field(e, r, log_K)
@@ -317,8 +326,9 @@ def phi_capital_stock(
         # x = 0 gives log y = -inf, and phi'' ~ u^(mu1-2) overflows near it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             near = np.searchsorted(xs, edges, side="right").tolist()
-            for (X, Kc, shift, cols, thr, _), hi in zip(bands, near):
+            for i, hi in enumerate(near):
                 if hi > lo:
+                    X, Kc, shift, cols, thr, _ = band_at(i)
                     y, acc = xs[lo:hi] / X, out[:, lo:hi]
                     starts = np.searchsorted(y, thr, side="right").tolist()
                     for col, s in zip(cols[::-1], starts[::-1]):
@@ -342,7 +352,7 @@ def phi_capital_stock(
         x = u / m
         if x == 0.0 or x > x_far:
             return far_point3(u) if x else (0.0, dphi0, ddphi0)
-        X, Kc, shift, _, thr, desc = bands[bisect_left(edges, x)]
+        X, Kc, shift, _, thr, desc = band_at(bisect_left(edges, x))
         y, ly = x / X, ext_log(x / X)
         s0 = s1 = s2 = 0.0
         for c0, c1, c2 in islice(desc, len(thr) - bisect_left(thr, y), None):
@@ -353,6 +363,7 @@ def phi_capital_stock(
             phi = 1.0 - (phi + ext_exp(_log_upper_gamma(mu1, x, True)))
         return phi, A / m, ((mu1 - 1.0) * A / x - C) / (m * m)
 
+    top = min(bisect_left(edges, u_grid[-1] / m), len(edges) - 1)
     # Z is exact, so the limit does not move with U
     tail_fit = TailFit(A=Z, K=K, exponent=1.0 - r, U=U)
     diagnostics = {
@@ -363,8 +374,8 @@ def phi_capital_stock(
         "d1": d1,
         "d2": d2,
         "U": U,
-        # the longest sum on the grid
-        "terms": max(len(b[3]) for b in bands[: bisect_left(edges, u_grid[-1] / m) + 1]),
+        # the longest sum on the grid, to its top band (the last where it reaches the far field)
+        "terms": max(len(band_at(i)[3]) for i in range(top + 1)),
         # where the sums change band or form, and where the series at infinity takes over
         "edges": tuple(m * X for X in edges if m * X < U),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,11 +21,10 @@ GRID_POINTS, GRID_SPACING, GRID_U_MAX = 201, "uniform", 50.0
 def make_grid(u_max: float, points: int, spacing: str = GRID_SPACING) -> np.ndarray:
     """Output grid from 0 to u_max, uniform or logarithmic.
 
-    Raises ValueError for a non-finite or nonpositive ``u_max``, for fewer
-    than two points and for an unknown ``spacing``."""
+    Raises ValueError for a non-finite or nonpositive ``u_max``, fewer than
+    two points or an unknown ``spacing``, TypeError for points not an int."""
     check_u_max(u_max)
-    if points < 2:
-        raise ValueError(f"need points >= 2, got {points}")
+    check_count("points", points, 2)
     if spacing == "uniform":
         return np.linspace(0.0, u_max, points)
     if spacing == "log":
@@ -37,6 +37,17 @@ def check_tolerances(**tols: float) -> None:
     if not all(0.0 < t < math.inf for t in tols.values()):
         got = ", ".join(map(repr, tols.values()))
         raise ValueError(f"{' and '.join(tols)} must be positive and finite, got {got}")
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` through ``operator.index``, at least ``least``; its errors name ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def check_u_max(u_max) -> None:

@@ -26,7 +26,7 @@ from .errors import IntegrationError
 from .model import ModelParams, Regime
 # perfbench/tracer.py patches integrate and companion_volterra_field here
 from .odes import companion_volterra_field, integrate  # noqa: F401
-from .solution import SolutionGrid, check_tolerances
+from .solution import SolutionGrid, check_count, check_tolerances
 
 __all__ = [
     "ResidualReport",
@@ -492,8 +492,8 @@ def mc_survival(
     paths too, and both drew from PCG64), so an estimate under a given seed
     differs from theirs; the law of every path is unchanged.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    check_count("n_paths", n_paths, 1)
+    seed = np.random.SeedSequence().entropy % 2**63 if seed is None else check_count("seed", seed, 0)
     if not 0.0 <= u < math.inf:
         raise ValueError(f"initial surplus must be finite and >= 0, got {u!r}")
     scale = _rate_scale(params)
@@ -506,13 +506,9 @@ def mc_survival(
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     exact = params.b == 0.0
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
 
     survivors = 0
-    done = 0
-    block_index = 0
-    while done < n_paths:
+    for block_index, done in enumerate(range(0, n_paths, _BLOCK)):
         size = min(_BLOCK, n_paths - done)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
@@ -521,8 +517,6 @@ def mc_survival(
             survivors += _mc_block_exact(params, u, T, rng, size)
         else:
             survivors += _mc_block_gbm(params, u, T, dt, rng, size)
-        done += size
-        block_index += 1
 
     p_hat = survivors / n_paths
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
@@ -553,8 +547,7 @@ def tail_exponent(
         raise ValueError(
             f"power-law tail fit not applicable to regime {solution.regime.regime.value!r}"
         )
-    if n_points < 2:
-        raise ValueError(f"a slope needs n_points >= 2, got {n_points!r}")
+    check_count("n_points", n_points, 2)
     lo, hi = fit_window
     if not (0.0 < lo < hi <= solution.span[1] and math.isfinite(hi)):
         raise ValueError(f"fit window ({lo:g}, {hi:g}) outside solution span or not finite")

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +429,116 @@ class TestDenseOutput:
         grid = solve(FIG5_I)
         grid.evaluate(np.linspace(0.0, grid.span[1], 10_001))
         grid.evaluate(5.0)
+
+
+def sweep_capital_stock(seed):
+    """The capital-stock points of ``perfbench/sweep.py`` ``generate(seed)``,
+    keyed by their index in it."""
+    spec = importlib.util.spec_from_file_location(
+        "sweep", Path(__file__).resolve().parents[1] / "perfbench" / "sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return {
+        f"sweep{seed}[{i}]": ModelParams(**{k: p[k] for k in ("a", "b", "c", "lam", "m")})
+        for i, p in enumerate(sweep.generate(seed))
+        if p["route"] == "capital-stock"
+    }
+
+
+class TestBandsOnFirstUse:
+    """The bands are built in order when a query first needs them, and kept."""
+
+    POINTS = {"fig5-I": FIG5_I, "fig5-II": FIG5_II, **sweep_capital_stock(1)}
+    # diagnostics["terms"] and the band tops in x below U of the default
+    # solve, as it reported them when it built every band up front
+    DIAGNOSTICS = {
+        "fig5-I": (145, [64.0]),
+        "fig5-II": (128, [15.703125, 64.0, 160.0]),
+        "sweep1[1]": (148, [64.0]),
+        "sweep1[3]": (147, [64.0]),
+        "sweep1[4]": (114, [64.0, 160.0]),
+        "sweep1[5]": (124, [10.625, 64.0, 160.0]),
+        "sweep1[8]": (134, [64.0, 160.0]),
+        "sweep1[12]": (130, [14.8828125, 64.0, 160.0]),
+        "sweep1[13]": (106, [64.0, 160.0]),
+        "sweep1[18]": (142, [64.0]),
+        "sweep1[27]": (134, [36.796875, 64.0]),
+        "sweep1[28]": (126, [64.0, 160.0]),
+    }
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The (lo, X) of each band built from now on, in the order built."""
+        from ruinlab import capitalstock
+
+        built, band = [], capitalstock._band
+
+        def counted(coef, profile, omega, mu1, lo, X, start):
+            built.append((lo, X))
+            return band(coef, profile, omega, mu1, lo, X, start)
+
+        monkeypatch.setattr(capitalstock, "_band", counted)
+        return built
+
+    def test_points(self):
+        assert list(self.POINTS) == list(self.DIAGNOSTICS)
+
+    @pytest.mark.parametrize("name", list(DIAGNOSTICS))
+    def test_builds_the_bands_a_query_needs_once(self, name, monkeypatch):
+        params, built = self.POINTS[name], self.spy(monkeypatch)
+        m = params.m
+        # every band, in order: an evaluation out to the span's end needs the
+        # last one
+        whole = phi_capital_stock(params)
+        whole.evaluate(np.linspace(0.0, whole.span[1], 4001))
+        bands = built[:]
+        assert bands[0][0] == 0.0 and all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+        built.clear()
+        # a default solve: the bands whose lower edge lies below the grid's top
+        grid = phi_capital_stock(params)
+        assert built == [(lo, X) for lo, X in bands if lo < grid.u[-1] / m]
+        built.clear()
+        # u = 150 m: the bands on to its own, unless the far field holds it
+        x = 150.0 * m / m
+        first = grid.evaluate(150.0 * m)
+        assert built == [(lo, X) for lo, X in bands if grid.u[-1] / m <= lo < x <= bands[-1][1]]
+        built.clear()
+        assert grid.evaluate(150.0 * m) == first
+        grid.evaluate(np.array([150.0 * m]))
+        assert built == []
+
+    @pytest.mark.parametrize("name", list(DIAGNOSTICS))
+    def test_query_order_moves_no_bit(self, name):
+        params = self.POINTS[name]
+        m = params.m
+        grid = phi_capital_stock(params)
+        scalars = (0.5, 20.0, 100.0, 180.0)
+        queries = {
+            "near": grid.u,
+            "far": np.linspace(50.0 * m, grid.span[1], 257),
+            **{x: x * m for x in scalars},
+        }
+
+        def evaluated(order):
+            # a grid of two points builds the first band alone
+            fresh = phi_capital_stock(params, u_grid=[0.0, 1e-3 * m])
+            return {key: np.array(fresh.evaluate(queries[key])) for key in order}
+
+        far_first = evaluated([180.0, 100.0, "far", 20.0, "near", 0.5])
+        near_first = evaluated(["near", 0.5, 20.0, 100.0, "far", 180.0])
+        for key in queries:
+            np.testing.assert_array_equal(far_first[key], near_first[key])
+        np.testing.assert_array_equal(near_first["near"], [grid.phi, grid.dphi, grid.ddphi])
+        for x in scalars:
+            np.testing.assert_array_equal(near_first[x], grid.evaluate(x * m))
+
+    @pytest.mark.parametrize("name", list(DIAGNOSTICS))
+    def test_diagnostics_as_when_built_up_front(self, name):
+        params, (terms, tops) = self.POINTS[name], self.DIAGNOSTICS[name]
+        grid = phi_capital_stock(params)
+        assert grid.diagnostics["terms"] == terms
+        assert grid.diagnostics["edges"] == tuple(params.m * X for X in tops)
 
 
 def mpmath_reference(params, us):

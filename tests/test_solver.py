@@ -492,6 +492,12 @@ class TestMakeGrid:
             make_grid(10.0, 1)
         with pytest.raises(ValueError):
             make_grid(10.0, 5, "cubic")
+        # a count that is not an integer is refused by name, on every route
+        # and spacing; np.linspace and np.geomspace used to raise a raw TypeError
+        for name in ("fig1-II", "fig5-I", "fig3-II"):
+            for spacing in ("uniform", "log"):
+                with pytest.raises(TypeError, match="points must be an integer, got 201.0"):
+                    solve(PARAMS[name], points=201.0, spacing=spacing)
 
 
 class TestGridValidation:

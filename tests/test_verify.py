@@ -351,6 +351,14 @@ class TestMcSurvival:
             mc_survival(self.CLASSICAL, 5.0, 10, T=-1.0)
         with pytest.raises(ValueError):
             mc_survival(PARAMS["fig1-II"], 5.0, 10, T=10.0, dt=-1.0)
+        # counts that are not integers, and a negative seed, are refused by
+        # name before any path is drawn; numpy used to raise from the blocks
+        with pytest.raises(TypeError, match="n_paths must be an integer, got 10.5"):
+            mc_survival(PARAMS["fig1-II"], 1.0, 10.5, T=1.0, seed=1)
+        with pytest.raises(TypeError, match="seed must be an integer, got 1.0"):
+            mc_survival(PARAMS["fig1-II"], 1.0, 10, T=1.0, seed=1.0)
+        with pytest.raises(ValueError, match="need seed >= 0, got -1"):
+            mc_survival(PARAMS["fig1-II"], 1.0, 10, T=1.0, seed=-1)
 
     @pytest.mark.parametrize("dt", [-3.0, 0.0, math.nan, math.inf])
     def test_exact_mode_rejects_invalid_dt(self, dt):
@@ -440,6 +448,12 @@ class TestTailExponent:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_points >= 2"):
                 tail_exponent(solved("fig1-II"), (10.0, 40.0), n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [20.5, 20.0])
+    def test_fractional_points_rejected(self, solved, n_points):
+        # np.geomspace used to raise a raw TypeError
+        with pytest.raises(TypeError, match="n_points must be an integer"):
+            tail_exponent(solved("fig1-II"), (10.0, 40.0), n_points=n_points)
 
     @pytest.mark.parametrize(
         "window", [(0.0, 10.0), (10.0, 5.0), (10.0, math.inf), (math.nan, 10.0)]

@@ -8,9 +8,13 @@ with ``solve_eta`` on fig5-I and fig5-II out to u = 50, and steps the
 Volterra companion for three inputs.  Prints the number of solves,
 integrations and steps, and one sha256 over every trajectory's ``us``,
 ``states`` and ``coef``, phi, C0 and (on the capital stock) P1 of each
-solve, and the type and message of each solve that raises.  Two commits
-that print the same line on the same machine step every equation to the
-same bits.  It is not collected by pytest and takes about a second.
+solve, and the type and message of each solve that raises.  Each
+capital-stock solve is also evaluated beyond its grid, which reads bands
+the grid does not: as an array on 257 points of its span and on its band
+edges, then as scalars on the edges from the last down.  Two commits that
+print the same line on the same machine step every equation and evaluate
+every solution to the same bits.  It is not collected by pytest and takes
+about a second.
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ class Digest:
             return
         norm = [grid.C0, grid.diagnostics.get("P1", np.nan)]
         self.add(f"{label} {grid.regime.regime.value}", grid.u, grid.phi, norm)
+        if grid.regime.regime is ruinlab.Regime.CAPITAL_STOCK:
+            # past the grid too: points that cross every band out to the span's end
+            edges = np.array(grid.diagnostics["edges"])
+            us = np.concatenate((np.linspace(0.0, grid.span[1], 257), edges))
+            self.add(f"{label} beyond the grid", *grid.evaluate(us))
+            self.add(f"{label} edges", [grid.evaluate(u) for u in edges[::-1].tolist()])
 
 
 def main() -> None:
