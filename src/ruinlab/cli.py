@@ -91,7 +91,7 @@ def _solution_lines(grid) -> list[str]:
         lines.append(f"# K = {_fmt(grid.tail.K)}")
         lines.append(f"# log_K = {_fmt(grid.diagnostics['log_K'])}")
         lines.append(f"# exponent = {_fmt(grid.tail.exponent)}")
-    for key in ("reason", "u0", "U", "rtol"):
+    for key in ("reason", "u0", "U", "U_rule", "tail_term", "rtol"):
         if key in grid.diagnostics:
             val = grid.diagnostics[key]
             val = _fmt(val) if isinstance(val, (int, float)) else val

@@ -82,6 +82,8 @@ _EPS = float(np.finfo(float).eps)
 # and of v', and v_q's factor q in v'
 _POWERS = [1.0 / (_TERMS - q) for q in (2, 3, 4)]
 _DOWN = [float(q) for q in range(_TERMS - 1, 0, -1)]
+# the dense output's: q, 1 <= q < _TERMS, and q + 1, 0 <= q < _TERMS
+_Q, _Q1 = np.arange(1.0, _TERMS), np.arange(1.0, _TERMS + 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,18 @@ class Trajectory:
                 acc = acc * theta + c
             out.append(acc)
         return out
+
+
+def joined(trajs: list) -> Trajectory:
+    """One Trajectory of ``trajs``, each starting where the one before ends."""
+    if len(trajs) == 1:
+        return trajs[0]
+    return Trajectory(
+        us=np.concatenate([trajs[0].us] + [t.us[1:] for t in trajs[1:]]),
+        states=np.concatenate([trajs[0].states] + [t.states[1:] for t in trajs[1:]]),
+        coef=np.concatenate([t.coef for t in trajs], axis=2),
+        name=trajs[0].name,
+    )
 
 
 def _falling(x, j: int):
@@ -400,7 +414,8 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
         # in powers of theta = t / h: h^q as the sequential products 1, h, h h, ..
         V *= np.cumprod(np.hstack([np.ones_like(h), np.repeat(h, _TERMS - 1, axis=1)]), axis=1)
         for l in range(order):
-            col = V[:, l:] * _falling(np.arange(l, _TERMS, dtype=float), l) / h**l
+            # v, and v' = sum_q q v_q h^q theta^(q-1) / h
+            col = V[:, 1:] * _Q / h if l else V.copy()
             col[:, 0] = start[:, l]
             coef[: _TERMS - l, lo + l] = np.ldexp(col, E).T
         states[:-1, lo:] = coef[0, lo:].T
@@ -408,7 +423,7 @@ def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:
         if lo:
             # phi(s + theta h) - phi(s) = sum_q v_q h^(q+1) theta^(q+1) / (q + 1),
             # summed at theta = 1 as Trajectory does, so phi is continuous
-            coef[1:, 0] = np.ldexp((V * h) / np.arange(1.0, _TERMS + 1.0), E).T
+            coef[1:, 0] = np.ldexp((V * h) / _Q1, E).T
             inc = np.cumsum(coef[:0:-1, 0], axis=0)[-1]
             states[:, 0] = np.cumsum(np.concatenate(([phi0], inc)))
             coef[0, 0] = states[:-1, 0]

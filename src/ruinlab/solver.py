@@ -4,13 +4,17 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 
 1. expand the solution at the singular point u = 0 with placeholder C0 = 1
    and transfer the initial data to a regular point u0;
-2. integrate the third-order equation once, by Taylor steps (``odes``),
-   from u0 to a U chosen before the integration as the smallest candidate
-   u_max 2^(k/2), k = 0, 1, .., at which the power-law series at infinity,
-   phi' ~ K (r - 1) u^(-r) sum_j e_j u^(-j) with r = 2a/b^2, truncates;
+2. integrate the third-order equation by Taylor steps (``odes``) up the
+   ladder of candidates u_max 2^(k/2), k = 0, 1, .., one ``integrate``
+   call per rung, and stop at the first U where either the power-law
+   series at infinity, phi' ~ K (r - 1) u^(-r) sum_j e_j u^(-j) with
+   r = 2a/b^2, truncates, or phi is flat: the tail term
+   t = phi'(U) U / ((r - 1) phi(U)), the share of the limit beyond U to
+   leading order, lies below 2^-53;
 3. match that series to phi(U) and phi'(U): the finite limit of the
    unnormalized solution is A = phi(U) + phi'(U) U T(U) / S(U), with
-   S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1);
+   S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1); where phi
+   is flat, the leading term e_0 = 1 alone, A = phi(U) + phi'(U) U / (r - 1);
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
    proportional to C0 (no shooting iteration is needed).
 
@@ -19,7 +23,8 @@ logs: log K = log phi'(U) + r log U - log((r - 1) A S(U)).  Beyond U the
 solution is the series at infinity with that K (``series.far_field``), as
 the capital stock's is with its exact K, so the main route, like the closed
 forms, evaluates on [0, inf).  Where phi'(U) is below the normal float range
-it has lost its digits, and K is not reported.
+it has lost its digits, and K is not reported; nor where phi is flat, as the
+leading term's fit is no K (log K = 785.9 at r = 213, U = 50; 950.98 converged).
 
 Degenerate regimes dispatch to their closed forms or to the capital-stock
 route; parameter sets with certain ruin yield the explicit zero
@@ -73,10 +78,13 @@ def solve_main(
 ) -> SolutionGrid:
     """Solve the main regime; see the module docstring for the pipeline.
 
-    U climbs from u_max by factors of sqrt(2) up to 256 max(200 m, u_max),
-    and ``SolverError`` is raised where the series at infinity truncates at
-    none of these.  The solution's span is [0, inf): series at u = 0 up to
-    u0, trajectory up to U, series at infinity beyond.  ``u_max`` defaults
+    U climbs from u_max by factors of sqrt(2) up to 256 max(200 m, u_max)
+    while the integration follows it.  ``SolverError`` is raised where the
+    series at infinity truncates at none of these and phi is flat at none,
+    once the integration has reached the top, or where the limit A at U is
+    not positive; ``IntegrationError`` passes from ``integrate``.  The
+    solution's span is [0, inf): series at u = 0 up to u0, trajectory up to
+    U, series at infinity beyond.  ``u_max`` defaults
     to 50 m and ``u_grid`` to 201 uniform points on [0, u_max]; ``solve``
     builds the other grids.  ``rtol`` is the integration's tolerance;
     ValueError is raised unless it is positive and finite."""
@@ -92,39 +100,53 @@ def solve_main(
 
     u_grid, u_max = resolve_grid(params.m, u_grid, u_max)
     e = series_coeffs_infinity(params)
-    j = np.arange(len(e))
     reach = 2.0 * max(200.0 * params.m, u_max)
     top = 128.0 * reach
     candidates = u_max * 2.0 ** (np.arange(1 + math.floor(2.0 * math.log2(top / u_max))) / 2.0)
     # U stays at least 2 u0 from the transfer point
-    candidates = candidates[(candidates >= 2.0 * u0) & (candidates <= top)]
+    candidates = candidates[(candidates >= 2.0 * u0) & (candidates <= top)].tolist()
     # a non-finite coefficient never truncates
-    ok = truncates(e, 1.0 / candidates)
-    if not ok.any():
-        raise SolverError(f"series at infinity does not truncate by U={top:g}")
-    U = float(candidates[np.argmax(ok)])
+    ok = truncates(e, 1.0 / np.array(candidates)).tolist()
     # The step rule budgets rtol h / (U - u0) per step, which a short span
     # loosens.  The budget per unit length is held to that of a span from u0
-    # to ``reach``, and to rtol/8 over this span: the two agree at the
-    # default u_max = 50 m where U = u_max, and the second keeps fig2-II's C0
-    # (U = 100) within 1.89e-13 of its reference, against 1.92e-13.
-    traj = integrate(
-        odes.main_ode_field(params), u0, state0, U, rtol=rtol * min(0.125, (U - u0) / (reach - u0))
-    )
+    # to ``reach``, and to rtol/8 over the first rung: the two agree at the
+    # default u_max = 50 m, where the first rung is u_max.  Each later rung's
+    # integration keeps the first one's budget per unit length.
+    eq, start, state, segments = odes.main_ode_field(params), u0, state0, []
+    U0 = candidates[0]
+    first_rtol = rtol * min(0.125, (U0 - u0) / (reach - u0))
+    for U, truncated in zip(candidates, ok):
+        span_rtol = first_rtol * (U - start) / (U0 - u0) if segments else first_rtol
+        segments.append(integrate(eq, start, state, U, rtol=span_rtol))
+        start, state = U, segments[-1].states[-1]
+        phi_U, dphi_U, _ = state.tolist()
+        # phi is flat where the share of the limit beyond U, to leading
+        # order, lies below the rounding of phi(U) near 1
+        tail_term = dphi_U * U / ((r - 1.0) * phi_U) if phi_U > 0.0 else math.inf
+        if truncated or tail_term < 2.0**-53:
+            break
+    else:
+        raise SolverError(f"series at infinity neither truncates nor is flat by U={top:g}")
+    traj = odes.joined(segments)
 
-    phi_U, dphi_U, _ = traj(U)
+    # under the flat-tail rule the leading term alone carries the far field
+    rule = "truncates" if truncated else "flat"
+    e = e if truncated else e[:1]
+    j = np.arange(len(e))
     terms = e * (1.0 / U) ** j
     S_U = float(terms.sum())
     A = phi_U + dphi_U * U * float(terms @ (1.0 / (r + j - 1.0))) / S_U
     if not (A > 0.0 and S_U > 0.0 and dphi_U >= 0.0):
         raise SolverError(f"nonpositive limit at infinity: A={A:g}, S(U)={S_U:g}, phi'(U)={dphi_U:g}")
     C0 = 1.0 / A
-    log_info(__name__, "main solve: u0=%.4g U=%g C0=%.8g", u0, U, C0)
+    log_info(__name__, "main solve: u0=%.4g U=%g (%s) C0=%.8g", u0, U, rule, C0)
 
     # phi'(U) = K (r - 1) A U^(-r) S(U); where phi'(U) reads 0, phi reads 1 beyond U
     log_K = ext_log(dphi_U) + r * math.log(U) - math.log((r - 1.0) * A * S_U)
-    # phi'(U) below the normal range, and K with it, has lost its digits
-    tail = TailFit(A, ext_exp(log_K), 1.0 - r, U) if dphi_U >= np.finfo(float).tiny else None
+    # phi'(U) below the normal range, and K with it, has lost its digits; the
+    # leading term's fit where phi is flat does not resolve K
+    resolved = truncated and dphi_U >= np.finfo(float).tiny
+    tail = TailFit(A, ext_exp(log_K), 1.0 - r, U) if resolved else None
     far3, far_point3 = far_field(e, r, log_K)
 
     def eval3(uq: np.ndarray):
@@ -154,7 +176,9 @@ def solve_main(
         "U": U,
         "rtol": rtol,
         "A": A,
-        "log_K": log_K,  # finite where K passes double range
+        "U_rule": rule,
+        "tail_term": tail_term,
+        "log_K": log_K if truncated else None,  # finite where K passes double range
         "steps": len(traj.us) - 1,
     }
     return SolutionGrid.sample(

@@ -91,8 +91,9 @@ def classical_survival_to_horizon(params, u, T):
 
 def solve_recording_trajectory(monkeypatch, params, **kwargs):
     """``solve(params, **kwargs)`` and the trajectory its dense output reads
-    (``None`` on a closed-form route), recorded at ``integrate``."""
-    from ruinlab import solver
+    (``None`` on a closed-form route): the segments recorded at
+    ``integrate``, one per rung of the main route's ladder, joined."""
+    from ruinlab import odes, solver
 
     seen = []
     integrate = solver.integrate
@@ -104,8 +105,7 @@ def solve_recording_trajectory(monkeypatch, params, **kwargs):
     with monkeypatch.context() as mp:
         mp.setattr(solver, "integrate", recording)
         grid = solve(params, **kwargs)
-    assert len(seen) <= 1
-    return grid, (seen[0] if seen else None)
+    return grid, (odes.joined(seen) if seen else None)
 
 
 @pytest.fixture(scope="session")

@@ -60,9 +60,10 @@ class TestSolveCommand:
 
     def test_log_k_reported_when_k_overflows(self, capsys):
         # fraction 0.05 of ROADMAP item 2's fixed-fraction example,
-        # 2a/b^2 = 213: K reads inf, log K = 951 does not
+        # 2a/b^2 = 213: from u_max = 800 the series at infinity truncates at
+        # U = 800, where K reads inf and log K = 951 does not
         code, out, _ = run(capsys, "solve", "--a", "0.024", "--b", "0.015", "--c", "0.1",
-                           "--lambda", "0.09", "--m", "1")
+                           "--lambda", "0.09", "--m", "1", "--umax", "800")
         assert code == 0
         footer = [ln for ln in out.split("\n") if ln.startswith("# ")]
         k = footer.index("# K = inf")
@@ -83,13 +84,25 @@ class TestSolveCommand:
         assert "failed to converge" in err
 
     def test_footer_reports_the_tail_fit(self, capsys):
-        # fig2-II (2a/b^2 = 20) has a steep tail, 1 - phi ~ 8.7e17 u^-19
+        # fig2-II (2a/b^2 = 20) has a steep tail, 1 - phi ~ 8.7e17 u^-19,
+        # which the series at infinity resolves where it truncates, at
+        # U = 100; from the default u_max phi is flat at U = 70.7 first, and
+        # the footer holds no K
+        code, out, _ = run(capsys, "solve", "--preset", "fig2-II", "--points", "5", "--umax", "100")
+        footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
+        assert code == 0
+        assert footer == [
+            "# regime", "# C0", "# K", "# log_K", "# exponent", "# u0", "# U", "# U_rule",
+            "# tail_term", "# rtol",
+        ]
+        assert _footer(out, "U_rule") == "truncates"
+        assert float(out.split("# K = ")[1].split()[0]) == pytest.approx(8.706888e17, rel=1e-6)
+        assert float(out.split("# log_K = ")[1].split()[0]) == pytest.approx(np.log(8.706888e17), rel=1e-9)
         code, out, _ = run(capsys, "solve", "--preset", "fig2-II", "--points", "5")
         footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
         assert code == 0
-        assert footer == ["# regime", "# C0", "# K", "# log_K", "# exponent", "# u0", "# U", "# rtol"]
-        assert float(out.split("# K = ")[1].split()[0]) == pytest.approx(8.706888e17, rel=1e-6)
-        assert float(out.split("# log_K = ")[1].split()[0]) == pytest.approx(np.log(8.706888e17), rel=1e-9)
+        assert footer == ["# regime", "# C0", "# u0", "# U", "# U_rule", "# tail_term", "# rtol"]
+        assert _footer(out, "U_rule") == "flat" and float(_footer(out, "tail_term")) < 2.0**-53
 
     def test_footer_leaves_out_step_count(self, capsys):
         _, out, _ = run(capsys, *SOLVE_FIG1_II)

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -243,14 +244,15 @@ class TestLongerSeries:
     @pytest.mark.parametrize(
         ("alpha", "most", "C0"),
         [
-            (0.1, 150, 0.3736036303609106),
-            (0.03, 1_000, 0.3510436015834568),
-            (0.01, 10_000, 0.3433158915078227),
+            (0.1, 60, 0.3736036303609106),
+            (0.03, 300, 0.3510436015834568),
+            (0.01, 2_000, 0.3433158915078227),
         ],
     )
     def test_fixed_fraction(self, alpha, most, C0):
         # C0 as solved from u0 = 0.1 m with 20 terms, in 288, 3,097 and
-        # 34,510 steps
+        # 34,510 steps; U = 50 under the flat-tail rule takes 40, 200 and
+        # 1,427
         grid = solve(fixed_fraction(alpha))
         assert grid.diagnostics["steps"] <= most
         assert grid.C0 == pytest.approx(C0, rel=1e-12)
@@ -345,45 +347,127 @@ class TestTailFit:
 
     @pytest.mark.parametrize("p", POINTS, ids=IDS)
     def test_K_is_resolved(self, p):
-        # the two agree to 2.6e-13 or better on these points
-        assert solve(p).tail.K == pytest.approx(solve(p, rtol=1e-13).tail.K, rel=1e-11)
+        # the two agree to 2.6e-13 or better where the series truncates at
+        # U; the leading term of the flat-tail rule does not resolve K
+        grid = solve(p)
+        if grid.diagnostics["U_rule"] == "truncates":
+            assert grid.tail.K == pytest.approx(solve(p, rtol=1e-13).tail.K, rel=1e-11)
+        else:
+            assert grid.tail is None and grid.diagnostics["log_K"] is None
 
     @pytest.mark.parametrize("name", NAMES + ["fig5-I", "fig5-II"])
     def test_log_K_reported(self, solved, name):
-        # main and capital stock alike: K = exp(log K) where K is finite
+        # main and capital stock alike: K = exp(log K) where K is finite,
+        # and neither under the main route's flat-tail rule (fig2-II)
         grid = solved(name)
-        assert grid.tail.K == pytest.approx(math.exp(grid.diagnostics["log_K"]), rel=1e-14)
+        if grid.diagnostics.get("U_rule") == "flat":
+            assert grid.tail is None and grid.diagnostics["log_K"] is None
+        else:
+            assert grid.tail.K == pytest.approx(math.exp(grid.diagnostics["log_K"]), rel=1e-14)
 
     def test_steep_tail_reported(self, solved):
-        # fig2-II: 2a/b^2 = 20, and 1 - phi ~ 8.7e17 u^-19; far out
-        # phi' = K (r-1) u^(-r) (1 + O(1/u))
-        grid, r = solved("fig2-II"), PARAMS["fig2-II"].robustness()
-        assert grid.tail is not None and grid.tail.U == grid.diagnostics["U"] == 100.0
+        # main16 of the sweep: 2a/b^2 = 18.1, and 1 - phi ~ 2.0e24 u^-17.1;
+        # far out phi' = K (r-1) u^(-r) (1 + O(1/u))
+        p = ModelParams(**SWEEP_MAIN_C0[16][0])
+        grid, r = solve(p), p.robustness()
+        assert grid.diagnostics["U_rule"] == "truncates"
+        assert grid.tail is not None and grid.tail.U == grid.diagnostics["U"] == 100.0 * p.m
         assert grid.tail.exponent == pytest.approx(1.0 - r, rel=1e-15)
-        u = 1e8
+        u = 1e8 * p.m
         assert grid.evaluate(u)[1] * u**r / (r - 1.0) == pytest.approx(grid.tail.K, rel=1e-6)
+        # fig2-II (2a/b^2 = 20) is flat to rounding at U = 70.7, before the
+        # series truncates at 100
+        flat = solved("fig2-II")
+        assert flat.diagnostics["U_rule"] == "flat" and flat.diagnostics["U"] == 50.0 * 2.0**0.5
+        assert flat.tail is None and flat.diagnostics["tail_term"] < 2.0**-53
 
     def test_K_beyond_double_range_reads_inf(self):
-        # fraction 0.05 of ROADMAP item 2's example, 2a/b^2 = 213: K passes
-        # double range, 1 - phi beyond U does not
+        # fraction 0.05 of ROADMAP item 2's example, 2a/b^2 = 213: from
+        # u_max = 800 the series truncates at U = 800, and K passes double
+        # range, 1 - phi beyond U does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = solve(fixed_fraction(0.05))
+            grid = solve(fixed_fraction(0.05), u_max=800.0)
             U = grid.diagnostics["U"]
             far = grid.evaluate(2.0 * U)
-        assert grid.tail.K == math.inf and grid.tail.U == U
+            flat = solve(fixed_fraction(0.05))
+            beyond = flat.evaluate(np.array([50.0, 100.0, 1e4, 1e300]))
+        assert grid.diagnostics["U_rule"] == "truncates"
+        assert grid.tail.K == math.inf and grid.tail.U == U == 800.0
         assert far[0] == 1.0 and 0.0 < far[1] < grid.evaluate(U)[1]
         # the diagnostics keep log K, which the tail's K cannot hold
         assert grid.diagnostics["log_K"] == pytest.approx(950.98, abs=0.01)
+        # from the default u_max, phi is flat at U = 50: the leading term's
+        # fit (log K = 785.9) is no K, and phi reads 1 beyond U
+        assert flat.diagnostics["U_rule"] == "flat" and flat.diagnostics["U"] == 50.0
+        assert flat.tail is None and flat.diagnostics["log_K"] is None
+        assert np.all(beyond[0][1:] == 1.0) and np.all(np.diff(beyond[1]) <= 0.0)
 
     def test_underflowed_slope_reports_no_tail(self):
-        # fraction 0.03, 2a/b^2 = 553: phi'(U) reads 0.0, which would give K = 0
+        # fraction 0.03, 2a/b^2 = 553: from u_max = 1,600 the series
+        # truncates at U = 1,600, where phi'(U) reads 0.0, which would give K = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = solve(fixed_fraction(0.03))
+            grid = solve(fixed_fraction(0.03), u_max=1600.0)
             U = grid.diagnostics["U"]
+            assert grid.diagnostics["U_rule"] == "truncates" and grid.evaluate(U)[1] == 0.0
             assert grid.tail is None
             assert grid.evaluate(2.0 * U)[0] == 1.0
+
+
+class TestFarEnd:
+    """The main route climbs its ladder of U while it integrates and stops
+    at the first rung where the series at infinity truncates or phi is flat
+    to rounding, so the points whose series truncates far out, or on no
+    rung, stop at U = u_max."""
+
+    FRACTIONS = [(0.01, 2_000), (0.005, 7_000), (0.003, 20_000)]
+    # r = 14, b = 0.0049 and 2c/b^2 = 7.7e4, so c/(lam m) = 6.8: the series
+    # at infinity truncates at U = 36,204 and 34,816 on the first and the
+    # last, and on no rung of the second
+    SURVEY = [(0.136, 1.0), (0.5, 0.272), (0.05, 2.72)]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def fraction(alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return solve(fixed_fraction(alpha))
+
+    @pytest.mark.parametrize(("alpha", "most"), FRACTIONS)
+    def test_small_fractions_solve(self, alpha, most):
+        diag = self.fraction(alpha).diagnostics
+        assert diag["U"] == 50.0 and diag["U_rule"] == "flat"
+        assert 0.0 < diag["tail_term"] < 2.0**-53
+        assert diag["steps"] <= most
+
+    @pytest.mark.parametrize("alpha", [alpha for alpha, _ in FRACTIONS])
+    def test_monotone_within_one_out_to_1e300(self, alpha):
+        grid = self.fraction(alpha)
+        us = np.concatenate((grid.u, np.geomspace(51.0, 1e300, 60)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, dphi, ddphi = grid.evaluate(us)
+        assert np.isfinite(dphi).all() and np.isfinite(ddphi).all()
+        assert np.all(np.diff(phi) >= 0.0) and phi[0] > 0.0 and phi[-1] == 1.0
+
+    def test_approaches_risk_free(self):
+        # phi(0) reads 0.3433, 0.3413 and 0.3404 against the risk-free 0.3392
+        us = np.array([0.0, 5.0, 20.0])
+        rf = riskfree_exact(fixed_fraction(0.0), u_grid=us).phi
+        phis = [self.fraction(alpha).evaluate(us)[0] for alpha, _ in self.FRACTIONS]
+        for above, below in zip(phis, phis[1:] + [rf]):
+            assert np.all(above > below)
+
+    @pytest.mark.parametrize(("lam", "m"), SURVEY)
+    def test_survey_points(self, lam, m):
+        b = 0.0049
+        p = ModelParams(a=7.0 * b * b, b=b, c=3.85e4 * b * b, lam=lam, m=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = solve(p)
+        assert grid.diagnostics["U_rule"] == "flat"
+        assert grid.C0 == pytest.approx(solve(p, rtol=1e-12).C0, rel=1e-10)
 
 
 class TestSolveDispatch:
