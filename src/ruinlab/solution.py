@@ -84,11 +84,11 @@ class TailFit:
 
     ``A`` is the finite limit of the unnormalized solution: 1/phi(0) in the
     main regime, where ``A`` and ``K`` come from matching the series at
-    infinity to phi(U) and phi'(U), and no fit is reported where phi'(U) is
-    below the normal float range or where U was set by phi being flat.  In the capital-stock regime ``A`` = Z and
-    ``K`` are exact (a Mellin transform and Kummer's asymptotics), and the
-    span is [0, ``U``].  ``K``, formed in logs, reads inf beyond double
-    range; far out, both routes evaluate the series with it (``far_field``).
+    infinity to phi(U) and phi'(U); no fit is reported where phi is flat at
+    U or phi'(U) is below the normal float range.  In the capital-stock
+    regime ``A`` = Z and ``K`` are exact (a Mellin transform and Kummer's
+    asymptotics), and the span is [0, ``U``].  ``K``, formed in logs, reads
+    inf beyond double range; far out, both routes evaluate the series with it (``far_field``).
     """
 
     A: float

@@ -84,10 +84,10 @@ def solve_main(
     once the integration has reached the top, or where the limit A at U is
     not positive; ``IntegrationError`` passes from ``integrate``.  The
     solution's span is [0, inf): series at u = 0 up to u0, trajectory up to
-    U, series at infinity beyond.  ``u_max`` defaults
-    to 50 m and ``u_grid`` to 201 uniform points on [0, u_max]; ``solve``
-    builds the other grids.  ``rtol`` is the integration's tolerance;
-    ValueError is raised unless it is positive and finite."""
+    U, series at infinity beyond.  ``u_max`` defaults to 50 m and ``u_grid``
+    to 201 uniform points on [0, u_max]; ``solve`` builds the other grids.
+    ``rtol`` is the integration's tolerance; ValueError is raised unless it
+    is positive and finite."""
     check_tolerances(rtol=rtol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:

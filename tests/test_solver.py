@@ -292,8 +292,12 @@ class TestFarField:
         assert grid.span == (0.0, math.inf)
         at = grid.evaluate(U)
         beyond = grid.evaluate(float(np.nextafter(U, math.inf)))
-        for x, y in zip(at, beyond):
-            assert y == pytest.approx(x, rel=1e-12)
+        # no abs: phi' and phi'' lie far below pytest.approx's default.  The
+        # flat-tail rule's leading term leaves e_1/U out of phi'', which
+        # jumps by 1.5% on fig2-II
+        flat = grid.diagnostics["U_rule"] == "flat"
+        for x, y, rel in zip(at, beyond, (1e-12, 1e-12, 0.05 if flat else 1e-12)):
+            assert y == pytest.approx(x, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig2-I"])
     def test_matches_longer_integration(self, solved, name):
