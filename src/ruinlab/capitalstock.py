@@ -69,12 +69,6 @@ def eta_series(params: ModelParams, order: int = ORDER) -> np.ndarray:
     return P[2:]
 
 
-def _transfer_point(poly: np.ndarray, m: float) -> float:
-    """u0: the largest of 33 candidates in [0.01 m, 0.6 m] where eta's series
-    truncates."""
-    return choose_u0(poly, m * np.logspace(-2.0, np.log10(0.6), 33), 1e-2 * m)
-
-
 def _log_w0(mu1: float, d1: float, d2: float, r: float) -> float:
     """log w_0 = log(Gamma(mu1) m^mu1 / Z), Z = 1/P1 (module docstring), with
     d2 - mu1 = r - 1 and 2 d1 - mu1 = mu1 + r; log(Z / m^mu1) is log
@@ -98,13 +92,15 @@ def solve_eta(params: ModelParams, u_max: float, rtol: float = 1e-10):
     """Integrate eta from its series transfer point out to ``u_max``.
 
     Returns the trajectory of (eta, eta'); its start node is the transfer
-    point u0.  Raises :class:`SolverError` where eta is negative at a node.
+    point u0, the largest of 33 candidates in [0.01 m, 0.6 m] where eta's
+    series truncates.  Raises :class:`SolverError` where it truncates at
+    none, or where eta is negative at a node.
     ``phi_capital_stock`` does not use it: it sums eta's Kummer series.
     """
     from .odes import eta_ode_field, integrate
 
     poly = np.concatenate(([1.0], eta_series(params)))
-    u0 = _transfer_point(poly, params.m)
+    u0 = choose_u0(poly, params.m * np.logspace(-2.0, np.log10(0.6), 33))
     eta0, deta0, _ = poly3(poly, u0)
     traj = integrate(eta_ode_field(params), u0, [eta0, deta0], u_max, rtol=rtol)
     # eta falls below double range far out: an underflow reads +0.0, a

@@ -47,7 +47,6 @@ holds it to ``PHI_TOL``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +74,13 @@ TOL = 1e-12
 # fig2-II's C0 is 1.8e-11 off its converged value, with 1e-14 it is 1.9e-13,
 # for 0.5% more Taylor steps over the main points of sweep seeds 1-10.
 PHI_TOL = 1e-14
+# the transfer candidates of the main series at u = 0, in units of m: a
+# 0.05-decade lattice on [1e-7, 0.1], whose first ``_FIRST`` entries take
+# ``ORDER`` terms, then 32 points on [10^-0.95, 10^0.6] for longer series
+_LATTICE = np.concatenate(
+    (np.logspace(-7.0, -3.0, 81)[:-1], np.logspace(-3.0, -1.0, 41), np.logspace(-0.95, 0.6, 32))
+)
+_FIRST = 121
 
 
 @dataclass(frozen=True)
@@ -125,54 +131,37 @@ def _main_poly(
     return coeffs, poly
 
 
-def series_coeffs_main(
-    params: ModelParams,
-    order: int | None = None,
-    tol: float = PHI_TOL,
-) -> SeriesExpansion:
-    """Build the expansion for the main regime (requires c > 0, order >= 2).
+def series_coeffs_main(params: ModelParams) -> SeriesExpansion:
+    """Build the expansion for the main regime (requires c > 0).
 
-    u0 is the largest candidate in m 10^[-3, -1], or else in m 10^[-7, -3),
-    at which ``ORDER`` terms truncate (``SolverError`` where none does).
-    Where that is the top candidate 0.1 m, the stretch beyond
+    u0 is the largest of the first ``_FIRST`` candidates m ``_LATTICE``, up
+    to 0.1 m, at which ``ORDER`` terms truncate to ``PHI_TOL``
+    (``choose_u0``).  Where that is the top one, 0.1 m, the stretch beyond
     it, stiff with rate about 2c/(b^2 u^2), is worth carrying in a longer
-    series: the order doubles up to ``MAX_ORDER`` over candidates in
-    (0.1 m, 10^0.6 m] while the largest u0 at which both phi and m^2 phi''
-    truncate keeps growing.  Each doubling extends the recurrence of the
-    last and scans only the candidates above its u0.  The integrator starts
-    from phi'' too, whose truncation error is about N^2 (m/u0)^2 times
-    phi's.  An explicit ``order`` is kept, with u0 among the first
-    candidates.
+    series: the order doubles up to ``MAX_ORDER`` over the candidates above
+    u0 while the largest u0 at which both phi and m^2 phi'' truncate keeps
+    growing.  Each doubling extends the recurrence of the last.  The
+    integrator starts from phi'' too, whose truncation error is about
+    N^2 (m/u0)^2 times phi's.
     """
     if params.c == 0.0:
         raise ValueError("series recurrence divides by c; c must be positive")
-    pinned = order is not None
-    order = ORDER if order is None else order
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    m = params.m
+    m, order = params.m, ORDER
+    candidates = m * _LATTICE
     D: list = []
     coeffs, poly = _main_poly(params, order, D)
-    # the first candidates, then the same 0.05-decade lattice below them
-    for candidates in (m * np.logspace(-3.0, -1.0, 41), m * np.logspace(-7.0, -3.0, 81)[:-1]):
-        ok = truncates(poly, candidates, tol)
-        if ok.any():
-            break
-    else:
-        raise SolverError(f"the series at u = 0 truncates at no u0 in m 10^[-7, -1] (tol={tol:g})")
-    u0 = float(candidates[ok].max())
-    far = m * np.logspace(-0.95, 0.6, 32)
-    while not pinned and u0 >= 0.1 * m and order < MAX_ORDER:
+    u0 = choose_u0(poly, candidates[:_FIRST], PHI_TOL)
+    while u0 >= 0.1 * m and order < MAX_ORDER:
         longer, lpoly = _main_poly(params, 2 * order, D)
         if (np.abs(lpoly) < np.finfo(float).tiny).any():
             break  # a coefficient near underflow has lost its digits
-        x = far[far > u0]
-        x = x[truncates(lpoly, x, tol)]
+        x = candidates[candidates > u0]
+        x = x[truncates(lpoly, x, PHI_TOL)]
         if x.size:
             k = np.arange(2, len(lpoly))
             with np.errstate(over="ignore"):
                 dd = m * m * k * (k - 1.0) * lpoly[2:]
-            x = x[truncates(dd, x, tol)]
+            x = x[truncates(dd, x, PHI_TOL)]
         if not x.size:
             break
         order, coeffs, poly, u0 = 2 * order, longer, lpoly, float(x.max())
@@ -234,22 +223,17 @@ def truncates(poly: np.ndarray, x, tol: float = TOL):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def choose_u0(poly: np.ndarray, candidates, fallback: float, tol: float = TOL) -> float:
-    """Pick the largest candidate u at which ``poly`` ``truncates``.
-
-    ``poly`` holds the ascending coefficients a_0..a_N of the series.
-    Returns ``fallback``, with a warning, when no candidate qualifies.
-    """
+def choose_u0(poly: np.ndarray, candidates, tol: float = TOL) -> float:
+    """The largest candidate u at which ``poly``, the ascending coefficients
+    a_0..a_N of a series, ``truncates``; ``SolverError`` where none does."""
     candidates = np.asarray(candidates, dtype=float)
     ok = truncates(poly, candidates, tol)
-    if ok.any():
-        return float(candidates[ok].max())
-    warnings.warn(
-        f"no transfer point satisfied the truncation rule (tol={tol:g}); "
-        f"falling back to u0={float(fallback):g}",
-        stacklevel=2,
-    )
-    return float(fallback)
+    if not ok.any():
+        raise SolverError(
+            f"the series truncates at no u0 in [{candidates.min():g}, {candidates.max():g}] "
+            f"(tol={tol:g})"
+        )
+    return float(candidates[ok].max())
 
 
 def horner(coeffs, x: float) -> float:

@@ -108,6 +108,18 @@ def solve_recording_trajectory(monkeypatch, params, **kwargs):
     return grid, (odes.joined(seen) if seen else None)
 
 
+def fixed_order_series(params, order, tol=None):
+    """The main series at u = 0 with ``order`` terms, its u0 the largest of
+    the first candidates at which it truncates (``tol`` defaults to
+    ``PHI_TOL``), as ``series_coeffs_main`` takes before any doubling."""
+    from ruinlab import SeriesExpansion, choose_u0
+    from ruinlab.series import _FIRST, _LATTICE, PHI_TOL, _main_poly
+
+    coeffs, poly = _main_poly(params, order)
+    u0 = choose_u0(poly, params.m * _LATTICE[:_FIRST], PHI_TOL if tol is None else tol)
+    return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
+
+
 @pytest.fixture(scope="session")
 def solved():
     """Session cache of solved scenarios (u_max = 50, default tolerances)."""

@@ -13,7 +13,10 @@ from ruinlab import (
     phi_second_derivative_at_zero,
     series_coeffs_main,
 )
+from ruinlab import series
 from ruinlab.series import (
+    _FIRST,
+    _LATTICE,
     MAX_ORDER,
     ORDER,
     PHI_TOL,
@@ -23,41 +26,37 @@ from ruinlab.series import (
     series_coeffs_infinity,
     truncates,
 )
+from conftest import fixed_order_series
 
 FIG1_II = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
 FIG2_I = ModelParams(a=0.02, b=0.1, c=0.02, lam=0.09, m=1.0)
 FIG5_I = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)
-# the main expansion's first candidates, and a fallback abscissa for choose_u0
-MAIN_CANDIDATES = FIG1_II.m * np.logspace(-3.0, -1.0, 41)
-MAIN_FALLBACK = min(1e-3, FIG1_II.m / 100.0)
+# the main expansion's first candidates from 1e-3 m up, in units of m
+MAIN_CANDIDATES = np.logspace(-3.0, -1.0, 41)
 
 
 class TestCoefficients:
     def test_d2_values(self):
-        exp = series_coeffs_main(FIG1_II, order=8)
-        assert exp.coeffs[0] == pytest.approx(-0.3, rel=1e-12)
-        exp = series_coeffs_main(FIG2_I, order=8)
-        assert exp.coeffs[0] == pytest.approx(2.5, rel=1e-12)
+        coeffs, _ = _main_poly(FIG1_II, 8)
+        assert coeffs[0] == pytest.approx(-0.3, rel=1e-12)
+        coeffs, _ = _main_poly(FIG2_I, 8)
+        assert coeffs[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_d2_first_term_vanishes(self):
         # a = lam kills the (a - lam)/c term, leaving -1/m
         p = ModelParams(a=0.09, b=0.1, c=1.0, lam=0.09, m=1.0)
-        exp = series_coeffs_main(p, order=4)
-        assert exp.coeffs[0] == pytest.approx(-1.0, rel=1e-14)
+        coeffs, _ = _main_poly(p, 4)
+        assert coeffs[0] == pytest.approx(-1.0, rel=1e-14)
 
     def test_d3_hand_value(self):
         # -(D2*(b^2 + 2a - lam + c/m) + a/m) / (2c) with D2 = -0.3
-        exp = series_coeffs_main(FIG1_II, order=8)
-        assert exp.coeffs[1] == pytest.approx(-0.01, rel=1e-10)
+        coeffs, _ = _main_poly(FIG1_II, 8)
+        assert coeffs[1] == pytest.approx(-0.01, rel=1e-10)
 
     def test_requires_positive_c(self):
         p = ModelParams(a=0.02, b=0.1, c=0.0, lam=0.09, m=1.0)
         with pytest.raises(ValueError):
             series_coeffs_main(p)
-
-    def test_requires_order_at_least_two(self):
-        with pytest.raises(ValueError):
-            series_coeffs_main(FIG1_II, order=1)
 
 
 class TestSeriesAtInfinity:
@@ -110,33 +109,35 @@ class TestTruncates:
 
 class TestChooseU0:
     def test_typical_range(self):
-        exp = series_coeffs_main(FIG1_II, order=20, tol=1e-12)
+        exp = fixed_order_series(FIG1_II, 20, tol=1e-12)
         assert 1e-3 <= exp.u0 <= 1e-1
 
     def test_zero_tail_picks_largest_candidate(self):
         poly = np.zeros(21)
         poly[:3] = 1.0, 0.9, -0.3 * 0.9 / 2  # 1 + (lam/c)(u + D_2 u^2 / 2) only
-        u0 = choose_u0(poly, MAIN_CANDIDATES, MAIN_FALLBACK, tol=1e-12)
+        u0 = choose_u0(poly, MAIN_CANDIDATES, tol=1e-12)
         assert u0 == pytest.approx(0.1, rel=1e-12)
 
-    def test_impossible_tolerance_falls_back(self):
-        poly = series_coeffs_main(FIG1_II, order=20).poly
-        with pytest.warns(UserWarning, match="no transfer point"):
-            u0 = choose_u0(poly, MAIN_CANDIDATES, MAIN_FALLBACK, tol=0.0)
-        assert u0 == MAIN_FALLBACK
+    def test_impossible_tolerance_raises(self):
+        _, poly = _main_poly(FIG1_II, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="truncates at no u0"):
+                choose_u0(poly, FIG1_II.m * _LATTICE[:_FIRST], tol=0.0)
 
-    def test_eta_impossible_tolerance_falls_back(self):
-        # the capital-stock expansion takes the same rule, and warns too
+    def test_eta_impossible_tolerance_raises(self):
+        # the capital-stock expansion takes the same rule, and raises too
         poly = np.concatenate(([1.0], eta_series(FIG5_I)))
         candidates = FIG5_I.m * np.logspace(-2.0, np.log10(0.6), 33)
-        with pytest.warns(UserWarning, match="no transfer point"):
-            u0 = choose_u0(poly, candidates, 1e-2 * FIG5_I.m, tol=0.0)
-        assert u0 == 1e-2 * FIG5_I.m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="truncates at no u0"):
+                choose_u0(poly, candidates, tol=0.0)
 
     def test_main_expansion_tries_lower_candidates(self):
         # 4,000-fold growth per coefficient: no u0 in m 10^[-3, -1] truncates
         p = ModelParams(a=25.0, b=1.0, c=0.005, lam=0.1, m=0.1)
-        poly = series_coeffs_main(p, order=20).poly
+        _, poly = _main_poly(p, 20)
         assert not truncates(poly, MAIN_CANDIDATES * p.m, PHI_TOL).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -145,16 +146,17 @@ class TestChooseU0:
         # where the first candidates truncate, u0 is one of them, as before
         assert series_coeffs_main(FIG2_I).u0 in MAIN_CANDIDATES
 
-    def test_main_expansion_raises_where_none_truncates(self):
+    def test_main_expansion_raises_where_none_truncates(self, monkeypatch):
+        monkeypatch.setattr(series, "PHI_TOL", 0.0)
         with pytest.raises(SolverError, match="truncates at no u0"):
-            series_coeffs_main(FIG1_II, order=20, tol=0.0)
+            series_coeffs_main(FIG1_II)
 
 
 class TestSeriesOrder:
-    def test_explicit_order_is_kept(self):
-        # 20 terms reach the top candidate 0.1 m on fig1-II; left free, the
+    def test_long_reach_doubles_order(self):
+        # 20 terms reach the top candidate 0.1 m on fig1-II; there the
         # order grows and so does u0
-        pinned = series_coeffs_main(FIG1_II, order=20)
+        pinned = fixed_order_series(FIG1_II, 20)
         assert pinned.order == 20 and pinned.u0 == pytest.approx(0.1, rel=1e-12)
         free = series_coeffs_main(FIG1_II)
         assert ORDER < free.order <= MAX_ORDER and pinned.u0 < free.u0 <= 4.0 * FIG1_II.m
@@ -177,7 +179,7 @@ class TestSeriesOrder:
 
 class TestEvalSeries:
     def test_values_at_origin(self):
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         C0 = 0.7
         phi, dphi, ddphi = eval_series(exp, C0, 0.0)
         assert phi == pytest.approx(C0, rel=1e-15)
@@ -196,7 +198,7 @@ class TestEvalSeries:
 
     def test_matches_power_sums(self):
         # the Horner sums against the termwise power sums of the truncated series
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         u = np.linspace(0.0, exp.u0, 7)[:, None]
         ks = np.arange(2, 21)
         D, lam_c = exp.coeffs, FIG1_II.lam / FIG1_II.c
@@ -213,11 +215,11 @@ class TestEvalSeries:
         np.testing.assert_allclose(deta, np.sum(P * ks * u ** (ks - 1), axis=1), rtol=1e-14)
 
     def test_zero_c0_gives_zero(self):
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         assert eval_series(exp, 0.0, exp.u0 / 2) == (0.0, 0.0, 0.0)
 
     def test_linearity_in_c0(self):
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         u = exp.u0 * 0.7
         base = eval_series(exp, 1.0, u)
         for alpha in (2.0, 0.3, -1.5):
@@ -226,14 +228,14 @@ class TestEvalSeries:
                 assert s == alpha * b  # exact: C0 is the outermost factor
 
     def test_rejects_beyond_u0(self):
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         with pytest.raises(ValueError):
             eval_series(exp, 1.0, exp.u0 * 1.5)
         with pytest.raises(ValueError):
             eval_series(exp, 1.0, -0.01)
 
     def test_vectorized_matches_scalar(self):
-        exp = series_coeffs_main(FIG1_II, order=20)
+        exp = fixed_order_series(FIG1_II, 20)
         us = np.linspace(0.0, exp.u0, 7)
         phi, dphi, ddphi = eval_series(exp, 0.5, us)
         for i, u in enumerate(us):
@@ -264,7 +266,7 @@ def _series_ode_residual(exp, u):
 class TestSeriesRecurrence:
     @pytest.mark.parametrize("order", [8, 12, 20])
     def test_residual_decays_like_high_power(self, order):
-        exp = series_coeffs_main(FIG1_II, order=order)
+        exp = fixed_order_series(FIG1_II, order)
         r_half = abs(_series_ode_residual(exp, exp.u0 / 2.0))
         r_quarter = abs(_series_ode_residual(exp, exp.u0 / 4.0))
         # above order ~10 the residual sits below double-precision roundoff,
@@ -273,7 +275,7 @@ class TestSeriesRecurrence:
 
     def test_overlap_with_ode_integration(self):
         # data launched from the series at u0/2 must land on the series at u0
-        exp = series_coeffs_main(FIG1_II, order=20, tol=1e-12)
+        exp = fixed_order_series(FIG1_II, 20, tol=1e-12)
         u_half = exp.u0 / 2.0
         state = np.array(eval_series(exp, 1.0, u_half))
         traj = integrate(

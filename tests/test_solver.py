@@ -26,7 +26,7 @@ from ruinlab import (
     solver,
 )
 from ruinlab.series import series_coeffs_infinity
-from conftest import PARAMS, solve_recording_trajectory
+from conftest import PARAMS, fixed_order_series, solve_recording_trajectory
 from test_sweep_references import SWEEP_MAIN_C0
 
 # perfbench/reference.json: scipy DOP853 from the series at u = 0, limit from
@@ -270,7 +270,7 @@ class TestLongerSeries:
         # integration from the 20-term u0, each relative to its largest
         # value between the two
         p = ModelParams(**SWEEP_MAIN_C0[i][0])
-        long, short = series_coeffs_main(p), series_coeffs_main(p, order=20)
+        long, short = series_coeffs_main(p), fixed_order_series(p, 20)
         assert long.order > short.order and long.u0 > short.u0
         state = np.array(eval_series(short, 1.0, short.u0))
         traj = integrate(main_ode_field(p), short.u0, state, long.u0, rtol=1e-13)
