@@ -74,7 +74,7 @@ TOL = 1e-12
 # fig2-II's C0 is 1.8e-11 off its converged value, with 1e-14 it is 1.9e-13,
 # for 0.5% more Taylor steps over the main points of sweep seeds 1-10.
 PHI_TOL = 1e-14
-# the transfer candidates of the main series at u = 0, in units of m: a
+# the transfer candidates of the main series at u = 0, in x = u/m: a
 # 0.05-decade lattice on [1e-7, 0.1], whose first ``_FIRST`` entries take
 # ``ORDER`` terms, then 32 points on [10^-0.95, 10^0.6] for longer series
 _LATTICE = np.concatenate(
@@ -87,10 +87,11 @@ _FIRST = 121
 class SeriesExpansion:
     """Truncated main-regime expansion at u = 0, and its transfer point.
 
-    ``coeffs[i]`` holds D_{i+2}; ``order`` is N, ``ORDER`` or a doubling of
-    it up to ``MAX_ORDER`` (``series_coeffs_main``); ``poly`` holds the
-    N + 1 ascending coefficients of phi/C0; ``u0`` is the abscissa to which
-    initial conditions are transferred.
+    The series is held in x = u/m: ``coeffs[i]`` holds D_{i+2} of
+    phi/C0 = 1 + (lam m/c) (x + sum_k D_k x^k / k), and ``poly`` the N + 1
+    ascending coefficients of phi/C0 in x; ``order`` is N, ``ORDER`` or a
+    doubling of it up to ``MAX_ORDER`` (``series_coeffs_main``); ``u0`` is
+    the abscissa, in u, to which initial conditions are transferred.
     """
 
     coeffs: np.ndarray
@@ -101,18 +102,19 @@ class SeriesExpansion:
 
 
 def _recurrence(params: ModelParams, order: int, D: list | None = None) -> list:
-    """D_0..D_order (D_0 = D_1 = 0) in Python floats, which overflow to inf
+    """D_0..D_order (D_0 = D_1 = 0) of the series in x = u/m, the model's
+    at m = 1 with premium rate c/m, in Python floats, which overflow to inf
     without a warning; a given list ``D`` of them is extended in place."""
-    a, b, c, lam, m = params.a, params.b, params.c, params.lam, params.m
+    a, b, c, lam = params.a, params.b, params.c / params.m, params.lam
     b2 = b * b
     D = [] if D is None else D
     if not D:
-        D += [0.0, 0.0, -((a - lam) / c + 1.0 / m)]
+        D += [0.0, 0.0, -((a - lam) / c + 1.0)]
     if order >= 3 and len(D) == 3:
-        D.append(-(D[2] * (b2 + 2.0 * a - lam + c / m) + a / m) / (2.0 * c))
+        D.append(-(D[2] * (b2 + 2.0 * a - lam + c) + a) / (2.0 * c))
     for k in range(len(D), order + 1):
-        t1 = D[k - 1] * ((k - 1) * (k - 2) * b2 / 2.0 + (k - 1) * a - lam + c / m)
-        t2 = D[k - 2] * ((k - 3) * b2 / 2.0 + a) / m
+        t1 = D[k - 1] * ((k - 1) * (k - 2) * b2 / 2.0 + (k - 1) * a - lam + c)
+        t2 = D[k - 2] * ((k - 3) * b2 / 2.0 + a)
         D.append(-(t1 + t2) / (c * (k - 1)))
     return D
 
@@ -120,10 +122,10 @@ def _recurrence(params: ModelParams, order: int, D: list | None = None) -> list:
 def _main_poly(
     params: ModelParams, order: int, D: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D_2..D_order, ascending coefficients of phi/C0); a given list ``D``
-    of the recurrence's terms is extended, not rebuilt."""
+    """(D_2..D_order, ascending coefficients of phi/C0), both in x = u/m; a
+    given list ``D`` of the recurrence's terms is extended, not rebuilt."""
     coeffs = np.array(_recurrence(params, order, D)[2: order + 1])
-    lam_c = params.lam / params.c
+    lam_c = params.lam / (params.c / params.m)
     # at high order the coefficients may pass double range; an inf or nan
     # coefficient never truncates
     with np.errstate(over="ignore"):
@@ -134,37 +136,38 @@ def _main_poly(
 def series_coeffs_main(params: ModelParams) -> SeriesExpansion:
     """Build the expansion for the main regime (requires c > 0).
 
-    u0 is the largest of the first ``_FIRST`` candidates m ``_LATTICE``, up
-    to 0.1 m, at which ``ORDER`` terms truncate to ``PHI_TOL``
-    (``choose_u0``).  Where that is the top one, 0.1 m, the stretch beyond
-    it, stiff with rate about 2c/(b^2 u^2), is worth carrying in a longer
-    series: the order doubles up to ``MAX_ORDER`` over the candidates above
-    u0 while the largest u0 at which both phi and m^2 phi'' truncate keeps
-    growing.  Each doubling extends the recurrence of the last.  The
-    integrator starts from phi'' too, whose truncation error is about
-    N^2 (m/u0)^2 times phi's.
+    The series is held in x = u/m, so that the choice below does not depend
+    on m.  u0 = m x0, x0 the largest of the first ``_FIRST`` candidates
+    ``_LATTICE``, up to 0.1, at which ``ORDER`` terms truncate to
+    ``PHI_TOL`` (``choose_u0``).  Where that is the top one, 0.1, the
+    stretch beyond it, stiff with rate about 2c/(b^2 u^2), is worth carrying
+    in a longer series: the order doubles up to ``MAX_ORDER`` over the
+    candidates above x0 while the largest x0 at which both phi and its
+    second derivative in x truncate keeps growing.  Each doubling extends
+    the recurrence of the last.  The integrator starts from phi'' too, whose
+    truncation error is about N^2 / x0^2 times phi's.
     """
     if params.c == 0.0:
         raise ValueError("series recurrence divides by c; c must be positive")
-    m, order = params.m, ORDER
-    candidates = m * _LATTICE
+    order = ORDER
     D: list = []
     coeffs, poly = _main_poly(params, order, D)
-    u0 = choose_u0(poly, candidates[:_FIRST], PHI_TOL)
-    while u0 >= 0.1 * m and order < MAX_ORDER:
+    x0 = choose_u0(poly, _LATTICE[:_FIRST], PHI_TOL)
+    while x0 >= _LATTICE[_FIRST - 1] and order < MAX_ORDER:
         longer, lpoly = _main_poly(params, 2 * order, D)
         if (np.abs(lpoly) < np.finfo(float).tiny).any():
             break  # a coefficient near underflow has lost its digits
-        x = candidates[candidates > u0]
+        x = _LATTICE[_LATTICE > x0]
         x = x[truncates(lpoly, x, PHI_TOL)]
         if x.size:
             k = np.arange(2, len(lpoly))
             with np.errstate(over="ignore"):
-                dd = m * m * k * (k - 1.0) * lpoly[2:]
+                dd = k * (k - 1.0) * lpoly[2:]
             x = x[truncates(dd, x, PHI_TOL)]
         if not x.size:
             break
-        order, coeffs, poly, u0 = 2 * order, longer, lpoly, float(x.max())
+        order, coeffs, poly, x0 = 2 * order, longer, lpoly, float(x.max())
+    u0 = params.m * x0
     log_info(__name__, "series order %d, transfer point u0=%.6g", order, u0)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
@@ -264,8 +267,9 @@ def eval_series(exp: SeriesExpansion, C0: float, u):
     """Evaluate (phi, phi', phi'') of the truncated series at 0 <= u <= u0:
     Python floats for a scalar u, arrays of u's shape otherwise.
 
-    Everything is linear in C0.  Values beyond u0 are refused: the series is
-    asymptotic and not trusted past its transfer point.
+    The series is summed at x = u/m, and its derivatives in x divided by m
+    and m^2.  Everything is linear in C0.  Values beyond u0 are refused: the
+    series is asymptotic and not trusted past its transfer point.
     """
     if np.ndim(u) == 0:
         uq = lo = hi = float(u)
@@ -275,9 +279,10 @@ def eval_series(exp: SeriesExpansion, C0: float, u):
     # written so that NaN fails too
     if not (0.0 <= lo and hi <= exp.u0 * (1.0 + 1e-12)):
         raise ValueError(f"series evaluation restricted to [0, u0={exp.u0:g}]")
+    m = exp.params.m
+    phi, dphi, ddphi = poly3(exp.poly, uq / m)
     # C0 stays the outermost factor so scaling C0 rescales the results exactly
-    phi, dphi, ddphi = (C0 * v for v in poly3(exp.poly, uq))
-    return phi, dphi, ddphi
+    return C0 * phi, C0 * (dphi / m), C0 * (ddphi / (m * m))
 
 
 def origin_limits(e: float, A: float, s: float) -> tuple[float, float]:

@@ -116,7 +116,7 @@ def fixed_order_series(params, order, tol=None):
     from ruinlab.series import _FIRST, _LATTICE, PHI_TOL, _main_poly
 
     coeffs, poly = _main_poly(params, order)
-    u0 = choose_u0(poly, params.m * _LATTICE[:_FIRST], PHI_TOL if tol is None else tol)
+    u0 = params.m * choose_u0(poly, _LATTICE[:_FIRST], PHI_TOL if tol is None else tol)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
 

@@ -138,7 +138,7 @@ class TestChooseU0:
         # 4,000-fold growth per coefficient: no u0 in m 10^[-3, -1] truncates
         p = ModelParams(a=25.0, b=1.0, c=0.005, lam=0.1, m=0.1)
         _, poly = _main_poly(p, 20)
-        assert not truncates(poly, MAIN_CANDIDATES * p.m, PHI_TOL).any()
+        assert not truncates(poly, MAIN_CANDIDATES, PHI_TOL).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             u0 = series_coeffs_main(p).u0
@@ -169,11 +169,12 @@ class TestSeriesOrder:
 
     @pytest.mark.parametrize("m", [0.01, 100.0])
     def test_out_of_range_orders_fail_quietly(self, m):
-        # fig1-II in units of m: at m = 0.01 the order-160 coefficients
-        # overflow, at m = 100 the powers (4 m)^k; neither may warn
+        # fig1-II in units of m, its series held in x = u/m: the order-160
+        # coefficients, which once overflowed at m = 0.01, and the powers
+        # (4 m)^k, which did at m = 100, stay in range; nothing may warn
         p = ModelParams(a=0.02, b=0.1, c=0.1 * m, lam=0.09, m=m)
         _, poly = _main_poly(p, 160)
-        assert not truncates(poly, m * np.array([0.5, 2.0, 4.0])).any()
+        assert not truncates(poly, np.array([0.5, 2.0, 4.0])).any()
         assert ORDER < series_coeffs_main(p).order < 160
 
 

@@ -221,11 +221,12 @@ class TestSolveMain:
             solve_main(PARAMS["fig1-I"])
 
 
-def fixed_fraction(alpha):
+def fixed_fraction(alpha, m=1.0):
     """ROADMAP item 2's example: fraction alpha in shares (mu = 0.1,
-    sigma = 0.3) and the rest at r_f = 0.02, with c = 0.1, lam = 0.09, m = 1."""
+    sigma = 0.3) and the rest at r_f = 0.02, with c = 0.1, lam = 0.09, m = 1;
+    at another m, with c = 0.1 m, the same problem in units of m."""
     spec = PortfolioSpec(mu=0.1, sigma=0.3, r=0.02, alpha=alpha)
-    return effective_params(spec, c=0.1, lam=0.09, m=1.0)
+    return effective_params(spec, c=0.1 * m, lam=0.09, m=m)
 
 
 class TestLongerSeries:
@@ -256,6 +257,19 @@ class TestLongerSeries:
         grid = solve(fixed_fraction(alpha))
         assert grid.diagnostics["steps"] <= most
         assert grid.C0 == pytest.approx(C0, rel=1e-12)
+
+    def test_same_in_units_of_m(self):
+        # the series at u = 0 is held in u/m: alpha = 0.03 takes 160 terms
+        # and 200 steps at every m, where it once took 80 terms and 214
+        # steps at m = 100
+        base = solve(fixed_fraction(0.03))
+        assert base.diagnostics["series_order"] == 160 and base.diagnostics["steps"] == 200
+        for m in (0.01, 100.0):
+            grid = solve(fixed_fraction(0.03, m))
+            for key in ("series_order", "steps"):
+                assert grid.diagnostics[key] == base.diagnostics[key]
+            assert grid.diagnostics["u0"] / m == pytest.approx(base.diagnostics["u0"], rel=1e-12)
+            assert grid.C0 == pytest.approx(base.C0, rel=1e-12)
 
     @pytest.mark.parametrize(
         ("name", "u0"), [("fig2-I", 0.08912509381337459), ("fig2-II", 0.039810717055349734)]
