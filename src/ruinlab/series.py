@@ -7,7 +7,7 @@ integrator directly.  In the main regime the survival probability is
     phi(u) = C0 * [1 + (lam/c) * (u + sum_{k>=2} D_k u^k / k)],
 
 whose coefficients D_k follow from a two-term recurrence and do not depend
-on C0.  In the capital-stock regime the auxiliary function is
+on C0; it is held in x = u/m (``SeriesExpansion``).  In the capital-stock regime the auxiliary function is
 
     eta(u) = 1 + sum_{k>=1} P_{k+1} u^k,
 
@@ -39,9 +39,11 @@ where 20 terms reach the top of its first candidates, 0.1 m, it doubles
 its order, up to ``MAX_ORDER``, while that carries u0 further, up to 4 m
 (``series_coeffs_main``).  Just beyond u = 0 the equation is stiff, with a
 fast mode of rate about 2c/(b^2 u^2), so Taylor steps there are short
-and a longer series saves most of them when b is small.  Every expansion
-holds its last term to ``TOL``, except phi's transfer at u = 0, which
-holds it to ``PHI_TOL``.
+and a longer series saves most of them when b is small.  phi's transfer
+at u = 0 holds its last term to ``PHI_TOL`` and eta's to ``TOL``.  The
+series at infinity is cut at ``TOL`` on the main route's ladder
+(``solver.solve_main``) but at ``PHI_TOL`` where the capital stock hands
+over to it (``capitalstock.phi_capital_stock``).
 """
 
 from __future__ import annotations

@@ -87,7 +87,12 @@ def solve_main(
     U, series at infinity beyond.  ``u_max`` defaults to 50 m and ``u_grid``
     to 201 uniform points on [0, u_max]; ``solve`` builds the other grids.
     ``rtol`` is the integration's tolerance; ValueError is raised unless it
-    is positive and finite."""
+    is positive and finite.
+
+    Where phi is flat at U, phi beyond U is exact to rounding, but phi' and
+    phi'' there are the leading term alone, matched to phi'(U): phi'' jumps
+    across U, by 1.5% on fig2-II, and at r = 213 (U = 50) the fitted log K
+    is 785.9 against the converged 950.98."""
     check_tolerances(rtol=rtol)
     info = classify_regime(params)
     if info.regime is not Regime.MAIN:
