@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ruinlab import ModelParams, exponents, solve
+from ruinlab import ModelParams, SeriesExpansion, choose_u0, exponents, solve
+from ruinlab.series import _FIRST, _LATTICE, PHI_TOL, _main_poly
 
 # the common claim parameters of all bundled scenarios
 LAM = 0.09
@@ -108,15 +109,12 @@ def solve_recording_trajectory(monkeypatch, params, **kwargs):
     return grid, (odes.joined(seen) if seen else None)
 
 
-def fixed_order_series(params, order, tol=None):
+def fixed_order_series(params, order, tol=PHI_TOL):
     """The main series at u = 0 with ``order`` terms, its u0 the largest of
-    the first candidates at which it truncates (``tol`` defaults to
-    ``PHI_TOL``), as ``series_coeffs_main`` takes before any doubling."""
-    from ruinlab import SeriesExpansion, choose_u0
-    from ruinlab.series import _FIRST, _LATTICE, PHI_TOL, _main_poly
-
+    the first candidates at which it truncates, as ``series_coeffs_main``
+    takes before any doubling."""
     coeffs, poly = _main_poly(params, order)
-    u0 = params.m * choose_u0(poly, _LATTICE[:_FIRST], PHI_TOL if tol is None else tol)
+    u0 = params.m * choose_u0(poly, _LATTICE[:_FIRST], tol)
     return SeriesExpansion(coeffs=coeffs, poly=poly, order=order, u0=u0, params=params)
 
 
