@@ -87,11 +87,13 @@ def _solution_lines(grid) -> list[str]:
         lines.append(f"# P1 = {_fmt(grid.diagnostics['P1'])}")
         lines.append(f"# log_P1 = {_fmt(grid.diagnostics['log_P1'])}")
     lines.append(f"# C0 = {_fmt(grid.C0)}")
+    if "log_C0" in grid.diagnostics:
+        lines.append(f"# log_C0 = {_fmt(grid.diagnostics['log_C0'])}")
     if grid.tail is not None:
         lines.append(f"# K = {_fmt(grid.tail.K)}")
         lines.append(f"# log_K = {_fmt(grid.diagnostics['log_K'])}")
         lines.append(f"# exponent = {_fmt(grid.tail.exponent)}")
-    for key in ("reason", "u0", "U", "U_rule", "tail_term", "rtol"):
+    for key in ("reason", "note", "u0", "U", "U_rule", "tail_term", "rtol"):
         if key in grid.diagnostics:
             val = grid.diagnostics[key]
             val = _fmt(val) if isinstance(val, (int, float)) else val

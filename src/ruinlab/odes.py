@@ -1,4 +1,4 @@
-"""Taylor-series integration of one linear equation with polynomial coefficients.
+"""Integration of one linear equation with polynomial coefficients.
 
 Both singular problems of the package share one linear equation for
 w = phi':
@@ -6,30 +6,71 @@ w = phi':
     (b^2/2) u^2 w'' + [c + (b^2+a) u + b^2 u^2/(2m)] w' + [a - lam + c/m + a u/m] w = 0,
 
 the main regime for c > 0 and the capital stock for c = 0.  Its
-coefficients are polynomials and its only finite singular point is u = 0,
-so about any s > 0 the Taylor coefficients of a solution follow exactly
-from a recurrence, and converge for |u - s| < s.  ``integrate`` steps with
-these series, a high-order Taylor method (Jorba & Zou, Experimental
-Mathematics 14(1), 2005): no stages, no step rejections and no mesh rounds.
+coefficients are polynomials and its only finite singular point is u = 0.
 
-It steps a ``LinearOde``: one such equation, given by its coefficients,
-in the first-order form
+``integrate`` steps a ``LinearOde``: one such equation, given by its
+coefficients, in the first-order form
 
     y_i' = y_(i+1)  (i < n - 1),    u^e y_(n-1)' = sum_j N_j(u) y_j + f(u),
 
 with e in {0, 1, 2} and N_j, f polynomials of degree at most 2, each held
-as its three monomial coefficients.  The series it steps is that of v
-below, of order 1 or 2, as in the package's three equations.  About s the
-coefficients of N_j(s + t) and f(s + t) in t are exact shifts of these,
-c0 + s c1 + s^2 c2, c1 + 2 s c2 and c2, so the equation is never sampled.
+as its three monomial coefficients.  If y_0 does not enter the equation
+(phi in the main equation), it is carried as the antiderivative of y_1.
 ``LinearOde.rhs`` evaluates the first-order form for scipy and the tests;
 ``integrate`` does not call it.
 
-If y_0 does not enter the equation (phi in the main equation), it is carried
-as the antiderivative of y_1, and the series is that of v = y_1: phi is
-the termwise antiderivative of w.  Otherwise v = y_0.  At s the
-coefficients v_q of v(s + t) = sum_q v_q t^q come from substituting the
-series into the equation; for the w equation above, with P = b^2/2,
+**Collocation patches** step the main equation's form: e = 2, phi carried
+as the antiderivative of w = y_1, w of order 2 and no forcing.  On a patch
+[l, l + h], u = l + (1 + x) h/2 with x in [-1, 1], and x_j = -cos(j pi/N),
+j = 0, .., N = ``_N`` = 32, are its Chebyshev-Lobatto points.  The unknowns
+sigma_j = (h/2)^2 w''(x_j), j >= 1, are the values of a polynomial of
+degree N - 1; (h/2) w' and w are its first and second integrals from the
+patch start's (w, w'), which they meet exactly, and the equation, divided
+by (2u/h)^2, holds at x_1, .., x_N: one dense N x N system per attempt,
+the identity less two integration operators, so well conditioned (Greengard,
+SIAM J. Numer. Anal. 28(4), 1991).  phi gains the Clenshaw-Curtis integral
+of w.  The right end is a collocation point, so on y' = lam y a patch's
+factor tends to 0 as lam h -> -inf (it is below 1.7e-4 for lam h/2 <= -1e3):
+the fast mode, of rate about 2c/(b^2 u^2), which bounds an explicit step,
+costs nothing here.  Collocating at the interior points alone instead gives
+a factor tending to (-1)^(N-1), and the fast mode's rounding then builds up
+until it sets the patch length.
+
+A patch is accepted when the tail of w, its three top Chebyshev
+coefficients, is at most max(``_TAIL`` rtol, ``_NOISE``) of the sum of
+their magnitudes, a bound on |w| over the patch, and w grows at most
+``_GROWTH``-fold and falls at most ``_GROWTH``^4-fold across it, so that
+its end keeps its digits.  The next length reads the coefficients' decay
+rate rho as a singular point d = (rho + 1/rho - 2) h/4 before the patch
+start, and takes the length that puts the tail at ``_SAFETY`` of the bound
+from the next start (or from this one, shorter, after a rejection), at
+most ``_STRETCH`` times this one; the first patch is 3 u0 long.  Below
+rtol = 1.4e-10, the default included, the bound is the floor ``_NOISE``
+and every rtol gives the same patches; at rtol 1e-4, 1e-6 and 1e-8,
+fig1-II's C0 moves by 2.1e-12, 4.9e-13 and 5.6e-15 from there.
+
+The state (phi, w, w') is carried as 2^E times a vector whose largest
+entry lies in [1/2, 1), with E per patch, so the solution may pass far
+outside double range; w and w' below 2^-1000 of it read 0.  The
+trajectory holds each patch's polynomials in powers of the centred
+t = (2u - l - r)/h, where the sum of their coefficients' magnitudes stays
+near the polynomial's largest value, over 2^exp, with exp = 0 unless the
+solution passes 2^960; values below double range read 0.  Each patch's
+constant term of phi is the least float at which phi at t = -1 is at least
+the last patch's phi at t = 1, so phi never steps down between patches.
+
+**Taylor steps** step every other equation: the capital stock's eta and
+the Volterra companion.  About any s > 0 the Taylor coefficients of a
+solution follow exactly from a recurrence, and converge for |u - s| < s
+where e > 0; a step takes these series, a high-order Taylor method (Jorba &
+Zou, Experimental Mathematics 14(1), 2005): no stages, no step rejections
+and no mesh rounds.  The series is that of v = y_1 where y_0 is carried as
+an antiderivative, else v = y_0, of order 1 or 2.  About s the
+coefficients of N_j(s + t) and f(s + t) in t are exact shifts,
+c0 + s c1 + s^2 c2, c1 + 2 s c2 and c2, so the equation is never sampled.
+At s the coefficients v_q of v(s + t) = sum_q v_q t^q come from
+substituting the series into the equation; for the w equation above, with
+P = b^2/2,
 
     v_(k+2) = -[(2P s k + q0)(k+1) v_(k+1) + (P k(k-1) + q1 k + r0) v_k
                 + (P (k-1)/m + a/m) v_(k-1)] / (P s^2 (k+2)(k+1)),
@@ -44,12 +85,10 @@ held to its smaller value at the step's two ends, so a decaying one keeps
 its relative accuracy, and to no less than rounding of the state.
 The recurrence's tables are built once for each of the two orders and
 cached; the recurrence, the step rule and the end values are written out
-over v and v'.
-
-The state v, v', .. is carried as 2^E times a vector whose largest entry
-lies in [1/2, 1), so a solution may pass far outside double range on the
-way.  The trajectory keeps each step's coefficients scaled back, in powers
-of theta = (u - s) / h; where a value lies below double range it reads 0.
+over v and v'.  The state v, v', .. is carried as 2^E times a vector whose
+largest entry lies in [1/2, 1); the trajectory keeps each step's
+coefficients scaled back, in powers of theta = (u - s) / h, and a value
+below double range reads 0.
 
 Also built here, from ``ModelParams``, are the three equations of the
 package: the third-order equation satisfied by the survival probability
@@ -145,14 +184,19 @@ class Trajectory:
 
     ``us`` are the strictly increasing step ends and ``states`` the state
     vectors there.  On step k, component i is the polynomial
-    sum_q coef[q, i, k] theta^q with theta = (u - us[k]) / (us[k+1] - us[k]),
-    which equals ``states[k, i]`` at theta = 0.
+    sum_q coef[q, i, k] theta^q: with theta = (u - us[k]) / (us[k+1] - us[k])
+    on Taylor steps, where it equals ``states[k, i]`` at theta = 0, and with
+    the centred theta = (2u - us[k] - us[k+1]) / (us[k+1] - us[k]) on
+    collocation patches (``centred``).  The solution is 2^``exp`` times
+    these values.
     """
 
     us: np.ndarray
     states: np.ndarray
     coef: np.ndarray
     name: str = ""
+    centred: bool = False
+    exp: int = 0
 
     @property
     def u_start(self) -> float:
@@ -185,11 +229,13 @@ class Trajectory:
             raise ValueError(f"query outside trajectory span [{lo:g}, {hi:g}]")
         # the step of each query, the first or the last one outside the span
         idx = us[1:-1].searchsorted(uq, side="right")
-        left = us[idx]
+        left, right = us[idx], us[1:][idx]
         theta = uq - left
-        theta /= us[1:][idx] - left
-        if bottom < lo or top > hi:  # theta lies in [0, 1] inside the span
-            np.clip(theta, 0.0, 1.0, out=theta)
+        if self.centred:
+            theta -= right - uq
+        theta /= right - left
+        if bottom < lo or top > hi:  # theta lies in [0, 1] or [-1, 1] inside the span
+            np.clip(theta, -1.0 if self.centred else 0.0, 1.0, out=theta)
         # Horner's rule with one gathered coefficient alive at a time and the
         # query along rows
         coef = self.coef
@@ -214,7 +260,10 @@ class Trajectory:
         # the step of x, the first or the last one outside the span
         k = min(max(int(us.searchsorted(x, side="right")) - 1, 0), us.size - 2)
         left, right = us[k: k + 2].tolist()
-        theta = min(max((x - left) / (right - left), 0.0), 1.0)
+        if self.centred:
+            theta = min(max(((x - left) - (right - x)) / (right - left), -1.0), 1.0)
+        else:
+            theta = min(max((x - left) / (right - left), 0.0), 1.0)
         out = []
         for column in self.coef[:, :, k].T.tolist():
             acc = column[-1]
@@ -225,14 +274,24 @@ class Trajectory:
 
 
 def joined(trajs: list) -> Trajectory:
-    """One Trajectory of ``trajs``, each starting where the one before ends."""
+    """One Trajectory of ``trajs``, each starting where the one before ends,
+    over the largest of their 2^exp."""
     if len(trajs) == 1:
         return trajs[0]
+    exp = max(t.exp for t in trajs)
+
+    def scaled(t, x):
+        return x if t.exp == exp else np.ldexp(x, t.exp - exp)
+
     return Trajectory(
         us=np.concatenate([trajs[0].us] + [t.us[1:] for t in trajs[1:]]),
-        states=np.concatenate([trajs[0].states] + [t.states[1:] for t in trajs[1:]]),
-        coef=np.concatenate([t.coef for t in trajs], axis=2),
+        states=np.concatenate(
+            [scaled(trajs[0], trajs[0].states)] + [scaled(t, t.states[1:]) for t in trajs[1:]]
+        ),
+        coef=np.concatenate([scaled(t, t.coef) for t in trajs], axis=2),
         name=trajs[0].name,
+        centred=trajs[0].centred,
+        exp=exp,
     )
 
 
@@ -242,6 +301,65 @@ def _falling(x, j: int):
     for i in range(j):
         out = out * (x - i)
     return out
+
+
+# Chebyshev-Lobatto collocation of the main equation: _N + 1 points on
+# [-1, 1], ascending; the equation holds at all but the first
+_N = 32
+_X = -np.cos(np.pi * np.arange(_N + 1) / _N)
+
+
+def _integral(c):
+    """The Chebyshev coefficients of the integral from -1 of the series
+    with coefficients ``c``, one series per column."""
+    n = len(c)
+    k = np.arange(1.0, n + 1.0)
+    lower = np.zeros((n + 2, c.shape[1]))
+    lower[:n] = c
+    lower[0] *= 2.0
+    out = np.empty((n + 1, c.shape[1]))
+    out[1:] = (lower[:-2] - lower[2:]) / (2.0 * k[:, None])
+    out[0] = -((-1.0) ** k) @ out[1:]
+    return out
+
+
+def _patch_tables():
+    """For sigma, the values at the collocation points _X[1:] of a
+    polynomial of degree _N - 1: ONCE @ sigma and TWICE @ sigma are the
+    Chebyshev coefficients of its first and second integrals from -1,
+    J1 @ sigma and J2 @ sigma their values at the collocation points and
+    Z_END @ sigma the first's at x = 1; C2M takes Chebyshev coefficients to
+    monomial ones, and CC holds the integrals of T_k over [-1, 1]."""
+    k = np.arange(_N + 2)
+    # T_k(x_j) = cos(k theta_j), x_j = cos(theta_j)
+    T = np.cos(np.outer(np.pi * (_N - k[:-1]) / _N, k))
+    once = _integral(np.linalg.inv(T[1:, :_N]))
+    twice = _integral(once)
+    I1, I2 = T[1:, : _N + 1] @ once, T[1:] @ twice
+    C2M = np.zeros((_N + 1, _N + 1))
+    C2M[0, 0] = C2M[1, 1] = 1.0
+    for j in range(2, _N + 1):
+        C2M[1:, j] = 2.0 * C2M[:-1, j - 1]
+        C2M[:, j] -= C2M[:, j - 2]
+    CC = np.zeros(_N + 2)
+    CC[::2] = 2.0 / (1.0 - k[::2] ** 2)
+    tables = once, twice, I1, I2, I1[-1], C2M, CC
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+_ONCE, _TWICE, _J1, _J2, _Z_END, _C2M, _CC = _patch_tables()
+# the dense output's: q + 1 and (-1)^(q+1), 0 <= q <= _N, and (-1)^n for
+# the _N + 2 rows of phi above its constant
+_PK = np.arange(1.0, _N + 3)
+_PALT = (-1.0) ** _PK[:-1]
+_PSIGN = (-1.0) ** np.arange(_N + 2)[:, None]
+# the patch rule of the module docstring; coefficients above _RESOLVED of
+# the bound on |w| set the decay rate, and w below _FLOOR of the state
+# does not count
+_TAIL, _NOISE, _GROWTH, _STRETCH, _SAFETY = 1e-4, 64.0 * _EPS, 32.0, 64.0, 0.25
+_RESOLVED, _FLOOR = 256.0 * _EPS, 2.0**-1000
 
 
 @lru_cache(maxsize=None)
@@ -273,15 +391,18 @@ def integrate(
     rtol: float = 1e-10,
     max_step: float = math.inf,
     max_steps: int = 2_000_000,
+    exp0: int = 0,
 ) -> Trajectory:
     """Integrate the equation ``eq`` forward from ``u_start`` to ``u_end > u_start``.
 
-    Steps are at most ``max_step`` long; see the module docstring for the
-    step rule.  Raises :class:`IntegrationError`, with the abscissa of the
-    failure, on equation coefficients or a state beyond double range,
-    step-size underflow, or more than ``max_steps`` steps; raises
-    ``ValueError`` for ``u_start <= 0`` where e > 0, a NaN or nonpositive
-    ``max_step``, or ``max_steps < 1``.
+    The start state is 2^``exp0`` times ``state0``.  The main equation's
+    form is stepped in collocation patches, every other in Taylor steps;
+    see the module docstring for both rules.  Steps and patches are at most
+    ``max_step`` long.  Raises :class:`IntegrationError`, with the abscissa
+    of the failure, on equation coefficients or a Taylor step's state beyond
+    double range, step-size underflow, or more than ``max_steps`` steps or
+    accepted patches; raises ``ValueError`` for ``u_start <= 0`` where
+    e > 0, a NaN or nonpositive ``max_step``, or ``max_steps < 1``.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
@@ -303,11 +424,13 @@ def integrate(
     # v = y_lo
     lo = int(dim > 1 and not any(eq.N[0]))
     order = dim - lo
+    if eq.e == 2 and lo and order == 2 and not any(eq.f):
+        return _collocate(eq, u0, state, u1, rtol, max_step, max_steps, exp0)
     G, forcing_den = _tables(order)
     table, affine = eq.N[lo:], any(eq.f)
     pad, scale = [0.0] * (4 - order), rtol / (u1 - u0)
 
-    E, y, s = 0, state[lo:].tolist(), u0
+    E, y, s = exp0, state[lo:].tolist(), u0
     us, hs, Es, starts, series = [u0], [], [], [], []
     while True:
         sigma = max(map(abs, y))
@@ -393,8 +516,145 @@ def integrate(
         us.append(s)
         y = nxt
 
-    phi0 = float(state[0]) if lo else None
+    phi0 = math.ldexp(float(state[0]), exp0) if lo else None
     return _trajectory(eq.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
+
+
+def _collocate(eq, u0, state, u1, rtol, max_step, max_steps, E) -> Trajectory:
+    """The main equation from ``u0`` to ``u1`` in collocation patches; see
+    the module docstring.  ``state`` is the start state over 2^E."""
+    (n10, n11, n12), (n20, n21, n22) = eq.N[1:]
+    thr = max(_TAIL * rtol, _NOISE)
+    xi, eye = 1.0 + _X[1:], np.eye(_N)
+    phi, w, dw = state.tolist()
+    # the first patch three times as long as its distance from u = 0, what
+    # the length rule below asks for at the default tolerance
+    s, h = u0, 3.0 * u0
+    us, hs, Es, starts, sigmas = [u0], [], [], [], []
+    while True:
+        sigma = max(abs(phi), abs(w), abs(dw))
+        if sigma > 0.0:
+            shift = math.frexp(sigma)[1]
+            E += shift
+            phi, w, dw = (math.ldexp(v, -shift) for v in (phi, w, dw))
+        if s >= u1:
+            break
+        if len(hs) >= max_steps:
+            raise IntegrationError(f"patch budget exhausted at u={s:.6g}", u=s)
+        h = min(h, u1 - s, max_step)
+        while True:
+            # x in [-1, 1] is u = s + half (1 + x); sigma holds half^2 w''
+            # at the collocation points, w and half w' its integrals from
+            # (w, half w') at x = -1
+            half = 0.5 * h
+            u = s + half * xi
+            q = half / (u * u)
+            al = q * (n20 + u * (n21 + u * n22))
+            be = half * q * (n10 + u * (n11 + u * n12))
+            slope = half * dw
+            sig = np.linalg.solve(eye - al[:, None] * _J1 - be[:, None] * _J2, be * (w + slope * xi) + al * slope)
+            cheb = _TWICE @ sig
+            cheb[0] += w + slope
+            cheb[1] += slope
+            a = np.abs(cheb)
+            # the sum of |T_k| terms bounds |w| on the patch
+            big = float(a.sum())
+            tail = float(a[-3:].max())
+            if not math.isfinite(big + tail):
+                raise IntegrationError(f"non-finite state at u={s:.6g}", u=s)
+            # The next length: w's Chebyshev coefficients decay as rho^-k,
+            # as those of a function with a singular point at x = -(rho +
+            # 1/rho)/2, dist = (x - 1) h/2 before the patch start; the length
+            # at which that point, seen from this start or from the next,
+            # gives the decay want^-k that puts the tail at _SAFETY of the
+            # bound.  w below _FLOOR of the state does not count.
+            bound = thr * big + _FLOOR
+            env = np.maximum(a[1:-1], a[2:])
+            top = np.flatnonzero(env > _RESOLVED * big)
+            top = int(top[-1]) if top.size else 0
+            if top >= 4:
+                rho = float(env[0] / env[top]) ** (1.0 / top)
+                want = (float(env[0]) * rho / (_SAFETY * bound)) ** (1.0 / (_N - 1))
+                dist = 0.25 * (rho + 1.0 / rho - 2.0) * h
+                gap = 0.5 * (want + 1.0 / want) - 1.0
+                factor = 2.0 * (dist + (h if tail <= bound else 0.0)) / (gap * h)
+            else:
+                factor = _STRETCH
+            # w may grow _GROWTH-fold and fall _GROWTH^-4-fold across a
+            # patch, so that its end keeps digits
+            size = max(abs(w), abs(slope), _FLOOR)
+            end = float(cheb.sum())
+            grow = max(big / size, (size / max(abs(end), _FLOOR)) ** 0.25)
+            if grow > 2.0:
+                factor = min(factor, 0.9 * math.log(_GROWTH) / math.log(grow))
+            factor = min(factor, _STRETCH)
+            if tail <= bound and grow <= _GROWTH:
+                break
+            h *= min(factor, 0.5)
+            if h <= 16.0 * _EPS * s:
+                raise IntegrationError(f"patch length underflow at u={s:.6g}", u=s)
+        starts.append((phi, w, dw))
+        sigmas.append(sig)
+        hs.append(h)
+        Es.append(E)
+        phi += half * float(_CC @ cheb)
+        w, dw = end, dw + float(_Z_END @ sig) / half
+        if max(abs(w), abs(dw)) < _FLOOR:
+            w = dw = 0.0
+        s = u1 if h >= u1 - s else s + h
+        us.append(s)
+        h *= factor
+    return _patch_trajectory(eq.name, np.array(us), np.array(hs), starts, sigmas, Es, ((phi, w, dw), E))
+
+
+def _patch_trajectory(name, us, hs, starts, sigmas, Es, end) -> Trajectory:
+    """The Trajectory of patches ``hs`` with start states ``starts``, their
+    half^2 w'' at the interior points ``sigmas`` and exponents ``Es``, all
+    normalized; ``end`` is the last state as (value, exponent).  Its values
+    over 2^exp lie in double range, with exp = 0 where they do."""
+    exp = max(0, max(Es + [end[1]]) - 960)
+    half = 0.5 * hs[:, None]
+    start, S = np.array(starts), np.array(sigmas)
+    # half w', a polynomial of degree _N in t, and its termwise integrals
+    # w = w(s) + sum_j p_j (t^(j+1) - (-1)^(j+1)) / (j + 1), p_j its
+    # coefficients, and phi likewise
+    Z = S @ _ONCE.T
+    Z[:, 0] += half[:, 0] * start[:, 2]
+    P = Z @ _C2M.T
+    coef = np.zeros((_N + 3, 3, hs.size))
+    coef[: _N + 1, 2] = (P / half).T
+    W = P / _PK[:-1]
+    coef[1 : _N + 2, 1] = W.T
+    coef[0, 1] = start[:, 1] - W @ _PALT
+    coef[1:, 0] = (coef[:-1, 1].T * half / _PK).T
+    shift = np.array(Es) - exp
+    coef = np.ldexp(coef, shift)
+    states = np.empty((us.size, 3))
+    states[:-1] = np.ldexp(start, shift[:, None])
+    states[-1] = np.ldexp(end[0], end[1] - exp)
+    # phi(t) by Horner's rule as Trajectory sums it: at t = -1 and t = 1 the
+    # terms above the constant sum to -down and up; each patch's constant
+    # is the least float at which phi at t = -1 is at least the last
+    # patch's phi at t = 1, so that phi never steps down between patches
+    # with x_n the nth row from the top, Horner's acc_n = +-acc_(n-1) + x_n
+    # is (-1)^n times the running sum of (-1)^n x_n, to the bit
+    rows = coef[:0:-1, 0]
+    up = np.add.accumulate(rows)[-1]
+    down = np.add.accumulate(rows * _PSIGN)[-1] * _PSIGN[-1]
+    S = float(states[0, 0])
+    for j, (dn, upj) in enumerate(zip(down.tolist(), up.tolist())):
+        c = S + dn
+        for c in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)):
+            if c - dn >= S:
+                break
+        coef[0, 0, j] = c
+        S = upj + c
+        states[j + 1, 0] = S
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        at = float(us[np.argmin(finite)])
+        raise IntegrationError(f"non-finite state at u={at:.6g}", u=at)
+    return Trajectory(us=us, states=states, coef=coef, name=name, centred=True, exp=exp)
 
 
 def _trajectory(name, us, hs, starts, series, Es, end, phi0) -> Trajectory:

@@ -4,9 +4,10 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
 
 1. expand the solution at the singular point u = 0 with placeholder C0 = 1
    and transfer the initial data to a regular point u0;
-2. integrate the third-order equation by Taylor steps (``odes``) up the
-   ladder of candidates u_max 2^(k/2), k = 0, 1, .., one ``integrate``
-   call per rung, and stop at the first U where either the power-law
+2. integrate the third-order equation in Chebyshev collocation patches
+   (``odes``), which carry the state over a power of two, up the ladder of
+   candidates u_max 2^(k/2), k = 0, 1, .., one ``integrate`` call per
+   rung, and stop at the first U where either the power-law
    series at infinity, phi' ~ K (r - 1) u^(-r) sum_j e_j u^(-j) with
    r = 2a/b^2, truncates, or phi is flat: the tail term
    t = phi'(U) U / ((r - 1) phi(U)), the share of the limit beyond U to
@@ -16,7 +17,12 @@ The main regime (b > 0, c > 0, 2a/b^2 > 1) is solved in four moves:
    S = sum_j e_j U^(-j) and T = sum_j e_j U^(-j) / (r + j - 1); where phi
    is flat, the leading term e_0 = 1 alone, A = phi(U) + phi'(U) U / (r - 1);
 4. rescale by C0 = 1/A, which is exact because the whole Cauchy family is
-   proportional to C0 (no shooting iteration is needed).
+   proportional to C0 (no shooting iteration is needed).  The trajectory
+   holds the solution over 2^exp, so A = 2^exp A' and log C0 = -(exp log 2
+   + log A') are formed from A' in range: the solution may pass far beyond
+   double range on the way (log C0 = -1052.06 at a = 2.5915e-5, b =
+   0.0053644, c = 9.4014e-4, lam = 0.94568, m = 0.029311), and phi then
+   reads 0 where it lies below it.
 
 The match gives the tail coefficient K of 1 - phi ~ K u^(1-r) as well, in
 logs: log K = log phi'(U) + r log U - log((r - 1) A S(U)).  Beyond U the
@@ -89,6 +95,11 @@ def solve_main(
     ``rtol`` is the integration's tolerance; ValueError is raised unless it
     is positive and finite.
 
+    ``diagnostics["log_C0"]`` holds log C0, finite where C0 underflows;
+    where C0 lies below the normal float range, phi reads 0 or subnormal
+    near u = 0 and ``diagnostics["note"]`` says so, since a grid of zeros
+    there is not certain ruin.
+
     Where phi is flat at U, phi beyond U is exact to rounding, but phi' and
     phi'' there are the leading term alone, matched to phi'(U): phi'' jumps
     across U, by 1.5% on fig2-II, and at r = 213 (U = 50) the fitted log K
@@ -112,18 +123,11 @@ def solve_main(
     candidates = candidates[(candidates >= 2.0 * u0) & (candidates <= top)].tolist()
     # a non-finite coefficient never truncates
     ok = truncates(e, 1.0 / np.array(candidates)).tolist()
-    # The step rule budgets rtol h / (U - u0) per step, which a short span
-    # loosens.  The budget per unit length is held to that of a span from u0
-    # to ``reach``, and to rtol/8 over the first rung: the two agree at the
-    # default u_max = 50 m, where the first rung is u_max.  Each later rung's
-    # integration keeps the first one's budget per unit length.
-    eq, start, state, segments = odes.main_ode_field(params), u0, state0, []
-    U0 = candidates[0]
-    first_rtol = rtol * min(0.125, (U0 - u0) / (reach - u0))
+    # the state is carried over 2^E, so that it may pass beyond double range
+    eq, start, state, E, segments = odes.main_ode_field(params), u0, state0, 0, []
     for U, truncated in zip(candidates, ok):
-        span_rtol = first_rtol * (U - start) / (U0 - u0) if segments else first_rtol
-        segments.append(integrate(eq, start, state, U, rtol=span_rtol))
-        start, state = U, segments[-1].states[-1]
+        segments.append(integrate(eq, start, state, U, rtol=rtol, exp0=E))
+        start, state, E = U, segments[-1].states[-1], segments[-1].exp
         phi_U, dphi_U, _ = state.tolist()
         # phi is flat where the share of the limit beyond U, to leading
         # order, lies below the rounding of phi(U) near 1
@@ -133,6 +137,7 @@ def solve_main(
     else:
         raise SolverError(f"series at infinity neither truncates nor is flat by U={top:g}")
     traj = odes.joined(segments)
+    phi_U, dphi_U, _ = traj.states[-1].tolist()
 
     # under the flat-tail rule the leading term alone carries the far field
     rule = "truncates" if truncated else "flat"
@@ -140,25 +145,31 @@ def solve_main(
     j = np.arange(len(e))
     terms = e * (1.0 / U) ** j
     S_U = float(terms.sum())
+    # the limit A = 2^exp A' of the solution, held as A' over the trajectory's 2^exp
     A = phi_U + dphi_U * U * float(terms @ (1.0 / (r + j - 1.0))) / S_U
     if not (A > 0.0 and S_U > 0.0 and dphi_U >= 0.0):
         raise SolverError(f"nonpositive limit at infinity: A={A:g}, S(U)={S_U:g}, phi'(U)={dphi_U:g}")
-    C0 = 1.0 / A
-    log_info(__name__, "main solve: u0=%.4g U=%g (%s) C0=%.8g", u0, U, rule, C0)
+    # the trajectory's values over A; C0 reads 0 below double range
+    scale = 1.0 / A
+    C0 = math.ldexp(scale, -traj.exp)
+    log_C0 = -(math.log(A) + traj.exp * math.log(2.0))
+    A_full = ext_exp(-log_C0) if traj.exp else A
+    log_info(__name__, "main solve: u0=%.4g U=%g (%s) log C0=%.10g", u0, U, rule, log_C0)
 
-    # phi'(U) = K (r - 1) A U^(-r) S(U); where phi'(U) reads 0, phi reads 1 beyond U
+    # phi'(U) = K (r - 1) A U^(-r) S(U), in which 2^exp cancels; where phi'(U)
+    # reads 0, phi reads 1 beyond U
     log_K = ext_log(dphi_U) + r * math.log(U) - math.log((r - 1.0) * A * S_U)
     # phi'(U) below the normal range, and K with it, has lost its digits; the
     # leading term's fit where phi is flat does not resolve K
     resolved = truncated and dphi_U >= np.finfo(float).tiny
-    tail = TailFit(A, ext_exp(log_K), 1.0 - r, U) if resolved else None
+    tail = TailFit(A_full, ext_exp(log_K), 1.0 - r, U) if resolved else None
     far3, far_point3 = far_field(e, r, log_K)
 
     def eval3(uq: np.ndarray):
         # the series at u = 0 up to u0, the trajectory up to U, the series
         # at infinity beyond
         st = traj(np.clip(uq, u0, U))
-        phi, dphi, ddphi = C0 * st[:, 0], C0 * st[:, 1], C0 * st[:, 2]
+        phi, dphi, ddphi = scale * st[:, 0], scale * st[:, 1], scale * st[:, 2]
         inner = uq <= u0
         if inner.any():
             phi[inner], dphi[inner], ddphi[inner] = eval_series(exp, C0, uq[inner])
@@ -173,19 +184,25 @@ def solve_main(
         if x > U:
             return far_point3(x)
         phi, dphi, ddphi = traj(x)
-        return C0 * phi, C0 * dphi, C0 * ddphi
+        return scale * phi, scale * dphi, scale * ddphi
 
     diagnostics = {
         "u0": u0,
         "series_order": exp.order,
         "U": U,
         "rtol": rtol,
-        "A": A,
+        "A": A_full,
+        "log_C0": log_C0,  # finite where C0 passes double range
         "U_rule": rule,
         "tail_term": tail_term,
         "log_K": log_K if truncated else None,  # finite where K passes double range
         "steps": len(traj.us) - 1,
     }
+    if C0 < np.finfo(float).tiny:
+        diagnostics["note"] = (
+            f"phi is below the normal float range near u = 0 (log C0 = {log_C0:.6g}), "
+            "so it reads 0 there; that is not certain ruin"
+        )
     return SolutionGrid.sample(
         u_grid, eval3, point3, C0=C0, regime=info, tail=tail, diagnostics=diagnostics
     )

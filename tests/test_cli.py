@@ -92,8 +92,8 @@ class TestSolveCommand:
         footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
         assert code == 0
         assert footer == [
-            "# regime", "# C0", "# K", "# log_K", "# exponent", "# u0", "# U", "# U_rule",
-            "# tail_term", "# rtol",
+            "# regime", "# C0", "# log_C0", "# K", "# log_K", "# exponent", "# u0", "# U",
+            "# U_rule", "# tail_term", "# rtol",
         ]
         assert _footer(out, "U_rule") == "truncates"
         assert float(out.split("# K = ")[1].split()[0]) == pytest.approx(8.706888e17, rel=1e-6)
@@ -101,8 +101,20 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--preset", "fig2-II", "--points", "5")
         footer = [ln.split(" = ")[0] for ln in out.split("\n") if ln.startswith("# ")]
         assert code == 0
-        assert footer == ["# regime", "# C0", "# u0", "# U", "# U_rule", "# tail_term", "# rtol"]
+        assert footer == [
+            "# regime", "# C0", "# log_C0", "# u0", "# U", "# U_rule", "# tail_term", "# rtol",
+        ]
         assert _footer(out, "U_rule") == "flat" and float(_footer(out, "tail_term")) < 2.0**-53
+
+    def test_footer_reports_log_c0_where_c0_underflows(self, capsys):
+        # log C0 = -1052.06: phi reads 0 on the whole grid, and the footer
+        # says that this is not certain ruin
+        code, out, _ = run(capsys, "solve", "--a", "2.5915e-5", "--b", "0.0053644", "--c", "9.4014e-4",
+                           "--lambda", "0.94568", "--m", "0.029311", "--points", "5")
+        assert code == 0
+        assert _footer(out, "C0") == "0"
+        assert float(_footer(out, "log_C0")) == pytest.approx(-1052.0617, abs=1e-3)
+        assert any(ln.startswith("# note = ") and "not certain ruin" in ln for ln in out.split("\n"))
 
     def test_footer_leaves_out_step_count(self, capsys):
         _, out, _ = run(capsys, *SOLVE_FIG1_II)

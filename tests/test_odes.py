@@ -164,34 +164,88 @@ class TestTaylorSteps:
         p = PARAMS["fig1-II"]
         exp = series_coeffs_main(p)
         state = np.array(eval_series(exp, 1.0, exp.u0))
+        # the budget counts accepted patches: two reach u = 23 and six 400
         with pytest.raises(IntegrationError, match="budget") as exc:
-            integrate(main_ode_field(p), exp.u0, state, 400.0, max_steps=10)
+            integrate(main_ode_field(p), exp.u0, state, 400.0, max_steps=2)
         assert exp.u0 <= exc.value.u <= 400.0
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
     def test_step_polynomials_satisfy_field(self, monkeypatch, name):
-        # at three interior points of every step: the derivatives of the
-        # phi and phi' polynomials are the next components, and that of the
-        # phi'' polynomial is what main_ode_field gives, within 1e-12 of the
-        # size of its terms
+        # at three interior collocation points of every patch, whose
+        # polynomials are in powers of the centred t = (2u - l - r)/h: the
+        # derivatives of the phi and phi' polynomials are the next
+        # components, and that of the phi'' polynomial is what main_ode_field
+        # gives, within 1e-12 of the size of its terms
         grid, traj = solve_recording_trajectory(monkeypatch, PARAMS[name])
         if traj is None:
             # the capital stock integrates nothing: its equation (c = 0),
             # stepped from the closed form at u = 0.6
             traj = integrate(main_ode_field(PARAMS[name]), 0.6, grid.evaluate(0.6), 200.0)
+        assert traj.centred
         rhs = main_ode_field(PARAMS[name]).rhs
         h = np.diff(traj.us)
         q = np.arange(len(traj.coef))
-        for theta in (0.25, 0.5, 0.75):
-            value = np.einsum("q,qik->ki", theta**q, traj.coef)
-            slope = np.einsum("q,qik->ki", q * theta ** (q - 1.0), traj.coef) / h[:, None]
-            u = traj.us[:-1] + theta * h
+        for t in -np.cos(np.pi * np.array([8, 16, 24]) / odes._N):
+            value = np.einsum("q,qik->ki", t**q, traj.coef)
+            slope = np.einsum("q,qik->ki", q * t ** np.maximum(q - 1.0, 0.0), traj.coef) * (2.0 / h[:, None])
+            u = traj.us[:-1] + (1.0 + t) * 0.5 * h
             zero = np.zeros_like(u)
             field = rhs(u, value.T)[2]
             scale = np.abs(rhs(u, (zero, value[:, 1], zero))[2])
             scale += np.abs(rhs(u, (zero, zero, value[:, 2]))[2])
             np.testing.assert_allclose(slope[:, :2], value[:, 1:], rtol=1e-12, atol=0.0)
             assert np.all(np.abs(slope[:, 2] - field) <= 1e-12 * scale)
+
+
+class TestCollocationPatches:
+    """The main equation's form, e = 2 with y_0 carried as the antiderivative
+    of w = y_1 and no forcing, is stepped in collocation patches."""
+
+    @staticmethod
+    def form(n1, n2):
+        return LinearOde(e=2, N=((0.0, 0.0, 0.0), n1, n2), name="patches")
+
+    def test_stiff_equation_in_few_patches(self):
+        # w'' + K w' + K w = 0 from the slow mode, w = exp(lam (u - 1)),
+        # lam = -2 / (1 + sqrt(1 - 4/K)); the fast mode, of rate about K,
+        # bounds an explicit step below about 2/K
+        K = 1e8
+        lam = -2.0 / (1.0 + math.sqrt(1.0 - 4.0 / K))
+        traj = integrate(self.form((0.0, 0.0, -K), (0.0, 0.0, -K)), 1.0, [0.0, 1.0, lam], 6.0)
+        assert traj.centred and traj.exp == 0 and len(traj.us) - 1 <= 20
+        us = np.linspace(1.0, 6.0, 101)
+        w = np.exp(lam * (us - 1.0))
+        np.testing.assert_allclose(traj(us), np.column_stack(((w - 1.0) / lam, w, lam * w)), rtol=1e-12, atol=1e-15)
+
+    def test_state_beyond_double_range(self):
+        # w'' = K^2 w from (w, w') = (1, K): w = exp(K (u - 1)) passes 2^1024
+        # at u = 8.1, and the trajectory holds it over 2^exp; phi starts at
+        # -1/K, so that phi = w/K
+        K = 100.0
+        traj = integrate(self.form((0.0, 0.0, K * K), (0.0, 0.0, 0.0)), 1.0, [-1.0 / K, 1.0, K], 20.0)
+        assert traj.exp > 1000 and np.isfinite(traj.states).all()
+        logs = np.log(traj.states[-1]) + traj.exp * math.log(2.0)
+        np.testing.assert_allclose(logs, [1900.0 - math.log(K), 1900.0, 1900.0 + math.log(K)], rtol=1e-13)
+        # the start lies below double range over 2^exp and reads 0
+        assert traj(1.0)[1] == 0.0
+        # w may grow 32-fold across a patch
+        assert len(traj.us) - 1 <= 1900.0 / math.log(32.0) * 1.2
+
+    def test_float_path_equals_array_path(self):
+        p = ModelParams(a=0.02, b=0.1, c=0.1, lam=0.09, m=1.0)
+        from ruinlab import eval_series, series_coeffs_main
+
+        exp = series_coeffs_main(p)
+        traj = integrate(main_ode_field(p), exp.u0, np.array(eval_series(exp, 1.0, exp.u0)), 50.0)
+        assert traj.centred
+        rng = np.random.default_rng(3)
+        us = np.concatenate((rng.uniform(exp.u0, 50.0, 50), traj.us, [exp.u0 - 1e-10, 50.0 + 1e-10]))
+        for u, row in zip(us, traj(us)):
+            np.testing.assert_array_equal(traj(float(u)), row)
+        # each patch starts where the last one ends, or one float above:
+        # states hold the ends, the calls the starts
+        ends, starts = traj.states[1:-1, 0], traj(traj.us[1:-1])[:, 0]
+        assert np.all(starts >= ends) and np.all(starts <= np.nextafter(ends, np.inf))
 
 
 class TestScan:

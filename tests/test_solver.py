@@ -130,6 +130,21 @@ class TestSolveMain:
     def test_c0_matches_reference(self, solved, name):
         assert solved(name).C0 == pytest.approx(REFERENCE_C0[name], rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
+    def test_error_falls_with_rtol(self, name):
+        # C0 against a solve at rtol 1e-14, with the same series at u = 0:
+        # every rtol below 1.4e-10 takes the same patches
+        p = PARAMS[name]
+        ref = solve(p, rtol=1e-14).C0
+        e6, e8, e10 = (abs(solve(p, rtol=rtol).C0 / ref - 1.0) for rtol in (1e-6, 1e-8, 1e-10))
+        assert 1e-10 > e6 > e8 > e10
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
+    def test_log_c0_reported(self, solved, name):
+        diag = solved(name).diagnostics
+        assert diag["log_C0"] == pytest.approx(math.log(solved(name).C0), rel=0.0, abs=1e-14)
+        assert "note" not in diag
+
     def test_near_borderline_robustness_matches_at_smallest_U(self):
         grid = solve(R_1_1)
         assert grid.diagnostics["U"] == 50.0 * R_1_1.m
@@ -204,11 +219,12 @@ class TestSolveMain:
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig5-I"])
     def test_steps_reported(self, solved, name):
-        # Taylor steps on the main route, series terms on the capital stock
+        # collocation patches on the main route, series terms on the capital stock
         work = solved(name).diagnostics["steps" if name == "fig1-II" else "terms"]
         assert isinstance(work, int) and work > 0
 
-    @pytest.mark.parametrize(("name", "most"), [("fig1-II", 150)])
+    # fig1-II takes 3 patches; it took 18 Taylor steps
+    @pytest.mark.parametrize(("name", "most"), [("fig1-II", 6)])
     def test_few_taylor_steps(self, solved, name, most):
         assert solved(name).diagnostics["steps"] <= most
 
@@ -234,36 +250,37 @@ class TestLongerSeries:
     0.1 m, with its order doubled while its reach grows."""
 
     def test_stiff_sweep_point(self):
-        # main8: 2c/(b^2 m) = 1,290; from u0 = 0.1 m it took 1,301 steps
+        # main8: 2c/(b^2 m) = 1,290; from u0 = 0.1 m it took 1,301 Taylor
+        # steps, from u0 >= m about 200, and it takes 4 patches
         params, C0 = SWEEP_MAIN_C0[8]
         grid = solve(ModelParams(**params))
         assert grid.diagnostics["u0"] >= params["m"]
         assert grid.diagnostics["series_order"] > 20
-        assert grid.diagnostics["steps"] <= 200
+        assert grid.diagnostics["steps"] <= 8
         assert grid.C0 == pytest.approx(C0, rel=1e-12)
 
     @pytest.mark.parametrize(
         ("alpha", "most", "C0"),
         [
-            (0.1, 60, 0.3736036303609106),
-            (0.03, 300, 0.3510436015834568),
-            (0.01, 2_000, 0.3433158915078227),
+            (0.1, 10, 0.3736036303609106),
+            (0.03, 10, 0.3510436015834568),
+            (0.01, 12, 0.3433158915078227),
         ],
     )
     def test_fixed_fraction(self, alpha, most, C0):
         # C0 as solved from u0 = 0.1 m with 20 terms, in 288, 3,097 and
-        # 34,510 steps; U = 50 under the flat-tail rule takes 40, 200 and
-        # 1,427
+        # 34,510 Taylor steps; U = 50 under the flat-tail rule took 40, 200
+        # and 1,427 Taylor steps, and takes 5, 5 and 6 patches
         grid = solve(fixed_fraction(alpha))
         assert grid.diagnostics["steps"] <= most
         assert grid.C0 == pytest.approx(C0, rel=1e-12)
 
     def test_same_in_units_of_m(self):
         # the series at u = 0 is held in u/m: alpha = 0.03 takes 160 terms
-        # and 200 steps at every m, where it once took 80 terms and 214
-        # steps at m = 100
+        # and 5 patches at every m (200 Taylor steps), where it once took 80
+        # terms and 214 Taylor steps at m = 100
         base = solve(fixed_fraction(0.03))
-        assert base.diagnostics["series_order"] == 160 and base.diagnostics["steps"] == 200
+        assert base.diagnostics["series_order"] == 160 and base.diagnostics["steps"] == 5
         for m in (0.01, 100.0):
             grid = solve(fixed_fraction(0.03, m))
             for key in ("series_order", "steps"):
@@ -339,10 +356,11 @@ class TestFarField:
 
     def test_few_steps_to_the_first_truncating_U(self, solved):
         # the integration ends at the first candidate u_max 2^(k/2) at which
-        # the series at infinity truncates; it ran to 400 in 49 steps before
+        # the series at infinity truncates; it ran to 400 in 49 Taylor steps
+        # before, and to 50 in 18, where it takes 3 patches
         grid = solved("fig1-II")
         assert grid.diagnostics["U"] == 50.0
-        assert grid.diagnostics["steps"] <= 30
+        assert grid.diagnostics["steps"] <= 6
 
     @pytest.mark.parametrize("name", ["fig1-II", "fig2-II", "R_1_1"])
     @pytest.mark.parametrize("u_max", [0.01, 1.0, 50.0, 1000.0])
@@ -439,7 +457,8 @@ class TestFarEnd:
     to rounding, so the points whose series truncates far out, or on no
     rung, stop at U = u_max."""
 
-    FRACTIONS = [(0.01, 2_000), (0.005, 7_000), (0.003, 20_000)]
+    # 6 patches each, where they took 1,427, 5,644 and 15,935 Taylor steps
+    FRACTIONS = [(0.01, 12), (0.005, 12), (0.003, 12)]
     # r = 14, b = 0.0049 and 2c/b^2 = 7.7e4, so c/(lam m) = 6.8: the series
     # at infinity truncates at U = 36,204 and 34,816 on the first and the
     # last, and on no rung of the second
@@ -486,6 +505,90 @@ class TestFarEnd:
             grid = solve(p)
         assert grid.diagnostics["U_rule"] == "flat"
         assert grid.C0 == pytest.approx(solve(p, rtol=1e-12).C0, rel=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def survey_points():
+    """ROADMAP item 1's 1,000 random main points: from default_rng(11), per
+    point in this order and each log-uniform, r = 2a/b^2 in (1, 100], b in
+    [0.003, 1], lam in [0.01, 1], m in [0.01, 100] and c/(lam m) in
+    [0.01, 10]."""
+    rng = np.random.default_rng(11)
+    ranges = ((1.0, 100.0), (0.003, 1.0), (0.01, 1.0), (0.01, 100.0), (0.01, 10.0))
+    points = []
+    for _ in range(1000):
+        r, b, lam, m, k = (math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in ranges)
+        points.append(ModelParams(a=0.5 * r * b * b, b=b, c=k * lam * m, lam=lam, m=m))
+    return points
+
+
+class TestBeyondDoubleRange:
+    """Points whose unnormalized solution passes 2^1024 before U, where the
+    Taylor steps raised "non-finite state": the CHANGES point and the 13 of
+    the 1,000-point survey, all with b < 0.0077 and c/(lam m) < 0.072.  The
+    patches carry the state over a power of two, and C0 is formed in logs;
+    phi below double range reads 0, and the diagnostics say so."""
+
+    FOUND = ModelParams(a=2.5915e-5, b=0.0053644, c=9.4014e-4, lam=0.94568, m=0.029311)
+    SURVEY = [111, 213, 337, 483, 501, 504, 528, 561, 622, 647, 704, 722, 729]
+
+    @pytest.mark.parametrize("i", [None] + SURVEY, ids=["found"] + [f"survey{i}" for i in SURVEY])
+    def test_solves_monotone_within_one(self, i):
+        # 197 to 337 patches, as w may grow 32-fold across one; log C0 lies
+        # between -1199 and -718, so C0 reads 0 or subnormal
+        p = self.FOUND if i is None else survey_points()[i]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid, fine = solve(p), solve(p, rtol=1e-12)
+            U = grid.diagnostics["U"]
+            phi = grid.evaluate(np.concatenate((grid.u, np.geomspace(grid.u[-1], 4.0 * U, 200))))[0]
+        diag = grid.diagnostics
+        assert diag["steps"] <= 400
+        assert -1300.0 < diag["log_C0"] < -700.0 and grid.C0 < np.finfo(float).tiny
+        assert diag["log_C0"] == pytest.approx(fine.diagnostics["log_C0"], rel=1e-10)
+        assert "not certain ruin" in diag["note"]
+        assert np.all(np.diff(phi) >= 0.0) and phi[0] >= 0.0 and 0.4 < phi[-1] <= 1.0
+
+    def test_log_c0_does_not_depend_on_U(self):
+        # the series at infinity truncates at U = 1,061 and beyond; C0 = 0
+        # there with log C0 = -1052.06, and the same from U = 1e5
+        grid, far = solve(self.FOUND), solve(self.FOUND, u_max=1e5)
+        assert grid.diagnostics["U"] < 1100.0 and far.diagnostics["U"] == 1e5
+        assert grid.C0 == 0.0 and grid.diagnostics["log_C0"] == pytest.approx(-1052.0617, abs=1e-3)
+        assert grid.diagnostics["log_C0"] == pytest.approx(far.diagnostics["log_C0"], rel=1e-13)
+
+
+class TestStiffFractions:
+    """ROADMAP item 1's gate on the fixed-fraction example at c = 0.1: the
+    fast mode of the w equation, of rate about 2c/(b^2 u^2), bounded the
+    Taylor step (alpha = 1e-3 took 154,511 steps, 1e-4 ran out of budget),
+    and costs the L-stable patches nothing."""
+
+    ALPHAS = [1e-2, 3e-3, 1e-3, 1e-4, 1e-6]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def fraction(alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return solve(fixed_fraction(alpha))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_few_patches(self, alpha):
+        # 6 or 7 patches each
+        grid = self.fraction(alpha)
+        assert grid.diagnostics["steps"] <= 12
+        assert np.all(np.diff(grid.phi) >= 0.0) and grid.phi[-1] <= 1.0
+
+    def test_approaches_risk_free(self):
+        # phi(0) reads 0.34332 at alpha = 1e-2 down to 0.339190273 at 1e-6,
+        # against the risk-free 0.339189851
+        us = np.array([0.0, 5.0, 20.0])
+        rf = riskfree_exact(fixed_fraction(0.0), u_grid=us).phi
+        phis = [self.fraction(alpha).evaluate(us)[0] for alpha in self.ALPHAS]
+        for above, below in zip(phis, phis[1:] + [rf]):
+            assert np.all(above > below)
+        assert np.max(np.abs(phis[-1] - rf)) < 1e-6
 
 
 class TestSolveDispatch:
