@@ -39,15 +39,17 @@ until it sets the patch length.
 A patch is accepted when the tail of w, its three top Chebyshev
 coefficients, is at most max(``_TAIL`` rtol, ``_NOISE``) of the sum of
 their magnitudes, a bound on |w| over the patch, and w grows at most
-``_GROWTH``-fold and falls at most ``_GROWTH``^4-fold across it, so that
-its end keeps its digits.  The next length reads the coefficients' decay
+``_GROWTH``-fold and falls at most F-fold across it.  The end of w is good
+to about eps of the patch's largest |w|, so where w falls F-fold, to about
+eps F of its value: F = rtol / (``_FALL`` eps), held to [``_GROWTH``,
+``_GROWTH``^4], which is 3,518 at the default rtol 1e-10 and ``_GROWTH``
+from rtol 9.1e-13 down.  The next length reads the coefficients' decay
 rate rho as a singular point d = (rho + 1/rho - 2) h/4 before the patch
 start, and takes the length that puts the tail at ``_SAFETY`` of the bound
 from the next start (or from this one, shorter, after a rejection), at
-most ``_STRETCH`` times this one; the first patch is 3 u0 long.  Below
-rtol = 1.4e-10, the default included, the bound is the floor ``_NOISE``
-and every rtol gives the same patches; at rtol 1e-4, 1e-6 and 1e-8,
-fig1-II's C0 moves by 2.1e-12, 4.9e-13 and 5.6e-15 from there.
+most ``_STRETCH`` times this one; the first patch is 3 u0 long.  The tail
+bound reaches its floor ``_NOISE`` at rtol 1.4e-10, and F its floor at
+9.1e-13: below that every rtol gives the same patches.
 
 The state (phi, w, w') is carried as 2^E times a vector whose largest
 entry lies in [1/2, 1), with E per patch, so the solution may pass far
@@ -359,7 +361,7 @@ _PSIGN = (-1.0) ** np.arange(_N + 2)[:, None]
 # the bound on |w| set the decay rate, and w below _FLOOR of the state
 # does not count
 _TAIL, _NOISE, _GROWTH, _STRETCH, _SAFETY = 1e-4, 64.0 * _EPS, 32.0, 64.0, 0.25
-_RESOLVED, _FLOOR = 256.0 * _EPS, 2.0**-1000
+_RESOLVED, _FLOOR, _FALL = 256.0 * _EPS, 2.0**-1000, 128.0
 
 
 @lru_cache(maxsize=None)
@@ -395,14 +397,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate the equation ``eq`` forward from ``u_start`` to ``u_end > u_start``.
 
-    The start state is 2^``exp0`` times ``state0``.  The main equation's
-    form is stepped in collocation patches, every other in Taylor steps;
-    see the module docstring for both rules.  Steps and patches are at most
-    ``max_step`` long.  Raises :class:`IntegrationError`, with the abscissa
-    of the failure, on equation coefficients or a Taylor step's state beyond
-    double range, step-size underflow, or more than ``max_steps`` steps or
-    accepted patches; raises ``ValueError`` for ``u_start <= 0`` where
-    e > 0, a NaN or nonpositive ``max_step``, or ``max_steps < 1``.
+    The main equation's form is stepped in collocation patches, from
+    2^``exp0`` times ``state0``; every other form in Taylor steps, from
+    ``state0`` with ``exp0`` = 0.  See the module docstring for both rules;
+    on the patches, every rtol at or below 9.1e-13 gives the same ones.
+    Steps and patches are at most ``max_step`` long.  Raises
+    :class:`IntegrationError`, with the abscissa of the failure, on equation
+    coefficients or a Taylor step's state beyond double range, step-size
+    underflow, or more than ``max_steps`` steps or accepted patches; raises
+    ``ValueError`` for ``u_start <= 0`` where e > 0, a NaN or nonpositive
+    ``max_step``, ``max_steps < 1`` or a nonzero ``exp0`` on Taylor steps.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
@@ -426,11 +430,13 @@ def integrate(
     order = dim - lo
     if eq.e == 2 and lo and order == 2 and not any(eq.f):
         return _collocate(eq, u0, state, u1, rtol, max_step, max_steps, exp0)
+    if exp0:
+        raise ValueError(f"exp0 applies to the main equation's form only, got {exp0!r}")
     G, forcing_den = _tables(order)
     table, affine = eq.N[lo:], any(eq.f)
     pad, scale = [0.0] * (4 - order), rtol / (u1 - u0)
 
-    E, y, s = exp0, state[lo:].tolist(), u0
+    E, y, s = 0, state[lo:].tolist(), u0
     us, hs, Es, starts, series = [u0], [], [], [], []
     while True:
         sigma = max(map(abs, y))
@@ -516,7 +522,7 @@ def integrate(
         us.append(s)
         y = nxt
 
-    phi0 = math.ldexp(float(state[0]), exp0) if lo else None
+    phi0 = float(state[0]) if lo else None
     return _trajectory(eq.name, np.array(us), np.array(hs), starts, series, Es, (y, E), phi0)
 
 
@@ -525,6 +531,9 @@ def _collocate(eq, u0, state, u1, rtol, max_step, max_steps, E) -> Trajectory:
     the module docstring.  ``state`` is the start state over 2^E."""
     (n10, n11, n12), (n20, n21, n22) = eq.N[1:]
     thr = max(_TAIL * rtol, _NOISE)
+    # where w falls, its end is good to about rtol / _FALL of its value
+    fall = min(max(rtol / (_FALL * _EPS), _GROWTH), _GROWTH**4)
+    root = math.log(_GROWTH) / math.log(fall)
     xi, eye = 1.0 + _X[1:], np.eye(_N)
     phi, w, dw = state.tolist()
     # the first patch three times as long as its distance from u = 0, what
@@ -580,11 +589,11 @@ def _collocate(eq, u0, state, u1, rtol, max_step, max_steps, E) -> Trajectory:
                 factor = 2.0 * (dist + (h if tail <= bound else 0.0)) / (gap * h)
             else:
                 factor = _STRETCH
-            # w may grow _GROWTH-fold and fall _GROWTH^-4-fold across a
-            # patch, so that its end keeps digits
+            # w may grow _GROWTH-fold and fall fall-fold across a patch, as
+            # (size/end)^root <= _GROWTH
             size = max(abs(w), abs(slope), _FLOOR)
             end = float(cheb.sum())
-            grow = max(big / size, (size / max(abs(end), _FLOOR)) ** 0.25)
+            grow = max(big / size, (size / max(abs(end), _FLOOR)) ** root)
             if grow > 2.0:
                 factor = min(factor, 0.9 * math.log(_GROWTH) / math.log(grow))
             factor = min(factor, _STRETCH)

@@ -93,7 +93,9 @@ def solve_main(
     U, series at infinity beyond.  ``u_max`` defaults to 50 m and ``u_grid``
     to 201 uniform points on [0, u_max]; ``solve`` builds the other grids.
     ``rtol`` is the integration's tolerance; ValueError is raised unless it
-    is positive and finite.
+    is positive and finite.  It sets the patches' tail bound down to 1.4e-10
+    and their fall cap down to 9.1e-13; below that every rtol gives the
+    same patches (see ``odes``).
 
     ``diagnostics["log_C0"]`` holds log C0, finite where C0 underflows;
     where C0 lies below the normal float range, phi reads 0 or subnormal
@@ -236,7 +238,8 @@ def solve(
     """Solve any regime and return a uniformly shaped SolutionGrid.
 
     ``rtol`` must be positive and finite on every route; the closed forms
-    and the capital stock's exact sums do not use it.
+    and the capital stock's exact sums do not use it, and on the main route
+    every rtol below 9.1e-13 acts as 9.1e-13 (see ``solve_main``).
     Raises :class:`NoSolutionError` when the problem is nonviable (classical
     regime with nonpositive safety loading) or refused (2a/b^2 exactly 1);
     returns the explicit zero solution, flagged in the diagnostics, when

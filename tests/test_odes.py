@@ -158,13 +158,18 @@ class TestTaylorSteps:
             integrate(grow, 0.0, [1.0], 1005.0)
         assert 600.0 <= exc.value.u <= 720.0  # exp(u) overflows at u = 709.8
 
+    def test_exp0_only_on_patches(self):
+        # the Taylor steps start from state0 as it is
+        with pytest.raises(ValueError, match="exp0"):
+            integrate(DECAY, 0.0, [1.0], 1.0, exp0=3)
+
     def test_tiny_budget_on_the_main_field(self):
         from ruinlab import eval_series, series_coeffs_main
 
         p = PARAMS["fig1-II"]
         exp = series_coeffs_main(p)
         state = np.array(eval_series(exp, 1.0, exp.u0))
-        # the budget counts accepted patches: two reach u = 23 and six 400
+        # the budget counts accepted patches: two reach u = 23 and seven 400
         with pytest.raises(IntegrationError, match="budget") as exc:
             integrate(main_ode_field(p), exp.u0, state, 400.0, max_steps=2)
         assert exp.u0 <= exc.value.u <= 400.0
@@ -254,9 +259,10 @@ class TestScan:
     N_j and f = 0 (linear) or not (affine), against a step-by-step loop in
     Python floats that writes the Taylor recurrence out term by term.  At
     dim 3, N_0 = 0, so y_0 is carried as the antiderivative of a v of order
-    2, as phi in the main equation.  The singular forms e = 1 and e = 2,
-    those of the eta and main equations, start at u = 1, so that the mesh
-    stays inside s/2."""
+    2.  The singular forms e = 1 and e = 2 start at u = 1, so that the mesh
+    stays inside s/2.  The linear e = 2 cases at dim 3 are the main
+    equation's form and run in collocation patches, one per mesh step, held
+    to the Taylor loop all the same."""
 
     H = 2.0**-8  # so that the step ends fall on the mesh exactly
 

@@ -36,6 +36,14 @@ REFERENCE_C0 = {
     "fig2-I": 0.005265543842250953,
     "fig2-II": 0.1936959175903209,
 }
+# the Taylor-series stepper that preceded the collocation patches, at rtol
+# 1e-13 from the same series at u = 0; they agree with its solves at rtol
+# 1e-12 and 1e-14 to 7e-16
+TAYLOR_C0 = {
+    "fig1-II": 0.2943933759532734,
+    "fig2-I": 0.00526554384224994,
+    "fig2-II": 0.19369591759035773,
+}
 # perfbench/sweep.py generate(1), index 0: 2a/b^2 = 1.097
 R_1_1 = ModelParams(
     a=0.04459508618618516,
@@ -132,12 +140,11 @@ class TestSolveMain:
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
     def test_error_falls_with_rtol(self, name):
-        # C0 against a solve at rtol 1e-14, with the same series at u = 0:
-        # every rtol below 1.4e-10 takes the same patches
+        # C0 against the Taylor steps' at rtol 1e-13, which REFERENCE_C0
+        # cannot resolve below its 3.7e-13
         p = PARAMS[name]
-        ref = solve(p, rtol=1e-14).C0
-        e6, e8, e10 = (abs(solve(p, rtol=rtol).C0 / ref - 1.0) for rtol in (1e-6, 1e-8, 1e-10))
-        assert 1e-10 > e6 > e8 > e10
+        e6, e8, e10 = (abs(solve(p, rtol=rtol).C0 / TAYLOR_C0[name] - 1.0) for rtol in (1e-6, 1e-8, 1e-10))
+        assert 1e-10 > e6 > e8 > e10 and e10 < 1e-14
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_C0))
     def test_log_c0_reported(self, solved, name):
@@ -181,8 +188,8 @@ class TestSolveMain:
         p = ModelParams(a=25.0, b=1.0, c=0.005, lam=0.1, m=0.1)
         grid = solve(p)
         assert grid.diagnostics["u0"] == pytest.approx(5.01e-5, rel=1e-3)
-        assert grid.C0 == pytest.approx(solve(p, rtol=1e-13).C0, rel=1e-13)
-        assert grid.C0 == pytest.approx(0.97722829373354, rel=1e-13)
+        # the Taylor steps' C0 at rtol 1e-13
+        assert grid.C0 == pytest.approx(0.9772282937335401, rel=1e-13)
         assert ide_residual(grid, p, np.linspace(0.0, 5.0, 41)).rel_sup <= 1e-10
 
     def test_stiff_point_with_underflowing_slope(self):
@@ -223,7 +230,7 @@ class TestSolveMain:
         work = solved(name).diagnostics["steps" if name == "fig1-II" else "terms"]
         assert isinstance(work, int) and work > 0
 
-    # fig1-II takes 3 patches; it took 18 Taylor steps
+    # fig1-II takes 4 patches; it took 18 Taylor steps
     @pytest.mark.parametrize(("name", "most"), [("fig1-II", 6)])
     def test_few_taylor_steps(self, solved, name, most):
         assert solved(name).diagnostics["steps"] <= most
@@ -251,7 +258,7 @@ class TestLongerSeries:
 
     def test_stiff_sweep_point(self):
         # main8: 2c/(b^2 m) = 1,290; from u0 = 0.1 m it took 1,301 Taylor
-        # steps, from u0 >= m about 200, and it takes 4 patches
+        # steps, from u0 >= m about 200, and it takes 7 patches
         params, C0 = SWEEP_MAIN_C0[8]
         grid = solve(ModelParams(**params))
         assert grid.diagnostics["u0"] >= params["m"]
@@ -270,17 +277,17 @@ class TestLongerSeries:
     def test_fixed_fraction(self, alpha, most, C0):
         # C0 as solved from u0 = 0.1 m with 20 terms, in 288, 3,097 and
         # 34,510 Taylor steps; U = 50 under the flat-tail rule took 40, 200
-        # and 1,427 Taylor steps, and takes 5, 5 and 6 patches
+        # and 1,427 Taylor steps, and takes 8, 7 and 7 patches
         grid = solve(fixed_fraction(alpha))
         assert grid.diagnostics["steps"] <= most
         assert grid.C0 == pytest.approx(C0, rel=1e-12)
 
     def test_same_in_units_of_m(self):
         # the series at u = 0 is held in u/m: alpha = 0.03 takes 160 terms
-        # and 5 patches at every m (200 Taylor steps), where it once took 80
+        # and 7 patches at every m (200 Taylor steps), where it once took 80
         # terms and 214 Taylor steps at m = 100
         base = solve(fixed_fraction(0.03))
-        assert base.diagnostics["series_order"] == 160 and base.diagnostics["steps"] == 5
+        assert base.diagnostics["series_order"] == 160 and base.diagnostics["steps"] == 7
         for m in (0.01, 100.0):
             grid = solve(fixed_fraction(0.03, m))
             for key in ("series_order", "steps"):
@@ -357,7 +364,7 @@ class TestFarField:
     def test_few_steps_to_the_first_truncating_U(self, solved):
         # the integration ends at the first candidate u_max 2^(k/2) at which
         # the series at infinity truncates; it ran to 400 in 49 Taylor steps
-        # before, and to 50 in 18, where it takes 3 patches
+        # before, and to 50 in 18, where it takes 4 patches
         grid = solved("fig1-II")
         assert grid.diagnostics["U"] == 50.0
         assert grid.diagnostics["steps"] <= 6
@@ -381,15 +388,37 @@ class TestTailFit:
     POINTS = [PARAMS[n] for n in NAMES] + [ModelParams(**p) for p, _ in SWEEP_MAIN_C0]
     IDS = NAMES + [f"main{i}" for i in range(len(SWEEP_MAIN_C0))]
 
-    @pytest.mark.parametrize("p", POINTS, ids=IDS)
-    def test_K_is_resolved(self, p):
-        # the two agree to 2.6e-13 or better where the series truncates at
-        # U; the leading term of the flat-tail rule does not resolve K
+    # K of the Taylor-series stepper that preceded the collocation patches,
+    # at rtol 1e-13, where the series truncates at U; None where the leading
+    # term of the flat-tail rule does not resolve K
+    TAYLOR_K = [
+        25.91911679376974, 638.1477374475995, None, 0.3637847331215674, 7.027461145701738,
+        1.4910423893546373e18, 8822072851.199286, 0.25172983448115394, 4762110153.129343,
+        1.6383544273448674e25, None, None, 0.013050435216926132, 0.05037908432418397,
+        9.573997766731592, 0.23252558051862515, 4228.779260070997, 0.003737433564724714,
+        0.003765582529795732, 2.0048678348994958e24,
+    ]
+
+    @pytest.mark.parametrize(("p", "K"), zip(POINTS, TAYLOR_K), ids=IDS)
+    def test_K_is_resolved(self, p, K):
+        # w's end keeps about rtol/128 of its value across a patch where it
+        # falls, so K follows phi'(U) to 1.5e-12 or better
         grid = solve(p)
-        if grid.diagnostics["U_rule"] == "truncates":
-            assert grid.tail.K == pytest.approx(solve(p, rtol=1e-13).tail.K, rel=1e-11)
+        if K is not None:
+            assert grid.diagnostics["U_rule"] == "truncates"
+            assert grid.tail.K == pytest.approx(K, rel=1e-11)
         else:
             assert grid.tail is None and grid.diagnostics["log_K"] is None
+
+    def test_rtol_acts_below_the_default(self):
+        # main16, r = 18: w falls about as u^-18 out to U = 299, and rtol
+        # sets how far it may fall across one patch, down to rtol 9.1e-13;
+        # K's error reads 1.8e-11, 1.5e-12 and 1.1e-13 in 7, 9 and 20 patches
+        p, K = self.POINTS[19], self.TAYLOR_K[19]
+        grids = {rtol: solve(p, rtol=rtol) for rtol in (1e-8, 1e-10, 1e-12, 1e-13, 1e-14)}
+        errors = [abs(grids[rtol].tail.K / K - 1.0) for rtol in (1e-8, 1e-10, 1e-12)]
+        assert errors[0] > errors[1] > errors[2]
+        assert grids[1e-14].C0 == grids[1e-13].C0 and grids[1e-14].tail.K == grids[1e-13].tail.K
 
     @pytest.mark.parametrize("name", NAMES + ["fig5-I", "fig5-II"])
     def test_log_K_reported(self, solved, name):
@@ -457,12 +486,14 @@ class TestFarEnd:
     to rounding, so the points whose series truncates far out, or on no
     rung, stop at U = u_max."""
 
-    # 6 patches each, where they took 1,427, 5,644 and 15,935 Taylor steps
+    # 7 patches each, where they took 1,427, 5,644 and 15,935 Taylor steps
     FRACTIONS = [(0.01, 12), (0.005, 12), (0.003, 12)]
     # r = 14, b = 0.0049 and 2c/b^2 = 7.7e4, so c/(lam m) = 6.8: the series
     # at infinity truncates at U = 36,204 and 34,816 on the first and the
     # last, and on no rung of the second
     SURVEY = [(0.136, 1.0), (0.5, 0.272), (0.05, 2.72)]
+    # their C0 by the Taylor-series stepper at rtol 1e-12
+    SURVEY_C0 = [0.8529020281052637, 0.8528824664522318, 0.8529482008403713]
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -504,7 +535,7 @@ class TestFarEnd:
             warnings.simplefilter("error")
             grid = solve(p)
         assert grid.diagnostics["U_rule"] == "flat"
-        assert grid.C0 == pytest.approx(solve(p, rtol=1e-12).C0, rel=1e-10)
+        assert grid.C0 == pytest.approx(self.SURVEY_C0[self.SURVEY.index((lam, m))], rel=1e-10)
 
 
 @functools.lru_cache(maxsize=None)
@@ -531,6 +562,18 @@ class TestBeyondDoubleRange:
 
     FOUND = ModelParams(a=2.5915e-5, b=0.0053644, c=9.4014e-4, lam=0.94568, m=0.029311)
     SURVEY = [111, 213, 337, 483, 501, 504, 528, 561, 622, 647, 704, 722, 729]
+    # log C0 by scipy's Radau at rtol 1e-12 from the same series at u0, over
+    # 600 geometric knots to U = 2e9 max(1, m) (2e13 max(1, m) for 622 and
+    # 704, where r - 1 = 0.69 and m >= 38), the state renormalized at each,
+    # with the first-order tail at U; at rtol 1e-11 over 200 knots the same
+    # to 3e-15
+    LOG_C0 = {
+        None: -1052.0616667843901, 111: -940.4053795991051, 213: -877.5340028327252,
+        337: -726.743253923702, 483: -916.9278808946774, 501: -718.9040614045756,
+        504: -832.0990211673501, 528: -1059.0411546144446, 561: -1198.7182691265186,
+        622: -845.9880707014046, 647: -1124.6235180411254, 704: -848.0672970754675,
+        722: -884.9216918728356, 729: -753.1259347212967,
+    }
 
     @pytest.mark.parametrize("i", [None] + SURVEY, ids=["found"] + [f"survey{i}" for i in SURVEY])
     def test_solves_monotone_within_one(self, i):
@@ -539,13 +582,13 @@ class TestBeyondDoubleRange:
         p = self.FOUND if i is None else survey_points()[i]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid, fine = solve(p), solve(p, rtol=1e-12)
+            grid = solve(p)
             U = grid.diagnostics["U"]
             phi = grid.evaluate(np.concatenate((grid.u, np.geomspace(grid.u[-1], 4.0 * U, 200))))[0]
         diag = grid.diagnostics
         assert diag["steps"] <= 400
-        assert -1300.0 < diag["log_C0"] < -700.0 and grid.C0 < np.finfo(float).tiny
-        assert diag["log_C0"] == pytest.approx(fine.diagnostics["log_C0"], rel=1e-10)
+        assert grid.C0 < np.finfo(float).tiny
+        assert diag["log_C0"] == pytest.approx(self.LOG_C0[i], rel=1e-12)
         assert "not certain ruin" in diag["note"]
         assert np.all(np.diff(phi) >= 0.0) and phi[0] >= 0.0 and 0.4 < phi[-1] <= 1.0
 
@@ -554,7 +597,7 @@ class TestBeyondDoubleRange:
         # there with log C0 = -1052.06, and the same from U = 1e5
         grid, far = solve(self.FOUND), solve(self.FOUND, u_max=1e5)
         assert grid.diagnostics["U"] < 1100.0 and far.diagnostics["U"] == 1e5
-        assert grid.C0 == 0.0 and grid.diagnostics["log_C0"] == pytest.approx(-1052.0617, abs=1e-3)
+        assert grid.C0 == 0.0 and grid.diagnostics["log_C0"] == pytest.approx(self.LOG_C0[None], rel=1e-12)
         assert grid.diagnostics["log_C0"] == pytest.approx(far.diagnostics["log_C0"], rel=1e-13)
 
 
@@ -575,7 +618,7 @@ class TestStiffFractions:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_few_patches(self, alpha):
-        # 6 or 7 patches each
+        # 7 patches each
         grid = self.fraction(alpha)
         assert grid.diagnostics["steps"] <= 12
         assert np.all(np.diff(grid.phi) >= 0.0) and grid.phi[-1] <= 1.0
