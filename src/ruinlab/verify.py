@@ -10,13 +10,20 @@ paths, carrying the surplus shifted by half a step's premium so that a step
 without claims is one multiply-add, and checks ruin at the claim instants.
 Survival is nondecreasing in every Brownian increment, so partners are not
 positively correlated and the reported standard error sqrt(p (1 - p) / n) is
-an upper bound.  Each block of paths draws from its own SFC64 substream.
-The tail estimator fits the large-u power law from samples.
+an upper bound.  Each block of paths draws from its own SFC64 substream; for
+b > 0 the block's step normals come from a second substream spawned from
+it, which a helper thread draws ahead, where a second CPU is free for it,
+while the calling thread steps the paths and draws the claims.  The estimate depends on the seed alone, not on
+how the draws are batched or timed.  The tail estimator fits the large-u
+power law from samples.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +50,11 @@ _BLOCK = 16384
 # while a chunk of many steps pays its fixed numpy calls less often
 _CHUNK = 2**15
 _CLAIMS = 2**9
+# the b > 0 step normals are drawn ahead on a helper thread, _FILL at a time,
+# into a ring of _DEPTH reused buffers (3 x 256 KiB); a fill is two chunks'
+# normals, and three buffers let one be read while the next is drawn
+_FILL = 2**15
+_DEPTH = 3
 # residual quadrature: the 15-point Gauss-Kronrod rule and its embedded
 # 7-point Gauss rule on [-1, 1] (QUADPACK qk15); pieces at most _PIECE * m
 # long; at most _MAX_DEPTH bisections of one piece and _MAX_SPLITS in all;
@@ -335,7 +347,96 @@ def _claim_window(params, h, nxt, t0, W, rng):
     )
 
 
-def _mc_block_gbm(params, u, T, dt, rng, size):
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+class _NormalRing:
+    """The first ``need`` standard normals of ``gen``, drawn ahead on a thread.
+
+    A helper thread draws them in order, at most _FILL at a time, into a ring
+    of _DEPTH reused buffers, and :meth:`read` hands them on in the same
+    order; so what is read depends on ``gen`` alone, not on the fill size,
+    the depth or the threads' timing.  Only the helper thread uses ``gen``,
+    and the draw releases the interpreter lock, so it runs beside the
+    reader's work on another core.  An error in a fill is raised again by
+    :meth:`read`.  Leaving the ``with`` block stops and joins the thread.
+    Where the process may run on one CPU only, a thread would only take
+    turns with the reader; there is none, and :meth:`read` draws the same
+    stream itself, straight into ``out``.
+    """
+
+    def __init__(self, gen, need):
+        self._gen = gen
+        self._thread = None
+        if _cpus() < 2:
+            return
+        self._bufs = [np.empty(min(_FILL, need)) for _ in range(_DEPTH)]
+        self._free = queue.SimpleQueue()  # slots to fill; None stops the thread
+        self._full = queue.SimpleQueue()  # (slot, count) in stream order, or an error
+        for slot in range(_DEPTH):
+            self._free.put(slot)
+        self._slot = None  # the slot being read, from _at up to _end
+        self._at = self._end = 0
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._produce, args=(need,), name="ruinlab-normals", daemon=True
+        )
+        self._thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._closed = True
+            self._free.put(None)
+            self._thread.join()
+
+    def _fill(self, out):
+        self._gen.standard_normal(out=out)
+
+    def _produce(self, need):
+        try:
+            while need:
+                slot = self._free.get()
+                if slot is None or self._closed:
+                    return
+                out = self._bufs[slot][:need]
+                self._fill(out)
+                need -= out.size
+                self._full.put((slot, out.size))
+        except Exception as exc:  # raised again by read, in the reader's thread
+            self._full.put(exc)
+
+    def read(self, out, scale):
+        """Write the next ``out.size`` normals, times ``scale``, into the flat ``out``."""
+        if self._thread is None:
+            self._fill(out)
+            out *= scale
+            return
+        at = 0
+        while at < out.size:
+            if self._slot is None:
+                item = self._full.get()
+                if isinstance(item, Exception):
+                    raise item
+                self._slot, self._end = item
+                self._at = 0
+            k = min(out.size - at, self._end - self._at)
+            np.multiply(self._bufs[self._slot][self._at : self._at + k], scale, out=out[at : at + k])
+            at += k
+            self._at += k
+            if self._at == self._end:
+                self._free.put(self._slot)
+                self._slot = None
+
+
+def _mc_block_gbm(params, u, T, dt, rng, steps, size):
     """Paths for b > 0 in antithetic pairs and time chunks, with claims as events.
 
     The step grid is h = T/ceil(T/dt).  Over a step the surplus moves as
@@ -347,9 +448,11 @@ def _mc_block_gbm(params, u, T, dt, rng, size):
     division, not a draw.  Claims, their sizes and their bridge normals stay
     each lane's own: ``_claim_window`` draws them and gives each step holding
     them its exact map X -> g X + A, which for Y reads
-    Y -> g Y + A + (c h/2)(1 - g).  Each chunk of K steps (K * lanes <=
-    _CHUNK) draws its normals at once and sweeps the lanes one in-place
-    multiply-add per step; ruin is then read off at the chunk's claim
+    Y -> g Y + A + (c h/2)(1 - g).  The step normals come from ``steps``
+    alone, which a helper thread draws ahead (``_NormalRing``), and ``rng``
+    draws everything else in the calling thread.  Each chunk of K steps
+    (K * lanes <= _CHUNK) reads its normals at once and sweeps the lanes one
+    in-place multiply-add per step; ruin is then read off at the chunk's claim
     instants from X = Y - c h/2 at the start of each claim's step.  The
     normals, factors and additive terms live in flat buffers allocated once
     per block and viewed as (K, lanes) per window; the additive buffer holds
@@ -376,54 +479,54 @@ def _mc_block_gbm(params, u, T, dt, rng, size):
     z_buf = np.empty(cap // 2)
     g_buf = np.empty(cap)
     a_buf = np.full(cap, ch)
-    k0 = 0
-    while k0 < n_steps and n:
-        lanes = 2 * n
-        K = max(1, _CHUNK // lanes)
-        W = min(n_steps - k0, K * max(1, int(_CLAIMS / (lanes * lam * h * K))))
-        events = _claim_window(params, h, nxt, k0 * h, W, rng)
-        if events is not None:
-            (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
-            a_fold += 0.5 * ch * (1.0 - g_fold)
-        for j0 in range(0, W, K):
-            nk = min(K, W - j0)
-            Z = z_buf[: nk * n].reshape(nk, n)
-            G = g_buf[: nk * lanes].reshape(nk, lanes)
-            A = a_buf[: nk * lanes].reshape(nk, lanes)
-            rng.standard_normal(out=Z)
-            Z *= vol
-            Z += drift
-            np.exp(Z, out=G[:, :n])
-            np.divide(mirror, G[:, :n], out=G[:, n:])
+    with _NormalRing(steps, n_steps * n) as normals:
+        k0 = 0
+        while k0 < n_steps and n:
+            lanes = 2 * n
+            K = max(1, _CHUNK // lanes)
+            W = min(n_steps - k0, K * max(1, int(_CLAIMS / (lanes * lam * h * K))))
+            events = _claim_window(params, h, nxt, k0 * h, W, rng)
             if events is not None:
-                lo, hi = np.searchsorted(gk, (j0, j0 + nk))
-                rows, cols = gk[lo:hi] - j0, glane[lo:hi]
-                G[rows, cols] = g_fold[lo:hi]
-                A[rows, cols] = a_fold[lo:hi]
-            # row k of G becomes Y at the end of step j0 + k
-            y = Y
-            for k in range(nk):
-                row = G[k]
-                np.multiply(row, y, out=row)
-                np.add(row, A[k], out=row)
-                y = row
-            if events is not None:
-                A[rows, cols] = ch
-                lo, hi = np.searchsorted(ck, (j0, j0 + nk))
-                kk, ll = ck[lo:hi] - j0, clane[lo:hi]
-                start = np.where(kk == 0, Y[ll], G[kk - 1, ll]) - 0.5 * ch
-                # g > 0 and c >= 0: between claims the surplus cannot fall
-                alive[ll[c_alpha[lo:hi] * start + c_beta[lo:hi] < 0.0]] = False
-            Y[:] = G[-1]
-            if not alive.any():
-                break
-        pair = alive[:n] | alive[n:]
-        if not pair.all():
-            keep = np.flatnonzero(pair)
-            keep = np.concatenate((keep, keep + n))
-            Y, nxt, alive = Y[keep], nxt[keep], alive[keep]
-            n = keep.size // 2
-        k0 += W
+                (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
+                a_fold += 0.5 * ch * (1.0 - g_fold)
+            for j0 in range(0, W, K):
+                nk = min(K, W - j0)
+                Z = z_buf[: nk * n].reshape(nk, n)
+                G = g_buf[: nk * lanes].reshape(nk, lanes)
+                A = a_buf[: nk * lanes].reshape(nk, lanes)
+                normals.read(z_buf[: nk * n], vol)
+                Z += drift
+                np.exp(Z, out=G[:, :n])
+                np.divide(mirror, G[:, :n], out=G[:, n:])
+                if events is not None:
+                    lo, hi = np.searchsorted(gk, (j0, j0 + nk))
+                    rows, cols = gk[lo:hi] - j0, glane[lo:hi]
+                    G[rows, cols] = g_fold[lo:hi]
+                    A[rows, cols] = a_fold[lo:hi]
+                # row k of G becomes Y at the end of step j0 + k
+                y = Y
+                for k in range(nk):
+                    row = G[k]
+                    np.multiply(row, y, out=row)
+                    np.add(row, A[k], out=row)
+                    y = row
+                if events is not None:
+                    A[rows, cols] = ch
+                    lo, hi = np.searchsorted(ck, (j0, j0 + nk))
+                    kk, ll = ck[lo:hi] - j0, clane[lo:hi]
+                    start = np.where(kk == 0, Y[ll], G[kk - 1, ll]) - 0.5 * ch
+                    # g > 0 and c >= 0: between claims the surplus cannot fall
+                    alive[ll[c_alpha[lo:hi] * start + c_beta[lo:hi] < 0.0]] = False
+                Y[:] = G[-1]
+                if not alive.any():
+                    break
+            pair = alive[:n] | alive[n:]
+            if not pair.all():
+                keep = np.flatnonzero(pair)
+                keep = np.concatenate((keep, keep + n))
+                Y, nxt, alive = Y[keep], nxt[keep], alive[keep]
+                n = keep.size // 2
+            k0 += W
     return int(np.count_nonzero(alive))
 
 
@@ -484,13 +587,29 @@ def mc_survival(
     Paths are processed in fixed-size blocks, each drawing from an SFC64
     generator seeded by ``SeedSequence(entropy=seed, spawn_key=(block,))``,
     so the estimate is reproducible and independent of how blocks are
-    distributed over workers.  SFC64 (256-bit state, a 64-bit counter that
-    keeps distinct seeds apart for at least 2^64 draws) draws normals about
-    a fifth faster than PCG64, numpy's default.  Both schemes draw different
-    streams than earlier versions (the b > 0 scheme once stepped by
-    Euler-Maruyama and then without pairs, the b = 0 scheme drew for stopped
-    paths too, and both drew from PCG64), so an estimate under a given seed
-    differs from theirs; the law of every path is unchanged.
+    distributed over workers.  For b > 0 a block draws from two streams:
+    its step normals come from a second SFC64 generator, seeded by the
+    block's ``SeedSequence`` spawned once (spawn key ``(block, 0)``), and
+    its claim instants, claim sizes and the bridge normals of steps holding
+    claims from the block's own generator.  A helper thread draws the step
+    normals ahead, in order, into a ring of three reused buffers of 2^15
+    doubles, while the calling thread steps the paths; the normal draw
+    releases the interpreter lock, so the two overlap on a second core.
+    Where the process may run on one CPU only, there is no thread and the
+    calling thread draws the same stream.  Each generator is used by one
+    thread only, and the paths read the step normals in stream order, so
+    the estimate depends on the seed alone, not on the fill size, the
+    ring's depth or the threads' timing.  The thread is joined before the
+    block returns or raises, and an error in it is raised here.  SFC64
+    (256-bit state, a 64-bit counter that keeps distinct seeds apart for at
+    least 2^64 draws) draws normals about a fifth faster than PCG64, numpy's
+    default.  Both schemes draw different streams than earlier versions
+    (the b > 0 scheme once stepped by Euler-Maruyama, then without pairs,
+    then with its step normals on the block's own generator; the b = 0
+    scheme drew for stopped paths too; and both drew from PCG64), so an
+    estimate under a given seed differs from theirs; the law of every path
+    is unchanged.  The b = 0 scheme draws as it did before the second
+    stream, bit for bit.
     """
     check_count("n_paths", n_paths, 1)
     seed = np.random.SeedSequence().entropy % 2**63 if seed is None else check_count("seed", seed, 0)
@@ -510,13 +629,13 @@ def mc_survival(
     survivors = 0
     for block_index, done in enumerate(range(0, n_paths, _BLOCK)):
         size = min(_BLOCK, n_paths - done)
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-        )
+        block_seed = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
+        rng = np.random.Generator(np.random.SFC64(block_seed))
         if exact:
             survivors += _mc_block_exact(params, u, T, rng, size)
         else:
-            survivors += _mc_block_gbm(params, u, T, dt, rng, size)
+            steps = np.random.Generator(np.random.SFC64(block_seed.spawn(1)[0]))
+            survivors += _mc_block_gbm(params, u, T, dt, rng, steps, size)
 
     p_hat = survivors / n_paths
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -147,10 +149,21 @@ class TestGResidualDecay:
         assert slope == pytest.approx(-1.0 / p.m, rel=0.02)
 
 
-def _x_form_block(params, u, T, dt, rng, size):
+def _streams(seed):
+    """The block's own generator and its step normals' generator, seeded as
+    ``mc_survival`` seeds them from a block's ``SeedSequence``."""
+    block_seed = np.random.SeedSequence(seed)
+    return (
+        np.random.Generator(np.random.SFC64(block_seed)),
+        np.random.Generator(np.random.SFC64(block_seed.spawn(1)[0])),
+    )
+
+
+def _x_form_block(params, u, T, dt, rng, steps, size):
     """The b > 0 block as it stood before the lanes carried Y = X + c h/2:
     the surplus X itself, with the premium array A = c h (1 + G)/2 formed
-    per chunk.  Same law, same pairing and same draw order."""
+    per chunk, and the step normals drawn in the calling thread.  Same law,
+    same pairing and the same draws from ``rng`` and ``steps``."""
     a, b, c, lam = params.a, params.b, params.c, params.lam
     n_steps = int(math.ceil(T / dt))
     h = T / n_steps
@@ -172,7 +185,7 @@ def _x_form_block(params, u, T, dt, rng, size):
             (ck, clane, c_alpha, c_beta), (gk, glane, g_fold, a_fold) = events
         for j0 in range(0, W, K):
             nk = min(K, W - j0)
-            Z = rng.standard_normal((nk, n))
+            Z = steps.standard_normal((nk, n))
             Z *= vol
             Z += drift
             G = np.empty((nk, lanes))
@@ -208,8 +221,10 @@ def _x_form_block(params, u, T, dt, rng, size):
 
 
 class TestGbmBlockYForm:
-    """``_mc_block_gbm`` carries Y = X + c h/2; on the same draws it must ruin
-    exactly the lanes that the X-form block ruins."""
+    """``_mc_block_gbm`` carries Y = X + c h/2 and reads its step normals
+    from a helper thread where a second CPU is free; on the same two streams
+    it must ruin exactly the lanes that the X-form block, drawing in one
+    thread, ruins."""
 
     FIG1_II = PARAMS["fig1-II"]
     TWO_PER_STEP = 2.0 / FIG1_II.lam
@@ -234,10 +249,132 @@ class TestGbmBlockYForm:
         p = self.FIG1_II
         got, want = [], []
         for seed in range(20):
-            got.append(verify._mc_block_gbm(p, u, T, dt, np.random.Generator(np.random.SFC64(seed)), size))
-            want.append(_x_form_block(p, u, T, dt, np.random.Generator(np.random.SFC64(seed)), size))
+            got.append(verify._mc_block_gbm(p, u, T, dt, *_streams(seed), size))
+            want.append(_x_form_block(p, u, T, dt, *_streams(seed), size))
         assert got == want
         assert 0 < sum(want) < 20 * size
+
+
+def _bounded(call, timeout=60.0):
+    """Run ``call`` on a worker thread and return or raise its outcome; fail,
+    instead of hanging, when it has not ended within ``timeout`` seconds."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"did not end within {timeout:g} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestNormalRing:
+    """The b > 0 step normals come from their own stream, drawn ahead on a
+    helper thread; the estimate depends on the seed alone, and the thread
+    never outlives ``mc_survival``."""
+
+    FIG1_II = PARAMS["fig1-II"]
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        # the thread runs wherever the process may use two CPUs or more
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+
+    def _estimate(self, u=2.0, n=600, seed=9):
+        # 1,000 steps on up to 300 pairs: about ten default fills, read in
+        # chunks of 16,200 normals that straddle the fills, and fewer
+        # lanes as pairs leave
+        return mc_survival(self.FIG1_II, u, n, T=50.0, dt=0.05, seed=seed).p_hat
+
+    def test_estimate_independent_of_fill_depth_and_timing(self, monkeypatch):
+        drawn_by = set()
+
+        class Slowed(verify._NormalRing):
+            def _fill(self, out):
+                drawn_by.add(threading.get_ident())
+                time.sleep(0.002)
+                super()._fill(out)
+
+        want = self._estimate()
+        assert 0.0 < want < 1.0
+        for fill, depth in ((1000, verify._DEPTH), (verify._FILL, 1), (1000, 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_FILL", fill)
+                patch.setattr(verify, "_DEPTH", depth)
+                assert self._estimate() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_NormalRing", Slowed)
+            assert self._estimate() == want
+        assert drawn_by and threading.get_ident() not in drawn_by
+        # on one CPU there is no thread: the caller draws the same stream
+        drawn_by.clear()
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_cpus", lambda: 1)
+            patch.setattr(verify, "_NormalRing", Slowed)
+            assert self._estimate() == want
+            assert threading.active_count() == before
+        assert drawn_by == {threading.get_ident()}
+
+    def test_b_zero_keeps_its_draws(self):
+        # the event-driven scheme draws from the block's generator alone, as
+        # before the b > 0 step normals got their own stream; these are the
+        # values it read then
+        assert mc_survival(PARAMS["fig1-I"], 5.0, 4000, T=400.0, seed=42).p_hat == 0.634
+        assert mc_survival(PARAMS["fig3-II"], 5.0, 4096, T=400.0, seed=7).p_hat == 0.995361328125
+
+    def test_no_thread_outlives_a_normal_end(self):
+        # at u = 0.5 many pairs leave before the horizon of 4,000 steps, so
+        # the thread, which draws for every pair to the horizon, is still
+        # waiting for a free buffer when the block ends
+        before = threading.active_count()
+        est = _bounded(lambda: mc_survival(self.FIG1_II, 0.5, 600, T=200.0, dt=0.05, seed=9))
+        assert 0.0 < est.p_hat < 1.0
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_early_end(self):
+        # no premiums from u = 0: the first claim ruins each lane, and the
+        # block ends long before the 10^5 steps whose normals the thread
+        # would draw
+        p = ModelParams(a=0.1, b=0.3, c=0.0, lam=1.0, m=1.0)
+        before = threading.active_count()
+        est = _bounded(lambda: mc_survival(p, 0.0, 512, T=1000.0, dt=0.01, seed=3))
+        assert est.p_hat == 0.0
+        assert threading.active_count() == before
+
+    def test_caller_error_stops_the_thread(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("claim window failed")
+
+        monkeypatch.setattr(verify, "_claim_window", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="claim window failed"):
+            _bounded(self._estimate)
+        assert threading.active_count() == before
+
+    def test_fill_error_reaches_the_caller(self, monkeypatch):
+        class Failing(verify._NormalRing):
+            fills = 0
+
+            def _fill(self, out):
+                Failing.fills += 1
+                if Failing.fills == 3:
+                    raise FloatingPointError("fill failed")
+                super()._fill(out)
+
+        monkeypatch.setattr(verify, "_FILL", 1000)
+        monkeypatch.setattr(verify, "_NormalRing", Failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="fill failed"):
+            _bounded(self._estimate)
+        assert threading.active_count() == before
 
 
 class TestMcSurvival:
